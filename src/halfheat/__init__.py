@@ -6,21 +6,17 @@ tooling, and a reproducible experiment harness."""
 from .grid import (
     Field,
     Grid,
-    TimeSpectrum,
     VectorField,
     field_from_array,
     inner,
-    inverse_transform_time,
     lp_norm,
     make_grid,
     time_window_lp_norm,
-    transform_time,
     zeros,
 )
 from .expressions import ExpressionError, field_from_expression
 from .htpf import read_coefficients, read_field, write_coefficients, write_field
 from .timeops import (
-    CutoffProfile,
     cutoff_commutator,
     cutoff_eta,
     half_derivative,
@@ -67,7 +63,6 @@ from .solver import (
 )
 from .oscillation import (
     Cylinder,
-    DyadicCell,
     LocalEstimateReport,
     OscillationReport,
     bundle_oscillation,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .coefficients import generate_coefficients
 from .expressions import field_from_expression
-from .experiments import EXPERIMENTS, ExperimentConfig, write_outputs
+from .experiments import EXPERIMENTS, ExperimentConfig, _generator_kwargs, write_outputs
 from .grid import VectorField, field_from_array, make_grid
 from .htpf import read_coefficients, write_field
 from .operators import DataBundle
@@ -127,19 +127,12 @@ def _build_problem(mapping: dict):
         if coeffs.grid != grid:
             raise ValueError("coefficient file grid does not match the config grid")
     else:
-        kwargs = {}
-        if spec.get("roughness_scale") is not None:
-            kwargs["roughness_scale"] = float(spec["roughness_scale"])
-        if spec.get("epsilon") is not None:
-            kwargs["roughness_scale"] = float(spec["epsilon"])
-        if spec.get("cell_size") is not None:
-            kwargs["cell_size"] = float(spec["cell_size"])
         coeffs = generate_coefficients(
             spec.get("kind", "constant"),
             float(spec.get("delta", 1.0)),
             int(spec.get("seed", 0)),
             grid,
-            **kwargs,
+            **_generator_kwargs(spec),
         )
     data_spec = mapping.get("data")
     if not data_spec:

@@ -184,22 +184,29 @@ def _unwrapped_axis(n: int, period: float) -> np.ndarray:
     return period * np.arange(n) / n
 
 
-def _smooth_modulation(
-    rng: np.random.Generator, grid: Grid, mode_count: int = 6, max_mode: int = 3
-) -> np.ndarray:
-    """Band-limited smooth scalar with sup norm <= 1, resolution independent."""
+_TRIG_MODES = 6
+_TRIG_MAX_MODE = 3
+
+
+def _trig_polynomial(rng: np.random.Generator, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Random low-order trigonometric polynomial of the physical coordinates:
+    the samples of sum_j c_j cos(phi_j + 2*pi*k_j.X/L) and the amplitudes c_j.
+    The draw order is grid-independent, so the same generator state yields
+    the same physical function on a refined grid."""
     mesh = grid.coordinate_mesh()
     periods = [grid.l_t, *grid.l_x]
-    coeffs = rng.standard_normal(mode_count)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=mode_count)
-    modes = rng.integers(-max_mode, max_mode + 1, size=(mode_count, grid.d + 1))
+    amps = rng.standard_normal(_TRIG_MODES)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=_TRIG_MODES)
+    modes = rng.integers(
+        -_TRIG_MAX_MODE, _TRIG_MAX_MODE + 1, size=(_TRIG_MODES, grid.d + 1)
+    )
     total = np.zeros(grid.shape)
-    for c, phi, k in zip(coeffs, phases, modes):
-        phase = phi + sum(
+    for amp, phi, k in zip(amps, phases, modes):
+        arg = phi + sum(
             2.0 * np.pi * k[ax] * mesh[ax] / periods[ax] for ax in range(grid.d + 1)
         )
-        total = total + c * np.cos(phase)
-    return total / np.sum(np.abs(coeffs))
+        total = total + amp * np.cos(arg)
+    return total, amps
 
 
 def generate_coefficients(
@@ -303,7 +310,9 @@ def generate_coefficients(
                 f"maximal admissible amplitude is {1.0 - delta}"
             )
         meta["amplitude"] = alpha
-        modulation = _smooth_modulation(rng, grid)
+        # band-limited smooth scalar with sup norm <= 1
+        total, amps = _trig_polynomial(rng, grid)
+        modulation = total / np.sum(np.abs(amps))
         data = np.zeros((d, d, *grid.shape))
         for i in range(d):
             data[i, i] = 1.0 + alpha * modulation
@@ -336,18 +345,32 @@ class AssumptionReport:
     scan_density: dict
 
 
-def _ball_offsets(grid: Grid, radius: float) -> np.ndarray:
-    """Integer index offsets (n_ball, d) of spatial samples with |y| < radius."""
-    h = grid.h
+def _ball_offsets(grid: Grid, radius: float, first_axis: int = 0) -> np.ndarray:
+    """Integer index offsets (n_ball, d - first_axis) of the samples with
+    |y| < radius over the spatial axes first_axis..d-1; the single empty
+    offset when no axis remains."""
+    h = grid.h[first_axis:]
+    if not h:
+        return np.zeros((1, 0), dtype=int)
     ranges = []
-    for i in range(grid.d):
-        m = int(math.floor(radius / h[i] + 1e-12))
-        m = min(m, grid.n_x[i] // 2 - 1)
+    for hi, n in zip(h, grid.n_x[first_axis:]):
+        m = int(math.floor(radius / hi + 1e-12))
+        m = min(m, n // 2 - 1)
         ranges.append(np.arange(-m, m + 1))
     mesh = np.meshgrid(*ranges, indexing="ij")
-    dist_sq = sum((mesh[i] * h[i]) ** 2 for i in range(grid.d))
+    dist_sq = sum((mesh[i] * h[i]) ** 2 for i in range(len(h)))
     mask = dist_sq < radius**2
     return np.stack([m[mask] for m in mesh], axis=-1)
+
+
+def _ball_indices(shape: tuple[int, ...], center, offsets: np.ndarray) -> np.ndarray:
+    """Flat indices into an array of ``shape`` of the wrapped samples
+    center + offsets; all zeros for an empty shape."""
+    if not shape:
+        return np.zeros(offsets.shape[0], dtype=int)
+    return np.ravel_multi_index(
+        tuple((center[i] + offsets[:, i]) % n for i, n in enumerate(shape)), shape
+    )
 
 
 def _time_window_size(grid: Grid, radius: float) -> int:
@@ -393,62 +416,54 @@ def _spatial_centers(grid: Grid, radius: float) -> tuple[np.ndarray, tuple[int, 
     return centers, strides
 
 
-def check_assumption_time(coeffs: Coefficients, r_zero: float) -> AssumptionReport:
-    """Worst mean oscillation of a_ij around its spatial ball average.
+def _scan(
+    coeffs: Coefficients, r_zero: float, kind: str, deviation
+) -> AssumptionReport:
+    """Cylinder sweep shared by both checkers.
 
-    Scans parabolic cylinders with dyadic radii {R0, R0/2, ...} down to the
-    grid resolution, centered on a strided lattice; gamma_estimate is the
-    maximum over entries, radii and centers of the cylinder mean of
-    |a_ij(s, y) - mean_{B_r} a_ij(s, .)|.
+    Radii are dyadic {R0, R0/2, ...} down to the grid resolution; centers are
+    a strided space-time lattice with strides of about half the cylinder
+    extent.  ``deviation(coeffs, r, t_centers)`` returns the per-center
+    function mapping a spatial center index to the (d*d, len(t_centers))
+    cylinder means of the checker's oscillation.
     """
     grid = coeffs.grid
     _validate_r0(grid, r_zero)
     radii = _scan_radii(grid, r_zero)
     d = grid.d
-    data = coeffs.data.reshape(d * d, grid.n_t, -1)  # flat spatial index
-    n_space = data.shape[-1]
-    space_shape = grid.n_x
+    t_coords = grid.time_coordinates()
+    x_coords = [grid.space_coordinates(i) for i in range(d)]
 
     gamma_per_radius = []
     centers_total = 0
     density: dict = {}
     worst = (-1.0, radii[0], (0.0,) * (d + 1))
     for r in radii:
-        offsets = _ball_offsets(grid, r)
-        w = _time_window_size(grid, r)
         stride_t = max(1, int(round(r * r / (2.0 * grid.dt))))
+        t_centers = np.arange(0, grid.n_t, stride_t)
         centers, strides = _spatial_centers(grid, r)
         density[f"r={r:g}"] = {
             "stride_t": stride_t,
             "stride_x": list(strides),
             "spatial_centers": int(centers.shape[0]),
         }
+        means_at = deviation(coeffs, r, t_centers)
         level_max = -1.0
         for center in centers:
-            idx = np.ravel_multi_index(
-                tuple((center[i] + offsets[:, i]) % space_shape[i] for i in range(d)),
-                space_shape,
-            )
-            ball = data[:, :, idx]  # (d*d, n_t, n_ball)
-            bar = ball.mean(axis=-1, keepdims=True)
-            dev = np.abs(ball - bar).mean(axis=-1)  # (d*d, n_t)
-            windowed = uniform_filter1d(dev, size=w, axis=-1, mode="wrap")
-            sampled = windowed[:, ::stride_t]
-            flat = int(np.argmax(sampled))
-            value = float(sampled.ravel()[flat])
-            if value > level_max:
-                level_max = value
+            peak = means_at(center).max(axis=0)  # worst entry per time center
+            ci = int(np.argmax(peak))
+            value = float(peak[ci])
+            level_max = max(level_max, value)
             if value > worst[0]:
-                t_idx = (flat % sampled.shape[1]) * stride_t
-                phys = (float(grid.time_coordinates()[t_idx]),) + tuple(
-                    float(grid.space_coordinates(i)[center[i]]) for i in range(d)
+                phys = (float(t_coords[t_centers[ci]]),) + tuple(
+                    float(x_coords[i][center[i]]) for i in range(d)
                 )
                 worst = (value, r, phys)
-            centers_total += sampled.shape[1]
+            centers_total += t_centers.shape[0]
         gamma_per_radius.append(level_max)
 
     return AssumptionReport(
-        kind="time",
+        kind=kind,
         r_zero=float(r_zero),
         gamma_estimate=float(max(gamma_per_radius)),
         radii=tuple(radii),
@@ -460,21 +475,58 @@ def check_assumption_time(coeffs: Coefficients, r_zero: float) -> AssumptionRepo
     )
 
 
-def _prime_ball_offsets(grid: Grid, radius: float) -> np.ndarray:
-    """Index offsets over the x' axes (axes 2..d) with |y'| < radius; for
-    d = 1 the single empty offset."""
-    if grid.d == 1:
-        return np.zeros((1, 0), dtype=int)
-    h = grid.h[1:]
-    ranges = []
-    for i, hi in enumerate(h):
-        m = int(math.floor(radius / hi + 1e-12))
-        m = min(m, grid.n_x[1 + i] // 2 - 1)
-        ranges.append(np.arange(-m, m + 1))
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    dist_sq = sum((mesh[i] * h[i]) ** 2 for i in range(len(h)))
-    mask = dist_sq < radius**2
-    return np.stack([m[mask] for m in mesh], axis=-1)
+def _time_deviation(coeffs: Coefficients, r: float, t_centers: np.ndarray):
+    grid = coeffs.grid
+    data = coeffs.data.reshape(grid.d**2, grid.n_t, -1)  # flat spatial index
+    offsets = _ball_offsets(grid, r)
+    w = _time_window_size(grid, r)
+
+    def means(center: np.ndarray) -> np.ndarray:
+        ball = data[:, :, _ball_indices(grid.n_x, center, offsets)]
+        bar = ball.mean(axis=-1, keepdims=True)
+        dev = np.abs(ball - bar).mean(axis=-1)  # (d*d, n_t)
+        windowed = uniform_filter1d(dev, size=w, axis=-1, mode="wrap")
+        return windowed[:, t_centers]
+
+    return means
+
+
+def _x1_deviation(coeffs: Coefficients, r: float, t_centers: np.ndarray):
+    grid = coeffs.grid
+    n1 = grid.n_x[0]
+    prime_shape = grid.n_x[1:]
+    flat = coeffs.data.reshape(grid.d**2, grid.n_t, -1)
+    # x' axes flattened to one trailing index (length 1 when d = 1)
+    data = flat.reshape(grid.d**2, grid.n_t, n1, -1)
+    offsets = _ball_offsets(grid, r)
+    prime_offsets = _ball_offsets(grid, r, first_axis=1)
+    w = _time_window_size(grid, r)
+    half_w = (w - 1) // 2
+    t_windows = (t_centers[:, None] + np.arange(-half_w, half_w + 1)) % grid.n_t
+
+    def means(center: np.ndarray) -> np.ndarray:
+        pidx = _ball_indices(prime_shape, center[1:], prime_offsets)
+        slab = data[:, :, :, pidx].mean(axis=-1)  # x1 profile, mean over B'
+        # reference profile per time center: window-mean of slab
+        profile = uniform_filter1d(slab, size=w, axis=1, mode="wrap")
+        ball_y1 = (center[0] + offsets[:, 0]) % n1
+        cyl = flat[:, :, _ball_indices(grid.n_x, center, offsets)]  # (d*d, n_t, n_ball)
+        ref = profile[:, t_centers][:, :, ball_y1]  # (d*d, n_tc, n_ball)
+        dev = np.abs(cyl[:, t_windows, :] - ref[:, :, None, :])
+        return dev.mean(axis=(2, 3))
+
+    return means
+
+
+def check_assumption_time(coeffs: Coefficients, r_zero: float) -> AssumptionReport:
+    """Worst mean oscillation of a_ij around its spatial ball average.
+
+    Scans parabolic cylinders with dyadic radii {R0, R0/2, ...} down to the
+    grid resolution, centered on a strided lattice; gamma_estimate is the
+    maximum over entries, radii and centers of the cylinder mean of
+    |a_ij(s, y) - mean_{B_r} a_ij(s, .)|.
+    """
+    return _scan(coeffs, r_zero, "time", _time_deviation)
 
 
 def check_assumption_x1(coeffs: Coefficients, r_zero: float) -> AssumptionReport:
@@ -484,86 +536,7 @@ def check_assumption_x1(coeffs: Coefficients, r_zero: float) -> AssumptionReport
     only: the average over (t - r^2, t + r^2) x B'_r(x') at frozen y1 (the
     time interval alone when d = 1).
     """
-    grid = coeffs.grid
-    _validate_r0(grid, r_zero)
-    radii = _scan_radii(grid, r_zero)
-    d = grid.d
-    n1 = grid.n_x[0]
-    dd = d * d
-    # flatten x' axes to one trailing index
-    data = coeffs.data.reshape(dd, grid.n_t, n1, -1)
-    prime_shape = grid.n_x[1:]
-
-    gamma_per_radius = []
-    centers_total = 0
-    density: dict = {}
-    worst = (-1.0, radii[0], (0.0,) * (d + 1))
-    for r in radii:
-        offsets = _ball_offsets(grid, r)  # full d-ball
-        prime_offsets = _prime_ball_offsets(grid, r)
-        w = _time_window_size(grid, r)
-        stride_t = max(1, int(round(r * r / (2.0 * grid.dt))))
-        t_centers = np.arange(0, grid.n_t, stride_t)
-        centers, strides = _spatial_centers(grid, r)
-        density[f"r={r:g}"] = {
-            "stride_t": stride_t,
-            "stride_x": list(strides),
-            "spatial_centers": int(centers.shape[0]),
-        }
-        half_w = (w - 1) // 2
-        t_windows = (t_centers[:, None] + np.arange(-half_w, half_w + 1)) % grid.n_t
-        level_max = -1.0
-        for center in centers:
-            if d == 1:
-                slab = data[:, :, :, 0]  # (dd, n_t, n1)
-            else:
-                pidx = np.ravel_multi_index(
-                    tuple(
-                        (center[1 + i] + prime_offsets[:, i]) % prime_shape[i]
-                        for i in range(d - 1)
-                    ),
-                    prime_shape,
-                )
-                slab = data[:, :, :, pidx].mean(axis=-1)  # mean over B'
-            # reference profile per time center: window-mean of slab
-            profile = uniform_filter1d(slab, size=w, axis=1, mode="wrap")
-            ball_y1 = (center[0] + offsets[:, 0]) % n1
-            if d == 1:
-                cyl = data[:, :, ball_y1, 0]  # (dd, n_t, n_ball)
-            else:
-                ball_prime = np.ravel_multi_index(
-                    tuple(
-                        (center[1 + i] + offsets[:, 1 + i]) % prime_shape[i]
-                        for i in range(d - 1)
-                    ),
-                    prime_shape,
-                )
-                cyl = data[:, :, ball_y1, ball_prime]  # (dd, n_t, n_ball)
-            for ci, tc in enumerate(t_centers):
-                rows = t_windows[ci]
-                ref = profile[:, tc, :][:, ball_y1]  # (dd, n_ball)
-                dev = np.abs(cyl[:, rows, :] - ref[:, None, :]).mean(axis=(1, 2))
-                value = float(dev.max())
-                centers_total += 1
-                level_max = max(level_max, value)
-                if value > worst[0]:
-                    phys = (float(grid.time_coordinates()[tc]),) + tuple(
-                        float(grid.space_coordinates(i)[center[i]]) for i in range(d)
-                    )
-                    worst = (value, r, phys)
-        gamma_per_radius.append(level_max)
-
-    return AssumptionReport(
-        kind="x1",
-        r_zero=float(r_zero),
-        gamma_estimate=float(max(gamma_per_radius)),
-        radii=tuple(radii),
-        gamma_per_radius=tuple(gamma_per_radius),
-        worst_radius=float(worst[1]),
-        worst_center=worst[2],
-        centers_scanned=centers_total,
-        scan_density=density,
-    )
+    return _scan(coeffs, r_zero, "x1", _x1_deviation)
 
 
 def freeze_time(
@@ -576,16 +549,8 @@ def freeze_time(
         raise ValueError(f"ball radius {radius} does not fit inside the cell")
     if len(center) != grid.d:
         raise ValueError(f"center needs {grid.d} spatial components")
-    offsets = _ball_offsets(grid, radius)
-    center_idx = [
-        int(round(center[i] / grid.h[i])) % grid.n_x[i] for i in range(grid.d)
-    ]
-    idx = np.ravel_multi_index(
-        tuple(
-            (center_idx[i] + offsets[:, i]) % grid.n_x[i] for i in range(grid.d)
-        ),
-        grid.n_x,
-    )
+    center_idx = [int(round(center[i] / grid.h[i])) for i in range(grid.d)]
+    idx = _ball_indices(grid.n_x, center_idx, _ball_offsets(grid, radius))
     d = grid.d
     flat = coeffs.data.reshape(d, d, grid.n_t, -1)
     profile = flat[:, :, :, idx].mean(axis=-1)  # (d, d, n_t)
@@ -624,24 +589,11 @@ def freeze_x1_piecewise(
     if len(x_prime_center) != max(0, d - 1):
         raise ValueError(f"x_prime_center needs {max(0, d - 1)} components")
 
-    prime_offsets = _prime_ball_offsets(grid, radius)
-    if d > 1:
-        pc = [
-            int(round(x_prime_center[i] / grid.h[1 + i])) % grid.n_x[1 + i]
-            for i in range(d - 1)
-        ]
-        pidx = np.ravel_multi_index(
-            tuple(
-                (pc[i] + prime_offsets[:, i]) % grid.n_x[1 + i] for i in range(d - 1)
-            ),
-            grid.n_x[1:],
-        )
+    pc = [int(round(x_prime_center[i] / grid.h[1 + i])) for i in range(d - 1)]
+    pidx = _ball_indices(grid.n_x[1:], pc, _ball_offsets(grid, radius, first_axis=1))
     n1 = grid.n_x[0]
     flat = coeffs.data.reshape(d, d, grid.n_t, n1, -1)
-    if d > 1:
-        slices = flat[:, :, :, :, pidx].mean(axis=-1)  # (d, d, n_t, n1)
-    else:
-        slices = flat[:, :, :, :, 0]
+    slices = flat[:, :, :, :, pidx].mean(axis=-1)  # (d, d, n_t, n1)
 
     offset = np.mod(grid.time_coordinates() - t_zero + radius**2, grid.l_t)
     slab_index = np.floor(offset / slab + 1e-12).astype(int)

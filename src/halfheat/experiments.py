@@ -4,8 +4,7 @@ oscillation-decay experiments, assumption reports, and byte-stable emission.
 Every experiment is a pure function of (config, seed): trial randomness comes
 from seed-sequence children keyed by the trial index, reports carry the config
 hash and per-row seeds, and the CSV/JSON writers are deterministic (sorted
-keys, repr floats, no wall-clock anywhere).  HALFHEAT_THREADS caps the trial
-pool; the default of 1 keeps runs single-threaded.
+keys, repr floats, no wall-clock anywhere).
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from __future__ import annotations
 import json
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -22,6 +19,7 @@ import numpy as np
 
 from .coefficients import (
     Coefficients,
+    _trig_polynomial,
     check_assumption_time,
     check_assumption_x1,
     generate_coefficients,
@@ -36,7 +34,6 @@ from .grid import (
     lp_norm,
     make_grid,
     time_window_lp_norm,
-    transform_time,
 )
 from .operators import (
     DataBundle,
@@ -193,23 +190,6 @@ class ExperimentResult:
     summary: dict
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("HALFHEAT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    """Run fn over items, possibly in a thread pool, preserving order."""
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _trial_seed(config_seed: int, *key: int) -> int:
     """Stable derived integer seed for a trial-level generator."""
     state = np.random.SeedSequence([config_seed, *key]).generate_state(1)[0]
@@ -251,30 +231,16 @@ def random_band_limited_field(
     return field_from_array(grid, data / norm)
 
 
-def harmonic_field(
-    grid: Grid,
-    rng: np.random.Generator,
-    mode_count: int = 6,
-    max_mode: int = 3,
-) -> Field:
+def harmonic_field(grid: Grid, rng: np.random.Generator) -> Field:
     """Random low-order trigonometric polynomial of the physical coordinates,
-    unit L2.  Draw order is grid-independent, so the same generator state
-    yields the same physical function on a refined grid (the rectangle rule is
-    exact on these, making the normalization grid-independent too)."""
-    mesh = grid.coordinate_mesh()
-    periods = [grid.l_t, *grid.l_x]
-    amps = rng.standard_normal(mode_count)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=mode_count)
-    modes = rng.integers(-max_mode, max_mode + 1, size=(mode_count, grid.d + 1))
-    total = np.zeros(grid.shape)
-    for amp, phi, k in zip(amps, phases, modes):
-        arg = phi + sum(
-            2.0 * np.pi * k[ax] * mesh[ax] / periods[ax] for ax in range(grid.d + 1)
-        )
-        total = total + amp * np.cos(arg)
+    unit L2.  The same generator state yields the same physical function on a
+    refined grid (the rectangle rule is exact on these, making the
+    normalization grid-independent too)."""
+    total, _ = _trig_polynomial(rng, grid)
     norm = math.sqrt(float(np.sum(total**2)) * grid.cell_measure)
     if norm < 1e-12:
-        total = np.cos(2.0 * np.pi * mesh[0] / grid.l_t) * np.ones(grid.shape)
+        t = grid.coordinate_mesh()[0]
+        total = np.cos(2.0 * np.pi * t / grid.l_t) * np.ones(grid.shape)
         norm = math.sqrt(float(np.sum(total**2)) * grid.cell_measure)
     return field_from_array(grid, total / norm)
 
@@ -305,6 +271,8 @@ def _band_limited_bundle(
 
 
 def _generator_kwargs(spec: dict) -> dict:
+    """generate_coefficients keywords of a coefficient spec; the aliases of
+    roughness_scale take precedence roughness_scale > epsilon > n_jumps."""
     out = {}
     if spec.get("roughness_scale") is not None:
         out["roughness_scale"] = float(spec["roughness_scale"])
@@ -403,7 +371,8 @@ def _identity_trial(config: ExperimentConfig, trial: int) -> list[dict]:
     )
     devs["spatial_commutation"] = float(commute / np.linalg.norm(u.data))
 
-    coeff = transform_time(u).data
+    # time transform with the symmetric 1/sqrt(2*pi) convention
+    coeff = np.fft.fft(u.data, axis=0) * (grid.dt / np.sqrt(2.0 * np.pi))
     spectral = float(np.sum(np.abs(coeff) ** 2)) * (2.0 * np.pi / grid.l_t) * float(
         np.prod(grid.h)
     )
@@ -458,10 +427,9 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentResult:
     """Every exact discrete identity of the time calculus and the variational
     layer, over `trials` random band-limited fields; reports the worst
     deviation per identity with the seed that produced it."""
-    batches = _map_ordered(
-        lambda t: _identity_trial(config, t), list(range(config.trials))
-    )
-    rows = [row for batch in batches for row in batch]
+    rows = [
+        row for trial in range(config.trials) for row in _identity_trial(config, trial)
+    ]
     worst: dict[str, dict] = {}
     for row in rows:
         name = row["identity"]
@@ -574,9 +542,7 @@ def run_l2_trials(config: ExperimentConfig) -> ExperimentResult:
     bound, and one single-mode instance against its closed-form ratio."""
     if any(lam <= 0 for lam in config.lambdas):
         raise ValueError("run_l2_trials needs lambda > 0 entries")
-    rows = _map_ordered(
-        lambda t: _l2_trial(config, t), list(range(config.trials))
-    )
+    rows = [_l2_trial(config, trial) for trial in range(config.trials)]
     ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
     mode_check = _single_mode_check(config)
     failures = [
@@ -638,6 +604,17 @@ def _doubled(grid: Grid) -> Grid:
     )
 
 
+def _sweep_coefficients(
+    config: ExperimentConfig, grid: Grid, kind: str, kind_index: int, trial: int
+) -> Coefficients:
+    """The sweep's coefficients of one kind; checkerboard amplitudes default
+    to epsilon = (1 - delta) / 2."""
+    spec = dict(config.coefficients, kind=kind)
+    if kind == "checkerboard":
+        spec = {"epsilon": 0.5 * (1.0 - float(spec.get("delta", 0.25))), **spec}
+    return _coefficients_for(spec, grid, kind, config.seed, kind_index, trial, 3)
+
+
 def _sweep_cell(
     config: ExperimentConfig,
     grid: Grid,
@@ -646,11 +623,7 @@ def _sweep_cell(
     kind_index: int,
     trial: int,
 ) -> list[dict]:
-    spec = dict(config.coefficients)
-    spec["kind"] = kind
-    if kind == "checkerboard" and "epsilon" not in spec and "roughness_scale" not in spec:
-        spec["epsilon"] = 0.5 * (1.0 - float(spec.get("delta", 0.25)))
-    coeffs = _coefficients_for(spec, grid, kind, config.seed, kind_index, trial, 3)
+    coeffs = _sweep_coefficients(config, grid, kind, kind_index, trial)
     rng = _rng(config.seed, kind_index, trial, 4)
     h = harmonic_field(grid, rng)
     g = VectorField(tuple(harmonic_field(grid, rng) for _ in range(grid.d)))
@@ -712,17 +685,13 @@ def run_lp_sweep(config: ExperimentConfig) -> ExperimentResult:
                 f"sweep kinds must be in {_SWEEP_KINDS}, got {kind!r}"
             )
 
-    tasks = [
-        (label, grid, kind, kind_index, trial)
+    rows = [
+        row
         for label, grid in (("base", config.grid), ("doubled", _doubled(config.grid)))
         for kind_index, kind in enumerate(kinds)
         for trial in range(config.trials)
+        for row in _sweep_cell(config, grid, label, kind, kind_index, trial)
     ]
-    batches = _map_ordered(
-        lambda task: _sweep_cell(config, task[1], task[0], task[2], task[3], task[4]),
-        tasks,
-    )
-    rows = [row for batch in batches for row in batch]
 
     finite = all(
         row["ratio"] is None or math.isfinite(row["ratio"]) for row in rows
@@ -750,11 +719,7 @@ def run_lp_sweep(config: ExperimentConfig) -> ExperimentResult:
     duality_worst = 0.0
     grid = config.grid
     for kind_index, kind in enumerate(kinds):
-        spec = dict(config.coefficients)
-        spec["kind"] = kind
-        if kind == "checkerboard" and "epsilon" not in spec and "roughness_scale" not in spec:
-            spec["epsilon"] = 0.5 * (1.0 - float(spec.get("delta", 0.25)))
-        coeffs = _coefficients_for(spec, grid, kind, config.seed, kind_index, 0, 3)
+        coeffs = _sweep_coefficients(config, grid, kind, kind_index, 0)
         rng = _rng(config.seed, kind_index, 900)
         u = random_band_limited_field(grid, rng)
         v = random_band_limited_field(grid, rng)

@@ -5,13 +5,12 @@ torus (R/l_t Z) x prod_i (R/l_x[i] Z).  Index 0 of every axis carries
 coordinate 0 and coordinates wrap to the symmetric cell [-L/2, L/2), i.e.
 ``L * fftfreq(n)``, so centered profiles sample naturally and Fourier
 multipliers act exactly.  Quadrature is the rectangle rule with cell measure
-dt * prod h_i; the discrete time transform carries a 1/sqrt(2*pi) factor so
-that Parseval holds with mode weight 2*pi/l_t.
+dt * prod h_i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,12 +20,9 @@ __all__ = [
     "Grid",
     "Field",
     "VectorField",
-    "TimeSpectrum",
     "make_grid",
     "field_from_array",
     "zeros",
-    "transform_time",
-    "inverse_transform_time",
     "lp_norm",
     "inner",
     "time_window_lp_norm",
@@ -189,48 +185,6 @@ class VectorField:
     def stacked(self) -> np.ndarray:
         """Component-major array of shape (d, n_t, n_x...)."""
         return np.stack([c.data for c in self.components])
-
-
-@dataclass(frozen=True)
-class TimeSpectrum:
-    """Complex coefficients per time mode and spatial sample.
-
-    Modes are stored in FFT order; ``modes[j]`` is the integer k of slot j,
-    covering k in {-n_t/2, ..., n_t/2 - 1}.  The forward transform carries a
-    factor dt/sqrt(2*pi) so that sum_k |c_k|^2 * (2*pi/l_t) reproduces the
-    squared L2 norm in time.
-    """
-
-    grid: Grid
-    data: np.ndarray
-    modes: np.ndarray = dataclass_field(repr=False, default=None)
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.complex128)
-        if arr.shape != self.grid.shape:
-            raise ValueError(
-                f"spectrum shape {arr.shape} does not match grid shape {self.grid.shape}"
-            )
-        object.__setattr__(self, "data", _freeze(arr))
-        modes = np.rint(np.fft.fftfreq(self.grid.n_t) * self.grid.n_t).astype(int)
-        object.__setattr__(self, "modes", _freeze(modes))
-
-
-def transform_time(field: Field) -> TimeSpectrum:
-    """Discrete time transform with the symmetric 1/sqrt(2*pi) convention."""
-    grid = field.grid
-    coeff = np.fft.fft(field.data, axis=0) * (grid.dt / np.sqrt(2.0 * np.pi))
-    return TimeSpectrum(grid=grid, data=coeff)
-
-
-def inverse_transform_time(spectrum: TimeSpectrum) -> Field:
-    """Invert transform_time.  The spectrum is expected Hermitian in k; the
-    reconstruction keeps the real part."""
-    grid = spectrum.grid
-    back = np.fft.ifft(
-        spectrum.data * (np.sqrt(2.0 * np.pi) / grid.dt), axis=0
-    )
-    return Field(grid, back.real)
 
 
 def lp_norm(field: Field, p: float) -> float:

@@ -29,7 +29,6 @@ from .operators import (
 
 __all__ = [
     "Cylinder",
-    "DyadicCell",
     "cylinder_mean",
     "mean_oscillation",
     "bundle_rms",
@@ -230,23 +229,6 @@ def strong_maximal(field: Field) -> Field:
 
 # ---------------------------------------------------------------------------
 # dyadic filtration
-
-
-@dataclass(frozen=True)
-class DyadicCell:
-    """Cell of the level-n filtration on the unwrapped chart: time extent
-    2*4^{-n} starting at index[0]*2*4^{-n}, spatial extents 2^{-n}."""
-
-    level: int
-    index: tuple[int, ...]
-
-    def extent(self) -> tuple[tuple[float, float], ...]:
-        wt = 2.0 * 4.0 ** (-self.level)
-        wx = 2.0 ** (-self.level)
-        spans = [(self.index[0] * wt, (self.index[0] + 1) * wt)]
-        for i in self.index[1:]:
-            spans.append((i * wx, (i + 1) * wx))
-        return tuple(spans)
 
 
 def dyadic_layout(grid: Grid, level: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

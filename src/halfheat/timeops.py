@@ -23,7 +23,6 @@ from .grid import Field, Grid
 
 __all__ = [
     "TimeSymbol",
-    "CutoffProfile",
     "time_symbol",
     "apply_time_symbol",
     "hilbert",
@@ -145,26 +144,11 @@ def _smoothstep(y: np.ndarray) -> np.ndarray:
     return y * y * y * (10.0 + y * (-15.0 + 6.0 * y))
 
 
-@dataclass(frozen=True)
-class CutoffProfile:
-    """Plateau cutoff in time: 1 on (-2^k, 2^k), 0 outside (-2^(k+1), 2^(k+1)),
-    quintic smoothstep ramps in between."""
-
-    grid: Grid
-    k: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        if arr.shape != (self.grid.n_t,):
-            raise ValueError("cutoff profile must have one value per time sample")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-
-def cutoff_eta(grid: Grid, k: int) -> CutoffProfile:
-    """Sampled eta_k.  Requires the support 2^(k+1) to fit strictly inside
-    half the time period.  The ramp derivative is bounded by 1.875 * 2^(-k),
+def cutoff_eta(grid: Grid, k: int) -> np.ndarray:
+    """Sampled plateau cutoff eta_k, a read-only (n_t,) array: 1 on
+    (-2^k, 2^k), 0 outside (-2^(k+1), 2^(k+1)), quintic smoothstep ramps in
+    between.  Requires the support 2^(k+1) to fit strictly inside half the
+    time period.  The ramp derivative is bounded by 1.875 * 2^(-k),
     comfortably below the documented 4 * 2^(-k)."""
     k = int(k)
     inner = 2.0**k
@@ -175,13 +159,14 @@ def cutoff_eta(grid: Grid, k: int) -> CutoffProfile:
         )
     a = np.abs(grid.time_coordinates())
     values = _smoothstep((outer - a) / inner)
-    return CutoffProfile(grid=grid, k=k, values=values)
+    values.flags.writeable = False
+    return values
 
 
 def cutoff_commutator(field: Field, k: int) -> Field:
     """u_k = D^(1/2)(u * eta_k) - eta_k * D^(1/2)u, both terms spectral."""
     grid = field.grid
-    eta = cutoff_eta(grid, k).values.reshape([grid.n_t] + [1] * grid.d)
+    eta = cutoff_eta(grid, k).reshape([grid.n_t] + [1] * grid.d)
     windowed = Field(grid, field.data * eta)
     return Field(
         grid,

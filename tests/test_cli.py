@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from halfheat.cli import main
+from halfheat.cli import _build_problem, main
+from halfheat.experiments import _coefficients_for
 from halfheat.htpf import read_field
 
 
@@ -185,6 +186,32 @@ def test_solve_rejects_missing_sections(tmp_path, capsys):
     code, report = _run(capsys, ["solve", "--config", str(config)])
     assert code == 1
     assert "'data' section" in report["failures"][0]
+
+
+def test_solve_honours_n_jumps():
+    mapping = dict(
+        SOLVE_CONFIG,
+        coefficients={"kind": "time_piecewise", "n_jumps": 8, "delta": 0.5, "seed": 3},
+    )
+    coeffs, _, _ = _build_problem(mapping)
+    assert coeffs.generator["n_jumps"] == 8
+
+
+def test_solve_resolves_aliases_like_the_harness():
+    """roughness_scale > epsilon > n_jumps, in the CLI and the harness alike."""
+    spec = {
+        "kind": "checkerboard",
+        "delta": 0.5,
+        "seed": 3,
+        "epsilon": 0.2,
+        "roughness_scale": 0.3,
+        "n_jumps": 8,
+    }
+    coeffs, _, _ = _build_problem(dict(SOLVE_CONFIG, coefficients=spec))
+    harness = _coefficients_for(spec, coeffs.grid, "constant", 0)
+    assert coeffs.generator["epsilon"] == 0.3
+    assert harness.generator == coeffs.generator
+    assert (harness.data == coeffs.data).all()
 
 
 def test_subcommand_is_required():

@@ -252,3 +252,86 @@ def test_gamma_invariant_under_constant_shifts():
     r1 = check_assumption_time(base, r_zero=0.5)
     r2 = check_assumption_time(shifted, r_zero=0.5)
     assert r1.gamma_estimate == pytest.approx(r2.gamma_estimate, abs=1e-13)
+
+
+def _wrapped_ball(grid, center, radius, axes):
+    """Flat spatial indices of the samples y with |y_i - center_i| < radius
+    over the given spatial axes (torus distance), any value on the others."""
+    mesh = np.meshgrid(*[np.arange(n) for n in grid.n_x], indexing="ij")
+    dist_sq = np.zeros(grid.n_x)
+    for i in axes:
+        n = grid.n_x[i]
+        offset = (mesh[i] - center[i] + n // 2) % n - n // 2
+        dist_sq = dist_sq + (offset * grid.h[i]) ** 2
+    return np.flatnonzero(dist_sq < radius**2)
+
+
+def _brute_force_scan(coeffs, r_zero, kind):
+    """Every scanned cylinder's mean oscillation, straight from the checker
+    docstrings; returns (gamma per radius, cylinders scanned)."""
+    grid = coeffs.grid
+    d = grid.d
+    a = coeffs.data.reshape(d * d, grid.n_t, -1)
+    x1_index = np.unravel_index(np.arange(a.shape[-1]), grid.n_x)[0]
+    gammas, count = [], 0
+    r = r_zero
+    while r >= 2.0 * max(grid.h) and r * r >= 2.0 * grid.dt:
+        stride_t = max(1, round(r * r / (2.0 * grid.dt)))
+        strides = [max(1, round(r / (2.0 * h))) for h in grid.h]
+        reach = int(np.ceil(r * r / grid.dt))
+        lags = [j for j in range(-reach, reach + 1) if abs(j * grid.dt) < r * r - 1e-12]
+        worst = 0.0
+        for tc in range(0, grid.n_t, stride_t):
+            rows = [(tc + j) % grid.n_t for j in lags]
+            window = a[:, rows]  # (d*d, n_window, n_space)
+            for xc in np.ndindex(*[len(range(0, n, s)) for n, s in zip(grid.n_x, strides)]):
+                center = [c * s for c, s in zip(xc, strides)]
+                ball = _wrapped_ball(grid, center, r, range(d))
+                cyl = window[:, :, ball]
+                if kind == "time":
+                    # reference: the spatial ball average at each time
+                    ref = cyl.mean(axis=2, keepdims=True)
+                else:
+                    # reference: average over the time window and B'_r(x') at
+                    # frozen y1 (the time window alone when d = 1)
+                    prime = _wrapped_ball(grid, center, r, range(1, d))
+                    profile = {
+                        y1: window[:, :, prime[x1_index[prime] == y1]].mean(axis=(1, 2))
+                        for y1 in set(x1_index[ball])
+                    }
+                    ref = np.stack([profile[y1] for y1 in x1_index[ball]], axis=-1)[:, None, :]
+                worst = max(worst, float(np.abs(cyl - ref).mean(axis=(1, 2)).max()))
+                count += 1
+        gammas.append(worst)
+        r *= 0.5
+    return gammas, count
+
+
+def _rough_field(grid, seed):
+    """A generic admissible field: no structure, no ties between entries."""
+    rng = np.random.default_rng(seed)
+    d = grid.d
+    data = 0.1 * rng.uniform(-1.0, 1.0, size=(d, d, *grid.shape))
+    data = data - np.swapaxes(data, 0, 1) / 2.0
+    for i in range(d):
+        data[i, i] = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, size=grid.shape)
+    return Coefficients(grid=grid, data=data, tag="general", ellipticity=Ellipticity(0.5))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "checker, kind", [(check_assumption_time, "time"), (check_assumption_x1, "x1")]
+)
+def test_scanners_match_brute_force_definition(d, checker, kind):
+    g = _grid(d=d, n_t=32, n_x=16, l_t=1.0, l_x=2.0)
+    for coeffs in (
+        _rough_field(g, seed=d),
+        generate_coefficients(kind="smooth", delta=0.5, seed=4, grid=g),
+    ):
+        rep = checker(coeffs, r_zero=0.5)
+        gammas, count = _brute_force_scan(coeffs, 0.5, kind)
+        assert rep.kind == kind
+        assert len(rep.radii) == len(gammas) == 2
+        assert np.allclose(rep.gamma_per_radius, gammas, rtol=0.0, atol=1e-12)
+        assert rep.gamma_estimate == max(rep.gamma_per_radius)
+        assert rep.centers_scanned == count

@@ -135,19 +135,6 @@ def test_identity_suite_is_deterministic():
     assert first.config_hash == second.config_hash
 
 
-def test_threads_do_not_change_results(monkeypatch):
-    config = _config(
-        "identities",
-        grid=dict(d=1, n_t=32, n_x=16, l_t=2.0, l_x=2.0),
-        trials=4,
-        seed=6,
-    )
-    serial = run_identity_suite(config)
-    monkeypatch.setenv("HALFHEAT_THREADS", "4")
-    threaded = run_identity_suite(config)
-    assert serial.rows == threaded.rows
-
-
 def test_l2_trials_small():
     config = _config(
         "l2",

@@ -1,9 +1,8 @@
-"""Grid construction, norms, and the discrete time transform.
+"""Grid construction and norms.
 
 Frozen values are hand-computed: a single cosine mode cos(2*pi*k*t/l_t) has
 squared L2 norm (l_t/2) * prod(l_x) under the rectangle rule (exact for trig
-polynomials below Nyquist), and transform_time places l_t / (2*sqrt(2*pi)) on
-the modes +-k.
+polynomials below Nyquist).
 """
 
 import numpy as np
@@ -16,11 +15,9 @@ from halfheat import (
     VectorField,
     field_from_array,
     inner,
-    inverse_transform_time,
     lp_norm,
     make_grid,
     time_window_lp_norm,
-    transform_time,
     zeros,
 )
 
@@ -98,34 +95,6 @@ def test_lp_norm_special_cases():
     assert lp_norm(u, 1.0) == pytest.approx(2.0)  # constant: |u| * measure
     with pytest.raises(ValueError, match="p >= 1"):
         lp_norm(u, 0.5)
-
-
-def test_transform_time_cosine_frozen():
-    # l_t = 2*pi: coefficient at k = +-1 is l_t/(2*sqrt(2*pi)) = sqrt(pi/2)
-    g = make_grid(d=1, n_t=32, n_x=8, l_t=2.0 * np.pi, l_x=1.0)
-    spec = transform_time(_cos_time_mode(g, 1))
-    coef = spec.data[:, 0]
-    assert spec.modes[1] == 1 and spec.modes[g.n_t - 1] == -1
-    assert coef[1] == pytest.approx(np.sqrt(np.pi / 2.0), rel=1e-13)
-    assert coef[-1] == pytest.approx(np.sqrt(np.pi / 2.0), rel=1e-13)
-    others = np.delete(coef, [1, g.n_t - 1])
-    assert np.max(np.abs(others)) < 1e-13
-
-
-@settings(max_examples=25)
-@given(st.integers(0, 2**32 - 1))
-def test_transform_round_trip_and_parseval(seed):
-    """Discrete Plancherel: ||u||_2^2 equals sum |c_k|^2 * (2 pi / l_t) * prod(h)
-    cell measures, and the inverse transform undoes the forward one."""
-    g = make_grid(d=1, n_t=16, n_x=8, l_t=2.5, l_x=1.5)
-    rng = np.random.default_rng(seed)
-    u = field_from_array(g, rng.standard_normal(g.shape))
-    spec = transform_time(u)
-    back = inverse_transform_time(spec)
-    assert np.allclose(back.data, u.data, atol=1e-12)
-    cell = (2.0 * np.pi / g.l_t) * np.prod(g.h)
-    energy = np.sum(np.abs(spec.data) ** 2) * cell
-    assert energy == pytest.approx(lp_norm(u, 2.0) ** 2, rel=1e-12)
 
 
 @settings(max_examples=25)

@@ -150,9 +150,9 @@ def test_quadrature_rejects_bad_truncation():
 
 def test_cutoff_eta_shape():
     g = _grid(n_t=512, l_t=64.0)
-    profile = cutoff_eta(g, k=3)
+    values = cutoff_eta(g, k=3)
     t = g.time_coordinates()
-    values = profile.values
+    assert values.shape == (g.n_t,) and not values.flags.writeable
     assert np.all(values[np.abs(t) <= 8.0] == 1.0)
     assert np.all(values[np.abs(t) >= 16.0] == 0.0)
     assert values.min() >= 0.0 and values.max() <= 1.0
@@ -171,7 +171,7 @@ def test_cutoff_commutator_definition():
     g = _grid(n_t=512, l_t=64.0)
     rng = np.random.default_rng(5)
     u = field_from_array(g, rng.standard_normal(g.shape))
-    eta = cutoff_eta(g, k=2).values.reshape(-1, 1)
+    eta = cutoff_eta(g, k=2).reshape(-1, 1)
     direct = half_derivative(field_from_array(g, u.data * eta)).data - eta * (
         half_derivative(u).data
     )
