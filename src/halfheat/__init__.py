@@ -7,7 +7,6 @@ from .grid import (
     Field,
     Grid,
     VectorField,
-    field_from_array,
     inner,
     lp_norm,
     make_grid,

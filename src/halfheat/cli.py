@@ -18,11 +18,19 @@ from pathlib import Path
 
 from .coefficients import generate_coefficients
 from .expressions import field_from_expression
-from .experiments import EXPERIMENTS, ExperimentConfig, _generator_kwargs, write_outputs
-from .grid import VectorField, field_from_array, make_grid
+from .experiments import (
+    EXPERIMENTS,
+    _GRID_TYPES,
+    ExperimentConfig,
+    _generator_kwargs,
+    _grid_from_spec,
+    _solver_options,
+    write_outputs,
+)
+from .grid import VectorField
 from .htpf import read_coefficients, write_field
 from .operators import DataBundle
-from .solver import SolverOptions, compute_bundles, solve, solve_oracle
+from .solver import compute_bundles, solve, solve_oracle
 
 _EXPERIMENT_COMMANDS = (
     "identities",
@@ -34,33 +42,23 @@ _EXPERIMENT_COMMANDS = (
 )
 
 
-def _parse_axis_list(text: str):
-    parts = [p for p in str(text).split(",") if p]
-    if len(parts) == 1:
-        return parts[0]
-    return parts
-
-
 def _apply_grid_overrides(mapping: dict, pairs: list[str]) -> None:
-    grid = dict(mapping.get("grid") or {})
+    """Merge --grid KEY=VALUE pairs into the config's grid object; n_x and l_x
+    take comma-separated per-axis lists."""
+    overrides = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"--grid expects KEY=VALUE, got {pair!r}")
-        key, value = pair.split("=", 1)
+        key, sep, value = pair.partition("=")
         key = key.strip()
-        if key in ("d", "n_t"):
-            grid[key] = int(value)
-        elif key == "l_t":
-            grid[key] = float(value)
-        elif key == "n_x":
-            v = _parse_axis_list(value)
-            grid[key] = int(v) if isinstance(v, str) else [int(x) for x in v]
-        elif key == "l_x":
-            v = _parse_axis_list(value)
-            grid[key] = float(v) if isinstance(v, str) else [float(x) for x in v]
-        else:
-            raise ValueError(f"unknown grid key {key!r} (use d, n_t, n_x, l_t, l_x)")
-    mapping["grid"] = grid
+        if not sep:
+            raise ValueError(f"--grid expects KEY=VALUE, got {pair!r}")
+        if key not in _GRID_TYPES:
+            raise ValueError(f"unknown grid key {key!r} (use {', '.join(_GRID_TYPES)})")
+        parts = [_GRID_TYPES[key](v) for v in value.split(",") if v]
+        overrides[key] = parts[0] if len(parts) == 1 else parts
+    grid = mapping.get("grid")
+    # a grid that is not an object stays as it is, for _grid_from_spec to reject
+    if grid is None or isinstance(grid, dict):
+        mapping["grid"] = {**(grid or {}), **overrides}
 
 
 def _load_config(path: str | None) -> dict:
@@ -110,17 +108,10 @@ def _run_experiment(name: str, args: argparse.Namespace) -> int:
     return 0 if result.passed else 1
 
 
-def _build_problem(mapping: dict):
-    grid_spec = mapping.get("grid")
-    if grid_spec is None:
+def _build_problem(mapping: dict, name: str = "solve"):
+    if mapping.get("grid") is None:
         raise ValueError("solve config needs a 'grid' section")
-    grid = make_grid(
-        d=int(grid_spec.get("d", 1)),
-        n_t=int(grid_spec["n_t"]),
-        n_x=grid_spec["n_x"],
-        l_t=float(grid_spec["l_t"]),
-        l_x=grid_spec["l_x"],
-    )
+    grid = _grid_from_spec(mapping["grid"], name)
     spec = mapping.get("coefficients", {"kind": "constant", "delta": 1.0})
     if "file" in spec:
         coeffs = read_coefficients(spec["file"])
@@ -149,8 +140,7 @@ def _build_problem(mapping: dict):
     g = VectorField(tuple(field_from_expression(grid, e) for e in g_exprs))
     f = field_from_expression(grid, data_spec.get("f", "0"))
     data = DataBundle(h=h, g=g, f=f, lam=lam)
-    solver = SolverOptions(**mapping.get("solver", {}))
-    return coeffs, data, solver
+    return coeffs, data, _solver_options(mapping.get("solver"))
 
 
 def _run_solve(name: str, args: argparse.Namespace) -> int:
@@ -160,16 +150,16 @@ def _run_solve(name: str, args: argparse.Namespace) -> int:
             raise ValueError("solve/oracle need --config PATH")
         if args.grid:
             _apply_grid_overrides(mapping, args.grid)
-        coeffs, data, options = _build_problem(mapping)
+        coeffs, data, options = _build_problem(mapping, name)
         if name == "oracle":
             result = solve_oracle(coeffs, data)
         else:
             result = solve(coeffs, data, options)
-        _, norms = compute_bundles(result.u.u, data, (2.0,))
+        norms = compute_bundles(result.u, data, (2.0,))
         out_dir = Path(args.out) if args.out else Path(mapping.get("out", f"halfheat_{name}"))
         out_dir.mkdir(parents=True, exist_ok=True)
         solution_path = out_dir / "u.htpf"
-        write_field(solution_path, result.u.u)
+        write_field(solution_path, result.u)
         norm_f = norms["F"][2.0]
         payload = {
             "command": name,

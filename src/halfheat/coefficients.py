@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from .grid import Field, Grid
+from .grid import Grid
 
 __all__ = [
     "Ellipticity",

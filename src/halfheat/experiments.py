@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import hashlib
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -29,11 +30,11 @@ from .grid import (
     Field,
     Grid,
     VectorField,
-    field_from_array,
     inner,
     lp_norm,
     make_grid,
     time_window_lp_norm,
+    zeros,
 )
 from .operators import (
     DataBundle,
@@ -88,14 +89,46 @@ _DEFAULT_GRIDS = {
 }
 
 
-def _grid_from_spec(spec: dict) -> Grid:
-    return make_grid(
-        d=int(spec.get("d", 1)),
-        n_t=int(spec.get("n_t", 64)),
-        n_x=spec.get("n_x", 64),
-        l_t=float(spec.get("l_t", 2.0)),
-        l_x=spec.get("l_x", 2.0),
-    )
+# scalar type of each grid key; n_x and l_x may also be per-axis lists
+_GRID_TYPES = {"d": int, "n_t": int, "n_x": int, "l_t": float, "l_x": float}
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverOptions))
+
+
+def _section(spec, name: str, keys: tuple[str, ...]) -> dict:
+    """A config section that must be an object with keys from `keys`; None
+    (absent) reads as {}.  Anything else is a ValueError naming the key."""
+    if spec is None:
+        return {}
+    if not isinstance(spec, dict):
+        raise ValueError(f"'{name}' must be an object, got {spec!r}")
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {name} key {unknown[0]!r} (use {', '.join(keys)})")
+    return spec
+
+
+def _grid_from_spec(spec, kind: str) -> Grid:
+    """Grid of a config's 'grid' object: its keys merged onto the default
+    grid of the command `kind` (the default itself when spec is None)."""
+    merged = {**_DEFAULT_GRIDS[kind], **_section(spec, "grid", tuple(_GRID_TYPES))}
+    try:
+        return make_grid(
+            d=int(merged["d"]),
+            n_t=int(merged["n_t"]),
+            n_x=merged["n_x"],
+            l_t=float(merged["l_t"]),
+            l_x=merged["l_x"],
+        )
+    except TypeError as exc:
+        raise ValueError(f"malformed grid {spec!r}: {exc}") from exc
+
+
+def _solver_options(spec) -> SolverOptions:
+    """SolverOptions of a config's 'solver' object (defaults when None)."""
+    try:
+        return SolverOptions(**_section(spec, "solver", _SOLVER_KEYS))
+    except TypeError as exc:
+        raise ValueError(f"malformed solver section {spec!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -132,18 +165,16 @@ class ExperimentConfig:
         if name is None:
             raise ValueError("config needs an 'experiment' kind")
         name = str(name).replace("-", "_")
-        grid_spec = mapping.get("grid") or _DEFAULT_GRIDS.get(name)
-        if grid_spec is None:
-            raise ValueError(f"unknown experiment {name!r} and no grid given")
-        solver_spec = dict(mapping.get("solver", {}))
+        if name not in _DEFAULT_GRIDS:
+            raise ValueError(f"unknown experiment {name!r}")
         return cls(
             kind=name,
-            grid=_grid_from_spec(dict(grid_spec)),
+            grid=_grid_from_spec(mapping.get("grid"), name),
             coefficients=dict(mapping.get("coefficients", {})),
             lambdas=tuple(float(v) for v in mapping.get("lambdas", [1.0])),
             p_list=tuple(float(v) for v in mapping.get("p_list", [2.0])),
             trials=int(mapping.get("trials", 20)),
-            solver=SolverOptions(**solver_spec),
+            solver=_solver_options(mapping.get("solver")),
             seed=int(mapping.get("seed", 0)),
         )
 
@@ -162,13 +193,7 @@ def _config_mapping(config: ExperimentConfig) -> dict:
         "lambdas": list(config.lambdas),
         "p_list": list(config.p_list),
         "trials": config.trials,
-        "solver": {
-            "rtol": config.solver.rtol,
-            "max_iterations": config.solver.max_iterations,
-            "restart": config.solver.restart,
-            "preconditioner": config.solver.preconditioner,
-            "kappa": config.solver.kappa,
-        },
+        "solver": asdict(config.solver),
         "seed": config.seed,
     }
 
@@ -204,6 +229,17 @@ def _rng(config_seed: int, *key: int) -> np.random.Generator:
 # random field sources
 
 
+def _unit_l2(grid: Grid, data: np.ndarray, floor: float) -> Field:
+    """data scaled to unit L2, or the unit time cosine cos(2 pi t / l_t) when
+    the L2 norm of data is not above floor."""
+    norm = math.sqrt(float(np.sum(data**2)) * grid.cell_measure)
+    if norm <= floor:
+        t = grid.coordinate_mesh()[0]
+        data = np.cos(2.0 * np.pi * t / grid.l_t) * np.ones(grid.shape)
+        norm = math.sqrt(float(np.sum(data**2)) * grid.cell_measure)
+    return Field(grid, data / norm)
+
+
 def random_band_limited_field(
     grid: Grid, rng: np.random.Generator, band: float = 0.25, subspace: bool = False
 ) -> Field:
@@ -222,13 +258,7 @@ def random_band_limited_field(
     if subspace:
         spec[0] = 0.0
         spec[grid.n_t // 2] = 0.0
-    data = np.fft.ifftn(spec).real
-    norm = math.sqrt(float(np.sum(data**2)) * grid.cell_measure)
-    if norm == 0.0:
-        mesh = grid.coordinate_mesh()
-        data = np.cos(2.0 * np.pi * mesh[0] / grid.l_t) * np.ones(grid.shape)
-        norm = math.sqrt(float(np.sum(data**2)) * grid.cell_measure)
-    return field_from_array(grid, data / norm)
+    return _unit_l2(grid, np.fft.ifftn(spec).real, floor=0.0)
 
 
 def harmonic_field(grid: Grid, rng: np.random.Generator) -> Field:
@@ -237,37 +267,27 @@ def harmonic_field(grid: Grid, rng: np.random.Generator) -> Field:
     refined grid (the rectangle rule is exact on these, making the
     normalization grid-independent too)."""
     total, _ = _trig_polynomial(rng, grid)
-    norm = math.sqrt(float(np.sum(total**2)) * grid.cell_measure)
-    if norm < 1e-12:
-        t = grid.coordinate_mesh()[0]
-        total = np.cos(2.0 * np.pi * t / grid.l_t) * np.ones(grid.shape)
-        norm = math.sqrt(float(np.sum(total**2)) * grid.cell_measure)
-    return field_from_array(grid, total / norm)
+    return _unit_l2(grid, total, floor=1e-12)
+
+
+def _bundle(grid: Grid, lam: float, draw: Callable[[], Field]) -> DataBundle:
+    """Data bundle of independent draws, in the order h, the g components,
+    then f when lambda > 0 (f vanishes otherwise)."""
+    h = draw()
+    g = VectorField(tuple(draw() for _ in range(grid.d)))
+    f = draw() if lam > 0 else zeros(grid)
+    return DataBundle(h=h, g=g, f=f, lam=lam)
 
 
 def harmonic_bundle(grid: Grid, rng: np.random.Generator, lam: float) -> DataBundle:
     """Data bundle with independent harmonic h, g components and f."""
-    h = harmonic_field(grid, rng)
-    g = VectorField(tuple(harmonic_field(grid, rng) for _ in range(grid.d)))
-    if lam > 0:
-        f = harmonic_field(grid, rng)
-    else:
-        f = field_from_array(grid, np.zeros(grid.shape))
-    return DataBundle(h=h, g=g, f=f, lam=lam)
+    return _bundle(grid, lam, lambda: harmonic_field(grid, rng))
 
 
 def _band_limited_bundle(
     grid: Grid, rng: np.random.Generator, lam: float, band: float = 0.3
 ) -> DataBundle:
-    h = random_band_limited_field(grid, rng, band)
-    g = VectorField(
-        tuple(random_band_limited_field(grid, rng, band) for _ in range(grid.d))
-    )
-    if lam > 0:
-        f = random_band_limited_field(grid, rng, band)
-    else:
-        f = field_from_array(grid, np.zeros(grid.shape))
-    return DataBundle(h=h, g=g, f=f, lam=lam)
+    return _bundle(grid, lam, lambda: random_band_limited_field(grid, rng, band))
 
 
 def _generator_kwargs(spec: dict) -> dict:
@@ -297,6 +317,11 @@ def _coefficients_for(
 
 # ---------------------------------------------------------------------------
 # identity suite
+
+
+def _bundle_l2(u: Field, lam: float) -> float:
+    """||U||_2 of the solution bundle (D_t^{1/2}u, D+u, sqrt(lambda)u)."""
+    return bundle_lp_norm(SolutionBundle.from_field(u, lam).components(), u.grid, 2)
 
 
 _IDENTITY_TOLS = {
@@ -365,7 +390,7 @@ def _identity_trial(config: ExperimentConfig, trial: int) -> list[dict]:
         / (np.linalg.norm(du.data) + 1e-300)
     )
 
-    rolled = field_from_array(grid, np.roll(u.data, 3, axis=1))
+    rolled = Field(grid, np.roll(u.data, 3, axis=1))
     commute = np.linalg.norm(
         hilbert(rolled).data - np.roll(hilbert(u).data, 3, axis=1)
     )
@@ -383,11 +408,11 @@ def _identity_trial(config: ExperimentConfig, trial: int) -> list[dict]:
     weak = weak_pairing(rough, lam, u, phi)
     devs["weak_equals_strong"] = abs(weak - strong) / (abs(strong) + 1.0)
 
-    u_norm_sq = bundle_lp_norm(SolutionBundle.from_field(u, lam).components(), grid, 2) ** 2
+    u_norm_sq = _bundle_l2(u, lam) ** 2
     form = twisted_pairing(rough, lam, kappa, u, u)
     devs["coercivity"] = ((delta**2 / 2.0) * u_norm_sq - form) / u_norm_sq
 
-    phi_norm = bundle_lp_norm(SolutionBundle.from_field(phi, lam).components(), grid, 2)
+    phi_norm = _bundle_l2(phi, lam)
     bound = (1.0 + kappa) * (1.0 + 1.0 / delta) * math.sqrt(u_norm_sq) * phi_norm
     cross = twisted_pairing(rough, lam, kappa, u, phi)
     devs["boundedness"] = (abs(cross) - bound) / bound
@@ -477,7 +502,7 @@ def _l2_trial(config: ExperimentConfig, trial: int) -> dict:
     rng = _rng(config.seed, trial, 2)
     data = _band_limited_bundle(grid, rng, lam)
     result = _solve_for(coeffs, data, config.solver)
-    _, norms = compute_bundles(result.u.u, data, (2.0,))
+    norms = compute_bundles(result.u, data, (2.0,))
     norm_f = norms["F"][2.0]
     norm_u = norms["U"][2.0]
     trivial = norm_f == 0.0
@@ -510,10 +535,8 @@ def _single_mode_check(config: ExperimentConfig) -> dict:
     mode = 3
     omega = 2.0 * np.pi * mode / grid.l_t
     mesh = grid.coordinate_mesh()
-    h = field_from_array(
-        grid, np.cos(omega * mesh[0]) * np.ones(grid.shape)
-    )
-    zero = field_from_array(grid, np.zeros(grid.shape))
+    h = Field(grid, np.cos(omega * mesh[0]) * np.ones(grid.shape))
+    zero = zeros(grid)
     data = DataBundle(
         h=h,
         g=VectorField(tuple(zero for _ in range(grid.d))),
@@ -522,7 +545,7 @@ def _single_mode_check(config: ExperimentConfig) -> dict:
     )
     coeffs = identity_coefficients(grid)
     result = solve_oracle(coeffs, data)
-    _, norms = compute_bundles(result.u.u, data, (2.0,))
+    norms = compute_bundles(result.u, data, (2.0,))
     ratio = norms["U"][2.0] / norms["F"][2.0]
     predicted = math.sqrt(omega * (omega + lam) / (omega**2 + lam**2))
     return {
@@ -624,16 +647,15 @@ def _sweep_cell(
     trial: int,
 ) -> list[dict]:
     coeffs = _sweep_coefficients(config, grid, kind, kind_index, trial)
+    # one (h, g, f) draw shared by every lambda (all positive in a sweep)
     rng = _rng(config.seed, kind_index, trial, 4)
-    h = harmonic_field(grid, rng)
-    g = VectorField(tuple(harmonic_field(grid, rng) for _ in range(grid.d)))
-    f = harmonic_field(grid, rng)
+    drawn = harmonic_bundle(grid, rng, config.lambdas[0])
     p_all = tuple(sorted(set(config.p_list) | {2.0}))
     rows = []
     for lam in config.lambdas:
-        data = DataBundle(h=h, g=g, f=f, lam=lam)
+        data = replace(drawn, lam=lam)
         result = _solve_for(coeffs, data, config.solver)
-        _, norms = compute_bundles(result.u.u, data, p_all)
+        norms = compute_bundles(result.u, data, p_all)
         for p in p_all:
             norm_f = norms["F"][p]
             ratio = norms["U"][p] / norm_f if norm_f > 0 else None
@@ -660,14 +682,13 @@ def _lambda_zero_estimate(lambdas: tuple[float, ...], max_ratio: dict) -> float 
     """Smallest swept lambda after which the max ratio moves <= 10% per
     doubling step, or None when even the largest lambda has not settled."""
     ordered = sorted(lambdas)
-    for idx in range(len(ordered)):
-        stable = True
-        for a, b in zip(ordered[idx:], ordered[idx + 1 :]):
-            if abs(max_ratio[b] - max_ratio[a]) > 0.1 * max_ratio[a]:
-                stable = False
-                break
-        if stable:
-            return ordered[idx]
+    jumps = [
+        abs(max_ratio[b] - max_ratio[a]) > 0.1 * max_ratio[a]
+        for a, b in zip(ordered, ordered[1:])
+    ]
+    for idx, start in enumerate(ordered):
+        if not any(jumps[idx:]):
+            return start
     return None
 
 
@@ -724,10 +745,7 @@ def run_lp_sweep(config: ExperimentConfig) -> ExperimentResult:
         u = random_band_limited_field(grid, rng)
         v = random_band_limited_field(grid, rng)
         lam = config.lambdas[0]
-        scale = (
-            bundle_lp_norm(SolutionBundle.from_field(u, lam).components(), grid, 2)
-            * bundle_lp_norm(SolutionBundle.from_field(v, lam).components(), grid, 2)
-        )
+        scale = _bundle_l2(u, lam) * _bundle_l2(v, lam)
         duality_worst = max(duality_worst, duality_defect(coeffs, lam, u, v) / scale)
 
     failures = []
@@ -742,8 +760,8 @@ def run_lp_sweep(config: ExperimentConfig) -> ExperimentResult:
         failures.append(f"p=2 column deviates from the L2 path by {p2_dev}")
     if duality_worst > 1e-12:
         failures.append(f"duality skewness {duality_worst} exceeds 1e-12")
-    if any(not row["converged"] for row in rows):
-        bad = [row for row in rows if not row["converged"]]
+    bad = [row for row in rows if not row["converged"]]
+    if bad:
         failures.append(
             f"{len(bad)} solves did not converge (first: kind {bad[0]['kind']}, "
             f"lambda {bad[0]['lambda']}, residual {bad[0]['residual']})"
@@ -804,7 +822,7 @@ def run_tail_decay(config: ExperimentConfig) -> ExperimentResult:
         )
     mesh = grid.coordinate_mesh()
     profile = np.exp(-mesh[0] ** 2) * np.ones(grid.shape)
-    u = field_from_array(grid, profile)
+    u = Field(grid, profile)
 
     rows = []
     failures = []
@@ -893,15 +911,7 @@ def _time_noise(grid: Grid, rng: np.random.Generator, max_mode: int = 32) -> np.
 
 def _localized_bundle(grid: Grid, rng: np.random.Generator, lam: float) -> DataBundle:
     bump = _seam_bump(grid, width=0.12)
-    h = field_from_array(grid, bump * _time_noise(grid, rng))
-    g = VectorField(
-        tuple(
-            field_from_array(grid, bump * _time_noise(grid, rng))
-            for _ in range(grid.d)
-        )
-    )
-    f = field_from_array(grid, bump * _time_noise(grid, rng))
-    return DataBundle(h=h, g=g, f=f, lam=lam)
+    return _bundle(grid, lam, lambda: Field(grid, bump * _time_noise(grid, rng)))
 
 
 _OSC_THRESHOLDS = {
@@ -948,11 +958,16 @@ def run_oscillation_experiments(config: ExperimentConfig) -> ExperimentResult:
         rng = _rng(config.seed, 60 + index)
         data = _localized_bundle(grid, rng, lam)
         result = _solve_for(coeffs, data, config.solver)
+        if not result.converged:
+            failures.append(
+                f"case {case}: solve did not converge (residual "
+                f"{result.final_relative_residual} after {result.iterations} iterations)"
+            )
         report = verify_mean_oscillation(
             case,
             coeffs,
             data,
-            result.u.u,
+            result.u,
             r_outer,
             center,
             kappas,
@@ -1016,7 +1031,7 @@ def _local_estimate_checks(config: ExperimentConfig) -> dict:
         wave = np.cos(2.0 * np.pi * mesh[0] / grid.l_t) + 0.5 * np.sin(
             4.0 * np.pi * mesh[0] / grid.l_t
         )
-        u = field_from_array(grid, cut * wave)
+        u = Field(grid, cut * wave)
         coeffs = generate_coefficients(
             "smooth", 0.5, _trial_seed(config.seed, 77), grid
         )
@@ -1032,20 +1047,13 @@ def _local_estimate_checks(config: ExperimentConfig) -> dict:
     # parabolic rescaling: same samples, periods (4 l_t, 2 l_x), lambda/4,
     # doubled radius; covariance is exact on the lattice
     big = make_grid(1, 256, 256, 16.0, 8.0)
-    coeffs_b = Coefficients(
-        grid=big,
-        data=coeffs.data,
-        tag=coeffs.tag,
-        ellipticity=coeffs.ellipticity,
-    )
-    u_b = field_from_array(big, u.data)
+    coeffs_b = replace(coeffs, grid=big)
+    u_b = Field(big, u.data)
     data_b = manufacture_data(coeffs_b, lam / 4.0, u_b)
     scaled = verify_local_estimate(coeffs_b, data_b, u_b, 2.0 * radius)
 
-    zero = field_from_array(base, np.zeros(base.shape))
-    zero_data = DataBundle(
-        h=zero, g=VectorField((zero,)), f=zero, lam=lam
-    )
+    zero = zeros(base)
+    zero_data = DataBundle(h=zero, g=VectorField((zero,)), f=zero, lam=lam)
     trivial = verify_local_estimate(coeffs, zero_data, zero, radius)
 
     failures = []

@@ -21,7 +21,6 @@ __all__ = [
     "Field",
     "VectorField",
     "make_grid",
-    "field_from_array",
     "zeros",
     "lp_norm",
     "inner",
@@ -153,10 +152,6 @@ class Field:
         object.__setattr__(self, "data", _freeze(arr))
 
 
-def field_from_array(grid: Grid, data: np.ndarray) -> Field:
-    return Field(grid, data)
-
-
 def zeros(grid: Grid) -> Field:
     return Field(grid, np.zeros(grid.shape))
 
@@ -187,14 +182,20 @@ class VectorField:
         return np.stack([c.data for c in self.components])
 
 
-def lp_norm(field: Field, p: float) -> float:
-    """Rectangle-rule L_p norm over the full space-time cell; p may be inf."""
+def _lp(samples: np.ndarray, p: float, cell_measure: float) -> float:
+    """Rectangle-rule L_p norm of raw samples with the given cell measure; p
+    may be inf.  Shared by lp_norm, time_window_lp_norm and
+    solver.bundle_lp_norm."""
     if p == np.inf:
-        return float(np.max(np.abs(field.data)))
+        return float(np.max(np.abs(samples)))
     if p < 1:
         raise ValueError(f"p must satisfy p >= 1, got {p}")
-    total = np.sum(np.abs(field.data) ** p) * field.grid.cell_measure
-    return float(total ** (1.0 / p))
+    return float((np.sum(np.abs(samples) ** p) * cell_measure) ** (1.0 / p))
+
+
+def lp_norm(field: Field, p: float) -> float:
+    """Rectangle-rule L_p norm over the full space-time cell; p may be inf."""
+    return _lp(field.data, p, field.grid.cell_measure)
 
 
 def inner(a: Field, b: Field) -> float:
@@ -214,9 +215,4 @@ def time_window_lp_norm(field: Field, half_width: float, p: float) -> float:
         mask = np.ones(grid.n_t, dtype=bool)
     else:
         mask = np.abs(grid.time_coordinates()) < half_width
-    sub = field.data[mask]
-    if p == np.inf:
-        return float(np.max(np.abs(sub)))
-    if p < 1:
-        raise ValueError(f"p must satisfy p >= 1, got {p}")
-    return float((np.sum(np.abs(sub) ** p) * grid.cell_measure) ** (1.0 / p))
+    return _lp(field.data[mask], p, grid.cell_measure)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .coefficients import Coefficients, Ellipticity
-from .grid import Field, Grid, make_grid
+from .grid import Field, make_grid
 
 __all__ = ["write_field", "read_field", "write_coefficients", "read_coefficients"]
 
@@ -86,20 +86,38 @@ def write_coefficients(stem: str | Path, coeffs: Coefficients) -> Path:
 
 
 def read_coefficients(sidecar: str | Path) -> Coefficients:
+    """Read a coefficient stack; a ValueError names the sidecar and what is
+    wrong with it (missing keys or entries, entry files on different grids)."""
     sidecar = Path(sidecar)
     meta = json.loads(sidecar.read_text())
-    entries = {}
-    grid: Grid | None = None
-    for key, name in meta["files"].items():
-        fld = read_field(sidecar.with_name(name))
-        grid = fld.grid
-        entries[key] = fld.data
-    assert grid is not None
+
+    def bad(problem: str) -> ValueError:
+        return ValueError(f"coefficient sidecar {sidecar}: {problem}")
+
+    if not isinstance(meta, dict):
+        raise bad("must hold a JSON object")
+    for key in ("files", "tag", "delta"):
+        if key not in meta:
+            raise bad(f"missing key {key!r}")
+    files = meta["files"]
+    if not isinstance(files, dict) or not files:
+        raise bad("'files' must be a non-empty object of entry file names")
+    fields = {
+        key: read_field(sidecar.with_name(str(name))) for key, name in files.items()
+    }
+    grids = {fld.grid for fld in fields.values()}
+    if len(grids) > 1:
+        raise bad(f"entry files lie on {len(grids)} different grids")
+    (grid,) = grids
     d = grid.d
+    expected = [f"a{i + 1}{j + 1}" for i in range(d) for j in range(d)]
+    missing = [key for key in expected if key not in fields]
+    if missing:
+        raise bad(f"missing entry {missing[0]!r} of the {d}x{d} matrix")
     data = np.empty((d, d, *grid.shape))
     for i in range(d):
         for j in range(d):
-            data[i, j] = entries[f"a{i + 1}{j + 1}"]
+            data[i, j] = fields[f"a{i + 1}{j + 1}"].data
     return Coefficients(
         grid=grid,
         data=data,

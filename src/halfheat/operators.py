@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import Coefficients, identity_coefficients
-from .grid import Field, VectorField, field_from_array
+from .grid import Field, VectorField
 from .timeops import half_derivative, hilbert, time_derivative
 
 __all__ = [
@@ -41,7 +41,7 @@ def gradient_plus(u: Field) -> VectorField:
     for i in range(grid.d):
         axis = 1 + i
         diff = (np.roll(u.data, -1, axis=axis) - u.data) / grid.h[i]
-        parts.append(field_from_array(grid, diff))
+        parts.append(Field(grid, diff))
     return VectorField(tuple(parts))
 
 
@@ -53,7 +53,7 @@ def divergence_minus(v: VectorField) -> Field:
     for i, comp in enumerate(v.components):
         axis = 1 + i
         total += (comp.data - np.roll(comp.data, 1, axis=axis)) / grid.h[i]
-    return field_from_array(grid, total)
+    return Field(grid, total)
 
 
 def matrix_gradient(coeffs: Coefficients, u: Field) -> VectorField:
@@ -63,9 +63,7 @@ def matrix_gradient(coeffs: Coefficients, u: Field) -> VectorField:
     grad = gradient_plus(u)
     stacked = grad.stacked()
     flux = np.einsum("ij...,j...->i...", coeffs.data, stacked)
-    return VectorField(
-        tuple(field_from_array(u.grid, flux[i]) for i in range(u.grid.d))
-    )
+    return VectorField(tuple(Field(u.grid, flux[i]) for i in range(u.grid.d)))
 
 
 def apply_operator(coeffs: Coefficients, lam: float, u: Field) -> Field:
@@ -76,7 +74,7 @@ def apply_operator(coeffs: Coefficients, lam: float, u: Field) -> Field:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     flux = matrix_gradient(coeffs, u)
     out = time_derivative(u).data - divergence_minus(flux).data + lam * u.data
-    return field_from_array(u.grid, out)
+    return Field(u.grid, out)
 
 
 @dataclass(frozen=True)
@@ -113,11 +111,11 @@ def apply_rhs(data: DataBundle) -> Field:
         + divergence_minus(data.g).data
         + data.f.data
     )
-    return field_from_array(data.grid, out)
+    return Field(data.grid, out)
 
 
 def residual(coeffs: Coefficients, data: DataBundle, u: Field) -> Field:
-    return field_from_array(
+    return Field(
         u.grid, apply_operator(coeffs, data.lam, u).data - apply_rhs(data).data
     )
 
@@ -151,12 +149,10 @@ def manufacture_data(coeffs: Coefficients, lam: float, u: Field) -> DataBundle:
     -m_half*m_hilb*m_half = m_deriv), g = -a.D+u cancels the flux, f = lambda*u.
     The residual is zero to rounding, not merely to discretization order.
     """
-    h = field_from_array(u.grid, -hilbert(half_derivative(u)).data)
+    h = Field(u.grid, -hilbert(half_derivative(u)).data)
     flux = matrix_gradient(coeffs, u)
-    g = VectorField(
-        tuple(field_from_array(u.grid, -c.data) for c in flux.components)
-    )
-    f = field_from_array(u.grid, lam * u.data)
+    g = VectorField(tuple(Field(u.grid, -c.data) for c in flux.components))
+    f = Field(u.grid, lam * u.data)
     return DataBundle(h=h, g=g, f=f, lam=lam)
 
 
@@ -173,7 +169,7 @@ def reduce_to_identity(
     extra = np.einsum("ij...,j...->i...", shift, grad)
     g_new = VectorField(
         tuple(
-            field_from_array(u.grid, data.g.components[i].data + extra[i])
+            Field(u.grid, data.g.components[i].data + extra[i])
             for i in range(d)
         )
     )

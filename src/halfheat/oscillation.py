@@ -18,7 +18,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter, maximum_filter1d
 
 from .coefficients import Coefficients
-from .grid import Field, Grid, field_from_array
+from .grid import Field, Grid
 from .operators import (
     DataBundle,
     SolutionBundle,
@@ -73,6 +73,17 @@ def _wrapped_offset(coords: np.ndarray, center: float, period: float) -> np.ndar
     return np.mod(coords - center + 0.5 * period, period) - 0.5 * period
 
 
+def _spatial_dist_sq(grid: Grid, center: tuple[float, ...]) -> np.ndarray:
+    """Squared torus distance of every spatial sample to center, flattened."""
+    dist_sq = np.zeros(grid.n_x)
+    for i in range(grid.d):
+        off = _wrapped_offset(grid.space_coordinates(i), center[i], grid.l_x[i])
+        shape = [1] * grid.d
+        shape[i] = grid.n_x[i]
+        dist_sq = dist_sq + off.reshape(shape) ** 2
+    return dist_sq.ravel()
+
+
 def _cylinder_masks(grid: Grid, cyl: Cylinder) -> tuple[np.ndarray, np.ndarray]:
     """(time mask (n_t,), flat spatial mask (prod n_x,)) of cell centers inside."""
     if len(cyl.center) != grid.d + 1:
@@ -87,15 +98,7 @@ def _cylinder_masks(grid: Grid, cyl: Cylinder) -> tuple[np.ndarray, np.ndarray]:
         )
     dt_off = _wrapped_offset(grid.time_coordinates(), cyl.center[0], grid.l_t)
     t_mask = np.abs(dt_off) < cyl.r**2
-    dist_sq = np.zeros(grid.n_x)
-    for i in range(grid.d):
-        off = _wrapped_offset(
-            grid.space_coordinates(i), cyl.center[1 + i], grid.l_x[i]
-        )
-        shape = [1] * grid.d
-        shape[i] = grid.n_x[i]
-        dist_sq = dist_sq + off.reshape(shape) ** 2
-    x_mask = (dist_sq < s**2).ravel()
+    x_mask = _spatial_dist_sq(grid, cyl.center[1:]) < s**2
     if not t_mask.any() or not x_mask.any():
         raise ValueError(
             f"cylinder (r={cyl.r}, s={s}) contains no grid cell centers"
@@ -206,7 +209,7 @@ def _maximal(field: Field, pairs: list[tuple[float, float]]) -> Field:
                 mode="wrap",
             )
         out = np.maximum(out, dilated)
-    return field_from_array(grid, out)
+    return Field(grid, out)
 
 
 def parabolic_maximal(field: Field) -> Field:
@@ -283,7 +286,7 @@ def dyadic_sharp(field: Field, n_range) -> Field:
         for axis, per in enumerate(samples):
             expanded = np.repeat(expanded, per, axis=axis)
         out = np.maximum(out, expanded)
-    return field_from_array(grid, out)
+    return Field(grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +340,9 @@ def _data_squared(data: DataBundle) -> np.ndarray:
 
 
 def _relative_residual(coeffs: Coefficients, data: DataBundle, u: Field) -> float:
-    res = apply_operator(coeffs, data.lam, u).data - apply_rhs(data).data
-    scale = float(np.linalg.norm(apply_rhs(data).data))
+    rhs = apply_rhs(data).data
+    res = apply_operator(coeffs, data.lam, u).data - rhs
+    scale = float(np.linalg.norm(rhs))
     if scale == 0.0:
         scale = max(float(np.linalg.norm(u.data)), 1.0)
     return float(np.linalg.norm(res)) / scale
@@ -376,13 +380,7 @@ def verify_local_estimate(
         raise ValueError(
             f"u does not solve the equation: relative residual {rel} > {rtol}"
         )
-    dist_sq = np.zeros(grid.n_x)
-    for i in range(grid.d):
-        off = _wrapped_offset(grid.space_coordinates(i), 0.0, grid.l_x[i])
-        shape = [1] * grid.d
-        shape[i] = grid.n_x[i]
-        dist_sq = dist_sq + off.reshape(shape) ** 2
-    outside = (dist_sq >= radius**2).ravel()
+    outside = _spatial_dist_sq(grid, (0.0,) * grid.d) >= radius**2
     u_flat = np.abs(u.data.reshape(grid.n_t, -1))
     peak = float(u_flat.max())
     if peak > 0 and outside.any():
@@ -398,15 +396,10 @@ def verify_local_estimate(
         u_sq = u_sq + arr * arr
     origin = (0.0,) * (grid.d + 1)
     lhs = math.sqrt(
-        max(
-            cylinder_mean(
-                field_from_array(grid, u_sq), Cylinder(origin, r=radius)
-            ),
-            0.0,
-        )
+        max(cylinder_mean(Field(grid, u_sq), Cylinder(origin, r=radius)), 0.0)
     )
     terms_used = min(terms, max_tail_terms(grid, radius, 1.0))
-    f_sq = field_from_array(grid, _data_squared(data))
+    f_sq = Field(grid, _data_squared(data))
     rhs = tail_sum(f_sq, radius, 1.0, origin, terms_used) if terms_used else 0.0
     trivial = lhs == 0.0 and rhs == 0.0
     n_emp = lhs / rhs if rhs > 0 else None
@@ -495,7 +488,7 @@ def verify_mean_oscillation(
         theta = 0.5
     rhs_arrays = grad_arrays + [weighted_u]
 
-    f_sq = field_from_array(grid, _data_squared(data))
+    f_sq = Field(grid, _data_squared(data))
     outer = Cylinder(center, r=r)
     rows = []
     truncated = False

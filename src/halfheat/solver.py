@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .coefficients import Coefficients
-from .grid import Field, Grid, field_from_array, inner, lp_norm
+from .grid import Field, Grid, _lp, inner, lp_norm, zeros
 from .operators import (
     DataBundle,
     SolutionBundle,
@@ -67,7 +67,7 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolveResult:
-    u: SolutionBundle
+    u: Field
     iterations: int
     final_relative_residual: float
     wall_time: float
@@ -127,7 +127,7 @@ def twisted_pairing(
     coeffs: Coefficients, lam: float, kappa: float, u: Field, v: Field
 ) -> float:
     """weak_pairing of u against the twisted test function v - kappa*H(v)."""
-    phi = field_from_array(v.grid, v.data - kappa * hilbert(v).data)
+    phi = Field(v.grid, v.data - kappa * hilbert(v).data)
     return weak_pairing(coeffs, lam, u, phi)
 
 
@@ -152,10 +152,9 @@ def duality_defect(coeffs: Coefficients, lam: float, u: Field, v: Field) -> floa
     return abs(forward + backward - 2.0 * sym)
 
 
-def _zero_result(grid: Grid, lam: float, started: float) -> SolveResult:
-    zero = field_from_array(grid, np.zeros(grid.shape))
+def _zero_result(grid: Grid, started: float) -> SolveResult:
     return SolveResult(
-        u=SolutionBundle.from_field(zero, lam),
+        u=zeros(grid),
         iterations=0,
         final_relative_residual=0.0,
         wall_time=time.perf_counter() - started,
@@ -180,7 +179,7 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
     rhs = apply_rhs(data)
     rhs_norm = lp_norm(rhs, 2)
     if rhs_norm == 0.0:
-        return _zero_result(grid, lam, started)
+        return _zero_result(grid, started)
 
     denom = _operator_symbol(grid, matrix, lam)
     rhs_hat = np.fft.fftn(rhs.data)
@@ -194,12 +193,12 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
             )
     u_hat = np.zeros_like(rhs_hat)
     np.divide(rhs_hat, denom, out=u_hat, where=~singular)
-    u = field_from_array(grid, np.fft.ifftn(u_hat).real)
+    u = Field(grid, np.fft.ifftn(u_hat).real)
 
     res = apply_operator(coeffs, lam, u).data - rhs.data
-    rel = lp_norm(field_from_array(grid, res), 2) / rhs_norm
+    rel = _lp(res, 2, grid.cell_measure) / rhs_norm
     return SolveResult(
-        u=SolutionBundle.from_field(u, lam),
+        u=u,
         iterations=0,
         final_relative_residual=rel,
         wall_time=time.perf_counter() - started,
@@ -231,10 +230,10 @@ def solve(
     b = apply_rhs(data).data.ravel()
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return _zero_result(grid, lam, started)
+        return _zero_result(grid, started)
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        u = field_from_array(grid, x.reshape(shape))
+        u = Field(grid, x.reshape(shape))
         return apply_operator(coeffs, lam, u).data.ravel()
 
     operator = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
@@ -271,9 +270,8 @@ def solve(
         if rel <= options.rtol:
             break
 
-    u = field_from_array(grid, x.reshape(shape))
     return SolveResult(
-        u=SolutionBundle.from_field(u, lam),
+        u=Field(grid, x.reshape(shape)),
         iterations=len(history),
         final_relative_residual=rel,
         wall_time=time.perf_counter() - started,
@@ -305,24 +303,22 @@ def bundle_lp_norm(arrays: list[np.ndarray], grid: Grid, p: float) -> float:
     mag_sq = np.zeros(grid.shape)
     for arr in arrays:
         mag_sq = mag_sq + arr * arr
-    return lp_norm(field_from_array(grid, np.sqrt(mag_sq)), p)
+    return _lp(np.sqrt(mag_sq), p, grid.cell_measure)
 
 
 def compute_bundles(
     u: Field, data: DataBundle, p_list: tuple[float, ...] = (2.0,)
-) -> tuple[SolutionBundle, dict]:
-    """Solution bundle of u plus the ||U||_p and ||F||_p tables, with the
+) -> dict:
+    """The ||U||_p and ||F||_p tables of the solution u and its data, with the
     f/sqrt(lambda) slot omitted when lambda = 0 (f vanishes then)."""
     if u.grid != data.grid:
         raise ValueError("solution and data live on different grids")
     lam = data.lam
-    bundle = SolutionBundle.from_field(u, lam)
-    u_parts = bundle.components()
+    u_parts = SolutionBundle.from_field(u, lam).components()
     f_parts = [data.h.data] + [c.data for c in data.g.components]
     if lam > 0:
         f_parts.append(data.f.data / np.sqrt(lam))
-    norms = {
+    return {
         "U": {p: bundle_lp_norm(u_parts, u.grid, p) for p in p_list},
         "F": {p: bundle_lp_norm(f_parts, u.grid, p) for p in p_list},
     }
-    return bundle, norms

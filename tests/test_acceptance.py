@@ -11,11 +11,11 @@ import numpy as np
 
 from halfheat import (
     ExperimentConfig,
+    Field,
     SolutionBundle,
     SolverOptions,
     apply_rhs,
     bundle_lp_norm,
-    field_from_array,
     generate_coefficients,
     half_derivative,
     half_derivative_quadrature,
@@ -79,7 +79,7 @@ def test_criterion_02_quadrature_cross_validation():
     grid = make_grid(1, 256, 8, 2.0 * math.pi, 1.0)
     t = grid.coordinate_mesh()[0]
     wave = np.cos(4.0 * t) + 0.3 * np.sin(2.0 * t)
-    u = field_from_array(grid, wave * np.ones(grid.shape))
+    u = Field(grid, wave * np.ones(grid.shape))
     exact = half_derivative(u)
     scale = float(np.linalg.norm(exact.data))
     errors = {}
@@ -155,8 +155,8 @@ def test_criterion_04_oracle_and_gmres_equivalence():
         direct = solve_oracle(coeffs, data)
         iterative = solve(coeffs, data, SolverOptions())
         diff = float(
-            np.linalg.norm(iterative.u.u.data - direct.u.u.data)
-            / np.linalg.norm(direct.u.u.data)
+            np.linalg.norm(iterative.u.data - direct.u.data)
+            / np.linalg.norm(direct.u.data)
         )
         worst_residual = max(worst_residual, direct.final_relative_residual)
         worst_diff = max(worst_diff, diff)
@@ -315,7 +315,7 @@ def test_criterion_10_reduction_identity():
                 kind, 0.5, 500 + trial, grid, roughness_scale=scale
             )
             solved = solve(coeffs, data, SolverOptions())
-        u = solved.u.u
+        u = solved.u
         before = residual(coeffs, data, u)
         identity, reduced = reduce_to_identity(coeffs, data, u)
         after = residual(identity, reduced, u)

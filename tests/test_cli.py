@@ -241,3 +241,73 @@ def test_module_entry_point(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["passed"] is True
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+def test_partial_grid_override_keeps_the_command_default(tmp_path, capsys):
+    """--grid n_t=8192 merges onto tail-decay's own grid (l_t = 512), not onto
+    a generic 64x64 cell on which the command cannot run."""
+    out = tmp_path / "tail"
+    code, report = _run(
+        capsys, ["tail-decay", "--grid", "n_t=8192", "--out", str(out)]
+    )
+    assert code == 0, report["failures"]
+    payload = json.loads((out / "summary.json").read_text())
+    assert payload["passed"] is True
+
+
+def test_partial_solve_grid_fills_from_the_default(tmp_path, capsys):
+    """solve/oracle take missing grid keys from the 64x64 default grid."""
+    for name, grid in (("solve", {"d": 1}), ("oracle", {"n_t": 32})):
+        config = _write_config(
+            tmp_path, f"{name}.json", dict(SOLVE_CONFIG, grid=grid)
+        )
+        out = tmp_path / name
+        code, report = _run(capsys, [name, "--config", str(config), "--out", str(out)])
+        assert code == 0, report
+        u = read_field(out / "u.htpf")
+        assert (u.grid.n_t, u.grid.n_x, u.grid.l_t) == (grid.get("n_t", 64), (64,), 2.0)
+
+
+@pytest.mark.parametrize("grid", [[64, 64], "64x64", 64])
+def test_non_object_grid_fails_cleanly(tmp_path, capsys, grid):
+    experiment = _write_config(tmp_path, "id.json", dict(SMALL_IDENTITIES, grid=grid))
+    problem = _write_config(tmp_path, "solve.json", dict(SOLVE_CONFIG, grid=grid))
+    for argv in (
+        ["identities", "--config", str(experiment), "--out", str(tmp_path / "o")],
+        ["identities", "--config", str(experiment), "--grid", "n_t=32"],
+        ["solve", "--config", str(problem), "--out", str(tmp_path / "s")],
+    ):
+        code, report = _run(capsys, argv)
+        assert code == 1
+        assert report["failures"] == [f"'grid' must be an object, got {grid!r}"]
+
+
+def test_unknown_config_grid_key_fails_cleanly(tmp_path, capsys):
+    """A misspelt grid key is an error, as it is for --grid, not a silent
+    fallback to the default value."""
+    config = _write_config(tmp_path, "id.json", dict(SMALL_IDENTITIES, grid={"nt": 32}))
+    code, report = _run(capsys, ["identities", "--config", str(config)])
+    assert code == 1
+    assert "unknown grid key 'nt'" in report["failures"][0]
+
+
+@pytest.mark.parametrize(
+    "solver, message",
+    [
+        ({"bogus": 1}, "unknown solver key 'bogus'"),
+        ({"rtol": 1e-9, "restarts": 4}, "unknown solver key 'restarts'"),
+        ([1e-9], "'solver' must be an object"),
+        ({"rtol": "tight"}, "malformed solver section"),
+    ],
+)
+def test_bad_solver_section_fails_cleanly(tmp_path, capsys, solver, message):
+    experiment = _write_config(tmp_path, "id.json", dict(SMALL_IDENTITIES, solver=solver))
+    problem = _write_config(tmp_path, "solve.json", dict(SOLVE_CONFIG, solver=solver))
+    for argv in (
+        ["identities", "--config", str(experiment), "--out", str(tmp_path / "o")],
+        ["solve", "--config", str(problem), "--out", str(tmp_path / "s")],
+    ):
+        code, report = _run(capsys, argv)
+        assert code == 1
+        assert len(report["failures"]) == 1
+        assert message in report["failures"][0]

@@ -7,6 +7,7 @@ identities are exact at any size, the oscillation thresholds hold with margin
 at quarter scale, and so on).
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -227,6 +228,30 @@ def test_oscillation_quarter_scale():
     assert local["refinement_deviation"] <= 0.2
     assert local["rescaling_deviation"] <= 0.05
     assert local["trivial_flagged"]
+
+
+def test_oscillation_fails_on_an_unconverged_solve(monkeypatch):
+    """Criterion 8 must not accept a GMRES solve that did not converge, even
+    when its residual is small enough for the verifier."""
+    import halfheat.experiments as experiments
+
+    real_solve = experiments.solve
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(real_solve(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(experiments, "solve", unconverged)
+    config = _config(
+        "oscillation",
+        grid=dict(d=1, n_t=1024, n_x=128, l_t=4.0, l_x=4.0),
+        coefficients={"delta": 0.5},
+        seed=0,
+    )
+    result = run_oscillation_experiments(config)
+    assert not result.passed
+    # the GMRES cases fail; the heat case goes through the oracle
+    flagged = [f.split(":")[0] for f in result.failures if "did not converge" in f]
+    assert flagged == ["case calU_time_coeffs", "case calUprime_theta_x1"]
 
 
 def test_assumption_report_small():

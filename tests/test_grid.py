@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from halfheat import (
     Field,
     VectorField,
-    field_from_array,
     inner,
     lp_norm,
     make_grid,
@@ -24,7 +23,7 @@ from halfheat import (
 
 def _cos_time_mode(grid, k):
     t = grid.coordinate_mesh()[0]
-    return field_from_array(
+    return Field(
         grid, np.broadcast_to(np.cos(2.0 * np.pi * k * t / grid.l_t), grid.shape)
     )
 
@@ -67,9 +66,9 @@ def test_field_is_immutable_and_validated():
     with pytest.raises(ValueError):
         f.data[0, 0] = 1.0
     with pytest.raises(ValueError, match="shape"):
-        field_from_array(g, np.zeros((8, 9)))
+        Field(g, np.zeros((8, 9)))
     with pytest.raises(ValueError, match="finite"):
-        field_from_array(g, np.full(g.shape, np.nan))
+        Field(g, np.full(g.shape, np.nan))
 
 
 def test_vector_field_needs_matching_grids():
@@ -90,7 +89,7 @@ def test_cosine_l2_norm_frozen():
 
 def test_lp_norm_special_cases():
     g = make_grid(d=1, n_t=8, n_x=8, l_t=1.0, l_x=1.0)
-    u = field_from_array(g, np.full(g.shape, -2.0))
+    u = Field(g, np.full(g.shape, -2.0))
     assert lp_norm(u, np.inf) == 2.0
     assert lp_norm(u, 1.0) == pytest.approx(2.0)  # constant: |u| * measure
     with pytest.raises(ValueError, match="p >= 1"):
@@ -102,11 +101,11 @@ def test_lp_norm_special_cases():
 def test_inner_is_bilinear_and_symmetric(seed, c):
     g = make_grid(d=1, n_t=8, n_x=8, l_t=1.0, l_x=1.0)
     rng = np.random.default_rng(seed)
-    u = field_from_array(g, rng.standard_normal(g.shape))
-    v = field_from_array(g, rng.standard_normal(g.shape))
-    w = field_from_array(g, rng.standard_normal(g.shape))
+    u = Field(g, rng.standard_normal(g.shape))
+    v = Field(g, rng.standard_normal(g.shape))
+    w = Field(g, rng.standard_normal(g.shape))
     assert inner(u, v) == pytest.approx(inner(v, u), abs=1e-12)
-    lhs = inner(field_from_array(g, c * u.data + w.data), v)
+    lhs = inner(Field(g, c * u.data + w.data), v)
     assert lhs == pytest.approx(c * inner(u, v) + inner(w, v), abs=1e-9)
 
 
@@ -120,7 +119,7 @@ def test_inner_rejects_mismatched_grids():
 def test_time_window_norm_full_window_matches_global():
     g = make_grid(d=1, n_t=16, n_x=8, l_t=2.0, l_x=1.0)
     rng = np.random.default_rng(3)
-    u = field_from_array(g, rng.standard_normal(g.shape))
+    u = Field(g, rng.standard_normal(g.shape))
     assert time_window_lp_norm(u, half_width=g.l_t, p=2.0) == pytest.approx(
         lp_norm(u, 2.0)
     )
@@ -131,7 +130,7 @@ def test_time_window_norm_selects_the_window():
     g = make_grid(d=1, n_t=16, n_x=8, l_t=2.0, l_x=1.0)
     data = np.zeros(g.shape)
     data[0, :] = 1.0
-    u = field_from_array(g, data)
+    u = Field(g, data)
     narrow = time_window_lp_norm(u, half_width=2.1 * g.dt, p=2.0)
     assert narrow == pytest.approx(lp_norm(u, 2.0), rel=1e-12)
     with pytest.raises(ValueError, match="half_width"):

@@ -5,13 +5,14 @@ magic "HTPF", u16 version (1), u8 rank, rank u64 sizes (time first), rank
 f64 periods, all little-endian, then float64 samples in row-major order.
 """
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
 from halfheat import (
-    field_from_array,
+    Field,
     generate_coefficients,
     make_grid,
     read_coefficients,
@@ -19,11 +20,12 @@ from halfheat import (
     write_coefficients,
     write_field,
 )
+from halfheat.cli import main
 
 
 def _random_field(grid, seed=0):
     rng = np.random.default_rng(seed)
-    return field_from_array(grid, rng.standard_normal(grid.shape))
+    return Field(grid, rng.standard_normal(grid.shape))
 
 
 def test_field_round_trip(tmp_path):
@@ -92,3 +94,69 @@ def test_coefficient_stack_round_trip(tmp_path):
     assert back.ellipticity == coeffs.ellipticity
     assert np.array_equal(back.data, coeffs.data)
     assert back.generator == coeffs.generator
+
+
+def _solve_with_stack(tmp_path, capsys, sidecar):
+    """Run `halfheat solve` on a d=2 config whose coefficients come from the
+    stack behind sidecar; returns (exit code, printed JSON report)."""
+    config = tmp_path / "solve.json"
+    config.write_text(
+        json.dumps(
+            {
+                "grid": {"d": 2, "n_t": 8, "n_x": 8, "l_t": 2.0, "l_x": 2.0},
+                "coefficients": {"file": str(sidecar)},
+                "data": {"h": "cos(pi*t)", "g": ["0", "x1/4"], "f": "0.5"},
+            }
+        )
+    )
+    code = main(["solve", "--config", str(config), "--out", str(tmp_path / "out")])
+    return code, json.loads(capsys.readouterr().out.splitlines()[-1])
+
+
+def _stack(tmp_path):
+    g = make_grid(d=2, n_t=8, n_x=8, l_t=2.0, l_x=2.0)
+    coeffs = generate_coefficients(kind="constant", delta=0.5, seed=4, grid=g)
+    return write_coefficients(tmp_path / "a", coeffs)
+
+
+def test_solve_reads_a_coefficient_stack(tmp_path, capsys):
+    code, report = _solve_with_stack(tmp_path, capsys, _stack(tmp_path))
+    assert code == 0, report
+    assert report["converged"] is True
+
+
+NOT_AN_ENTRY_MAP = "'files' must be a non-empty object of entry file names"
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda meta: meta.pop("files"), "missing key 'files'"),
+        (lambda meta: meta.pop("tag"), "missing key 'tag'"),
+        (lambda meta: meta.pop("delta"), "missing key 'delta'"),
+        (lambda meta: meta["files"].pop("a12"), "missing entry 'a12' of the 2x2 matrix"),
+        (lambda meta: meta["files"].clear(), NOT_AN_ENTRY_MAP),
+        (lambda meta: meta.update(files=["a_11.htpf"]), NOT_AN_ENTRY_MAP),
+    ],
+    ids=["files", "tag", "delta", "a12", "empty_files", "files_list"],
+)
+def test_malformed_sidecar_fails_cleanly(tmp_path, capsys, edit, problem):
+    sidecar = _stack(tmp_path)
+    meta = json.loads(sidecar.read_text())
+    edit(meta)
+    sidecar.write_text(json.dumps(meta))
+    code, report = _solve_with_stack(tmp_path, capsys, sidecar)
+    assert code == 1
+    assert report["failures"] == [f"coefficient sidecar {sidecar}: {problem}"]
+
+
+def test_sidecar_entries_on_different_grids_fail_cleanly(tmp_path, capsys):
+    """The entry files must share one grid; the last one read used to win."""
+    sidecar = _stack(tmp_path)
+    other = make_grid(d=2, n_t=8, n_x=8, l_t=4.0, l_x=2.0)
+    write_field(tmp_path / "a_22.htpf", Field(other, 2.0 * np.ones(other.shape)))
+    code, report = _solve_with_stack(tmp_path, capsys, sidecar)
+    assert code == 1
+    assert report["failures"] == [
+        f"coefficient sidecar {sidecar}: entry files lie on 2 different grids"
+    ]

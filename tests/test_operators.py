@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from halfheat import (
     DataBundle,
+    Field,
     SolutionBundle,
     VectorField,
     apply_operator,
     apply_rhs,
     divergence_minus,
-    field_from_array,
     generate_coefficients,
     gradient_plus,
     identity_coefficients,
@@ -39,14 +39,14 @@ def _grid(d=1, n_t=16, n_x=16):
 
 def _rand(grid, seed):
     rng = np.random.default_rng(seed)
-    return field_from_array(grid, rng.standard_normal(grid.shape))
+    return Field(grid, rng.standard_normal(grid.shape))
 
 
 def _rand_vector(grid, seed):
     rng = np.random.default_rng(seed)
     return VectorField(
         tuple(
-            field_from_array(grid, rng.standard_normal(grid.shape))
+            Field(grid, rng.standard_normal(grid.shape))
             for _ in range(grid.d)
         )
     )
@@ -57,7 +57,7 @@ def test_gradient_of_single_spatial_mode():
     g = _grid(n_x=32)
     x = g.coordinate_mesh()[1]
     xi = 2.0 * np.pi * 3 / g.l_x[0]
-    u = field_from_array(g, np.broadcast_to(np.cos(xi * x), g.shape))
+    u = Field(g, np.broadcast_to(np.cos(xi * x), g.shape))
     h = g.h[0]
     expected = (np.cos(xi * (x + h)) - np.cos(xi * x)) / h
     got = gradient_plus(u).components[0]
@@ -83,7 +83,7 @@ def test_operator_eigenvalue_on_single_mode():
     x = g.coordinate_mesh()[1]
     xi = 2.0 * np.pi * 5 / g.l_x[0]
     h = g.h[0]
-    u = field_from_array(g, np.broadcast_to(np.cos(xi * x), g.shape))
+    u = Field(g, np.broadcast_to(np.cos(xi * x), g.shape))
     lam = 0.7
     out = apply_operator(identity_coefficients(g), lam, u)
     # time-independent mode: the operator reduces to the discrete Laplacian
@@ -180,7 +180,7 @@ def test_reduction_to_identity_is_exact():
     r_orig = residual(a, data, u)
     r_new = residual(ident, reduced, u)
     scale = lp_norm(apply_rhs(data), 2.0)
-    assert lp_norm(field_from_array(g, r_new.data - r_orig.data), 2.0) <= 1e-12 * scale
+    assert lp_norm(Field(g, r_new.data - r_orig.data), 2.0) <= 1e-12 * scale
 
 
 def test_reduction_formula_in_one_dimension():

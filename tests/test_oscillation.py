@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from halfheat import (
     Cylinder,
     DataBundle,
+    Field,
     VectorField,
     cylinder_mean,
-    field_from_array,
     generate_coefficients,
     gradient_plus,
     identity_coefficients,
@@ -50,7 +50,7 @@ def _grid(d=1, n_t=32, n_x=64, l_t=2.0, l_x=2.0):
 
 def _rand(grid, seed):
     rng = np.random.default_rng(seed)
-    return field_from_array(grid, rng.standard_normal(grid.shape))
+    return Field(grid, rng.standard_normal(grid.shape))
 
 
 def _localized_solution(grid, radius):
@@ -60,7 +60,7 @@ def _localized_solution(grid, radius):
     wave = np.cos(2.0 * np.pi * 2.0 * t / grid.l_t) + 0.5 * np.sin(
         2.0 * np.pi * 3.0 * t / grid.l_t
     )
-    return field_from_array(grid, np.broadcast_to(wave * cut, grid.shape))
+    return Field(grid, np.broadcast_to(wave * cut, grid.shape))
 
 
 def test_cylinder_validation():
@@ -88,7 +88,7 @@ def test_default_spatial_radius_is_r():
 @given(st.floats(-5.0, 5.0), st.floats(0.2, 0.7))
 def test_cylinder_mean_of_constant(value, r):
     g = _grid()
-    u = field_from_array(g, np.full(g.shape, value))
+    u = Field(g, np.full(g.shape, value))
     assert cylinder_mean(u, Cylinder((0.0, 0.0), r=r)) == pytest.approx(value)
     assert mean_oscillation(u, Cylinder((0.0, 0.0), r=r)) == pytest.approx(0.0, abs=1e-12)
 
@@ -96,7 +96,7 @@ def test_cylinder_mean_of_constant(value, r):
 def test_mean_oscillation_of_coordinate_field():
     g = _grid(n_x=64)
     x = g.coordinate_mesh()[1]
-    u = field_from_array(g, np.broadcast_to(x, g.shape))
+    u = Field(g, np.broadcast_to(x, g.shape))
     r = 0.5
     osc = mean_oscillation(u, Cylinder((0.0, 0.0), r=r))
     assert abs(osc - r / 2.0) <= g.h[0]
@@ -123,7 +123,7 @@ def test_bundle_statistics_reduce_to_scalar_case():
     u = _rand(g, 3)
     cyl = Cylinder((0.0, 0.0), r=0.6)
     assert bundle_rms([u.data], g, cyl) == pytest.approx(
-        math.sqrt(cylinder_mean(field_from_array(g, u.data**2), cyl))
+        math.sqrt(cylinder_mean(Field(g, u.data**2), cyl))
     )
     assert bundle_oscillation([u.data], g, cyl) == pytest.approx(
         mean_oscillation(u, cyl)
@@ -142,7 +142,7 @@ def test_bundle_rms_adds_in_quadrature():
 def test_maximal_functions_are_sublinear(seed):
     g = _grid(n_t=16, n_x=16)
     u, v = _rand(g, seed), _rand(g, seed + 1)
-    w = field_from_array(g, u.data + v.data)
+    w = Field(g, u.data + v.data)
     for maximal in (parabolic_maximal, strong_maximal):
         combined = maximal(w).data
         split = maximal(u).data + maximal(v).data
@@ -155,7 +155,7 @@ def test_maximal_dominates_local_means():
     m = parabolic_maximal(u).data
     # the smallest family cylinder centered at a lattice point is one window
     r_lo = max(2.0 * max(g.h), math.sqrt(2.0 * g.dt))
-    mag = field_from_array(g, np.abs(u.data))
+    mag = Field(g, np.abs(u.data))
     for it, ix in ((0, 0), (3, 7), (16, 20)):
         center = (g.time_coordinates()[it], g.space_coordinates(0)[ix])
         local = cylinder_mean(mag, Cylinder(center, r=r_lo))
@@ -181,7 +181,7 @@ def test_cell_oscillation_of_a_confined_step():
     data = np.broadcast_to(
         ((t >= 0.25) & (t < 0.5)).astype(float), g.shape
     ).copy()
-    u = field_from_array(g, data)
+    u = Field(g, data)
     osc = dyadic_cell_oscillations(u, level=1)
     assert osc.shape == (4, 4)
     assert np.allclose(osc[0], 0.5)
@@ -194,7 +194,7 @@ def test_dyadic_sharp_is_shift_invariant_by_whole_cells():
     g = _grid(n_t=32, n_x=32)
     u = _rand(g, 4)
     _, samples = dyadic_layout(g, level=1)
-    rolled = field_from_array(g, np.roll(u.data, (samples[0], samples[1]), (0, 1)))
+    rolled = Field(g, np.roll(u.data, (samples[0], samples[1]), (0, 1)))
     lhs = dyadic_sharp(rolled, [1, 2]).data
     rhs = np.roll(dyadic_sharp(u, [1, 2]).data, (samples[0], samples[1]), (0, 1))
     assert np.allclose(lhs, rhs, atol=1e-13)
@@ -231,7 +231,7 @@ def test_cell_oscillation_bounded_by_enclosing_cylinder():
 def test_tail_sum_of_constant_is_geometric():
     g = _grid(n_t=64, n_x=32, l_t=8.0)
     c = 2.0
-    sq = field_from_array(g, np.full(g.shape, c**2))
+    sq = Field(g, np.full(g.shape, c**2))
     r, kappa = 0.125, 4.0
     terms = max_tail_terms(g, r, kappa)
     assert terms == 1 + int(math.floor(math.log2(g.l_t / (2.0 * (kappa * r) ** 2))))
@@ -244,7 +244,7 @@ def test_tail_sum_of_constant_is_geometric():
 
 def test_tail_sum_rejects_impossible_geometry():
     g = _grid()
-    sq = field_from_array(g, np.ones(g.shape))
+    sq = Field(g, np.ones(g.shape))
     with pytest.raises(ValueError, match="at least one term"):
         tail_sum(sq, 0.2, 4.0, (0.0, 0.0), 0)
     with pytest.raises(ValueError, match="no tail cylinder fits"):
@@ -259,8 +259,8 @@ def test_tail_sum_is_monotone(seed):
     small = np.abs(rng.standard_normal(g.shape))
     bigger = small + np.abs(rng.standard_normal(g.shape))
     args = (0.125, 4.0, (0.0, 0.0), 4)
-    assert tail_sum(field_from_array(g, small), *args) <= tail_sum(
-        field_from_array(g, bigger), *args
+    assert tail_sum(Field(g, small), *args) <= tail_sum(
+        Field(g, bigger), *args
     ) + 1e-12
 
 

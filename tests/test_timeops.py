@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfheat import (
+    Field,
     cutoff_commutator,
     cutoff_eta,
-    field_from_array,
     half_derivative,
     half_derivative_quadrature,
     hilbert,
@@ -38,7 +38,7 @@ def _grid(n_t=64, l_t=2.0 * np.pi):
 
 def _time_wave(grid, fn, omega):
     t = grid.coordinate_mesh()[0]
-    return field_from_array(grid, np.broadcast_to(fn(omega * t), grid.shape))
+    return Field(grid, np.broadcast_to(fn(omega * t), grid.shape))
 
 
 def _rand(grid, seed, subspace=False):
@@ -49,7 +49,7 @@ def _rand(grid, seed, subspace=False):
         spec[0] = 0.0
         spec[grid.n_t // 2] = 0.0
         data = np.fft.ifft(spec, axis=0).real
-    return field_from_array(grid, data)
+    return Field(grid, data)
 
 
 def test_symbol_tables_zero_the_nyquist_slot():
@@ -125,7 +125,7 @@ def test_quadrature_matches_spectral_route():
     it worse by more than 10 percent."""
     g = _grid(n_t=256)
     t = g.coordinate_mesh()[0]
-    u = field_from_array(
+    u = Field(
         g, np.broadcast_to(np.cos(4.0 * t) + 0.3 * np.sin(2.0 * t), g.shape)
     )
     exact = half_derivative(u)
@@ -134,7 +134,7 @@ def test_quadrature_matches_spectral_route():
     for periods in (8, 16, 32):
         approx = half_derivative_quadrature(u, truncation_periods=periods)
         errors[periods] = (
-            lp_norm(field_from_array(g, approx.data - exact.data), 2.0) / scale
+            lp_norm(Field(g, approx.data - exact.data), 2.0) / scale
         )
     assert errors[8] <= 1e-3
     assert errors[16] <= 1.1 * errors[8]
@@ -170,9 +170,9 @@ def test_cutoff_eta_needs_room():
 def test_cutoff_commutator_definition():
     g = _grid(n_t=512, l_t=64.0)
     rng = np.random.default_rng(5)
-    u = field_from_array(g, rng.standard_normal(g.shape))
+    u = Field(g, rng.standard_normal(g.shape))
     eta = cutoff_eta(g, k=2).reshape(-1, 1)
-    direct = half_derivative(field_from_array(g, u.data * eta)).data - eta * (
+    direct = half_derivative(Field(g, u.data * eta)).data - eta * (
         half_derivative(u).data
     )
     assert np.allclose(cutoff_commutator(u, k=2).data, direct, atol=1e-12)
