@@ -24,6 +24,8 @@ from .experiments import (
     ExperimentConfig,
     _generator_kwargs,
     _grid_from_spec,
+    _object,
+    _scalar,
     _solver_options,
     write_outputs,
 )
@@ -76,6 +78,16 @@ def _load_config(path: str | None) -> dict:
     return mapping
 
 
+def _out_dir(args: argparse.Namespace, mapping: dict, command: str) -> Path:
+    """--out, else the config's 'out' string, else halfheat_<command>."""
+    if args.out:
+        return Path(args.out)
+    out = mapping.get("out", f"halfheat_{command}")
+    if not isinstance(out, str):
+        raise ValueError(f"'out' must be a directory path string, got {out!r}")
+    return Path(out)
+
+
 def _fail(name: str, failures: list[str]) -> int:
     print(json.dumps({"command": name, "passed": False, "failures": failures}))
     return 1
@@ -90,8 +102,8 @@ def _run_experiment(name: str, args: argparse.Namespace) -> int:
         if args.grid:
             _apply_grid_overrides(mapping, args.grid)
         config = ExperimentConfig.from_mapping(mapping, kind=key)
+        out_dir = _out_dir(args, mapping, key)
         result = EXPERIMENTS[key](config)
-        out_dir = Path(args.out) if args.out else Path(mapping.get("out", f"halfheat_{key}"))
         csv_path, summary_path = write_outputs(result, out_dir)
     except (FileNotFoundError, ValueError) as exc:
         return _fail(key, [str(exc)])
@@ -112,29 +124,31 @@ def _build_problem(mapping: dict, name: str = "solve"):
     if mapping.get("grid") is None:
         raise ValueError("solve config needs a 'grid' section")
     grid = _grid_from_spec(mapping["grid"], name)
-    spec = mapping.get("coefficients", {"kind": "constant", "delta": 1.0})
+    spec = _object(mapping.get("coefficients"), "coefficients")
     if "file" in spec:
-        coeffs = read_coefficients(spec["file"])
+        coeffs = read_coefficients(str(spec["file"]))
         if coeffs.grid != grid:
             raise ValueError("coefficient file grid does not match the config grid")
     else:
         coeffs = generate_coefficients(
             spec.get("kind", "constant"),
-            float(spec.get("delta", 1.0)),
-            int(spec.get("seed", 0)),
+            _scalar(spec.get("delta", 1.0), "delta"),
+            _scalar(spec.get("seed", 0), "seed", int),
             grid,
             **_generator_kwargs(spec),
         )
-    data_spec = mapping.get("data")
+    data_spec = _object(mapping.get("data"), "data")
     if not data_spec:
         raise ValueError(
             "solve config needs a 'data' section with h/g/f expressions"
         )
-    lam = float(mapping.get("lambda", 1.0))
+    lam = _scalar(mapping.get("lambda", 1.0), "lambda")
     h = field_from_expression(grid, data_spec.get("h", "0"))
     g_exprs = data_spec.get("g", ["0"] * grid.d)
     if isinstance(g_exprs, str):
         g_exprs = [g_exprs]
+    if not isinstance(g_exprs, list):
+        raise ValueError(f"data.g must be a list of expressions, got {g_exprs!r}")
     if len(g_exprs) != grid.d:
         raise ValueError(f"data.g needs {grid.d} expressions, got {len(g_exprs)}")
     g = VectorField(tuple(field_from_expression(grid, e) for e in g_exprs))
@@ -151,12 +165,12 @@ def _run_solve(name: str, args: argparse.Namespace) -> int:
         if args.grid:
             _apply_grid_overrides(mapping, args.grid)
         coeffs, data, options = _build_problem(mapping, name)
+        out_dir = _out_dir(args, mapping, name)
         if name == "oracle":
             result = solve_oracle(coeffs, data)
         else:
             result = solve(coeffs, data, options)
         norms = compute_bundles(result.u, data, (2.0,))
-        out_dir = Path(args.out) if args.out else Path(mapping.get("out", f"halfheat_{name}"))
         out_dir.mkdir(parents=True, exist_ok=True)
         solution_path = out_dir / "u.htpf"
         write_field(solution_path, result.u)

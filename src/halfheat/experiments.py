@@ -94,13 +94,36 @@ _GRID_TYPES = {"d": int, "n_t": int, "n_x": int, "l_t": float, "l_x": float}
 _SOLVER_KEYS = tuple(f.name for f in fields(SolverOptions))
 
 
-def _section(spec, name: str, keys: tuple[str, ...]) -> dict:
-    """A config section that must be an object with keys from `keys`; None
-    (absent) reads as {}.  Anything else is a ValueError naming the key."""
+def _object(spec, name: str) -> dict:
+    """A config section that must be an object; None (absent) reads as {}.
+    Anything else is a ValueError naming the key."""
     if spec is None:
         return {}
     if not isinstance(spec, dict):
         raise ValueError(f"'{name}' must be an object, got {spec!r}")
+    return spec
+
+
+def _scalar(value, name: str, convert=float):
+    """convert(value); a value it rejects (null, a list, a non-numeric
+    string) is a ValueError naming the key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"'{name}' must be a number, got {value!r}") from None
+
+
+def _numbers(value, name: str) -> tuple[float, ...]:
+    """A config list of numbers; anything else is a ValueError naming the key."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"'{name}' must be a list of numbers, got {value!r}")
+    return tuple(_scalar(v, f"{name}[{i}]") for i, v in enumerate(value))
+
+
+def _section(spec, name: str, keys: tuple[str, ...]) -> dict:
+    """A config section that must be an object with keys from `keys`; None
+    (absent) reads as {}.  Anything else is a ValueError naming the key."""
+    spec = _object(spec, name)
     unknown = sorted(set(spec) - set(keys))
     if unknown:
         raise ValueError(f"unknown {name} key {unknown[0]!r} (use {', '.join(keys)})")
@@ -170,12 +193,12 @@ class ExperimentConfig:
         return cls(
             kind=name,
             grid=_grid_from_spec(mapping.get("grid"), name),
-            coefficients=dict(mapping.get("coefficients", {})),
-            lambdas=tuple(float(v) for v in mapping.get("lambdas", [1.0])),
-            p_list=tuple(float(v) for v in mapping.get("p_list", [2.0])),
-            trials=int(mapping.get("trials", 20)),
+            coefficients=dict(_object(mapping.get("coefficients"), "coefficients")),
+            lambdas=_numbers(mapping.get("lambdas", [1.0]), "lambdas"),
+            p_list=_numbers(mapping.get("p_list", [2.0]), "p_list"),
+            trials=_scalar(mapping.get("trials", 20), "trials", int),
             solver=_solver_options(mapping.get("solver")),
-            seed=int(mapping.get("seed", 0)),
+            seed=_scalar(mapping.get("seed", 0), "seed", int),
         )
 
 
@@ -294,14 +317,12 @@ def _generator_kwargs(spec: dict) -> dict:
     """generate_coefficients keywords of a coefficient spec; the aliases of
     roughness_scale take precedence roughness_scale > epsilon > n_jumps."""
     out = {}
-    if spec.get("roughness_scale") is not None:
-        out["roughness_scale"] = float(spec["roughness_scale"])
-    elif spec.get("epsilon") is not None:
-        out["roughness_scale"] = float(spec["epsilon"])
-    elif spec.get("n_jumps") is not None:
-        out["roughness_scale"] = float(spec["n_jumps"])
+    for key in ("roughness_scale", "epsilon", "n_jumps"):
+        if spec.get(key) is not None:
+            out["roughness_scale"] = _scalar(spec[key], key)
+            break
     if spec.get("cell_size") is not None:
-        out["cell_size"] = float(spec["cell_size"])
+        out["cell_size"] = _scalar(spec["cell_size"], "cell_size")
     return out
 
 
@@ -309,9 +330,9 @@ def _coefficients_for(
     spec: dict, grid: Grid, default_kind: str, config_seed: int, *key: int
 ) -> Coefficients:
     kind = spec.get("kind", default_kind)
-    delta = float(spec.get("delta", 1.0))
+    delta = _scalar(spec.get("delta", 1.0), "delta")
     seed = spec.get("seed")
-    seed = int(seed) if seed is not None else _trial_seed(config_seed, *key)
+    seed = _scalar(seed, "seed", int) if seed is not None else _trial_seed(config_seed, *key)
     return generate_coefficients(kind, delta, seed, grid, **_generator_kwargs(spec))
 
 
@@ -634,7 +655,7 @@ def _sweep_coefficients(
     to epsilon = (1 - delta) / 2."""
     spec = dict(config.coefficients, kind=kind)
     if kind == "checkerboard":
-        spec = {"epsilon": 0.5 * (1.0 - float(spec.get("delta", 0.25))), **spec}
+        spec = {"epsilon": 0.5 * (1.0 - _scalar(spec.get("delta", 0.25), "delta")), **spec}
     return _coefficients_for(spec, grid, kind, config.seed, kind_index, trial, 3)
 
 
@@ -678,18 +699,17 @@ def _sweep_cell(
     return rows
 
 
-def _lambda_zero_estimate(lambdas: tuple[float, ...], max_ratio: dict) -> float | None:
+def _lambda_zero_estimate(lambdas: tuple[float, ...], max_ratio: dict) -> float:
     """Smallest swept lambda after which the max ratio moves <= 10% per
-    doubling step, or None when even the largest lambda has not settled."""
+    doubling step.  The largest lambda has no later step, so when the ratio
+    never settles the estimate falls back to the largest swept lambda."""
     ordered = sorted(lambdas)
     jumps = [
-        abs(max_ratio[b] - max_ratio[a]) > 0.1 * max_ratio[a]
-        for a, b in zip(ordered, ordered[1:])
+        idx
+        for idx, (a, b) in enumerate(zip(ordered, ordered[1:]))
+        if abs(max_ratio[b] - max_ratio[a]) > 0.1 * max_ratio[a]
     ]
-    for idx, start in enumerate(ordered):
-        if not any(jumps[idx:]):
-            return start
-    return None
+    return ordered[jumps[-1] + 1] if jumps else ordered[0]
 
 
 def run_lp_sweep(config: ExperimentConfig) -> ExperimentResult:
@@ -700,6 +720,8 @@ def run_lp_sweep(config: ExperimentConfig) -> ExperimentResult:
     kinds = config.coefficients.get("kinds") or [
         config.coefficients.get("kind", "time_piecewise")
     ]
+    if not isinstance(kinds, (list, tuple)):
+        raise ValueError(f"'kinds' must be a list of kind names, got {kinds!r}")
     for kind in kinds:
         if kind not in _SWEEP_KINDS:
             raise ValueError(
@@ -815,7 +837,9 @@ def run_tail_decay(config: ExperimentConfig) -> ExperimentResult:
     constant of the displayed bound is reported.
     """
     grid = config.grid
-    k_max = int(config.coefficients.get("k_max", 6))
+    k_max = _scalar(config.coefficients.get("k_max", 6), "k_max", int)
+    if k_max < 3:
+        raise ValueError(f"k_max must be >= 3 to fit a decay slope, got {k_max}")
     if grid.l_t < 2.0 ** (k_max + 3):
         raise ValueError(
             f"grid too short: l_t = {grid.l_t} < 2^(k_max+3) = {2.0 ** (k_max + 3)}"
@@ -933,11 +957,9 @@ def run_oscillation_experiments(config: ExperimentConfig) -> ExperimentResult:
     lam = config.lambdas[0]
     if lam <= 0:
         raise ValueError("oscillation experiments need lambda > 0")
-    delta = float(config.coefficients.get("delta", 0.5))
-    kappas = tuple(
-        float(k) for k in config.coefficients.get("kappas", (4.0, 8.0, 16.0))
-    )
-    r_outer = float(config.coefficients.get("outer_radius", 1.0))
+    delta = _scalar(config.coefficients.get("delta", 0.5), "delta")
+    kappas = _numbers(config.coefficients.get("kappas", [4.0, 8.0, 16.0]), "kappas")
+    r_outer = _scalar(config.coefficients.get("outer_radius", 1.0), "outer_radius")
     center = (0.0,) * (grid.d + 1)
 
     cases = {
@@ -1086,9 +1108,9 @@ def run_assumption_report(config: ExperimentConfig) -> ExperimentResult:
     structural zeros (time-measurable and x1-measurable coefficients) and the
     checkerboard bracket."""
     grid = config.grid
-    delta = float(config.coefficients.get("delta", 0.25))
-    epsilon = float(config.coefficients.get("epsilon", min(0.5, 1.0 - delta)))
-    r_zero = float(config.coefficients.get("r_zero", min(grid.l_x) / 4.0))
+    delta = _scalar(config.coefficients.get("delta", 0.25), "delta")
+    epsilon = _scalar(config.coefficients.get("epsilon", min(0.5, 1.0 - delta)), "epsilon")
+    r_zero = _scalar(config.coefficients.get("r_zero", min(grid.l_x) / 4.0), "r_zero")
 
     kinds = ("constant", "time_piecewise", "x1_piecewise", "checkerboard", "smooth")
     rows = []

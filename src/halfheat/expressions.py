@@ -139,14 +139,18 @@ class _Evaluator(ast.NodeVisitor):
 def field_from_expression(grid: Grid, expression: str) -> Field:
     """Evaluate ``expression`` on the grid's wrapped coordinates.
 
-    Raises ExpressionError with position info for malformed input; the Field
-    constructor rejects non-finite results (e.g. division by zero).
+    Raises ExpressionError with position info for malformed input, and for
+    input nested deeper than the parser or the evaluator can recurse; the
+    Field constructor rejects non-finite results (e.g. division by zero).
     """
+    if not isinstance(expression, str):
+        raise ExpressionError(f"expression must be a string, got {expression!r}")
     try:
-        tree = ast.parse(expression, mode="eval")
+        value = _Evaluator(grid).visit(ast.parse(expression, mode="eval"))
     except SyntaxError as exc:
         raise ExpressionError(
             f"syntax error in expression at offset {exc.offset}: {exc.msg}"
         ) from None
-    value = _Evaluator(grid).visit(tree)
+    except RecursionError:
+        raise ExpressionError("expression is nested too deeply") from None
     return Field(grid, np.broadcast_to(np.asarray(value, dtype=np.float64), grid.shape))

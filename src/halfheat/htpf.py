@@ -39,14 +39,23 @@ def write_field(path: str | Path, field: Field) -> None:
 
 def read_field(path: str | Path) -> Field:
     raw = Path(path).read_bytes()
+
+    def need(size: int) -> None:
+        if len(raw) < size:
+            raise ValueError(
+                f"{path}: truncated HTPF header (file {len(raw)} bytes, needs {size})"
+            )
+
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not an HTPF file (bad magic {raw[:4]!r})")
+    need(7)
     version, rank = struct.unpack_from("<HB", raw, 4)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported HTPF version {version}")
     if not 2 <= rank <= 4:
         raise ValueError(f"{path}: rank {rank} outside supported range 2..4")
     off = 7
+    need(off + 16 * rank)
     sizes = struct.unpack_from(f"<{rank}Q", raw, off)
     off += 8 * rank
     periods = struct.unpack_from(f"<{rank}d", raw, off)
@@ -87,7 +96,8 @@ def write_coefficients(stem: str | Path, coeffs: Coefficients) -> Path:
 
 def read_coefficients(sidecar: str | Path) -> Coefficients:
     """Read a coefficient stack; a ValueError names the sidecar and what is
-    wrong with it (missing keys or entries, entry files on different grids)."""
+    wrong with it (missing keys or entries, a non-numeric delta, entry files
+    on different grids)."""
     sidecar = Path(sidecar)
     meta = json.loads(sidecar.read_text())
 
@@ -99,6 +109,9 @@ def read_coefficients(sidecar: str | Path) -> Coefficients:
     for key in ("files", "tag", "delta"):
         if key not in meta:
             raise bad(f"missing key {key!r}")
+    delta = meta["delta"]
+    if isinstance(delta, bool) or not isinstance(delta, (int, float)):
+        raise bad(f"'delta' must be a number, got {delta!r}")
     files = meta["files"]
     if not isinstance(files, dict) or not files:
         raise bad("'files' must be a non-empty object of entry file names")
@@ -122,6 +135,6 @@ def read_coefficients(sidecar: str | Path) -> Coefficients:
         grid=grid,
         data=data,
         tag=meta["tag"],
-        ellipticity=Ellipticity(float(meta["delta"])),
+        ellipticity=Ellipticity(float(delta)),
         generator=meta.get("generator") or None,
     )

@@ -3,7 +3,10 @@ oracle, and the matrix-free preconditioned Krylov solver.
 
 The oracle divides by the symbol of the exact DISCRETE operator (Nyquist-zeroed
 time symbols, forward-difference spatial symbols), so oracle and iterative
-paths agree to rounding, not to discretization order.  Testing against
+paths agree to rounding, not to discretization order.  That symbol is
+Hermitian and the fields are real, so the oracle and the spectral
+preconditioner work on the half spectrum of ``rfftn`` (the last axis cut to
+n/2 + 1 modes) and return through ``irfftn``.  Testing against
 v - kappa*H(v) makes the skew time term coercive; with the operator norm of a
 kept below 1/delta by the generators, kappa = delta^2/2 yields the lower bound
 (delta^2/2)*||U||^2 exactly on the lattice.
@@ -75,20 +78,26 @@ class SolveResult:
     residual_history: tuple[float, ...] = ()
 
 
+def _half_shape(grid: Grid) -> tuple[int, ...]:
+    """Shape of the ``rfftn`` half spectrum: the last axis keeps n/2 + 1 modes."""
+    return (*grid.shape[:-1], grid.shape[-1] // 2 + 1)
+
+
 @lru_cache(maxsize=64)
 def _spectral_tables(grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Broadcast-ready time frequencies (Nyquist zeroed) and forward-difference
-    spatial symbols, cached per grid."""
+    spatial symbols on the ``rfftn`` half spectrum, cached per grid."""
     tau = 2.0 * np.pi * np.fft.fftfreq(grid.n_t, d=grid.dt)
     tau[grid.n_t // 2] = 0.0
     tau = tau.reshape([grid.n_t] + [1] * grid.d)
+    half = _half_shape(grid)
     sigmas = []
     for i in range(grid.d):
         xi = 2.0 * np.pi * np.fft.fftfreq(grid.n_x[i], d=grid.h[i])
         sigma = (np.exp(1j * xi * grid.h[i]) - 1.0) / grid.h[i]
         shape = [1] * (grid.d + 1)
-        shape[1 + i] = grid.n_x[i]
-        sigmas.append(sigma.reshape(shape))
+        shape[1 + i] = half[1 + i]
+        sigmas.append(sigma[: half[1 + i]].reshape(shape))
     tau.flags.writeable = False
     for s in sigmas:
         s.flags.writeable = False
@@ -96,9 +105,11 @@ def _spectral_tables(grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 
 
 def _operator_symbol(grid: Grid, matrix: np.ndarray, lam: float) -> np.ndarray:
-    """Per-mode symbol i*tau + sum_ij a_ij conj(sigma_i) sigma_j + lambda."""
+    """Per-mode symbol i*tau + sum_ij a_ij conj(sigma_i) sigma_j + lambda on
+    the half spectrum.  It is Hermitian, so the dropped modes are the complex
+    conjugates of kept ones."""
     tau, sigmas = _spectral_tables(grid)
-    quad = np.zeros(grid.shape, dtype=complex)
+    quad = np.zeros(_half_shape(grid), dtype=complex)
     for i in range(grid.d):
         for j in range(grid.d):
             if matrix[i, j] != 0.0:
@@ -182,7 +193,9 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
         return _zero_result(grid, started)
 
     denom = _operator_symbol(grid, matrix, lam)
-    rhs_hat = np.fft.fftn(rhs.data)
+    # max |rhs_hat| over the half spectrum is the full-spectrum max: the
+    # dropped modes are conjugates of kept ones
+    rhs_hat = np.fft.rfftn(rhs.data)
     singular = np.abs(denom) == 0.0
     if singular.any():
         stray = float(np.max(np.abs(rhs_hat[singular])))
@@ -193,7 +206,7 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
             )
     u_hat = np.zeros_like(rhs_hat)
     np.divide(rhs_hat, denom, out=u_hat, where=~singular)
-    u = Field(grid, np.fft.ifftn(u_hat).real)
+    u = Field(grid, np.fft.irfftn(u_hat, s=grid.shape, axes=tuple(range(grid.d + 1))))
 
     res = apply_operator(coeffs, lam, u).data - rhs.data
     rel = _lp(res, 2, grid.cell_measure) / rhs_norm
@@ -240,10 +253,12 @@ def solve(
     precond = None
     if options.preconditioner == "constant_mean":
         denom = _operator_symbol(grid, coeffs.mean_matrix(), lam)
+        axes = tuple(range(grid.d + 1))
 
         def psolve(x: np.ndarray) -> np.ndarray:
-            x_hat = np.fft.fftn(x.reshape(shape))
-            return np.fft.ifftn(x_hat / denom).real.ravel()
+            x_hat = np.fft.rfftn(x.reshape(shape))
+            x_hat /= denom
+            return np.fft.irfftn(x_hat, s=shape, axes=axes).ravel()
 
         precond = LinearOperator((n, n), matvec=psolve, dtype=np.float64)
 

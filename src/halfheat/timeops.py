@@ -8,7 +8,10 @@ Three Fourier multipliers act along axis 0, with xi_k = 2*pi*k/l_t:
 
 The Nyquist slot k = -n_t/2 is forced to zero in all three symbols so the
 discrete operator identities (inversion, composition, adjointness) hold
-exactly on the remaining modes.  ``half_derivative_quadrature`` provides an
+exactly on the remaining modes.  Each symbol is Hermitian, m(-k) = conj(m(k)),
+and the fields are real, so ``apply_time_symbol`` runs on the half spectrum
+k = 0..n_t/2 of a real-to-complex FFT (``rfft``/``irfft``); the tables are
+built once per (grid, kind).  ``half_derivative_quadrature`` provides an
 independent singular-integral route to the same operator for
 cross-validation; it never shares code with the spectral path.
 """
@@ -16,6 +19,7 @@ cross-validation; it never shares code with the spectral path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +42,9 @@ _KINDS = ("hilbert", "half_derivative", "time_derivative")
 
 @dataclass(frozen=True)
 class TimeSymbol:
-    """Tabulated multiplier on the time-mode lattice, FFT storage order."""
+    """Tabulated multiplier on the time-mode lattice, FFT storage order.
+    Hermitian, m(-k) = conj(m(k)), so that it maps real fields to real
+    fields and its half spectrum k = 0..n_t/2 determines it."""
 
     grid: Grid
     kind: str
@@ -48,12 +54,16 @@ class TimeSymbol:
         arr = np.ascontiguousarray(self.values, dtype=np.complex128)
         if arr.shape != (self.grid.n_t,):
             raise ValueError("symbol table must have one entry per time mode")
+        if arr[0].imag != 0.0 or not np.array_equal(arr[1:], np.conj(arr[:0:-1])):
+            raise ValueError("symbol table must be Hermitian, m(-k) = conj(m(k))")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
 
+@lru_cache(maxsize=64)
 def time_symbol(grid: Grid, kind: str) -> TimeSymbol:
-    """Build one of the three multiplier tables for this grid."""
+    """Build one of the three multiplier tables for this grid (cached; the
+    table is read-only)."""
     if kind not in _KINDS:
         raise ValueError(f"unknown symbol kind {kind!r}; expected one of {_KINDS}")
     n = grid.n_t
@@ -70,12 +80,17 @@ def time_symbol(grid: Grid, kind: str) -> TimeSymbol:
 
 
 def apply_time_symbol(field: Field, symbol: TimeSymbol) -> Field:
-    """Multiply the time spectrum by the symbol; exact per discrete mode."""
+    """Multiply the time spectrum by the symbol; exact per discrete mode.
+
+    The field is real and the symbol Hermitian, so the half spectrum
+    k = 0..n_t/2 of ``rfft`` carries every mode."""
     if symbol.grid != field.grid:
         raise ValueError("symbol was tabulated for a different grid")
-    shape = [field.grid.n_t] + [1] * field.grid.d
-    spec = np.fft.fft(field.data, axis=0) * symbol.values.reshape(shape)
-    return Field(field.grid, np.fft.ifft(spec, axis=0).real)
+    n = field.grid.n_t
+    half = symbol.values[: n // 2 + 1].reshape([n // 2 + 1] + [1] * field.grid.d)
+    spec = np.fft.rfft(field.data, axis=0)
+    spec *= half
+    return Field(field.grid, np.fft.irfft(spec, n=n, axis=0))
 
 
 def hilbert(field: Field) -> Field:

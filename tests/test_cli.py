@@ -311,3 +311,56 @@ def test_bad_solver_section_fails_cleanly(tmp_path, capsys, solver, message):
         assert code == 1
         assert len(report["failures"]) == 1
         assert message in report["failures"][0]
+
+
+SMALL_EXPERIMENT = {"grid": {"d": 1, "n_t": 16, "n_x": 16, "l_t": 2.0, "l_x": 2.0}}
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("solve", {"coefficients": [1]}, "'coefficients' must be an object, got [1]"),
+        ("solve", {"coefficients": {"delta": None}}, "'delta' must be a number, got None"),
+        ("solve", {"coefficients": {"seed": [3]}}, "'seed' must be a number, got [3]"),
+        ("solve", {"lambda": "big"}, "'lambda' must be a number, got 'big'"),
+        ("solve", {"data": ["cos(t)"]}, "'data' must be an object"),
+        ("solve", {"data": {"h": 3}}, "expression must be a string, got 3"),
+        ("solve", {"data": {"g": 3}}, "data.g must be a list of expressions, got 3"),
+        ("l2", {"trials": None}, "'trials' must be a number, got None"),
+        ("l2", {"seed": {}}, "'seed' must be a number, got {}"),
+        ("l2", {"coefficients": [1]}, "'coefficients' must be an object, got [1]"),
+        ("l2", {"coefficients": {"delta": "half"}}, "'delta' must be a number, got 'half'"),
+        ("lp-sweep", {"lambdas": 3}, "'lambdas' must be a list of numbers, got 3"),
+        ("lp-sweep", {"lambdas": [1.0, None]}, "'lambdas[1]' must be a number, got None"),
+        ("lp-sweep", {"p_list": "2,3"}, "'p_list' must be a list of numbers, got '2,3'"),
+        ("lp-sweep", {"coefficients": {"kinds": 3}}, "'kinds' must be a list of kind names"),
+        ("tail-decay", {"coefficients": {"k_max": 2}}, "k_max must be >= 3"),
+        ("solve", {"out": 3}, "'out' must be a directory path string, got 3"),
+        ("l2", {"out": ["o"]}, "'out' must be a directory path string, got ['o']"),
+    ],
+    ids=[
+        "solve_coefficients_list", "solve_delta_null", "solve_seed_list",
+        "solve_lambda_text", "solve_data_list", "solve_h_number", "solve_g_number",
+        "l2_trials_null", "l2_seed_object", "l2_coefficients_list", "l2_delta_text",
+        "lp_sweep_lambdas_number", "lp_sweep_lambda_null", "lp_sweep_p_list_text",
+        "lp_sweep_kinds_number", "tail_decay_k_max_2", "solve_out_number", "l2_out_list",
+    ],
+)
+def test_malformed_config_values_fail_cleanly(tmp_path, capsys, command, edit, message):
+    """A config value of the wrong type is a one-line JSON failure naming the
+    key, never a traceback."""
+    base = SOLVE_CONFIG if command == "solve" else SMALL_EXPERIMENT
+    config = _write_config(tmp_path, "c.json", {"out": str(tmp_path / "o"), **base, **edit})
+    code, report = _run(capsys, [command, "--config", str(config)])
+    assert code == 1
+    assert len(report["failures"]) == 1
+    assert message in report["failures"][0]
+
+
+def test_deeply_nested_expression_fails_cleanly(tmp_path, capsys):
+    config = _write_config(
+        tmp_path, "solve.json", dict(SOLVE_CONFIG, data={"h": "-" * 5000 + "1", "g": ["0"]})
+    )
+    code, report = _run(capsys, ["solve", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert report["failures"] == ["expression is nested too deeply"]

@@ -77,3 +77,20 @@ def test_rejects_unsupported_syntax(grid, bad):
 def test_division_by_zero_is_caught(grid):
     with np.errstate(divide="ignore"), pytest.raises(ValueError, match="finite"):
         field_from_expression(grid, "1/0")
+
+
+@pytest.mark.parametrize(
+    "deep",
+    ["-" * 5000 + "1", "1" + "^1" * 5000, "1" + "+1" * 20000, "1" + "+1" * 600],
+    ids=["unary_5000", "xor_5000", "sum_20000", "sum_600"],
+)
+def test_rejects_expressions_nested_too_deeply(grid, deep):
+    """Too deep for the parser (the first three) or for the evaluator (the
+    last) is an ExpressionError, like too many nested parentheses."""
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        field_from_expression(grid, deep)
+
+
+def test_rejects_a_non_string_expression(grid):
+    with pytest.raises(ExpressionError, match="must be a string"):
+        field_from_expression(grid, 3)

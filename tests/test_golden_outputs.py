@@ -16,36 +16,36 @@ from halfheat.experiments import EXPERIMENTS, ExperimentConfig, write_outputs
 
 GOLDEN = {
     ("identities", 0): (
-        "0a30c63d0df99c0bb3a5409688e776c658096c53601c457728f5e5099aaff40e",
-        "0ba410178d4590dad0a9e4dd6f83db9c393093a66ff8942857e06adf7ba706e0",
+        "91c670ca282e0516b5f424f75edf1b0b567ed4ec5a013fa4c1dfcfb9abb4841a",
+        "27e8efb43b22cb108a0d33d432febc950d3ab3b7bc10e30a6200c8592b959891",
     ),
     ("identities", 1): (
-        "15bbb95dab3b29763135e7cfe3d825dfb30b3fdd08412c10bb69e933ccdafccf",
-        "d4b1c5ee5b14750ecdd428fcbcc0e350f26aa1267468881c23fb3afeaf3ee478",
+        "6b5c84a940a4d02fd6450d8e43761f9277c7f7fd0e1b2246369a98aa12587d70",
+        "35383a2fb7faab45ca231101dec3c5e7aaf96598d2770d98ad394366469aacf0",
     ),
     ("l2", 0): (
-        "8e670795200a093ec30ca7031ee233ff2dfb807dd7fd1d8e5bb709d9a3a1eb4d",
-        "c1b9916b94f3851df8b96a988d5e517ea7d24cab7c47b7f40b3ef9a2e5e86f10",
+        "517d2662169ad3a257e02b4f07d2a8632fb52fb8c290952e0d0543db7a2384e6",
+        "078f75a0efe3444c3e943479808e982cffdb8b834bde947f4a3f59cb3bd93217",
     ),
     ("l2", 1): (
-        "1b3f03a520f90d691a03edee313e54336375e3bc8ad2701628c70165cd661f42",
-        "ff1bf9e91f74c6ca0c93fb6b9d078cd60a2498275155e3af249f49ec23c780dc",
+        "b6ce37597c5fe9f3f8a2686fec76e4de6133685bd3acbc2efd8bff7a3410e952",
+        "4ffc758ac92122950503e31c18600f47c954158bb5f6fec25a82a0b5969881a6",
     ),
     ("lp_sweep", 0): (
-        "0135dd689ae50bf29fafb09d6bd18dc470136d4a9cb12276340fdb3e03026538",
-        "d27200e793f17ce0319f2978fc2f3f20edafe72a971158efae65afb2a045746c",
+        "e38945ec856254284830c3594ac845fc92b587cff051542625737ba2fd49c1d6",
+        "498edd32df7b193cf5ec4ed66d8ec07881e065bd17f867d9769cf03e335a1d5e",
     ),
     ("lp_sweep", 1): (
-        "5c8051fed8c34774bfe282838ec60d090e6910855d0b6ae28d68dcf132c40474",
-        "53afd645f27e585987a8515e2ee9de4f94898004dee0b700ba5b4d637f64f247",
+        "4f82a0c2509fc3f9b06580862ac60c5f741dd411bab6dab8f4f865058fff239e",
+        "e7e8dc7ec1517533335b56bd0fb9b8cda1d5e13a1ba25fed34ffd259f7440e51",
     ),
     ("tail_decay", 0): (
-        "b34d81bea36004426a372f8230a228a55c3759278830d0abb1f6276b6ae8a8bf",
-        "645c8dc4bacb60c891111ccd180a784cdb60512ab490a18e13d0f7c3d23eb348",
+        "793342009da8de814d993db86ba52e1d76dd5ae912a88308e6457943b242c176",
+        "e598aa32b73de4f020e415d6ac249ce6d9acadf7b9d1a35589079549c70d44e9",
     ),
     ("tail_decay", 1): (
-        "b34d81bea36004426a372f8230a228a55c3759278830d0abb1f6276b6ae8a8bf",
-        "59334b40101327f704cb1525983e2c4e4426093b45af9ed8ffbe9cf47cf9c5cc",
+        "793342009da8de814d993db86ba52e1d76dd5ae912a88308e6457943b242c176",
+        "6f938655731285e32a0c06f8d80bb07506003011b01c69d7ccfd8ab44e8b39e5",
     ),
     ("assumptions", 0): (
         "e22443f2ac213a907f41f6a5dc727f3a3335f5056699e2d00dc1e21898416e14",

@@ -74,6 +74,20 @@ def test_read_rejects_corruption(tmp_path):
         read_field(truncated)
 
 
+@pytest.mark.parametrize("size", [0, 4, 6, 7, 22, 38], ids=lambda n: f"{n}_bytes")
+def test_read_rejects_a_truncated_header(tmp_path, size):
+    """A file cut inside its header (magic 4, version and rank 3, then 16
+    bytes per axis: 39 for rank 2) is a ValueError naming the file."""
+    g = make_grid(d=1, n_t=8, n_x=8, l_t=1.0, l_x=1.0)
+    path = tmp_path / "u.htpf"
+    write_field(path, _random_field(g))
+    path.write_bytes(path.read_bytes()[:size])
+    match = "bad magic" if size < 4 else "truncated HTPF header"
+    with pytest.raises(ValueError, match=match) as info:
+        read_field(path)
+    assert str(path) in str(info.value)
+
+
 def test_coefficient_stack_round_trip(tmp_path):
     g = make_grid(d=2, n_t=8, n_x=8, l_t=2.0, l_x=2.0)
     coeffs = generate_coefficients(
@@ -137,8 +151,10 @@ NOT_AN_ENTRY_MAP = "'files' must be a non-empty object of entry file names"
         (lambda meta: meta["files"].pop("a12"), "missing entry 'a12' of the 2x2 matrix"),
         (lambda meta: meta["files"].clear(), NOT_AN_ENTRY_MAP),
         (lambda meta: meta.update(files=["a_11.htpf"]), NOT_AN_ENTRY_MAP),
+        (lambda meta: meta.update(delta="half"), "'delta' must be a number, got 'half'"),
+        (lambda meta: meta.update(delta=None), "'delta' must be a number, got None"),
     ],
-    ids=["files", "tag", "delta", "a12", "empty_files", "files_list"],
+    ids=["files", "tag", "delta", "a12", "empty_files", "files_list", "delta_text", "delta_null"],
 )
 def test_malformed_sidecar_fails_cleanly(tmp_path, capsys, edit, problem):
     sidecar = _stack(tmp_path)
@@ -148,6 +164,17 @@ def test_malformed_sidecar_fails_cleanly(tmp_path, capsys, edit, problem):
     code, report = _solve_with_stack(tmp_path, capsys, sidecar)
     assert code == 1
     assert report["failures"] == [f"coefficient sidecar {sidecar}: {problem}"]
+
+
+def test_solve_on_a_truncated_entry_file_fails_cleanly(tmp_path, capsys):
+    sidecar = _stack(tmp_path)
+    entry = tmp_path / "a_11.htpf"
+    entry.write_bytes(b"HTPF\x01\x00")
+    code, report = _solve_with_stack(tmp_path, capsys, sidecar)
+    assert code == 1
+    assert report["failures"] == [
+        f"{entry}: truncated HTPF header (file 6 bytes, needs 7)"
+    ]
 
 
 def test_sidecar_entries_on_different_grids_fail_cleanly(tmp_path, capsys):

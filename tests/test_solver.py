@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import halfheat.solver as solver_module
 from halfheat import (
     DataBundle,
     Field,
@@ -173,6 +174,116 @@ def test_oracle_handles_lambda_zero():
     u_hat = np.fft.fftn(result.u.data)
     assert abs(u_hat[0, 0]) <= 1e-9
     assert abs(u_hat[g.n_t // 2, 0]) <= 1e-9
+
+
+def _full_symbol(grid, matrix, lam):
+    """The discrete operator symbol on the full spectrum, in FFT order:
+    i*tau (Nyquist zeroed) + sum_ij a_ij conj(sigma_i) sigma_j + lambda."""
+    tau = 2.0 * np.pi * np.fft.fftfreq(grid.n_t, d=grid.dt)
+    tau[grid.n_t // 2] = 0.0
+    xis = [2.0 * np.pi * np.fft.fftfreq(n, d=h) for n, h in zip(grid.n_x, grid.h)]
+    mesh = np.meshgrid(tau, *xis, indexing="ij")
+    sigmas = [(np.exp(1j * xi * h) - 1.0) / h for xi, h in zip(mesh[1:], grid.h)]
+    quad = sum(
+        matrix[i, j] * np.conj(sigmas[i]) * sigmas[j]
+        for i in range(grid.d)
+        for j in range(grid.d)
+    )
+    return 1j * mesh[0] + quad + lam
+
+
+_FAST_PATH_GRIDS = {
+    1: dict(d=1, n_t=32, n_x=32),
+    2: dict(d=2, n_t=16, n_x=(16, 8)),
+    3: dict(d=3, n_t=16, n_x=(8, 8, 10)),
+}
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_oracle_matches_the_complex_path(d, lam):
+    """The oracle divides on the rfftn half spectrum; dividing the full
+    complex spectrum, written out here, gives the same solution to rounding."""
+    g = _grid(**_FAST_PATH_GRIDS[d])
+    a = generate_coefficients(kind="constant", delta=0.5, seed=d, grid=g)
+    # white-noise data, so that every mode, Nyquist planes included, is live
+    data = DataBundle(
+        h=_rand(g, 10 * d),
+        g=VectorField(tuple(_rand(g, 10 * d + 1 + i) for i in range(d))),
+        f=_rand(g, 10 * d + 9) if lam > 0 else zeros(g),
+        lam=lam,
+    )
+    denom = _full_symbol(g, a.constant_matrix(), lam)
+    rhs_hat = np.fft.fftn(apply_rhs(data).data)
+    live = np.abs(denom) > 0
+    u_hat = np.zeros_like(rhs_hat)
+    u_hat[live] = rhs_hat[live] / denom[live]
+    slow = np.fft.ifftn(u_hat).real
+    fast = solve_oracle(a, data).u.data
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
+@pytest.mark.parametrize("mode", ["zero", "time_nyquist"])
+def test_oracle_rejects_weight_on_the_singular_modes(monkeypatch, mode):
+    """At lambda = 0 the zero mode and the time-Nyquist mode at zero spatial
+    frequency are not invertible; a right-hand side that puts weight on
+    either is refused.  No valid DataBundle does, so the right-hand side is
+    patched."""
+    g = _grid(d=2, n_t=16, n_x=8)
+    data = _band_limited_bundle(g, 4, lam=0.0)
+    t = np.arange(g.n_t).reshape([g.n_t, 1, 1])
+    stray = np.ones(g.shape) if mode == "zero" else np.broadcast_to((-1.0) ** t, g.shape)
+    rhs = apply_rhs(data)
+    monkeypatch.setattr(
+        solver_module, "apply_rhs", lambda _: Field(g, rhs.data + 0.1 * stray)
+    )
+    with pytest.raises(ValueError, match="non-invertible"):
+        solve_oracle(identity_coefficients(g), data)
+
+
+def _capture_operators(monkeypatch, replace=None):
+    """Record the matvecs solve() hands to LinearOperator, by function name;
+    `replace` swaps in other functions for some names."""
+    real = solver_module.LinearOperator
+    seen = {}
+
+    def spy(*args, matvec, **kwargs):
+        seen[matvec.__name__] = matvec
+        matvec = (replace or {}).get(matvec.__name__, matvec)
+        return real(*args, matvec=matvec, **kwargs)
+
+    monkeypatch.setattr(solver_module, "LinearOperator", spy)
+    return seen
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_preconditioner_matches_the_complex_path(monkeypatch, d):
+    """The constant_mean preconditioner runs on the rfftn half spectrum.
+    Against the full complex spectrum, written out here, it agrees to
+    rounding per application, and GMRES at a fixed rtol takes the same
+    number of iterations to the same solution."""
+    g = _grid(**_FAST_PATH_GRIDS[d])
+    a = generate_coefficients(kind="x1_piecewise", delta=0.25, seed=d, grid=g)
+    data = _band_limited_bundle(g, 20 + d, lam=1.0)
+    denom = _full_symbol(g, a.mean_matrix(), 1.0)
+
+    def psolve(x):
+        return np.fft.ifftn(np.fft.fftn(x.reshape(g.shape)) / denom).real.ravel()
+
+    options = SolverOptions(rtol=1e-10)
+    seen = _capture_operators(monkeypatch)
+    fast = solve(a, data, options)
+    x = np.random.default_rng(d).standard_normal(g.sample_count)
+    got, want = seen["psolve"](x), psolve(x)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    monkeypatch.undo()
+    _capture_operators(monkeypatch, replace={"psolve": psolve})
+    slow = solve(a, data, options)
+    assert fast.converged and slow.converged
+    assert fast.iterations == slow.iterations
+    diff = np.max(np.abs(fast.u.data - slow.u.data))
+    assert diff <= 1e-12 * np.max(np.abs(slow.u.data))
 
 
 def test_oracle_zero_data_short_circuits():

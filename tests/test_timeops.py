@@ -30,6 +30,7 @@ from halfheat import (
     time_derivative,
     time_symbol,
 )
+from halfheat.timeops import TimeSymbol, apply_time_symbol
 
 
 def _grid(n_t=64, l_t=2.0 * np.pi):
@@ -60,6 +61,41 @@ def test_symbol_tables_zero_the_nyquist_slot():
         assert table[0] == 0.0  # all three kill the time mean
     with pytest.raises(ValueError, match="unknown symbol kind"):
         time_symbol(g, "laplace")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["hilbert", "half_derivative", "time_derivative"])
+def test_half_spectrum_matches_the_complex_path(d, kind):
+    """apply_time_symbol runs on the rfft half spectrum; the full complex
+    transform, written out here, gives the same field to rounding."""
+    g = make_grid(d=d, n_t=32, n_x=[8, 10, 12][:d], l_t=3.0, l_x=1.0)
+    u = Field(g, np.random.default_rng(d).standard_normal(g.shape))
+    symbol = time_symbol(g, kind)
+    table = symbol.values.reshape([g.n_t] + [1] * d)
+    slow = np.fft.ifft(np.fft.fft(u.data, axis=0) * table, axis=0).real
+    fast = apply_time_symbol(u, symbol).data
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
+def test_symbol_tables_are_cached_and_read_only():
+    g = _grid(n_t=16)
+    table = time_symbol(g, "hilbert")
+    assert time_symbol(g, "hilbert") is table
+    with pytest.raises(ValueError):
+        table.values[1] = 0.0
+
+
+def test_symbol_tables_must_be_hermitian():
+    """The half-spectrum kernel reads only k = 0..n_t/2, so a table whose
+    negative modes are not the conjugates of the positive ones is refused."""
+    g = _grid(n_t=16)
+    values = time_symbol(g, "time_derivative").values.copy()
+    TimeSymbol(grid=g, kind="custom", values=values.copy())
+    values[-1] = 0.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        TimeSymbol(grid=g, kind="custom", values=values)
+    with pytest.raises(ValueError, match="Hermitian"):
+        TimeSymbol(grid=g, kind="custom", values=np.full(g.n_t, 1j))
 
 
 def test_hilbert_on_pure_waves():
