@@ -29,7 +29,7 @@ from .experiments import (
     _solver_options,
     write_outputs,
 )
-from .grid import VectorField
+from .grid import VectorField, _integer
 from .htpf import read_coefficients, write_field
 from .operators import DataBundle
 from .solver import compute_bundles, solve, solve_oracle
@@ -55,7 +55,8 @@ def _apply_grid_overrides(mapping: dict, pairs: list[str]) -> None:
             raise ValueError(f"--grid expects KEY=VALUE, got {pair!r}")
         if key not in _GRID_TYPES:
             raise ValueError(f"unknown grid key {key!r} (use {', '.join(_GRID_TYPES)})")
-        parts = [_GRID_TYPES[key](v) for v in value.split(",") if v]
+        read = (lambda v: _integer(v, key)) if _GRID_TYPES[key] is int else float
+        parts = [read(v) for v in value.split(",") if v]
         overrides[key] = parts[0] if len(parts) == 1 else parts
     grid = mapping.get("grid")
     # a grid that is not an object stays as it is, for _grid_from_spec to reject
@@ -105,7 +106,7 @@ def _run_experiment(name: str, args: argparse.Namespace) -> int:
         out_dir = _out_dir(args, mapping, key)
         result = EXPERIMENTS[key](config)
         csv_path, summary_path = write_outputs(result, out_dir)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(key, [str(exc)])
     print(
         json.dumps(
@@ -126,16 +127,19 @@ def _build_problem(mapping: dict, name: str = "solve"):
     grid = _grid_from_spec(mapping["grid"], name)
     spec = _object(mapping.get("coefficients"), "coefficients")
     if "file" in spec:
-        coeffs = read_coefficients(str(spec["file"]))
+        if not isinstance(spec["file"], str):
+            raise ValueError(f"'file' must be a sidecar path string, got {spec['file']!r}")
+        coeffs = read_coefficients(spec["file"])
         if coeffs.grid != grid:
             raise ValueError("coefficient file grid does not match the config grid")
     else:
+        kind = spec.get("kind", "constant")
         coeffs = generate_coefficients(
-            spec.get("kind", "constant"),
+            kind,
             _scalar(spec.get("delta", 1.0), "delta"),
-            _scalar(spec.get("seed", 0), "seed", int),
+            _integer(spec.get("seed", 0), "seed"),
             grid,
-            **_generator_kwargs(spec),
+            **_generator_kwargs(spec, kind),
         )
     data_spec = _object(mapping.get("data"), "data")
     if not data_spec:
@@ -192,7 +196,7 @@ def _run_solve(name: str, args: argparse.Namespace) -> int:
         (out_dir / "result.json").write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n"
         )
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(name, [str(exc)])
     print(json.dumps(payload))
     return 0 if result.converged else 1

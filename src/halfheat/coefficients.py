@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from .grid import Grid
+from .grid import Grid, _integer
 
 __all__ = [
     "Ellipticity",
@@ -44,7 +44,8 @@ class Ellipticity:
     delta: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.delta <= 1.0):
+        # 1/delta bounds the entries, so it must be a finite float too
+        if not (0.0 < self.delta <= 1.0) or not math.isfinite(1.0 / self.delta):
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
 
 
@@ -222,8 +223,8 @@ def generate_coefficients(
     kind and the meaning of roughness_scale:
 
     * ``constant``: one admissible matrix (roughness_scale unused)
-    * ``time_piecewise``: number of jumps in time (default 4)
-    * ``x1_piecewise``: number of jumps along x1 (default 4)
+    * ``time_piecewise``: number of jumps in time (default 4, at most n_t)
+    * ``x1_piecewise``: number of jumps along x1 (default 4, at most n_x[0])
     * ``checkerboard``: oscillation amplitude epsilon; the pattern is
       (1 + eps*sign) * identity with sign alternating on cells of physical
       size ``cell_size`` (default: smallest period / 8) along every axis
@@ -243,13 +244,17 @@ def generate_coefficients(
         )
 
     if kind in ("time_piecewise", "x1_piecewise"):
-        n_jumps = int(roughness_scale) if roughness_scale is not None else 4
-        if n_jumps < 1:
-            raise ValueError(f"{kind} needs at least one jump, got {n_jumps}")
-        meta["n_jumps"] = n_jumps
+        n_jumps = 4 if roughness_scale is None else _integer(roughness_scale, "roughness_scale")
         along_time = kind == "time_piecewise"
         period = grid.l_t if along_time else grid.l_x[0]
         n_axis = grid.n_t if along_time else grid.n_x[0]
+        # more jumps than samples along the axis could not all be seen
+        if not 1 <= n_jumps <= n_axis:
+            raise ValueError(
+                f"{kind} needs at least one jump and at most {n_axis} (one per "
+                f"sample along its axis), got {n_jumps}"
+            )
+        meta["n_jumps"] = n_jumps
         cuts = np.sort(rng.uniform(0.0, period, size=n_jumps))
         mats = np.stack([_admissible_matrix(rng, d, delta) for _ in range(n_jumps)])
         coord = _unwrapped_axis(n_axis, period)

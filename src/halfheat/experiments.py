@@ -30,6 +30,7 @@ from .grid import (
     Field,
     Grid,
     VectorField,
+    _integer,
     inner,
     lp_norm,
     make_grid,
@@ -104,11 +105,11 @@ def _object(spec, name: str) -> dict:
     return spec
 
 
-def _scalar(value, name: str, convert=float):
-    """convert(value); a value it rejects (null, a list, a non-numeric
+def _scalar(value, name: str) -> float:
+    """float(value); a value it rejects (null, a list, a non-numeric
     string) is a ValueError naming the key."""
     try:
-        return convert(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ValueError(f"'{name}' must be a number, got {value!r}") from None
 
@@ -135,21 +136,19 @@ def _grid_from_spec(spec, kind: str) -> Grid:
     grid of the command `kind` (the default itself when spec is None)."""
     merged = {**_DEFAULT_GRIDS[kind], **_section(spec, "grid", tuple(_GRID_TYPES))}
     try:
-        return make_grid(
-            d=int(merged["d"]),
-            n_t=int(merged["n_t"]),
-            n_x=merged["n_x"],
-            l_t=float(merged["l_t"]),
-            l_x=merged["l_x"],
-        )
+        return make_grid(**merged)
     except TypeError as exc:
         raise ValueError(f"malformed grid {spec!r}: {exc}") from exc
 
 
 def _solver_options(spec) -> SolverOptions:
     """SolverOptions of a config's 'solver' object (defaults when None)."""
+    spec = dict(_section(spec, "solver", _SOLVER_KEYS))
+    for key in ("max_iterations", "restart"):
+        if key in spec:
+            spec[key] = _integer(spec[key], key)
     try:
-        return SolverOptions(**_section(spec, "solver", _SOLVER_KEYS))
+        return SolverOptions(**spec)
     except TypeError as exc:
         raise ValueError(f"malformed solver section {spec!r}: {exc}") from exc
 
@@ -196,9 +195,9 @@ class ExperimentConfig:
             coefficients=dict(_object(mapping.get("coefficients"), "coefficients")),
             lambdas=_numbers(mapping.get("lambdas", [1.0]), "lambdas"),
             p_list=_numbers(mapping.get("p_list", [2.0]), "p_list"),
-            trials=_scalar(mapping.get("trials", 20), "trials", int),
+            trials=_integer(mapping.get("trials", 20), "trials"),
             solver=_solver_options(mapping.get("solver")),
-            seed=_scalar(mapping.get("seed", 0), "seed", int),
+            seed=_integer(mapping.get("seed", 0), "seed"),
         )
 
 
@@ -313,13 +312,15 @@ def _band_limited_bundle(
     return _bundle(grid, lam, lambda: random_band_limited_field(grid, rng, band))
 
 
-def _generator_kwargs(spec: dict) -> dict:
-    """generate_coefficients keywords of a coefficient spec; the aliases of
-    roughness_scale take precedence roughness_scale > epsilon > n_jumps."""
+def _generator_kwargs(spec: dict, kind: str) -> dict:
+    """generate_coefficients keywords of a coefficient spec of this kind; the
+    aliases of roughness_scale take precedence roughness_scale > epsilon >
+    n_jumps, and for the piecewise kinds it is a jump count, an integer."""
+    read = _integer if kind in ("time_piecewise", "x1_piecewise") else _scalar
     out = {}
     for key in ("roughness_scale", "epsilon", "n_jumps"):
         if spec.get(key) is not None:
-            out["roughness_scale"] = _scalar(spec[key], key)
+            out["roughness_scale"] = read(spec[key], key)
             break
     if spec.get("cell_size") is not None:
         out["cell_size"] = _scalar(spec["cell_size"], "cell_size")
@@ -332,8 +333,8 @@ def _coefficients_for(
     kind = spec.get("kind", default_kind)
     delta = _scalar(spec.get("delta", 1.0), "delta")
     seed = spec.get("seed")
-    seed = _scalar(seed, "seed", int) if seed is not None else _trial_seed(config_seed, *key)
-    return generate_coefficients(kind, delta, seed, grid, **_generator_kwargs(spec))
+    seed = _integer(seed, "seed") if seed is not None else _trial_seed(config_seed, *key)
+    return generate_coefficients(kind, delta, seed, grid, **_generator_kwargs(spec, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +838,7 @@ def run_tail_decay(config: ExperimentConfig) -> ExperimentResult:
     constant of the displayed bound is reported.
     """
     grid = config.grid
-    k_max = _scalar(config.coefficients.get("k_max", 6), "k_max", int)
+    k_max = _integer(config.coefficients.get("k_max", 6), "k_max")
     if k_max < 3:
         raise ValueError(f"k_max must be >= 3 to fit a decay slope, got {k_max}")
     if grid.l_t < 2.0 ** (k_max + 3):

@@ -10,6 +10,7 @@ dt * prod h_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +29,32 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLE_CAP = 2**24
+
+
+def _integer(value, name: str) -> int:
+    """The integer a config or caller value stands for: an int, or an
+    integral float or numeric string (64.0, "64", "64.0").  A bool or a
+    fractional or non-finite number ("must be an integer"), and null, a
+    list, an object or other text ("must be a number") are ValueErrors
+    naming the key; nothing is truncated."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"'{name}' must be an integer, got {value!r}")
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)  # exact for integer text of any size
+        except ValueError:
+            pass
+    try:
+        number = float(value) if isinstance(value, (str, float, np.floating)) else None
+    except ValueError:
+        number = None
+    if number is None:
+        raise ValueError(f"'{name}' must be a number, got {value!r}")
+    if not number.is_integer():
+        raise ValueError(f"'{name}' must be an integer, got {value!r}")
+    return int(number)
 
 
 def _axis_coordinates(n: int, period: float) -> np.ndarray:
@@ -81,7 +108,7 @@ class Grid:
 
     @property
     def sample_count(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)  # exact: a numpy product can wrap around
 
     def time_coordinates(self) -> np.ndarray:
         """Wrapped time coordinates, shape (n_t,)."""
@@ -118,9 +145,15 @@ def make_grid(
     recommended for FFT speed), and the total count may not exceed
     ``sample_cap`` (default 2**24).
     """
-    nx = tuple([int(n_x)] * d) if np.isscalar(n_x) else tuple(int(n) for n in n_x)
+    d = _integer(d, "d")
+    if not 1 <= d <= 3:  # before d sizes the broadcast below
+        raise ValueError(f"d must be 1, 2 or 3, got {d}")
+    if np.isscalar(n_x):
+        nx = (_integer(n_x, "n_x"),) * d
+    else:
+        nx = tuple(_integer(n, f"n_x[{i}]") for i, n in enumerate(n_x))
     lx = tuple([float(l_x)] * d) if np.isscalar(l_x) else tuple(float(l) for l in l_x)
-    grid = Grid(d=int(d), n_t=int(n_t), n_x=nx, l_t=float(l_t), l_x=lx)
+    grid = Grid(d=d, n_t=_integer(n_t, "n_t"), n_x=nx, l_t=float(l_t), l_x=lx)
     if grid.sample_count > sample_cap:
         raise ValueError(
             f"total sample count {grid.sample_count} exceeds cap {sample_cap}"

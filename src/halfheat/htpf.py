@@ -10,6 +10,7 @@ generator parameters.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -37,8 +38,17 @@ def write_field(path: str | Path, field: Field) -> None:
         fh.write(np.ascontiguousarray(field.data, dtype="<f8").tobytes())
 
 
+def _read(path: Path) -> bytes:
+    """The bytes of path; a file that cannot be read (a missing file, a
+    directory) is a ValueError naming it."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot be read ({exc.strerror or exc})") from None
+
+
 def read_field(path: str | Path) -> Field:
-    raw = Path(path).read_bytes()
+    raw = _read(Path(path))
 
     def need(size: int) -> None:
         if len(raw) < size:
@@ -60,7 +70,7 @@ def read_field(path: str | Path) -> Field:
     off += 8 * rank
     periods = struct.unpack_from(f"<{rank}d", raw, off)
     off += 8 * rank
-    count = int(np.prod(sizes))
+    count = math.prod(sizes)  # exact: a numpy product of a corrupt header can wrap
     expected = off + 8 * count
     if len(raw) != expected:
         raise ValueError(
@@ -96,13 +106,17 @@ def write_coefficients(stem: str | Path, coeffs: Coefficients) -> Path:
 
 def read_coefficients(sidecar: str | Path) -> Coefficients:
     """Read a coefficient stack; a ValueError names the sidecar and what is
-    wrong with it (missing keys or entries, a non-numeric delta, entry files
-    on different grids)."""
+    wrong with it (not JSON, missing keys or entries, a non-numeric delta,
+    entry files on different grids)."""
     sidecar = Path(sidecar)
-    meta = json.loads(sidecar.read_text())
 
     def bad(problem: str) -> ValueError:
         return ValueError(f"coefficient sidecar {sidecar}: {problem}")
+
+    try:
+        meta = json.loads(_read(sidecar))
+    except json.JSONDecodeError as exc:
+        raise bad(f"not valid JSON ({exc})") from None
 
     if not isinstance(meta, dict):
         raise bad("must hold a JSON object")

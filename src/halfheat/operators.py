@@ -94,8 +94,8 @@ class DataBundle:
         grid = self.h.grid
         if self.g.grid != grid or self.f.grid != grid:
             raise ValueError("h, g, f must share one grid")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.lam == 0 and float(np.max(np.abs(self.f.data))) != 0.0:
             raise ValueError("lambda = 0 requires f to vanish identically")
 

@@ -107,6 +107,11 @@ def test_bad_grid_override_fails_cleanly(tmp_path, capsys):
     )
     assert code == 1
     assert "unknown grid key" in report["failures"][0]
+    code, report = _run(
+        capsys, ["identities", "--config", str(config), "--grid", "n_t=64.5"]
+    )
+    assert code == 1
+    assert report["failures"] == ["'n_t' must be an integer, got '64.5'"]
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -337,6 +342,22 @@ SMALL_EXPERIMENT = {"grid": {"d": 1, "n_t": 16, "n_x": 16, "l_t": 2.0, "l_x": 2.
         ("tail-decay", {"coefficients": {"k_max": 2}}, "k_max must be >= 3"),
         ("solve", {"out": 3}, "'out' must be a directory path string, got 3"),
         ("l2", {"out": ["o"]}, "'out' must be a directory path string, got ['o']"),
+        # integer keys holding a bool or a fractional number used to be
+        # truncated silently (trials 2.5 ran 2 trials)
+        ("l2", {"trials": 2.5}, "'trials' must be an integer, got 2.5"),
+        ("l2", {"seed": 1.9}, "'seed' must be an integer, got 1.9"),
+        ("l2", {"trials": True}, "'trials' must be an integer, got True"),
+        ("l2", {"grid": {"n_t": 64.5}}, "'n_t' must be an integer, got 64.5"),
+        ("l2", {"solver": {"restart": 4.5}}, "'restart' must be an integer, got 4.5"),
+        ("tail-decay", {"coefficients": {"k_max": 4.5}}, "'k_max' must be an integer, got 4.5"),
+        ("solve", {"coefficients": {"seed": 1.5}}, "'seed' must be an integer, got 1.5"),
+        (
+            "solve",
+            {"coefficients": {"kind": "x1_piecewise", "n_jumps": 2.5}},
+            "'n_jumps' must be an integer, got 2.5",
+        ),
+        ("solve", {"coefficients": {"file": 3}}, "'file' must be a sidecar path string, got 3"),
+        ("solve", {"lambda": float("nan")}, "lambda must be finite and >= 0, got nan"),
     ],
     ids=[
         "solve_coefficients_list", "solve_delta_null", "solve_seed_list",
@@ -344,6 +365,9 @@ SMALL_EXPERIMENT = {"grid": {"d": 1, "n_t": 16, "n_x": 16, "l_t": 2.0, "l_x": 2.
         "l2_trials_null", "l2_seed_object", "l2_coefficients_list", "l2_delta_text",
         "lp_sweep_lambdas_number", "lp_sweep_lambda_null", "lp_sweep_p_list_text",
         "lp_sweep_kinds_number", "tail_decay_k_max_2", "solve_out_number", "l2_out_list",
+        "l2_trials_fraction", "l2_seed_fraction", "l2_trials_bool", "l2_n_t_fraction",
+        "l2_restart_fraction", "tail_decay_k_max_fraction", "solve_seed_fraction",
+        "solve_n_jumps_fraction", "solve_file_number", "solve_lambda_nan",
     ],
 )
 def test_malformed_config_values_fail_cleanly(tmp_path, capsys, command, edit, message):
@@ -364,3 +388,20 @@ def test_deeply_nested_expression_fails_cleanly(tmp_path, capsys):
     code, report = _run(capsys, ["solve", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 1
     assert report["failures"] == ["expression is nested too deeply"]
+
+
+def test_solve_on_x1_coefficients_takes_the_exact_path(tmp_path, capsys):
+    """x1_piecewise coefficients are solved directly: no GMRES iteration and a
+    residual at rounding level, recomputed from the operator."""
+    mapping = dict(
+        SOLVE_CONFIG,
+        coefficients={"kind": "x1_piecewise", "delta": 0.5, "seed": 3},
+    )
+    config = _write_config(tmp_path, "solve.json", mapping)
+    code, report = _run(capsys, ["solve", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 0
+    disk = json.loads((tmp_path / "o" / "result.json").read_text())
+    assert disk["iterations"] == 0
+    assert disk["converged"] is True
+    assert disk["final_relative_residual"] <= 1e-12
+    assert report["iterations"] == 0

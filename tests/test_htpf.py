@@ -187,3 +187,30 @@ def test_sidecar_entries_on_different_grids_fail_cleanly(tmp_path, capsys):
     assert report["failures"] == [
         f"coefficient sidecar {sidecar}: entry files lie on 2 different grids"
     ]
+
+
+def test_solve_on_an_x1_stack_takes_the_exact_path(tmp_path, capsys):
+    """A coefficient stack whose sidecar carries tag x1_measurable is solved
+    directly, like generated x1_piecewise coefficients."""
+    g = make_grid(d=2, n_t=8, n_x=8, l_t=2.0, l_x=2.0)
+    coeffs = generate_coefficients(kind="x1_piecewise", delta=0.5, seed=4, grid=g)
+    sidecar = write_coefficients(tmp_path / "a", coeffs)
+    assert json.loads(sidecar.read_text())["tag"] == "x1_measurable"
+    code, report = _solve_with_stack(tmp_path, capsys, sidecar)
+    assert code == 0, report
+    assert report["converged"] is True
+    assert report["iterations"] == 0
+    assert report["final_relative_residual"] <= 1e-12
+
+
+def test_unreadable_sidecar_fails_cleanly(tmp_path, capsys):
+    """A sidecar path that names a directory, or a sidecar that is not JSON,
+    is a one-line JSON failure naming it."""
+    code, report = _solve_with_stack(tmp_path, capsys, tmp_path)
+    assert code == 1
+    assert report["failures"][0].startswith(f"{tmp_path}: cannot be read")
+    sidecar = tmp_path / "a.json"
+    sidecar.write_text("not json")
+    code, report = _solve_with_stack(tmp_path, capsys, sidecar)
+    assert code == 1
+    assert report["failures"][0].startswith(f"coefficient sidecar {sidecar}: not valid JSON")

@@ -11,6 +11,8 @@ Hand-computed anchors, all on the period-2*pi time axis:
   is at most sqrt(2), attained as |tau| approaches |sigma|^2 + lam.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from halfheat import (
     VectorField,
     apply_operator,
     apply_rhs,
+    coefficients_from_matrix,
     compute_bundles,
     duality_defect,
     generate_coefficients,
@@ -263,7 +266,10 @@ def test_preconditioner_matches_the_complex_path(monkeypatch, d):
     rounding per application, and GMRES at a fixed rtol takes the same
     number of iterations to the same solution."""
     g = _grid(**_FAST_PATH_GRIDS[d])
-    a = generate_coefficients(kind="x1_piecewise", delta=0.25, seed=d, grid=g)
+    # tag "general": the same array and operator, but the GMRES path rather
+    # than the exact x1 solve
+    x1 = generate_coefficients(kind="x1_piecewise", delta=0.25, seed=d, grid=g)
+    a = dataclasses.replace(x1, tag="general")
     data = _band_limited_bundle(g, 20 + d, lam=1.0)
     denom = _full_symbol(g, a.mean_matrix(), 1.0)
 
@@ -284,6 +290,61 @@ def test_preconditioner_matches_the_complex_path(monkeypatch, d):
     assert fast.iterations == slow.iterations
     diff = np.max(np.abs(fast.u.data - slow.u.data))
     assert diff <= 1e-12 * np.max(np.abs(slow.u.data))
+
+
+def _white_bundle(grid, seed, lam):
+    """White-noise data: every mode, Nyquist planes included, is live."""
+    return DataBundle(
+        h=_rand(grid, seed),
+        g=VectorField(tuple(_rand(grid, seed + 1 + i) for i in range(grid.d))),
+        f=_rand(grid, seed + 9),
+        lam=lam,
+    )
+
+
+def _rel_diff(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("lam", [0.5, 16.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_x1_direct_solve_matches_gmres_and_the_oracle(monkeypatch, d, lam):
+    """x1-measurable coefficients are solved exactly by FFT in (t, x') and a
+    cyclic tridiagonal sweep along x1: no GMRES iteration, a residual at
+    rounding level, the GMRES solution of the same operator (tag "general"),
+    and the oracle's on a constant matrix.  A spoiled direct guess is
+    finished by GMRES, never accepted."""
+    g = _grid(**_FAST_PATH_GRIDS[d])
+    data = _white_bundle(g, 30 + d, lam)
+    a = generate_coefficients(kind="x1_piecewise", delta=0.25, seed=d, grid=g)
+    if d >= 2:  # the mixed a_1j / a_i1 terms carry a skew part
+        assert np.max(np.abs(a.data - np.swapaxes(a.data, 0, 1))) > 0.1
+
+    direct = solve(a, data)
+    assert direct.converged
+    assert direct.iterations == 0 and direct.residual_history == ()
+    assert direct.final_relative_residual <= 1e-12
+    gmres = solve(dataclasses.replace(a, tag="general"), data, SolverOptions(rtol=1e-12))
+    assert gmres.converged and gmres.iterations > 0
+    assert _rel_diff(direct.u.data, gmres.u.data) <= 1e-10
+
+    constant = generate_coefficients(kind="constant", delta=0.25, seed=d, grid=g)
+    tagged = coefficients_from_matrix(g, constant.constant_matrix(), 0.25, tag="x1_measurable")
+    flat = solve(tagged, data)
+    assert flat.iterations == 0
+    assert _rel_diff(flat.u.data, solve_oracle(constant, data).u.data) <= 1e-12
+
+    exact = solver_module._x1_direct
+    noise = np.random.default_rng(d).standard_normal(g.shape)
+    monkeypatch.setattr(
+        solver_module,
+        "_x1_direct",
+        lambda *args: exact(*args) * (1.0 + 1e-3 * noise),
+    )
+    finished = solve(a, data)
+    assert finished.converged and finished.iterations > 0
+    assert finished.final_relative_residual <= SolverOptions().rtol
+    assert _rel_diff(finished.u.data, direct.u.data) <= 1e-7
 
 
 def test_oracle_zero_data_short_circuits():
