@@ -1,7 +1,8 @@
 """Half-order time calculus and divergence-form space-time operators on the
 torus: spectral and singular-integral fractional derivatives, a coercive
-variational solver with a constant-coefficient oracle, oscillation/maximal
-tooling, and a reproducible experiment harness."""
+variational solver with a constant-coefficient oracle, cylinder oscillation
+functionals with the local-estimate verifiers, and a reproducible experiment
+harness."""
 
 from .grid import (
     Field,
@@ -31,8 +32,6 @@ from .coefficients import (
     check_assumption_time,
     check_assumption_x1,
     coefficients_from_matrix,
-    freeze_time,
-    freeze_x1_piecewise,
     generate_coefficients,
     identity_coefficients,
 )
@@ -67,10 +66,6 @@ from .oscillation import (
     bundle_oscillation,
     bundle_rms,
     cylinder_mean,
-    dyadic_sharp,
-    mean_oscillation,
-    parabolic_maximal,
-    strong_maximal,
     tail_sum,
     theta_field,
     verify_local_estimate,

@@ -30,8 +30,6 @@ __all__ = [
     "generate_coefficients",
     "check_assumption_time",
     "check_assumption_x1",
-    "freeze_time",
-    "freeze_x1_piecewise",
 ]
 
 _TAGS = ("constant", "time_measurable", "x1_measurable", "general")
@@ -543,78 +541,3 @@ def check_assumption_x1(coeffs: Coefficients, r_zero: float) -> AssumptionReport
     """
     return _scan(coeffs, r_zero, "x1", _x1_deviation)
 
-
-def freeze_time(
-    coeffs: Coefficients, center: tuple[float, ...], radius: float
-) -> Coefficients:
-    """Replace a by its spatial average over the ball B_radius(center),
-    yielding a purely time-measurable field."""
-    grid = coeffs.grid
-    if radius <= 0 or radius > min(grid.l_x) / 2.0:
-        raise ValueError(f"ball radius {radius} does not fit inside the cell")
-    if len(center) != grid.d:
-        raise ValueError(f"center needs {grid.d} spatial components")
-    center_idx = [int(round(center[i] / grid.h[i])) for i in range(grid.d)]
-    idx = _ball_indices(grid.n_x, center_idx, _ball_offsets(grid, radius))
-    d = grid.d
-    flat = coeffs.data.reshape(d, d, grid.n_t, -1)
-    profile = flat[:, :, :, idx].mean(axis=-1)  # (d, d, n_t)
-    data = np.broadcast_to(
-        profile.reshape(d, d, grid.n_t, *([1] * d)), (d, d, *grid.shape)
-    ).copy()
-    return Coefficients(
-        grid=grid,
-        data=data,
-        tag="time_measurable",
-        ellipticity=coeffs.ellipticity,
-        generator={"kind": "frozen_time", "radius": radius},
-    )
-
-
-def freeze_x1_piecewise(
-    coeffs: Coefficients,
-    radius: float,
-    t_zero: float = 0.0,
-    x_prime_center: tuple[float, ...] | None = None,
-) -> Coefficients:
-    """Tile time by slabs of thickness 2*radius^2 anchored at t_zero and
-    replace a on slab k by the x1 profile averaged over the slab's time
-    window and the x' ball of the same radius (time window alone if d = 1)."""
-    grid = coeffs.grid
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    slab = 2.0 * radius**2
-    if slab >= grid.l_t:
-        raise ValueError(
-            f"slab thickness 2*R^2 = {slab} must be smaller than l_t = {grid.l_t}"
-        )
-    d = grid.d
-    if x_prime_center is None:
-        x_prime_center = (0.0,) * max(0, d - 1)
-    if len(x_prime_center) != max(0, d - 1):
-        raise ValueError(f"x_prime_center needs {max(0, d - 1)} components")
-
-    pc = [int(round(x_prime_center[i] / grid.h[1 + i])) for i in range(d - 1)]
-    pidx = _ball_indices(grid.n_x[1:], pc, _ball_offsets(grid, radius, first_axis=1))
-    n1 = grid.n_x[0]
-    flat = coeffs.data.reshape(d, d, grid.n_t, n1, -1)
-    slices = flat[:, :, :, :, pidx].mean(axis=-1)  # (d, d, n_t, n1)
-
-    offset = np.mod(grid.time_coordinates() - t_zero + radius**2, grid.l_t)
-    slab_index = np.floor(offset / slab + 1e-12).astype(int)
-    data = np.empty((d, d, *grid.shape))
-    for k in np.unique(slab_index):
-        rows = slab_index == k
-        profile = slices[:, :, rows, :].mean(axis=2)  # (d, d, n1)
-        block = np.broadcast_to(
-            profile.reshape(d, d, 1, n1, *([1] * (d - 1))),
-            (d, d, int(rows.sum()), n1, *grid.n_x[1:]),
-        )
-        data[:, :, rows] = block
-    return Coefficients(
-        grid=grid,
-        data=data,
-        tag="general",
-        ellipticity=coeffs.ellipticity,
-        generator={"kind": "frozen_x1_piecewise", "radius": radius, "t_zero": t_zero},
-    )

@@ -306,10 +306,8 @@ def harmonic_bundle(grid: Grid, rng: np.random.Generator, lam: float) -> DataBun
     return _bundle(grid, lam, lambda: harmonic_field(grid, rng))
 
 
-def _band_limited_bundle(
-    grid: Grid, rng: np.random.Generator, lam: float, band: float = 0.3
-) -> DataBundle:
-    return _bundle(grid, lam, lambda: random_band_limited_field(grid, rng, band))
+def _band_limited_bundle(grid: Grid, rng: np.random.Generator, lam: float) -> DataBundle:
+    return _bundle(grid, lam, lambda: random_band_limited_field(grid, rng, 0.3))
 
 
 def _generator_kwargs(spec: dict, kind: str) -> dict:
@@ -923,11 +921,12 @@ def _seam_bump(grid: Grid, width: float) -> np.ndarray:
     return np.exp(-dist_sq / width**2)
 
 
-def _time_noise(grid: Grid, rng: np.random.Generator, max_mode: int = 32) -> np.ndarray:
+def _time_noise(grid: Grid, rng: np.random.Generator) -> np.ndarray:
+    """Twelve random cosines in time, each of a mode drawn from 1..32."""
     t = grid.coordinate_mesh()[0]
     total = np.zeros(grid.shape)
     for _ in range(12):
-        k = int(rng.integers(1, max_mode + 1))
+        k = int(rng.integers(1, 33))
         amp = float(rng.standard_normal())
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
         total = total + amp * np.cos(2.0 * np.pi * k * t / grid.l_t + phase)

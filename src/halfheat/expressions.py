@@ -37,8 +37,8 @@ _BINOPS = {
 
 
 def _noise(grid: Grid, seed: float, band: float) -> np.ndarray:
-    if seed != int(seed):
-        raise ExpressionError("noise seed must be an integer")
+    if not (np.isfinite(seed) and seed == int(seed) and seed >= 0):
+        raise ExpressionError(f"noise seed must be a non-negative integer, got {seed}")
     if not 0.0 < band <= 1.0:
         raise ExpressionError(f"noise band must lie in (0, 1], got {band}")
     rng = np.random.default_rng(int(seed))
@@ -76,7 +76,12 @@ class _Evaluator(ast.NodeVisitor):
 
     def visit_Constant(self, node: ast.Constant):
         if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
-            return float(node.value)
+            try:
+                return float(node.value)
+            except OverflowError:  # an integer literal past the float range
+                raise ExpressionError(
+                    f"number too large at column {node.col_offset}"
+                ) from None
         raise ExpressionError(f"only numeric constants allowed, got {node.value!r}")
 
     def visit_Name(self, node: ast.Name):
@@ -136,6 +141,9 @@ class _Evaluator(ast.NodeVisitor):
         raise ExpressionError(f"unknown function {name!r} at column {node.col_offset}")
 
 
+_TOO_DEEP = "expression is nested too deeply"
+
+
 def field_from_expression(grid: Grid, expression: str) -> Field:
     """Evaluate ``expression`` on the grid's wrapped coordinates.
 
@@ -146,11 +154,16 @@ def field_from_expression(grid: Grid, expression: str) -> Field:
     if not isinstance(expression, str):
         raise ExpressionError(f"expression must be a string, got {expression!r}")
     try:
-        value = _Evaluator(grid).visit(ast.parse(expression, mode="eval"))
+        tree = ast.parse(expression, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(
             f"syntax error in expression at offset {exc.offset}: {exc.msg}"
         ) from None
+    except (RecursionError, MemoryError):
+        # CPython's parser raises either one for input nested past its stack
+        raise ExpressionError(_TOO_DEEP) from None
+    try:
+        value = _Evaluator(grid).visit(tree)
     except RecursionError:
-        raise ExpressionError("expression is nested too deeply") from None
+        raise ExpressionError(_TOO_DEEP) from None
     return Field(grid, np.broadcast_to(np.asarray(value, dtype=np.float64), grid.shape))

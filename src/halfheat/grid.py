@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "DEFAULT_SAMPLE_CAP",
+    "SAMPLE_CAP",
     "Grid",
     "Field",
     "VectorField",
@@ -28,7 +28,7 @@ __all__ = [
     "time_window_lp_norm",
 ]
 
-DEFAULT_SAMPLE_CAP = 2**24
+SAMPLE_CAP = 2**24
 
 
 def _integer(value, name: str) -> int:
@@ -137,13 +137,12 @@ def make_grid(
     n_x: int | Sequence[int],
     l_t: float,
     l_x: float | Sequence[float],
-    sample_cap: int = DEFAULT_SAMPLE_CAP,
 ) -> Grid:
     """Build a validated Grid; scalar n_x / l_x are broadcast over the d axes.
 
     Sample counts must be even and at least 8 per axis (powers of two are
     recommended for FFT speed), and the total count may not exceed
-    ``sample_cap`` (default 2**24).
+    ``SAMPLE_CAP`` (2**24).
     """
     d = _integer(d, "d")
     if not 1 <= d <= 3:  # before d sizes the broadcast below
@@ -154,9 +153,9 @@ def make_grid(
         nx = tuple(_integer(n, f"n_x[{i}]") for i, n in enumerate(n_x))
     lx = tuple([float(l_x)] * d) if np.isscalar(l_x) else tuple(float(l) for l in l_x)
     grid = Grid(d=d, n_t=_integer(n_t, "n_t"), n_x=nx, l_t=float(l_t), l_x=lx)
-    if grid.sample_count > sample_cap:
+    if grid.sample_count > SAMPLE_CAP:
         raise ValueError(
-            f"total sample count {grid.sample_count} exceeds cap {sample_cap}"
+            f"total sample count {grid.sample_count} exceeds cap {SAMPLE_CAP}"
         )
     return grid
 

@@ -1,12 +1,9 @@
-"""Parabolic cylinders, mean-oscillation functionals, maximal functions, the
-dyadic filtration, weighted tail sums, and the desk-scale estimate verifiers.
+"""Parabolic cylinders, the bundle mean-oscillation and root-mean-square
+functionals, weighted tail sums, and the desk-scale estimate verifiers.
 
 Cylinder geometry follows Q_{r,s}(X) = (t - r^2, t + r^2) x B_s(x) with
 Q_r = Q_{r,r}; a grid sample belongs to a cylinder when its cell center does,
-with distances measured on the torus.  The dyadic filtration lives on the
-unwrapped [0, L) chart per axis: level n tiles time by intervals of length
-2*4^{-n} and each spatial axis by intervals of length 2^{-n}, so the time
-extent is always twice the square of the spatial extent.
+with distances measured on the torus.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter, maximum_filter1d
 
 from .coefficients import Coefficients
 from .grid import Field, Grid
@@ -30,14 +26,8 @@ from .operators import (
 __all__ = [
     "Cylinder",
     "cylinder_mean",
-    "mean_oscillation",
     "bundle_rms",
     "bundle_oscillation",
-    "parabolic_maximal",
-    "strong_maximal",
-    "dyadic_layout",
-    "dyadic_cell_oscillations",
-    "dyadic_sharp",
     "max_tail_terms",
     "tail_sum",
     "theta_field",
@@ -115,12 +105,6 @@ def cylinder_mean(field: Field, cyl: Cylinder) -> float:
     return float(_cylinder_samples(field.data, field.grid, cyl).mean())
 
 
-def mean_oscillation(field: Field, cyl: Cylinder) -> float:
-    """Mean of |field - cylinder mean| over the cylinder."""
-    samples = _cylinder_samples(field.data, field.grid, cyl)
-    return float(np.abs(samples - samples.mean()).mean())
-
-
 def bundle_rms(arrays: list[np.ndarray], grid: Grid, cyl: Cylinder) -> float:
     """sqrt of the cylinder mean of the summed squares (the (|W|^2)^{1/2}_Q
     quantity for a several-component bundle W)."""
@@ -142,151 +126,6 @@ def bundle_oscillation(arrays: list[np.ndarray], grid: Grid, cyl: Cylinder) -> f
         devs.append(samples - samples.mean())
     mag = np.sqrt(sum(dev**2 for dev in devs))
     return float(mag.mean())
-
-
-# ---------------------------------------------------------------------------
-# maximal functions
-
-
-def _footprint(grid: Grid, r: float, s: float) -> np.ndarray:
-    """Boolean offset window of the cylinder Q_{r,s} around a sample."""
-    m_t = max(1, int(math.ceil(r**2 / grid.dt - 1e-12)))
-    m_t = min(m_t, grid.n_t // 2)
-    t_off = np.arange(-m_t + 1, m_t)
-    spatial = []
-    for i in range(grid.d):
-        m = max(1, int(math.floor(s / grid.h[i] + 1e-12)))
-        m = min(m, grid.n_x[i] // 2 - 1)
-        spatial.append(np.arange(-m, m + 1))
-    mesh = np.meshgrid(t_off, *spatial, indexing="ij")
-    inside = np.abs(mesh[0] * grid.dt) < max(r**2, grid.dt)
-    dist_sq = sum((mesh[1 + i] * grid.h[i]) ** 2 for i in range(grid.d))
-    inside &= dist_sq < max(s, min(grid.h)) ** 2 + 1e-12
-    return inside
-
-
-def _window_mean(arr: np.ndarray, footprint: np.ndarray) -> np.ndarray:
-    """Circular correlation with the normalized footprint: the mean of arr
-    over the footprint translated to every grid point."""
-    kernel = np.zeros(arr.shape)
-    offsets = np.argwhere(footprint)
-    half = (np.array(footprint.shape) - 1) // 2
-    for off in offsets - half:
-        kernel[tuple(np.mod(off, arr.shape))] += 1.0
-    kernel /= kernel.sum()
-    return np.fft.ifftn(np.fft.fftn(arr) * np.conj(np.fft.fftn(kernel))).real
-
-
-def _scale_family(lo: float, hi: float) -> list[float]:
-    scales = []
-    value = lo
-    while value <= hi * (1 + 1e-12):
-        scales.append(value)
-        value *= 2.0
-    return scales or [lo]
-
-
-def _maximal(field: Field, pairs: list[tuple[float, float]]) -> Field:
-    grid = field.grid
-    mag = np.abs(field.data)
-    out = np.zeros(grid.shape)
-    for r, s in pairs:
-        fp = _footprint(grid, r, s)
-        means = _window_mean(mag, fp)
-        # max over all cylinders of this shape containing the point: dilate by
-        # the (symmetric) footprint, split into time and space passes
-        t_size = fp.shape[0]
-        dilated = maximum_filter1d(means, size=t_size, axis=0, mode="wrap")
-        if grid.d == 1:
-            dilated = maximum_filter1d(
-                dilated, size=fp.shape[1], axis=1, mode="wrap"
-            )
-        else:
-            space_fp = fp[fp.shape[0] // 2]
-            dilated = maximum_filter(
-                dilated,
-                footprint=space_fp.reshape((1, *space_fp.shape)),
-                mode="wrap",
-            )
-        out = np.maximum(out, dilated)
-    return Field(grid, out)
-
-
-def parabolic_maximal(field: Field) -> Field:
-    """Max of cylinder means of |field| over the dyadic family Q_r containing
-    each point, r from two cells up to the fundamental cell."""
-    grid = field.grid
-    lo = max(2.0 * max(grid.h), math.sqrt(2.0 * grid.dt))
-    hi = min(min(grid.l_x) / 2.0, math.sqrt(grid.l_t / 2.0))
-    return _maximal(field, [(r, r) for r in _scale_family(lo, hi)])
-
-
-def strong_maximal(field: Field) -> Field:
-    """Like parabolic_maximal but over Q_{r,s} with the time and space scales
-    varied independently."""
-    grid = field.grid
-    r_list = _scale_family(math.sqrt(2.0 * grid.dt), math.sqrt(grid.l_t / 2.0))
-    s_list = _scale_family(2.0 * max(grid.h), min(grid.l_x) / 2.0)
-    return _maximal(field, [(r, s) for r in r_list for s in s_list])
-
-
-# ---------------------------------------------------------------------------
-# dyadic filtration
-
-
-def dyadic_layout(grid: Grid, level: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(cells per axis, samples per cell) for the level, or a ValueError when
-    the level does not tile this grid with at least 2 samples per cell axis."""
-    widths = [2.0 * 4.0 ** (-level)] + [2.0 ** (-level)] * grid.d
-    periods = [grid.l_t, *grid.l_x]
-    counts = [grid.n_t, *grid.n_x]
-    cells, samples = [], []
-    for width, period, n in zip(widths, periods, counts):
-        n_cells = period / width
-        if abs(n_cells - round(n_cells)) > 1e-9 or round(n_cells) < 1:
-            raise ValueError(
-                f"level {level} cells (width {width}) do not tile period {period}"
-            )
-        n_cells = int(round(n_cells))
-        per, rem = divmod(n, n_cells)
-        if rem or per < 2:
-            raise ValueError(
-                f"level {level} needs >= 2 samples per cell axis on this grid "
-                f"(axis with {n} samples, {n_cells} cells)"
-            )
-        cells.append(n_cells)
-        samples.append(per)
-    return tuple(cells), tuple(samples)
-
-
-def dyadic_cell_oscillations(field: Field, level: int) -> np.ndarray:
-    """Mean of |field - cell mean| per level-n cell, indexed like the cells."""
-    grid = field.grid
-    cells, samples = dyadic_layout(grid, level)
-    shape = []
-    for c, s in zip(cells, samples):
-        shape.extend((c, s))
-    blocks = field.data.reshape(shape)
-    sample_axes = tuple(range(1, 2 * (grid.d + 1), 2))
-    means = blocks.mean(axis=sample_axes, keepdims=True)
-    return np.abs(blocks - means).mean(axis=sample_axes)
-
-
-def dyadic_sharp(field: Field, n_range) -> Field:
-    """Max over levels of the oscillation of the cell containing each point."""
-    grid = field.grid
-    levels = list(n_range)
-    if not levels:
-        raise ValueError("dyadic_sharp needs at least one level")
-    out = np.zeros(grid.shape)
-    for level in levels:
-        _, samples = dyadic_layout(grid, level)
-        osc = dyadic_cell_oscillations(field, level)
-        expanded = osc
-        for axis, per in enumerate(samples):
-            expanded = np.repeat(expanded, per, axis=axis)
-        out = np.maximum(out, expanded)
-    return Field(grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +187,11 @@ def _relative_residual(coeffs: Coefficients, data: DataBundle, u: Field) -> floa
     return float(np.linalg.norm(res)) / scale
 
 
+# tail-sum terms of each verifier; the local one's relative residual bound
+_LOCAL_TERMS, _LOCAL_RTOL = 8, 1e-7
+_OSCILLATION_TERMS = 6
+
+
 @dataclass(frozen=True)
 class LocalEstimateReport:
     lhs: float
@@ -363,8 +207,6 @@ def verify_local_estimate(
     data: DataBundle,
     u: Field,
     radius: float,
-    terms: int = 8,
-    rtol: float = 1e-7,
 ) -> LocalEstimateReport:
     """Check the interior estimate: root-mean-square of |U| over Q_radius(0)
     against the 2^{-j/4}-weighted tail sum of |F| root-mean-squares over the
@@ -376,9 +218,9 @@ def verify_local_estimate(
     """
     grid = u.grid
     rel = _relative_residual(coeffs, data, u)
-    if rel > rtol:
+    if rel > _LOCAL_RTOL:
         raise ValueError(
-            f"u does not solve the equation: relative residual {rel} > {rtol}"
+            f"u does not solve the equation: relative residual {rel} > {_LOCAL_RTOL}"
         )
     outside = _spatial_dist_sq(grid, (0.0,) * grid.d) >= radius**2
     u_flat = np.abs(u.data.reshape(grid.n_t, -1))
@@ -398,7 +240,7 @@ def verify_local_estimate(
     lhs = math.sqrt(
         max(cylinder_mean(Field(grid, u_sq), Cylinder(origin, r=radius)), 0.0)
     )
-    terms_used = min(terms, max_tail_terms(grid, radius, 1.0))
+    terms_used = min(_LOCAL_TERMS, max_tail_terms(grid, radius, 1.0))
     f_sq = Field(grid, _data_squared(data))
     rhs = tail_sum(f_sq, radius, 1.0, origin, terms_used) if terms_used else 0.0
     trivial = lhs == 0.0 and rhs == 0.0
@@ -445,7 +287,6 @@ def verify_mean_oscillation(
     r: float,
     center: tuple[float, ...],
     kappa_list: tuple[float, ...],
-    terms: int = 6,
     rtol: float = 1e-6,
 ) -> OscillationReport:
     """Oscillation decay of the solution bundle on shrinking cylinders.
@@ -503,7 +344,7 @@ def verify_mean_oscillation(
             truncated = True  # inner cylinder fell below the grid spacing
             continue
         hom = kappa ** (-theta) * bundle_rms(rhs_arrays, grid, outer)
-        usable = min(terms, max_tail_terms(grid, inner_r, kappa))
+        usable = min(_OSCILLATION_TERMS, max_tail_terms(grid, inner_r, kappa))
         tail = (
             kappa ** (1.0 + grid.d / 2.0)
             * tail_sum(f_sq, inner_r, kappa, center, usable)

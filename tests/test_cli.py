@@ -303,6 +303,8 @@ def test_unknown_config_grid_key_fails_cleanly(tmp_path, capsys):
         ({"rtol": 1e-9, "restarts": 4}, "unknown solver key 'restarts'"),
         ([1e-9], "'solver' must be an object"),
         ({"rtol": "tight"}, "malformed solver section"),
+        ({"kappa": 1}, "unknown solver key 'kappa'"),
+        ({"preconditioner": "constant_mean"}, "unknown solver key 'preconditioner'"),
     ],
 )
 def test_bad_solver_section_fails_cleanly(tmp_path, capsys, solver, message):
@@ -382,12 +384,16 @@ def test_malformed_config_values_fail_cleanly(tmp_path, capsys, command, edit, m
 
 
 def test_deeply_nested_expression_fails_cleanly(tmp_path, capsys):
-    config = _write_config(
-        tmp_path, "solve.json", dict(SOLVE_CONFIG, data={"h": "-" * 5000 + "1", "g": ["0"]})
-    )
-    code, report = _run(capsys, ["solve", "--config", str(config), "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert report["failures"] == ["expression is nested too deeply"]
+    # too deep for the parser: it raises RecursionError on the first and
+    # MemoryError on the second (10 KB)
+    for deep in ("-" * 5000 + "1", "-" * 10000 + "1"):
+        config = _write_config(
+            tmp_path, "solve.json", dict(SOLVE_CONFIG, data={"h": deep, "g": ["0"]})
+        )
+        argv = ["solve", "--config", str(config), "--out", str(tmp_path / "o")]
+        code, report = _run(capsys, argv)
+        assert code == 1
+        assert report["failures"] == ["expression is nested too deeply"]
 
 
 def test_solve_on_x1_coefficients_takes_the_exact_path(tmp_path, capsys):

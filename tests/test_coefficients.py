@@ -19,8 +19,6 @@ from halfheat import (
     check_assumption_time,
     check_assumption_x1,
     coefficients_from_matrix,
-    freeze_time,
-    freeze_x1_piecewise,
     generate_coefficients,
     identity_coefficients,
     make_grid,
@@ -198,44 +196,6 @@ def test_checkerboard_gamma_tracks_epsilon():
     rep = check_assumption_time(coeffs, r_zero=0.5)
     assert eps / 4.0 <= rep.gamma_estimate <= 2.0 * eps
     assert rep.worst_radius in rep.radii
-
-
-def test_freeze_time_reproduces_time_measurable_fields():
-    g = _grid(n_t=32, n_x=64)
-    a = generate_coefficients(kind="time_piecewise", delta=0.5, seed=3, grid=g)
-    frozen = freeze_time(a, center=(0.3,), radius=0.3)
-    assert frozen.tag == "time_measurable"
-    assert np.max(np.abs(frozen.data - a.data)) <= 1e-12
-    # the frozen field is an exact fixed point of the time checker
-    assert check_assumption_time(frozen, r_zero=0.5).gamma_estimate <= 1e-13
-
-
-def test_freeze_time_changes_rough_fields():
-    g = _grid(n_t=32, n_x=64)
-    a = generate_coefficients(kind="smooth", delta=0.5, seed=3, grid=g)
-    frozen = freeze_time(a, center=(0.0,), radius=0.3)
-    assert np.ptp(frozen.data, axis=3).max() == 0.0
-    with pytest.raises(ValueError, match="does not fit"):
-        freeze_time(a, center=(0.0,), radius=5.0)
-    with pytest.raises(ValueError, match="components"):
-        freeze_time(a, center=(0.0, 0.0), radius=0.3)
-
-
-def test_freeze_x1_reproduces_x1_measurable_fields():
-    g = _grid(n_t=32, n_x=64)
-    a = generate_coefficients(kind="x1_piecewise", delta=0.5, seed=8, grid=g)
-    frozen = freeze_x1_piecewise(a, radius=0.4)
-    assert np.max(np.abs(frozen.data - a.data)) <= 1e-12
-    assert frozen.generator["kind"] == "frozen_x1_piecewise"
-
-
-def test_freeze_x1_slab_validation():
-    g = _grid(n_t=32, n_x=64)
-    a = identity_coefficients(g)
-    with pytest.raises(ValueError, match="slab thickness"):
-        freeze_x1_piecewise(a, radius=1.5)  # 2 R^2 = 4.5 > l_t
-    with pytest.raises(ValueError, match="positive"):
-        freeze_x1_piecewise(a, radius=0.0)
 
 
 def test_gamma_invariant_under_constant_shifts():

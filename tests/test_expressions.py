@@ -1,9 +1,18 @@
 """The expression DSL used by the CLI to build reproducible signals."""
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from halfheat import ExpressionError, field_from_expression, make_grid
+from halfheat import ExpressionError, Field, field_from_expression, make_grid
+from halfheat.cli import main
 
 
 @pytest.fixture
@@ -67,6 +76,10 @@ def test_higher_dimensions_expose_more_names():
         "noise(0.5, 0.25)",
         "f(1)",
         "1 +",
+        # numbers out of range
+        "noise(-1, 0.25)",
+        "noise(1e400, 0.25)",
+        str(10**400),
     ],
 )
 def test_rejects_unsupported_syntax(grid, bad):
@@ -81,12 +94,19 @@ def test_division_by_zero_is_caught(grid):
 
 @pytest.mark.parametrize(
     "deep",
-    ["-" * 5000 + "1", "1" + "^1" * 5000, "1" + "+1" * 20000, "1" + "+1" * 600],
-    ids=["unary_5000", "xor_5000", "sum_20000", "sum_600"],
+    [
+        "-" * 5000 + "1",
+        "1" + "^1" * 5000,
+        "1" + "+1" * 20000,
+        "1" + "+1" * 600,
+        "-" * 10000 + "1",
+    ],
+    ids=["unary_5000", "xor_5000", "sum_20000", "sum_600", "unary_10000"],
 )
 def test_rejects_expressions_nested_too_deeply(grid, deep):
-    """Too deep for the parser (the first three) or for the evaluator (the
-    last) is an ExpressionError, like too many nested parentheses."""
+    """Too deep for the parser (RecursionError for the first three,
+    MemoryError for the last) or for the evaluator (the fourth) is an
+    ExpressionError, like too many nested parentheses."""
     with pytest.raises(ExpressionError, match="nested too deeply"):
         field_from_expression(grid, deep)
 
@@ -94,3 +114,78 @@ def test_rejects_expressions_nested_too_deeply(grid, deep):
 def test_rejects_a_non_string_expression(grid):
     with pytest.raises(ExpressionError, match="must be a string"):
         field_from_expression(grid, 3)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every input evaluates to a Field or raises ExpressionError/ValueError
+
+_LEAVES = st.one_of(
+    st.sampled_from(["t", "x1", "x2", "pi", "y"]),
+    st.integers(-(10**400), 10**400).map(str),
+    st.floats(allow_nan=False).map(repr),
+)
+
+
+def _grammar(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join),
+        inner.map(lambda e: f"-{e}"),
+        inner.map(lambda e: f"({e})"),
+        st.tuples(
+            st.sampled_from(["sin", "cos", "exp", "gauss", "noise"]),
+            st.lists(inner, max_size=3),
+        ).map(lambda call: f"{call[0]}({', '.join(call[1])})"),
+    )
+
+
+EXPRESSIONS = st.one_of(
+    st.recursive(_LEAVES, _grammar, max_leaves=12),
+    # token soup: unbalanced parentheses, dangling operators, empty calls
+    st.lists(
+        st.sampled_from(
+            ["t", "x1", "pi", "1", "0.5", "1e308", "+", "-", "*", "/", "(", ")", ",",
+             "sin", "cos", "exp", "gauss", "noise", " "]
+        ),
+        max_size=16,
+    ).map("".join),
+    st.text(max_size=24),
+)
+
+def _evaluate(expression):
+    """The Field, or the ExpressionError/ValueError the input raised."""
+    g = make_grid(d=1, n_t=8, n_x=8, l_t=2.0, l_x=2.0)
+    with np.errstate(all="ignore"):
+        try:
+            return field_from_expression(g, expression)
+        except ValueError as exc:  # ExpressionError is a ValueError
+            return exc
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(EXPRESSIONS)
+def test_fuzzed_expressions_evaluate_or_raise_value_error(expression):
+    assert isinstance(_evaluate(expression), (Field, ValueError))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(EXPRESSIONS)
+def test_fuzzed_expression_failures_are_one_json_line_from_the_cli(expression):
+    """An expression the API rejects makes `halfheat solve` print one JSON
+    failure line and return 1; accepted ones are not solved here."""
+    if isinstance(_evaluate(expression), Field):
+        return
+    config = {
+        "grid": {"d": 1, "n_t": 8, "n_x": 8, "l_t": 2.0, "l_x": 2.0},
+        "data": {"h": expression, "g": ["0"], "f": "0"},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "solve.json"
+        path.write_text(json.dumps(config))
+        printed = io.StringIO()
+        with np.errstate(all="ignore"), contextlib.redirect_stdout(printed):
+            code = main(["solve", "--config", str(path), "--out", str(Path(tmp) / "o")])
+    lines = printed.getvalue().splitlines()
+    assert code == 1
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["passed"] is False and len(report["failures"]) == 1

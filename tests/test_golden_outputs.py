@@ -17,43 +17,43 @@ from halfheat.experiments import EXPERIMENTS, ExperimentConfig, write_outputs
 GOLDEN = {
     ("identities", 0): (
         "91c670ca282e0516b5f424f75edf1b0b567ed4ec5a013fa4c1dfcfb9abb4841a",
-        "27e8efb43b22cb108a0d33d432febc950d3ab3b7bc10e30a6200c8592b959891",
+        "fa3812beb6fe6a644d3c49049bf5a4e83919786888cd054b161d999be567cd96",
     ),
     ("identities", 1): (
         "6b5c84a940a4d02fd6450d8e43761f9277c7f7fd0e1b2246369a98aa12587d70",
-        "35383a2fb7faab45ca231101dec3c5e7aaf96598d2770d98ad394366469aacf0",
+        "a7ffdd446f6908d0ddedb96d6927bd1307107384fe567825d2c08d828fb80147",
     ),
     ("l2", 0): (
         "517d2662169ad3a257e02b4f07d2a8632fb52fb8c290952e0d0543db7a2384e6",
-        "078f75a0efe3444c3e943479808e982cffdb8b834bde947f4a3f59cb3bd93217",
+        "7c39f7428d9fcbb9a6aa80474ed2b8c2c3a4b06a336fb84ee2411e8dd5a1a905",
     ),
     ("l2", 1): (
         "b6ce37597c5fe9f3f8a2686fec76e4de6133685bd3acbc2efd8bff7a3410e952",
-        "4ffc758ac92122950503e31c18600f47c954158bb5f6fec25a82a0b5969881a6",
+        "c68d5837120533339b3329abc142b6815a96c97fff8a8ab928c444e84a00062b",
     ),
     ("lp_sweep", 0): (
         "e38945ec856254284830c3594ac845fc92b587cff051542625737ba2fd49c1d6",
-        "498edd32df7b193cf5ec4ed66d8ec07881e065bd17f867d9769cf03e335a1d5e",
+        "883f181e56e49b40ee6808a2427bb7ee8393d006999196cfa8bd8bcb9b0249b4",
     ),
     ("lp_sweep", 1): (
         "4f82a0c2509fc3f9b06580862ac60c5f741dd411bab6dab8f4f865058fff239e",
-        "e7e8dc7ec1517533335b56bd0fb9b8cda1d5e13a1ba25fed34ffd259f7440e51",
+        "0ecf75cdc14a88d10c11cd7f9004c5bca07f50a2406e0354fcb795f5b7562d9c",
     ),
     ("tail_decay", 0): (
         "793342009da8de814d993db86ba52e1d76dd5ae912a88308e6457943b242c176",
-        "e598aa32b73de4f020e415d6ac249ce6d9acadf7b9d1a35589079549c70d44e9",
+        "22e5bf5c1c7c533822a273287cb7add2f989456361974cdeb4ac2dfbf77253ce",
     ),
     ("tail_decay", 1): (
         "793342009da8de814d993db86ba52e1d76dd5ae912a88308e6457943b242c176",
-        "6f938655731285e32a0c06f8d80bb07506003011b01c69d7ccfd8ab44e8b39e5",
+        "13fa015fb04e75731889757a08cb32eabe381d1c94573a44701492d5fa9f1c37",
     ),
     ("assumptions", 0): (
         "e22443f2ac213a907f41f6a5dc727f3a3335f5056699e2d00dc1e21898416e14",
-        "4613eafbedd7ee93cfa264c91687f044a0836b9071932c74667f89700121018d",
+        "85f38fce4f4f89eb3826e8ab5df79971d0f9fff8eeeac1fc022e521de02c7f82",
     ),
     ("assumptions", 1): (
         "0e8f38e1b6d3fb3cbbc3b9b4bb32322affa1ccb59c3a1dd588a9923f77b3cb0b",
-        "88d633095711375baabd3bd099300769d362d4ccbb26c4fcbb4332f97de60a31",
+        "29dba93ef0b34ea67a09bd26beec665cdd73b8964bd286c0170dbdfee3dc5e49",
     ),
 }
 

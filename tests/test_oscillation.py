@@ -1,10 +1,9 @@
-"""Cylinder geometry, oscillation statistics, maximal functions, and the
-localization verifiers.
+"""Cylinder geometry, oscillation statistics, and the localization
+verifiers.
 
 Geometric oracles: the mean of |x1| over the centered ball of radius r is
-r/2 + O(h), a unit step confined to one dyadic cell has cell oscillation
-exactly one half, and a constant c makes tail_sum collapse to the geometric
-series |c| * (1 - 2^{-J/4}) / (1 - 2^{-1/4}).
+r/2 + O(h), and a constant c makes tail_sum collapse to the geometric series
+|c| * (1 - 2^{-J/4}) / (1 - 2^{-1/4}).
 """
 
 import math
@@ -25,9 +24,6 @@ from halfheat import (
     identity_coefficients,
     make_grid,
     manufacture_data,
-    mean_oscillation,
-    parabolic_maximal,
-    strong_maximal,
     tail_sum,
     theta_field,
     verify_local_estimate,
@@ -37,9 +33,6 @@ from halfheat import (
 from halfheat.oscillation import (
     bundle_oscillation,
     bundle_rms,
-    dyadic_cell_oscillations,
-    dyadic_layout,
-    dyadic_sharp,
     max_tail_terms,
 )
 
@@ -90,7 +83,9 @@ def test_cylinder_mean_of_constant(value, r):
     g = _grid()
     u = Field(g, np.full(g.shape, value))
     assert cylinder_mean(u, Cylinder((0.0, 0.0), r=r)) == pytest.approx(value)
-    assert mean_oscillation(u, Cylinder((0.0, 0.0), r=r)) == pytest.approx(0.0, abs=1e-12)
+    assert bundle_oscillation([u.data], g, Cylinder((0.0, 0.0), r=r)) == pytest.approx(
+        0.0, abs=1e-12
+    )
 
 
 def test_mean_oscillation_of_coordinate_field():
@@ -98,7 +93,7 @@ def test_mean_oscillation_of_coordinate_field():
     x = g.coordinate_mesh()[1]
     u = Field(g, np.broadcast_to(x, g.shape))
     r = 0.5
-    osc = mean_oscillation(u, Cylinder((0.0, 0.0), r=r))
+    osc = bundle_oscillation([u.data], g, Cylinder((0.0, 0.0), r=r))
     assert abs(osc - r / 2.0) <= g.h[0]
 
 
@@ -110,7 +105,7 @@ def test_oscillation_is_within_twice_any_centering(seed):
     g = _grid(n_t=16, n_x=16)
     u = _rand(g, seed)
     cyl = Cylinder((0.0, 0.0), r=0.5)
-    osc = mean_oscillation(u, cyl)
+    osc = bundle_oscillation([u.data], g, cyl)
     samples = u.data[np.abs(g.time_coordinates()) < 0.25][
         :, np.abs(g.space_coordinates(0)) < 0.5
     ]
@@ -125,8 +120,11 @@ def test_bundle_statistics_reduce_to_scalar_case():
     assert bundle_rms([u.data], g, cyl) == pytest.approx(
         math.sqrt(cylinder_mean(Field(g, u.data**2), cyl))
     )
+    samples = u.data[np.abs(g.time_coordinates()) < 0.36][
+        :, np.abs(g.space_coordinates(0)) < 0.6
+    ]
     assert bundle_oscillation([u.data], g, cyl) == pytest.approx(
-        mean_oscillation(u, cyl)
+        np.abs(samples - samples.mean()).mean()
     )
 
 
@@ -135,97 +133,6 @@ def test_bundle_rms_adds_in_quadrature():
     ones = np.ones(g.shape)
     cyl = Cylinder((0.0, 0.0), r=0.5)
     assert bundle_rms([ones, 2.0 * ones], g, cyl) == pytest.approx(math.sqrt(5.0))
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_maximal_functions_are_sublinear(seed):
-    g = _grid(n_t=16, n_x=16)
-    u, v = _rand(g, seed), _rand(g, seed + 1)
-    w = Field(g, u.data + v.data)
-    for maximal in (parabolic_maximal, strong_maximal):
-        combined = maximal(w).data
-        split = maximal(u).data + maximal(v).data
-        assert np.all(combined <= split + 1e-10)
-
-
-def test_maximal_dominates_local_means():
-    g = _grid(n_t=32, n_x=32)
-    u = _rand(g, 9)
-    m = parabolic_maximal(u).data
-    # the smallest family cylinder centered at a lattice point is one window
-    r_lo = max(2.0 * max(g.h), math.sqrt(2.0 * g.dt))
-    mag = Field(g, np.abs(u.data))
-    for it, ix in ((0, 0), (3, 7), (16, 20)):
-        center = (g.time_coordinates()[it], g.space_coordinates(0)[ix])
-        local = cylinder_mean(mag, Cylinder(center, r=r_lo))
-        assert m[it, ix] >= local - 1e-10
-
-
-def test_dyadic_layout_and_validation():
-    g = _grid(n_t=32, n_x=32)
-    cells, samples = dyadic_layout(g, level=1)
-    assert cells == (4, 4)
-    assert samples == (8, 8)
-    with pytest.raises(ValueError):
-        dyadic_layout(g, level=4)  # cells would hold fewer than 2 samples
-    odd = make_grid(d=1, n_t=10, n_x=32, l_t=2.0, l_x=2.0)
-    with pytest.raises(ValueError):
-        dyadic_layout(odd, level=1)  # 10 samples do not tile into 4 cells
-
-
-def test_cell_oscillation_of_a_confined_step():
-    # unit step living inside the first level-1 time cell: oscillation 1/2
-    g = _grid(n_t=32, n_x=32)
-    t = g.coordinate_mesh()[0]
-    data = np.broadcast_to(
-        ((t >= 0.25) & (t < 0.5)).astype(float), g.shape
-    ).copy()
-    u = Field(g, data)
-    osc = dyadic_cell_oscillations(u, level=1)
-    assert osc.shape == (4, 4)
-    assert np.allclose(osc[0], 0.5)
-    assert np.allclose(osc[1:], 0.0)
-    sharp = dyadic_sharp(u, [1])
-    assert sharp.data.max() == pytest.approx(0.5)
-
-
-def test_dyadic_sharp_is_shift_invariant_by_whole_cells():
-    g = _grid(n_t=32, n_x=32)
-    u = _rand(g, 4)
-    _, samples = dyadic_layout(g, level=1)
-    rolled = Field(g, np.roll(u.data, (samples[0], samples[1]), (0, 1)))
-    lhs = dyadic_sharp(rolled, [1, 2]).data
-    rhs = np.roll(dyadic_sharp(u, [1, 2]).data, (samples[0], samples[1]), (0, 1))
-    assert np.allclose(lhs, rhs, atol=1e-13)
-
-
-def test_cell_oscillation_bounded_by_enclosing_cylinder():
-    """Discrete comparison: a cell inside a cylinder Q obeys
-    osc_cell <= 2 (#Q / #cell) osc_Q, with no constant hiding anywhere."""
-    g = _grid(n_t=32, n_x=32)
-    u = _rand(g, 5)
-    level = 1
-    cells, samples = dyadic_layout(g, level)
-    osc = dyadic_cell_oscillations(u, level)
-    t_width = 2.0 * 4.0 ** (-level)
-    x_width = 2.0 ** (-level)
-    r = math.sqrt(0.26)  # time half-extent 0.26 covers the 0.25 cell half
-    s = 0.26
-    n_cell = samples[0] * samples[1]
-    for it in range(cells[0]):
-        for ix in range(cells[1]):
-            center = ((it + 0.5) * t_width, (ix + 0.5) * x_width)
-            cyl = Cylinder(center, r=r, s=s)
-            t_in = np.abs(
-                np.mod(g.time_coordinates() - center[0] + 1.0, 2.0) - 1.0
-            ) < r**2
-            x_in = np.abs(
-                np.mod(g.space_coordinates(0) - center[1] + 1.0, 2.0) - 1.0
-            ) < s
-            n_q = int(t_in.sum()) * int(x_in.sum())
-            bound = 2.0 * (n_q / n_cell) * mean_oscillation(u, cyl)
-            assert osc[it, ix] <= bound + 1e-12
 
 
 def test_tail_sum_of_constant_is_geometric():

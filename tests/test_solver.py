@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import halfheat.solver as solver_module
 from halfheat import (
+    ExperimentConfig,
     DataBundle,
     Field,
     SolverOptions,
@@ -292,6 +293,27 @@ def test_preconditioner_matches_the_complex_path(monkeypatch, d):
     assert diff <= 1e-12 * np.max(np.abs(slow.u.data))
 
 
+def test_direct_solve_builds_no_preconditioner(monkeypatch):
+    """The constant_mean symbol and both LinearOperators are built only when
+    GMRES runs; an x1 solve that the direct path finishes builds none."""
+    g = _grid(**_FAST_PATH_GRIDS[2])
+    a = generate_coefficients(kind="x1_piecewise", delta=0.25, seed=2, grid=g)
+    data = _band_limited_bundle(g, 22, lam=1.0)
+    real_symbol = solver_module._operator_symbol
+    symbols = []
+
+    def symbol_spy(*args):
+        symbols.append(args)
+        return real_symbol(*args)
+
+    monkeypatch.setattr(solver_module, "_operator_symbol", symbol_spy)
+    seen = _capture_operators(monkeypatch)
+    assert solve(a, data).iterations == 0
+    assert symbols == [] and seen == {}
+    assert solve(dataclasses.replace(a, tag="general"), data).iterations > 0
+    assert len(symbols) == 1 and set(seen) == {"matvec", "psolve"}
+
+
 def _white_bundle(grid, seed, lam):
     """White-noise data: every mode, Nyquist planes included, is live."""
     return DataBundle(
@@ -393,8 +415,16 @@ def test_solver_options_misuse():
         SolverOptions(rtol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverOptions(preconditioner="ilu")
+    assert [f.name for f in dataclasses.fields(SolverOptions)] == [
+        "rtol",
+        "max_iterations",
+        "restart",
+    ]
+    # the preconditioner is fixed and nothing reads a kappa, so a config that
+    # sets either names an unknown key (the CLI side is in test_cli)
+    for key, value in (("kappa", 1), ("preconditioner", "constant_mean")):
+        with pytest.raises(ValueError, match=f"unknown solver key '{key}'"):
+            ExperimentConfig.from_mapping({"experiment": "l2", "solver": {key: value}})
 
 
 @settings(max_examples=15, deadline=None)
