@@ -168,7 +168,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Field:
-    """Real scalar samples over a Grid.  Immutable once constructed."""
+    """Real scalar samples over a Grid.  Immutable once constructed.
+
+    A C-contiguous float64 array is adopted without a copy (a copy would
+    cost every matvec a full-array copy) and frozen in place, so the
+    caller's own array turns read-only too; pass ``a.copy()`` to keep
+    writing to ``a``."""
 
     grid: Grid
     data: np.ndarray

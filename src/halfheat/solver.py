@@ -1,6 +1,6 @@
 """Weak pairing, the twisted coercive form, the constant-coefficient Fourier
-oracle, the exact solve for x1-measurable coefficients, and the matrix-free
-preconditioned Krylov solver.
+oracle, the exact solves for x1- and time-measurable coefficients, and the
+matrix-free preconditioned Krylov solver.
 
 The oracle divides by the symbol of the exact DISCRETE operator (Nyquist-zeroed
 time symbols, forward-difference spatial symbols), so oracle and iterative
@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .coefficients import Coefficients
-from .grid import Field, Grid, _lp, inner, lp_norm, zeros
+from .grid import Field, Grid, _integer, _lp, inner, lp_norm, zeros
 from .operators import (
     DataBundle,
     SolutionBundle,
@@ -55,10 +55,21 @@ class SolverOptions:
     restart: int = 40
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rtol < 1.0):
-            raise ValueError(f"rtol must lie in (0, 1), got {self.rtol}")
-        if self.max_iterations < 1 or self.restart < 1:
-            raise ValueError("max_iterations and restart must be >= 1")
+        # a bool is an int and NaN fails every comparison, so both are tested
+        # for; the integer fields read as grid._integer does (64.0, "64")
+        rtol = self.rtol
+        if (
+            isinstance(rtol, (bool, np.bool_))
+            or not isinstance(rtol, (int, float, np.integer, np.floating))
+            or not 0.0 < rtol < 1.0
+        ):
+            raise ValueError(f"'rtol' must be a float in (0, 1), got {rtol!r}")
+        object.__setattr__(self, "rtol", float(rtol))
+        for name in ("max_iterations", "restart"):
+            value = _integer(getattr(self, name), name)
+            if value < 1:
+                raise ValueError(f"'{name}' must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -318,6 +329,81 @@ def _x1_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
     return np.fft.irfft(u_hat, n=grid.n_t, axis=0)
 
 
+# bytes of per-mode n_t x n_t matrices _t_direct assembles at once
+_T_DIRECT_CHUNK_BYTES = 2**22
+
+
+def _t_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve apply_operator(coeffs, lam, u) = rhs exactly (to rounding) for
+    coefficients that vary in t only.
+
+    After rfftn over the spatial axes the operator is diagonal in xi, and each
+    spatial mode leaves the dense n_t x n_t system
+
+        (C + diag(q_xi(t)) + lam) v = f_xi,   q_xi(t) = sum_ij a_ij(t) conj(sigma_i) sigma_j,
+
+    with C the real circulant of the time_derivative table apply_operator uses
+    (Nyquist zeroed) and sigma_j the forward-difference symbols.  D_t is
+    spectral, so C is dense and no sweep applies: the systems are assembled in
+    chunks of _T_DIRECT_CHUNK_BYTES and each chunk goes to one batched
+    np.linalg.solve.
+
+    Coefficients that do not vary in t at all (a time_piecewise draw whose
+    pieces coincide, as every draw at delta = 1 does) make each system
+    circulant, diagonal in tau: one division by the operator symbol, as in
+    the oracle, solves them."""
+    grid = coeffs.grid
+    d, n_t = grid.d, grid.n_t
+    profile = coeffs.data.reshape(d, d, n_t, -1)[..., 0]  # a_ij(t)
+    if np.all(profile == profile[..., :1]):
+        u_hat = np.fft.rfftn(rhs) / _operator_symbol(grid, profile[..., 0], lam)
+        return np.fft.irfftn(u_hat, s=grid.shape, axes=tuple(range(d + 1)))
+
+    spatial = tuple(range(1, d + 1))
+    # C[m, k] = c[m - k]: convolution with the inverse transform of i*tau
+    kernel = np.fft.irfft(time_symbol(grid, "time_derivative").values[: n_t // 2 + 1], n=n_t)
+    steps = np.arange(n_t)
+    circulant = kernel[(steps[:, None] - steps[None, :]) % n_t] + lam * np.eye(n_t)
+
+    # the spatial rfftn keeps the layout of the rfftn half spectrum, so the
+    # cached sigma tables apply as they are; modes are flattened to one axis
+    _, sigmas = _spectral_tables(grid)
+    half = _half_shape(grid)
+    spec = np.fft.rfftn(rhs, axes=spatial).reshape(n_t, -1)
+    quad = np.zeros(spec.shape, dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            weight = np.broadcast_to(np.conj(sigmas[i]) * sigmas[j], (1, *half[1:]))
+            quad += np.outer(profile[i, j], weight)
+
+    modes = spec.shape[1]
+    u_hat = np.empty((modes, n_t), dtype=complex)
+    chunk = max(1, _T_DIRECT_CHUNK_BYTES // (16 * n_t * n_t))
+    diagonal = np.arange(n_t)
+    for start in range(0, modes, chunk):
+        stop = min(start + chunk, modes)
+        mats = np.empty((stop - start, n_t, n_t), dtype=complex)
+        mats[...] = circulant
+        mats[:, diagonal, diagonal] += quad[:, start:stop].T
+        u_hat[start:stop] = np.linalg.solve(mats, spec[:, start:stop].T[..., None])[..., 0]
+    u_hat = u_hat.T.reshape(half)
+    return np.fft.irfftn(u_hat, s=grid.n_x, axes=spatial)
+
+
+def _direct_solver(coeffs: Coefficients):
+    """The exact solver GMRES starts from, or None (GMRES starts from zero).
+
+    Time-measurable systems cost about modes * n_t^3 against GMRES's
+    iterations * n_t * modes * log; the measured crossover (2 vCPUs) is
+    n_t^2 = 8192 * d, so larger time axes stay on GMRES."""
+    grid = coeffs.grid
+    if coeffs.tag == "x1_measurable":
+        return _x1_direct
+    if coeffs.tag == "time_measurable" and grid.n_t**2 <= 8192 * grid.d:
+        return _t_direct
+    return None
+
+
 def solve(
     coeffs: Coefficients, data: DataBundle, options: SolverOptions | None = None
 ) -> SolveResult:
@@ -326,10 +412,11 @@ def solve(
     operator.  The reported residual is the true relative residual, recomputed
     outside the Krylov recurrence.
 
-    Coefficients tagged x1_measurable start GMRES from the exact direct solve
-    (_x1_direct); when its true residual already meets rtol, no GMRES
-    iteration runs, neither operator nor preconditioner is built, and the
-    result reports iterations = 0."""
+    Coefficients tagged x1_measurable, and time_measurable ones on a short
+    enough time axis, start GMRES from an exact direct solve (_x1_direct,
+    _t_direct; see _direct_solver); when its true residual already meets
+    rtol, no GMRES iteration runs, neither operator nor preconditioner is
+    built, and the result reports iterations = 0."""
     started = time.perf_counter()
     options = options or SolverOptions()
     if coeffs.grid != data.grid:
@@ -356,8 +443,9 @@ def solve(
     history: list[float] = []
     x = np.zeros(n)
     rel = 1.0
-    if coeffs.tag == "x1_measurable":
-        x = _x1_direct(coeffs, lam, b.reshape(shape)).ravel()
+    direct = _direct_solver(coeffs)
+    if direct is not None:
+        x = direct(coeffs, lam, b.reshape(shape)).ravel()
         rel = float(np.linalg.norm(b - matvec(x))) / b_norm
     if rel > options.rtol:
         operator = LinearOperator((n, n), matvec=matvec, dtype=np.float64)

@@ -51,7 +51,9 @@ class TimeSymbol:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.values, dtype=np.complex128)
+        # a copy (n_t entries, built once per grid and kind by time_symbol):
+        # freezing it leaves the caller's array writeable
+        arr = np.array(self.values, dtype=np.complex128)
         if arr.shape != (self.grid.n_t,):
             raise ValueError("symbol table must have one entry per time mode")
         if arr[0].imag != 0.0 or not np.array_equal(arr[1:], np.conj(arr[:0:-1])):

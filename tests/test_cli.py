@@ -411,3 +411,21 @@ def test_solve_on_x1_coefficients_takes_the_exact_path(tmp_path, capsys):
     assert disk["converged"] is True
     assert disk["final_relative_residual"] <= 1e-12
     assert report["iterations"] == 0
+
+
+def test_solve_on_time_coefficients_takes_the_exact_path(tmp_path, capsys):
+    """time_piecewise coefficients on the default 64x64 grid are solved
+    directly: no GMRES iteration and a residual at rounding level."""
+    mapping = dict(
+        SOLVE_CONFIG,
+        grid={"d": 1},
+        coefficients={"kind": "time_piecewise", "delta": 0.5, "seed": 3},
+    )
+    config = _write_config(tmp_path, "solve.json", mapping)
+    code, report = _run(capsys, ["solve", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert read_field(tmp_path / "o" / "u.htpf").grid.shape == (64, 64)
+    disk = json.loads((tmp_path / "o" / "result.json").read_text())
+    assert disk["iterations"] == 0
+    assert disk["converged"] is True
+    assert disk["final_relative_residual"] <= 1e-12

@@ -228,6 +228,12 @@ def test_oscillation_quarter_scale():
     assert local["refinement_deviation"] <= 0.2
     assert local["rescaling_deviation"] <= 0.05
     assert local["trivial_flagged"]
+    # each case's solve; n_t = 1024 keeps the time case on GMRES
+    solves = result.summary["solves"]
+    assert list(solves) == list(decays)
+    assert all(s["final_relative_residual"] <= 1e-9 for s in solves.values())
+    assert solves["calU_time_coeffs"]["iterations"] > 0
+    assert solves["U_heat"]["iterations"] == solves["calUprime_theta_x1"]["iterations"] == 0
 
 
 def test_oscillation_fails_on_an_unconverged_solve(monkeypatch):

@@ -32,11 +32,11 @@ GOLDEN = {
         "c68d5837120533339b3329abc142b6815a96c97fff8a8ab928c444e84a00062b",
     ),
     ("lp_sweep", 0): (
-        "e38945ec856254284830c3594ac845fc92b587cff051542625737ba2fd49c1d6",
+        "444dafe963514b14839cef6bffd45398edcc95ce0d6e1a430e0406a8324937f7",
         "883f181e56e49b40ee6808a2427bb7ee8393d006999196cfa8bd8bcb9b0249b4",
     ),
     ("lp_sweep", 1): (
-        "4f82a0c2509fc3f9b06580862ac60c5f741dd411bab6dab8f4f865058fff239e",
+        "59755e9277ccdd2f791d7b30b2d32c427558c387b85385e63e91207ae48cd609",
         "0ecf75cdc14a88d10c11cd7f9004c5bca07f50a2406e0354fcb795f5b7562d9c",
     ),
     ("tail_decay", 0): (

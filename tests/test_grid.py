@@ -71,6 +71,18 @@ def test_field_is_immutable_and_validated():
         Field(g, np.full(g.shape, np.nan))
 
 
+def test_field_adopts_and_freezes_the_callers_array():
+    """The documented zero-copy adoption: a C-contiguous float64 array becomes
+    the field's data and turns read-only; any other array is copied."""
+    g = make_grid(d=1, n_t=8, n_x=8, l_t=1.0, l_x=1.0)
+    adopted = np.zeros(g.shape)
+    assert Field(g, adopted).data is adopted
+    assert not adopted.flags.writeable
+    converted = np.zeros(g.shape, dtype=np.float32)
+    Field(g, converted)
+    assert converted.flags.writeable
+
+
 def test_vector_field_needs_matching_grids():
     g = make_grid(d=2, n_t=8, n_x=8, l_t=1.0, l_x=1.0)
     other = make_grid(d=2, n_t=8, n_x=8, l_t=2.0, l_x=1.0)

@@ -328,18 +328,16 @@ def _rel_diff(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("lam", [0.5, 16.0])
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_x1_direct_solve_matches_gmres_and_the_oracle(monkeypatch, d, lam):
-    """x1-measurable coefficients are solved exactly by FFT in (t, x') and a
-    cyclic tridiagonal sweep along x1: no GMRES iteration, a residual at
-    rounding level, the GMRES solution of the same operator (tag "general"),
-    and the oracle's on a constant matrix.  A spoiled direct guess is
-    finished by GMRES, never accepted."""
+def _check_direct_solve(monkeypatch, kind, tag, direct_name, d, lam):
+    """The exact solve of `kind` coefficients: no GMRES iteration, a residual
+    at rounding level, the GMRES solution of the same operator (tag
+    "general"), and the oracle's on a constant matrix tagged `tag`.  A spoiled
+    direct guess is finished by GMRES, never accepted."""
     g = _grid(**_FAST_PATH_GRIDS[d])
     data = _white_bundle(g, 30 + d, lam)
-    a = generate_coefficients(kind="x1_piecewise", delta=0.25, seed=d, grid=g)
-    if d >= 2:  # the mixed a_1j / a_i1 terms carry a skew part
+    a = generate_coefficients(kind=kind, delta=0.25, seed=d, grid=g)
+    assert a.tag == tag
+    if d >= 2:  # the mixed a_ij terms carry a skew part
         assert np.max(np.abs(a.data - np.swapaxes(a.data, 0, 1))) > 0.1
 
     direct = solve(a, data)
@@ -351,22 +349,85 @@ def test_x1_direct_solve_matches_gmres_and_the_oracle(monkeypatch, d, lam):
     assert _rel_diff(direct.u.data, gmres.u.data) <= 1e-10
 
     constant = generate_coefficients(kind="constant", delta=0.25, seed=d, grid=g)
-    tagged = coefficients_from_matrix(g, constant.constant_matrix(), 0.25, tag="x1_measurable")
+    tagged = coefficients_from_matrix(g, constant.constant_matrix(), 0.25, tag=tag)
     flat = solve(tagged, data)
     assert flat.iterations == 0
     assert _rel_diff(flat.u.data, solve_oracle(constant, data).u.data) <= 1e-12
 
-    exact = solver_module._x1_direct
+    exact = getattr(solver_module, direct_name)
     noise = np.random.default_rng(d).standard_normal(g.shape)
     monkeypatch.setattr(
         solver_module,
-        "_x1_direct",
+        direct_name,
         lambda *args: exact(*args) * (1.0 + 1e-3 * noise),
     )
     finished = solve(a, data)
     assert finished.converged and finished.iterations > 0
     assert finished.final_relative_residual <= SolverOptions().rtol
     assert _rel_diff(finished.u.data, direct.u.data) <= 1e-7
+
+
+@pytest.mark.parametrize("lam", [0.5, 16.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_x1_direct_solve_matches_gmres_and_the_oracle(monkeypatch, d, lam):
+    """x1-measurable coefficients are solved exactly by FFT in (t, x') and a
+    cyclic tridiagonal sweep along x1."""
+    _check_direct_solve(monkeypatch, "x1_piecewise", "x1_measurable", "_x1_direct", d, lam)
+
+
+@pytest.mark.parametrize("lam", [0.5, 16.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_t_direct_solve_matches_gmres_and_the_oracle(monkeypatch, d, lam):
+    """Time-measurable coefficients on a short time axis are solved exactly
+    by rfftn in space and one dense n_t x n_t system per spatial mode."""
+    _check_direct_solve(monkeypatch, "time_piecewise", "time_measurable", "_t_direct", d, lam)
+
+
+def test_t_direct_assembles_in_chunks(monkeypatch):
+    """A chunk budget smaller than one mode's matrix still solves every mode
+    (one matrix per chunk), to the same result."""
+    g = _grid(**_FAST_PATH_GRIDS[2])
+    a = generate_coefficients(kind="time_piecewise", delta=0.25, seed=4, grid=g)
+    rhs = apply_rhs(_white_bundle(g, 40, 1.0)).data
+    whole = solver_module._t_direct(a, 1.0, rhs)
+    monkeypatch.setattr(solver_module, "_T_DIRECT_CHUNK_BYTES", 1)
+    assert np.array_equal(solver_module._t_direct(a, 1.0, rhs), whole)
+
+
+def _refuse(*args):
+    raise AssertionError("the direct time solve ran")
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        # criterion 8's grid: the dense n_t x n_t systems would not pay off
+        dict(d=1, n_t=4096, n_x=512, l_t=4.0, l_x=4.0),
+        # d = 1 goes direct only up to n_t = 64 (n_t^2 <= 8192 * d)
+        dict(d=1, n_t=128, n_x=128),
+    ],
+    ids=["oscillation", "d1_128"],
+)
+def test_long_time_axes_stay_on_gmres(monkeypatch, grid):
+    g = _grid(**grid)
+    a = generate_coefficients(kind="time_piecewise", delta=0.5, seed=1, grid=g)
+    t = g.coordinate_mesh()[0]
+    f = Field(g, np.broadcast_to(np.cos(2.0 * np.pi * t / g.l_t), g.shape))
+    data = DataBundle(h=zeros(g), g=VectorField((zeros(g),)), f=f, lam=1.0)
+    monkeypatch.setattr(solver_module, "_t_direct", _refuse)
+    # two GMRES iterations show the route; convergence is not the point here
+    result = solve(a, data, SolverOptions(max_iterations=1, restart=1))
+    assert result.iterations >= 1
+
+
+def test_direct_time_solve_covers_the_short_grids():
+    """The cost rule sends n_t^2 <= 8192 * d to the direct solve: n_t = 64 in
+    d = 1 and n_t = 128 in d = 2."""
+    for d, n_t in ((1, 64), (2, 128)):
+        g = _grid(d=d, n_t=n_t, n_x=8)
+        a = generate_coefficients(kind="time_piecewise", delta=0.5, seed=1, grid=g)
+        assert solver_module._direct_solver(a) is solver_module._t_direct
+        assert solver_module._direct_solver(dataclasses.replace(a, tag="general")) is None
 
 
 def test_oracle_zero_data_short_circuits():
@@ -415,6 +476,18 @@ def test_solver_options_misuse():
         SolverOptions(rtol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iterations=0)
+    # a bool is an int and NaN fails every comparison: neither may slip through
+    for bad in (True, np.bool_(True), float("nan"), float("inf"), "1e-9", None):
+        with pytest.raises(ValueError, match="'rtol' must be a float in"):
+            SolverOptions(rtol=bad)
+    for name, bad in (("max_iterations", True), ("restart", 2.5), ("restart", "many")):
+        with pytest.raises(ValueError, match=f"'{name}' must be"):
+            SolverOptions(**{name: bad})
+    read = SolverOptions(rtol=np.float32(0.5), max_iterations=64.0, restart="8")
+    assert (read.rtol, read.max_iterations, read.restart) == (0.5, 64, 8)
+    assert all(isinstance(v, int) for v in (read.max_iterations, read.restart))
+    with pytest.raises(ValueError, match="malformed solver section.*'rtol' must be a float"):
+        ExperimentConfig.from_mapping({"experiment": "l2", "solver": {"rtol": True}})
     assert [f.name for f in dataclasses.fields(SolverOptions)] == [
         "rtol",
         "max_iterations",

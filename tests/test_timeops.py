@@ -85,6 +85,17 @@ def test_symbol_tables_are_cached_and_read_only():
         table.values[1] = 0.0
 
 
+def test_symbol_table_copies_the_callers_array():
+    """TimeSymbol freezes its own copy: the caller's table stays writeable,
+    and writing to it leaves the symbol as it was."""
+    g = _grid(n_t=16)
+    values = time_symbol(g, "time_derivative").values.copy()
+    symbol = TimeSymbol(grid=g, kind="custom", values=values)
+    assert values.flags.writeable and not symbol.values.flags.writeable
+    values[1] = 0.0
+    assert np.array_equal(symbol.values, time_symbol(g, "time_derivative").values)
+
+
 def test_symbol_tables_must_be_hermitian():
     """The half-spectrum kernel reads only k = 0..n_t/2, so a table whose
     negative modes are not the conjugates of the positive ones is refused."""
