@@ -184,6 +184,7 @@ def _run_solve(name: str, args: argparse.Namespace) -> int:
             "converged": result.converged,
             "iterations": result.iterations,
             "final_relative_residual": result.final_relative_residual,
+            "method": result.method,
             "wall_time": result.wall_time,
             "lambda": data.lam,
             "norms": {

@@ -949,7 +949,7 @@ def run_oscillation_experiments(config: ExperimentConfig) -> ExperimentResult:
     Data are spatially supported at the far seam of the torus, so every tail
     cylinder around the origin carries (numerically) zero data and the
     measured decay is the homogeneous rate.  The summary's ``solves`` reports
-    each case's final relative residual and iteration count.
+    each case's final relative residual, iteration count and solve path.
     """
     grid = config.grid
     lam = config.lambdas[0]
@@ -982,6 +982,7 @@ def run_oscillation_experiments(config: ExperimentConfig) -> ExperimentResult:
         solves[case] = {
             "final_relative_residual": result.final_relative_residual,
             "iterations": result.iterations,
+            "method": result.method,
         }
         if not result.converged:
             failures.append(

@@ -79,6 +79,9 @@ class SolveResult:
     final_relative_residual: float
     wall_time: float
     converged: bool
+    # the path that produced u: "oracle", "x1_direct", "t_direct",
+    # "t_frame_gmres" or "gmres"
+    method: str
     residual_history: tuple[float, ...] = ()
 
 
@@ -172,13 +175,14 @@ def duality_defect(coeffs: Coefficients, lam: float, u: Field, v: Field) -> floa
     return abs(forward + backward - 2.0 * sym)
 
 
-def _zero_result(grid: Grid, started: float) -> SolveResult:
+def _zero_result(grid: Grid, started: float, method: str) -> SolveResult:
     return SolveResult(
         u=zeros(grid),
         iterations=0,
         final_relative_residual=0.0,
         wall_time=time.perf_counter() - started,
         converged=True,
+        method=method,
     )
 
 
@@ -199,7 +203,7 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
     rhs = apply_rhs(data)
     rhs_norm = lp_norm(rhs, 2)
     if rhs_norm == 0.0:
-        return _zero_result(grid, started)
+        return _zero_result(grid, started, "oracle")
 
     denom = _operator_symbol(grid, matrix, lam)
     # max |rhs_hat| over the half spectrum is the full-spectrum max: the
@@ -225,6 +229,7 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
         final_relative_residual=rel,
         wall_time=time.perf_counter() - started,
         converged=True,
+        method="oracle",
     )
 
 
@@ -333,6 +338,12 @@ def _x1_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
 _T_DIRECT_CHUNK_BYTES = 2**22
 
 
+def _time_profile(coeffs: Coefficients) -> np.ndarray:
+    """a_ij(t) of time-measurable coefficients, shape (d, d, n_t)."""
+    d = coeffs.grid.d
+    return coeffs.data.reshape(d, d, coeffs.grid.n_t, -1)[..., 0]
+
+
 def _t_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
     """Solve apply_operator(coeffs, lam, u) = rhs exactly (to rounding) for
     coefficients that vary in t only.
@@ -354,7 +365,7 @@ def _t_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
     the oracle, solves them."""
     grid = coeffs.grid
     d, n_t = grid.d, grid.n_t
-    profile = coeffs.data.reshape(d, d, n_t, -1)[..., 0]  # a_ij(t)
+    profile = _time_profile(coeffs)
     if np.all(profile == profile[..., :1]):
         u_hat = np.fft.rfftn(rhs) / _operator_symbol(grid, profile[..., 0], lam)
         return np.fft.irfftn(u_hat, s=grid.shape, axes=tuple(range(d + 1)))
@@ -390,17 +401,79 @@ def _t_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(u_hat, s=grid.n_x, axes=spatial)
 
 
+def _t_frame(coeffs: Coefficients, lam: float):
+    """GMRES's system for time-measurable coefficients in the (t, xi) frame.
+
+    The frame map y = sqrt(w / N_x) * rfftn(x, axes=space), laid out as
+    (modes, n_t), is an isometry from the real fields: w counts each
+    half-spectrum plane's multiplicity (1 on the zero and Nyquist planes of
+    the last spatial axis, 2 elsewhere), so the Krylov norms are the physical
+    ones.  In the frame the operator is C + diag(q_xi(t)) + lam per mode, as
+    in _t_direct, and P = C + q_bar_xi + lam with q_bar_xi = sum_ij
+    mean_t(a_ij) conj(sigma_i) sigma_j is the constant_mean preconditioner,
+    diagonal in tau.  GMRES runs on the fused left-preconditioned operator
+    v -> v + P^{-1}((q - q_bar) v): one complex FFT pair along t and
+    pointwise products per iteration.
+
+    Returns (to_frame, from_frame, matvec, precondition): the two maps
+    between flat physical and flat frame vectors, the fused operator on flat
+    frame vectors and P^{-1} on (modes, n_t) frame arrays."""
+    grid = coeffs.grid
+    d, n_t = grid.d, grid.n_t
+    spatial = tuple(range(1, d + 1))
+    half = _half_shape(grid)
+    _, sigmas = _spectral_tables(grid)
+    profile = _time_profile(coeffs)
+    mean = profile.mean(axis=-1)
+    # q_xi(t) - q_bar_xi and the symbol of P, each one (modes, n_t) table
+    shifted = np.zeros((int(np.prod(half[1:])), n_t), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            s_ij = np.broadcast_to(np.conj(sigmas[i]) * sigmas[j], (1, *half[1:]))
+            shifted += np.outer(s_ij, profile[i, j] - mean[i, j])
+    symbol = np.ascontiguousarray(_operator_symbol(grid, mean, lam).reshape(n_t, -1).T)
+
+    plane = np.full(half[-1], 2.0)
+    plane[[0, -1]] = 1.0  # every n_x is even, so the Nyquist plane exists
+    scale = np.broadcast_to(np.sqrt(plane / np.prod(grid.n_x)), half[1:]).reshape(-1, 1)
+
+    def to_frame(x: np.ndarray) -> np.ndarray:
+        spec = np.fft.rfftn(x.reshape(grid.shape), axes=spatial).reshape(n_t, -1)
+        return (scale * spec.T).ravel()
+
+    def from_frame(y: np.ndarray) -> np.ndarray:
+        spec = (y.reshape(-1, n_t) / scale).T.reshape(half)
+        return np.fft.irfftn(spec, s=grid.n_x, axes=spatial).ravel()
+
+    def precondition(v: np.ndarray) -> np.ndarray:
+        v_hat = np.fft.fft(v, axis=1)
+        v_hat /= symbol
+        return np.fft.ifft(v_hat, axis=1)
+
+    def matvec(y: np.ndarray) -> np.ndarray:
+        v = y.reshape(shifted.shape)
+        out = precondition(shifted * v)
+        out += v
+        return out.ravel()
+
+    return to_frame, from_frame, matvec, precondition
+
+
 def _direct_solver(coeffs: Coefficients):
-    """The exact solver GMRES starts from, or None (GMRES starts from zero).
+    """The exact solver GMRES starts from, as (method, solver), or None
+    (GMRES starts from zero).
 
     Time-measurable systems cost about modes * n_t^3 against GMRES's
     iterations * n_t * modes * log; the measured crossover (2 vCPUs) is
-    n_t^2 = 8192 * d, so larger time axes stay on GMRES."""
+    n_t^2 = 8192 * d, so larger time axes stay on GMRES.  A field that does
+    not vary in t costs _t_direct one division at any n_t."""
     grid = coeffs.grid
     if coeffs.tag == "x1_measurable":
-        return _x1_direct
-    if coeffs.tag == "time_measurable" and grid.n_t**2 <= 8192 * grid.d:
-        return _t_direct
+        return "x1_direct", _x1_direct
+    if coeffs.tag == "time_measurable":
+        profile = _time_profile(coeffs)
+        if grid.n_t**2 <= 8192 * grid.d or np.all(profile == profile[..., :1]):
+            return "t_direct", _t_direct
     return None
 
 
@@ -416,7 +489,10 @@ def solve(
     enough time axis, start GMRES from an exact direct solve (_x1_direct,
     _t_direct; see _direct_solver); when its true residual already meets
     rtol, no GMRES iteration runs, neither operator nor preconditioner is
-    built, and the result reports iterations = 0."""
+    built, and the result reports iterations = 0.  GMRES for time_measurable
+    coefficients runs in the (t, xi) frame (_t_frame), where the operator is
+    diagonal in the spatial modes; the physical frame serves the rest.
+    SolveResult.method names the path that produced u."""
     started = time.perf_counter()
     options = options or SolverOptions()
     if coeffs.grid != data.grid:
@@ -430,11 +506,14 @@ def solve(
     grid = data.grid
     shape = grid.shape
     n = int(np.prod(shape))
+    direct = _direct_solver(coeffs)
+    krylov = "t_frame_gmres" if coeffs.tag == "time_measurable" else "gmres"
+    method = direct[0] if direct else krylov
 
     b = apply_rhs(data).data.ravel()
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return _zero_result(grid, started)
+        return _zero_result(grid, started, method)
 
     def matvec(x: np.ndarray) -> np.ndarray:
         u = Field(grid, x.reshape(shape))
@@ -443,29 +522,38 @@ def solve(
     history: list[float] = []
     x = np.zeros(n)
     rel = 1.0
-    direct = _direct_solver(coeffs)
     if direct is not None:
-        x = direct(coeffs, lam, b.reshape(shape)).ravel()
+        x = direct[1](coeffs, lam, b.reshape(shape)).ravel()
         rel = float(np.linalg.norm(b - matvec(x))) / b_norm
     if rel > options.rtol:
-        operator = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-        denom = _operator_symbol(grid, coeffs.mean_matrix(), lam)
-        axes = tuple(range(grid.d + 1))
+        method = krylov
+        if method == "t_frame_gmres":
+            to_frame, from_frame, frame_matvec, precondition = _t_frame(coeffs, lam)
+            rhs = precondition(to_frame(b).reshape(-1, grid.n_t)).ravel()
+            operator = LinearOperator((rhs.size, rhs.size), matvec=frame_matvec, dtype=complex)
+            precond = None
+        else:
+            to_frame = from_frame = np.ravel  # the physical frame: flat fields
+            rhs = b
+            operator = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+            denom = _operator_symbol(grid, coeffs.mean_matrix(), lam)
+            axes = tuple(range(grid.d + 1))
 
-        def psolve(x: np.ndarray) -> np.ndarray:
-            x_hat = np.fft.rfftn(x.reshape(shape))
-            x_hat /= denom
-            return np.fft.irfftn(x_hat, s=shape, axes=axes).ravel()
+            def psolve(x: np.ndarray) -> np.ndarray:
+                x_hat = np.fft.rfftn(x.reshape(shape))
+                x_hat /= denom
+                return np.fft.irfftn(x_hat, s=shape, axes=axes).ravel()
 
-        precond = LinearOperator((n, n), matvec=psolve, dtype=np.float64)
+            precond = LinearOperator((n, n), matvec=psolve, dtype=np.float64)
+        y = to_frame(x)
         outer = max(1, -(-options.max_iterations // options.restart))
         # the Krylov recurrence tracks the preconditioned residual; aim below
         # the target and accept on the recomputed true residual only
         for target in (0.1 * options.rtol, 1e-3 * options.rtol):
-            x, _ = gmres(
+            y, _ = gmres(
                 operator,
-                b,
-                x0=x,
+                rhs,
+                x0=y,
                 rtol=target,
                 atol=0.0,
                 restart=options.restart,
@@ -474,6 +562,7 @@ def solve(
                 callback=lambda pr: history.append(float(pr)),
                 callback_type="pr_norm",
             )
+            x = from_frame(y)
             rel = float(np.linalg.norm(b - matvec(x))) / b_norm
             if rel <= options.rtol:
                 break
@@ -484,6 +573,7 @@ def solve(
         final_relative_residual=rel,
         wall_time=time.perf_counter() - started,
         converged=rel <= options.rtol,
+        method=method,
         residual_history=tuple(history),
     )
 

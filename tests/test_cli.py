@@ -150,6 +150,7 @@ def test_solve_and_oracle(tmp_path, capsys):
     assert code == 0
     assert report["converged"] is True
     assert report["iterations"] == 0
+    assert report["method"] == "oracle"
     assert report["wall_time"] >= 0.0
     assert report["lambda"] == 2.0
     assert report["norms"]["ratio"] == pytest.approx(
@@ -165,6 +166,7 @@ def test_solve_and_oracle(tmp_path, capsys):
         capsys, ["solve", "--config", str(config), "--out", str(tmp_path / "gm")]
     )
     assert code == 0
+    assert report["method"] == "gmres"
     u_gmres = read_field(tmp_path / "gm" / "u.htpf")
     scale = float(abs(u_oracle.data).max())
     assert abs(u_gmres.data - u_oracle.data).max() <= 1e-6 * scale
@@ -408,6 +410,7 @@ def test_solve_on_x1_coefficients_takes_the_exact_path(tmp_path, capsys):
     assert code == 0
     disk = json.loads((tmp_path / "o" / "result.json").read_text())
     assert disk["iterations"] == 0
+    assert disk["method"] == report["method"] == "x1_direct"
     assert disk["converged"] is True
     assert disk["final_relative_residual"] <= 1e-12
     assert report["iterations"] == 0
@@ -427,5 +430,6 @@ def test_solve_on_time_coefficients_takes_the_exact_path(tmp_path, capsys):
     assert read_field(tmp_path / "o" / "u.htpf").grid.shape == (64, 64)
     disk = json.loads((tmp_path / "o" / "result.json").read_text())
     assert disk["iterations"] == 0
+    assert disk["method"] == "t_direct"
     assert disk["converged"] is True
     assert disk["final_relative_residual"] <= 1e-12

@@ -234,6 +234,11 @@ def test_oscillation_quarter_scale():
     assert all(s["final_relative_residual"] <= 1e-9 for s in solves.values())
     assert solves["calU_time_coeffs"]["iterations"] > 0
     assert solves["U_heat"]["iterations"] == solves["calUprime_theta_x1"]["iterations"] == 0
+    assert {case: s["method"] for case, s in solves.items()} == {
+        "calU_time_coeffs": "t_frame_gmres",
+        "U_heat": "oracle",
+        "calUprime_theta_x1": "x1_direct",
+    }
 
 
 def test_oscillation_fails_on_an_unconverged_solve(monkeypatch):

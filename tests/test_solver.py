@@ -328,11 +328,11 @@ def _rel_diff(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-def _check_direct_solve(monkeypatch, kind, tag, direct_name, d, lam):
+def _check_direct_solve(monkeypatch, kind, tag, direct_name, krylov, d, lam):
     """The exact solve of `kind` coefficients: no GMRES iteration, a residual
     at rounding level, the GMRES solution of the same operator (tag
     "general"), and the oracle's on a constant matrix tagged `tag`.  A spoiled
-    direct guess is finished by GMRES, never accepted."""
+    direct guess is finished by the `krylov` GMRES path, never accepted."""
     g = _grid(**_FAST_PATH_GRIDS[d])
     data = _white_bundle(g, 30 + d, lam)
     a = generate_coefficients(kind=kind, delta=0.25, seed=d, grid=g)
@@ -341,11 +341,11 @@ def _check_direct_solve(monkeypatch, kind, tag, direct_name, d, lam):
         assert np.max(np.abs(a.data - np.swapaxes(a.data, 0, 1))) > 0.1
 
     direct = solve(a, data)
-    assert direct.converged
+    assert direct.converged and direct.method == direct_name.lstrip("_")
     assert direct.iterations == 0 and direct.residual_history == ()
     assert direct.final_relative_residual <= 1e-12
     gmres = solve(dataclasses.replace(a, tag="general"), data, SolverOptions(rtol=1e-12))
-    assert gmres.converged and gmres.iterations > 0
+    assert gmres.converged and gmres.iterations > 0 and gmres.method == "gmres"
     assert _rel_diff(direct.u.data, gmres.u.data) <= 1e-10
 
     constant = generate_coefficients(kind="constant", delta=0.25, seed=d, grid=g)
@@ -362,7 +362,7 @@ def _check_direct_solve(monkeypatch, kind, tag, direct_name, d, lam):
         lambda *args: exact(*args) * (1.0 + 1e-3 * noise),
     )
     finished = solve(a, data)
-    assert finished.converged and finished.iterations > 0
+    assert finished.converged and finished.iterations > 0 and finished.method == krylov
     assert finished.final_relative_residual <= SolverOptions().rtol
     assert _rel_diff(finished.u.data, direct.u.data) <= 1e-7
 
@@ -372,15 +372,20 @@ def _check_direct_solve(monkeypatch, kind, tag, direct_name, d, lam):
 def test_x1_direct_solve_matches_gmres_and_the_oracle(monkeypatch, d, lam):
     """x1-measurable coefficients are solved exactly by FFT in (t, x') and a
     cyclic tridiagonal sweep along x1."""
-    _check_direct_solve(monkeypatch, "x1_piecewise", "x1_measurable", "_x1_direct", d, lam)
+    _check_direct_solve(
+        monkeypatch, "x1_piecewise", "x1_measurable", "_x1_direct", "gmres", d, lam
+    )
 
 
 @pytest.mark.parametrize("lam", [0.5, 16.0])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_t_direct_solve_matches_gmres_and_the_oracle(monkeypatch, d, lam):
     """Time-measurable coefficients on a short time axis are solved exactly
-    by rfftn in space and one dense n_t x n_t system per spatial mode."""
-    _check_direct_solve(monkeypatch, "time_piecewise", "time_measurable", "_t_direct", d, lam)
+    by rfftn in space and one dense n_t x n_t system per spatial mode; a
+    spoiled guess is finished by GMRES in the (t, xi) frame."""
+    _check_direct_solve(
+        monkeypatch, "time_piecewise", "time_measurable", "_t_direct", "t_frame_gmres", d, lam
+    )
 
 
 def test_t_direct_assembles_in_chunks(monkeypatch):
@@ -408,26 +413,90 @@ def _refuse(*args):
     ],
     ids=["oscillation", "d1_128"],
 )
-def test_long_time_axes_stay_on_gmres(monkeypatch, grid):
+def test_long_time_axes_run_frame_gmres(monkeypatch, grid):
+    """Long time axes skip the direct solve and run GMRES in the (t, xi)
+    frame: one fused operator, no physical-frame preconditioner."""
     g = _grid(**grid)
     a = generate_coefficients(kind="time_piecewise", delta=0.5, seed=1, grid=g)
     t = g.coordinate_mesh()[0]
     f = Field(g, np.broadcast_to(np.cos(2.0 * np.pi * t / g.l_t), g.shape))
     data = DataBundle(h=zeros(g), g=VectorField((zeros(g),)), f=f, lam=1.0)
     monkeypatch.setattr(solver_module, "_t_direct", _refuse)
+    seen = _capture_operators(monkeypatch)
     # two GMRES iterations show the route; convergence is not the point here
     result = solve(a, data, SolverOptions(max_iterations=1, restart=1))
     assert result.iterations >= 1
+    assert result.method == "t_frame_gmres"
+    assert set(seen) == {"matvec"}
+
+
+# grids with n_t^2 > 8192 * d, where GMRES runs in the (t, xi) frame
+_FRAME_GRIDS = {
+    1: dict(d=1, n_t=128, n_x=32),
+    2: dict(d=2, n_t=136, n_x=(16, 8)),
+    3: dict(d=3, n_t=160, n_x=(8, 8, 10)),
+}
+
+
+@pytest.mark.parametrize("lam", [0.5, 16.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_t_frame_gmres_matches_physical_gmres(monkeypatch, d, lam):
+    """GMRES in the (t, xi) frame solves the operator that physical-frame
+    GMRES (tag "general") solves, to 1e-10 relative at rtol 1e-12, in at most
+    two more iterations."""
+    g = _grid(**_FRAME_GRIDS[d])
+    assert g.n_t**2 > 8192 * d
+    data = _white_bundle(g, 50 + d, lam)
+    a = generate_coefficients(kind="time_piecewise", delta=0.25, seed=d, grid=g)
+    if d >= 2:  # the mixed a_ij terms carry a skew part
+        assert np.max(np.abs(a.data - np.swapaxes(a.data, 0, 1))) > 0.1
+    options = SolverOptions(rtol=1e-12)
+    monkeypatch.setattr(solver_module, "_t_direct", _refuse)
+    frame = solve(a, data, options)
+    physical = solve(dataclasses.replace(a, tag="general"), data, options)
+    assert frame.method == "t_frame_gmres" and physical.method == "gmres"
+    assert frame.converged and physical.converged
+    assert frame.final_relative_residual <= options.rtol
+    assert frame.iterations <= physical.iterations + 2
+    assert _rel_diff(frame.u.data, physical.u.data) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_t_frame_is_an_isometry_carrying_the_operator(d):
+    """The frame map keeps the Euclidean norm and inverts exactly, and the
+    fused frame operator is P^{-1} A of the physical operator A, with P^{-1}
+    the frame preconditioner."""
+    g = _grid(**_FRAME_GRIDS[d])
+    a = generate_coefficients(kind="time_piecewise", delta=0.25, seed=d, grid=g)
+    to_frame, from_frame, matvec, precondition = solver_module._t_frame(a, 2.0)
+    x = np.random.default_rng(d).standard_normal(g.sample_count)
+    y = to_frame(x)
+    assert abs(np.linalg.norm(y) - np.linalg.norm(x)) <= 1e-13 * np.linalg.norm(x)
+    assert np.max(np.abs(from_frame(y) - x)) <= 1e-13 * np.max(np.abs(x))
+    ax = apply_operator(a, 2.0, Field(g, x.reshape(g.shape))).data.ravel()
+    want = precondition(to_frame(ax).reshape(-1, g.n_t)).ravel()
+    assert np.max(np.abs(matvec(y) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_direct_time_solve_covers_the_short_grids():
     """The cost rule sends n_t^2 <= 8192 * d to the direct solve: n_t = 64 in
-    d = 1 and n_t = 128 in d = 2."""
+    d = 1 and n_t = 128 in d = 2.  A field that does not vary in t goes
+    direct at any n_t, as one division."""
     for d, n_t in ((1, 64), (2, 128)):
         g = _grid(d=d, n_t=n_t, n_x=8)
         a = generate_coefficients(kind="time_piecewise", delta=0.5, seed=1, grid=g)
-        assert solver_module._direct_solver(a) is solver_module._t_direct
+        assert solver_module._direct_solver(a) == ("t_direct", solver_module._t_direct)
         assert solver_module._direct_solver(dataclasses.replace(a, tag="general")) is None
+    g = _grid(d=1, n_t=1024, n_x=8)
+    varying = generate_coefficients(kind="time_piecewise", delta=0.5, seed=1, grid=g)
+    assert solver_module._direct_solver(varying) is None
+    flat = generate_coefficients(kind="time_piecewise", delta=1.0, seed=1, grid=g)
+    assert flat.tag == "time_measurable"
+    assert solver_module._direct_solver(flat) == ("t_direct", solver_module._t_direct)
+    data = _white_bundle(g, 60, 1.0)
+    result = solve(flat, data)
+    assert result.iterations == 0 and result.method == "t_direct"
+    assert result.final_relative_residual <= 1e-12
 
 
 def test_oracle_zero_data_short_circuits():
