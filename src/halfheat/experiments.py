@@ -39,13 +39,13 @@ from .grid import (
 )
 from .operators import (
     DataBundle,
-    SolutionBundle,
+    _solution_parts,
     apply_operator,
     manufacture_data,
     reduce_to_identity,
     residual,
 )
-from .oscillation import verify_local_estimate, verify_mean_oscillation
+from .oscillation import _spatial_dist_sq, verify_local_estimate, verify_mean_oscillation
 from .solver import (
     SolverOptions,
     SolveResult,
@@ -174,6 +174,8 @@ class ExperimentConfig:
                 )
         if not self.lambdas:
             raise ValueError("lambda list must not be empty")
+        if not self.p_list:
+            raise ValueError("p list must not be empty")
         for lam in self.lambdas:
             if lam < 0 or not math.isfinite(lam):
                 raise ValueError(f"lambda entries must be finite and >= 0, got {lam}")
@@ -338,7 +340,7 @@ def _coefficients_for(
 
 def _bundle_l2(u: Field, lam: float) -> float:
     """||U||_2 of the solution bundle (D_t^{1/2}u, D+u, sqrt(lambda)u)."""
-    return bundle_lp_norm(SolutionBundle.from_field(u, lam).components(), u.grid, 2)
+    return bundle_lp_norm(_solution_parts(u.grid, u.data, lam), u.grid, 2)
 
 
 _IDENTITY_TOLS = {
@@ -503,6 +505,14 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentResult:
 # L2 trials
 
 
+def _one_lambda(config: ExperimentConfig) -> float:
+    """The weight of an experiment that runs at a single lambda > 0."""
+    if len(config.lambdas) != 1 or config.lambdas[0] <= 0:
+        got = list(config.lambdas)
+        raise ValueError(f"'lambdas' must hold one lambda > 0 for {config.kind}, got {got}")
+    return config.lambdas[0]
+
+
 def _solve_for(
     coeffs: Coefficients, data: DataBundle, options: SolverOptions
 ) -> SolveResult:
@@ -580,8 +590,7 @@ def run_l2_trials(config: ExperimentConfig) -> ExperimentResult:
     """Solve `trials` random instances and record ||U||_2/||F||_2; constant
     coefficients are additionally checked against the per-mode multiplier
     bound, and one single-mode instance against its closed-form ratio."""
-    if any(lam <= 0 for lam in config.lambdas):
-        raise ValueError("run_l2_trials needs lambda > 0 entries")
+    _one_lambda(config)
     rows = [_l2_trial(config, trial) for trial in range(config.trials)]
     ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
     mode_check = _single_mode_check(config)
@@ -647,11 +656,12 @@ def _doubled(grid: Grid) -> Grid:
 def _sweep_coefficients(
     config: ExperimentConfig, grid: Grid, kind: str, kind_index: int, trial: int
 ) -> Coefficients:
-    """The sweep's coefficients of one kind; checkerboard amplitudes default
-    to epsilon = (1 - delta) / 2."""
+    """The sweep's coefficients of one kind; checkerboard draws default to
+    delta = 0.25 and amplitude epsilon = (1 - delta) / 2."""
     spec = dict(config.coefficients, kind=kind)
     if kind == "checkerboard":
-        spec = {"epsilon": 0.5 * (1.0 - _scalar(spec.get("delta", 0.25), "delta")), **spec}
+        delta = spec.setdefault("delta", 0.25)
+        spec.setdefault("epsilon", 0.5 * (1.0 - _scalar(delta, "delta")))
     return _coefficients_for(spec, grid, kind, config.seed, kind_index, trial, 3)
 
 
@@ -909,13 +919,8 @@ def run_tail_decay(config: ExperimentConfig) -> ExperimentResult:
 def _seam_bump(grid: Grid, width: float) -> np.ndarray:
     """Gaussian spatial bump centered at the far side of every spatial axis,
     numerically zero on the unit ball around the origin."""
-    mesh = grid.coordinate_mesh()
-    dist_sq = np.zeros(grid.shape)
-    for i in range(grid.d):
-        half = grid.l_x[i] / 2.0
-        off = np.mod(mesh[1 + i] - half + half, grid.l_x[i]) - half
-        dist_sq = dist_sq + off**2
-    return np.exp(-dist_sq / width**2)
+    dist_sq = _spatial_dist_sq(grid, tuple(l / 2.0 for l in grid.l_x))
+    return np.exp(-dist_sq.reshape(1, *grid.n_x) / width**2)
 
 
 def _time_noise(grid: Grid, rng: np.random.Generator) -> np.ndarray:
@@ -952,9 +957,7 @@ def run_oscillation_experiments(config: ExperimentConfig) -> ExperimentResult:
     each case's final relative residual, iteration count and solve path.
     """
     grid = config.grid
-    lam = config.lambdas[0]
-    if lam <= 0:
-        raise ValueError("oscillation experiments need lambda > 0")
+    lam = _one_lambda(config)
     delta = _scalar(config.coefficients.get("delta", 0.5), "delta")
     kappas = _numbers(config.coefficients.get("kappas", [4.0, 8.0, 16.0]), "kappas")
     r_outer = _scalar(config.coefficients.get("outer_radius", 1.0), "outer_radius")

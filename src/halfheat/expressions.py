@@ -133,8 +133,12 @@ class _Evaluator(ast.NodeVisitor):
             center, width = self._scalar_args(name, args, 2)
             if width <= 0:
                 raise ExpressionError("gauss width must be positive")
+            try:
+                spread = 2.0 * width**2
+            except OverflowError:
+                raise ExpressionError(f"gauss width {width} is too large") from None
             t = self.names["t"]
-            return np.exp(-((t - center) ** 2) / (2.0 * width**2))
+            return np.exp(-((t - center) ** 2) / spread)
         if name == "noise":
             seed, band = self._scalar_args(name, args, 2)
             return _noise(self.grid, seed, band)

@@ -160,20 +160,14 @@ def make_grid(
     return grid
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class Field:
     """Real scalar samples over a Grid.  Immutable once constructed.
 
     A C-contiguous float64 array is adopted without a copy (a copy would
-    cost every matvec a full-array copy) and frozen in place, so the
-    caller's own array turns read-only too; pass ``a.copy()`` to keep
-    writing to ``a``."""
+    cost every public operator a full-array copy of its result) and frozen
+    in place, so the caller's own array turns read-only too; pass
+    ``a.copy()`` to keep writing to ``a``."""
 
     grid: Grid
     data: np.ndarray
@@ -186,7 +180,9 @@ class Field:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("field entries must be finite")
-        object.__setattr__(self, "data", _freeze(arr))
+        arr = np.ascontiguousarray(arr)
+        arr.flags.writeable = False
+        object.__setattr__(self, "data", arr)
 
 
 def zeros(grid: Grid) -> Field:
@@ -213,10 +209,6 @@ class VectorField:
     @property
     def grid(self) -> Grid:
         return self.components[0].grid
-
-    def stacked(self) -> np.ndarray:
-        """Component-major array of shape (d, n_t, n_x...)."""
-        return np.stack([c.data for c in self.components])
 
 
 def _lp(samples: np.ndarray, p: float, cell_measure: float) -> float:

@@ -12,13 +12,13 @@ point rather than up to discretization error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coefficients import Coefficients, identity_coefficients
-from .grid import Field, VectorField
-from .timeops import half_derivative, hilbert, time_derivative
+from .grid import Field, Grid, VectorField
+from .timeops import _time_multiplier, half_derivative, time_symbol
 
 __all__ = [
     "gradient_plus",
@@ -33,48 +33,83 @@ __all__ = [
     "reduce_to_identity",
 ]
 
+# Raw-array kernels, samples in and out: the public functions below validate
+# once and wrap the result in a Field; internal callers use the kernels.
+
+
+def _gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
+    """Forward differences of u, stacked component-major as (d, n_t, n_x...)."""
+    grad = np.empty((grid.d, *u.shape))
+    for i in range(grid.d):
+        np.subtract(np.roll(u, -1, axis=1 + i), u, out=grad[i])
+        grad[i] /= grid.h[i]
+    return grad
+
+
+def _divergence(grid: Grid, v) -> np.ndarray:
+    """Backward-difference divergence of the d component arrays v[i]."""
+    total = np.zeros(grid.shape)
+    for i in range(grid.d):
+        total += (v[i] - np.roll(v[i], 1, axis=1 + i)) / grid.h[i]
+    return total
+
+
+def _flux(a: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """sum_j a_ij grad_j for a (d, d, ...) coefficient array."""
+    return np.einsum("ij...,j...->i...", a, grad)
+
+
+def _operator(coeffs: Coefficients, lam: float, u: np.ndarray) -> np.ndarray:
+    grid = coeffs.grid
+    time_term = _time_multiplier(u, time_symbol(grid, "time_derivative"))
+    return time_term - _divergence(grid, _flux(coeffs.data, _gradient(grid, u))) + lam * u
+
+
+def _rhs(data: DataBundle) -> np.ndarray:
+    half_h = _time_multiplier(data.h.data, time_symbol(data.grid, "half_derivative"))
+    return half_h + _divergence(data.grid, [c.data for c in data.g.components]) + data.f.data
+
+
+def _solution_parts(grid: Grid, u: np.ndarray, lam: float) -> list[np.ndarray]:
+    """The bundle slots (D_t^{1/2}u, D+u components, sqrt(lambda) u)."""
+    half = _time_multiplier(u, time_symbol(grid, "half_derivative"))
+    return [half, *_gradient(grid, u), np.sqrt(lam) * u]
+
+
+def _square_sum(arrays: list[np.ndarray]) -> np.ndarray:
+    """Pointwise sum of squares, |U|^2 of a bundle U given by its slots."""
+    return sum(arr * arr for arr in arrays)
+
+
+def _check_grid(coeffs: Coefficients, u: Field) -> None:
+    if coeffs.grid != u.grid:
+        raise ValueError("coefficients and field live on different grids")
+
 
 def gradient_plus(u: Field) -> VectorField:
     """Forward differences (u(x + h e_i) - u(x)) / h_i per spatial axis."""
-    grid = u.grid
-    parts = []
-    for i in range(grid.d):
-        axis = 1 + i
-        diff = (np.roll(u.data, -1, axis=axis) - u.data) / grid.h[i]
-        parts.append(Field(grid, diff))
-    return VectorField(tuple(parts))
+    return VectorField(tuple(Field(u.grid, c) for c in _gradient(u.grid, u.data)))
 
 
 def divergence_minus(v: VectorField) -> Field:
     """Backward-difference divergence, the exact negative adjoint of
     gradient_plus: inner(gradient_plus(u), v) = -inner(u, divergence_minus(v))."""
-    grid = v.grid
-    total = np.zeros(grid.shape)
-    for i, comp in enumerate(v.components):
-        axis = 1 + i
-        total += (comp.data - np.roll(comp.data, 1, axis=axis)) / grid.h[i]
-    return Field(grid, total)
+    return Field(v.grid, _divergence(v.grid, [c.data for c in v.components]))
 
 
 def matrix_gradient(coeffs: Coefficients, u: Field) -> VectorField:
     """(a . D+ u)_i = sum_j a_ij (D+ u)_j, sampled pointwise."""
-    if coeffs.grid != u.grid:
-        raise ValueError("coefficients and field live on different grids")
-    grad = gradient_plus(u)
-    stacked = grad.stacked()
-    flux = np.einsum("ij...,j...->i...", coeffs.data, stacked)
-    return VectorField(tuple(Field(u.grid, flux[i]) for i in range(u.grid.d)))
+    _check_grid(coeffs, u)
+    flux = _flux(coeffs.data, _gradient(u.grid, u.data))
+    return VectorField(tuple(Field(u.grid, c) for c in flux))
 
 
 def apply_operator(coeffs: Coefficients, lam: float, u: Field) -> Field:
     """Strong form: time_derivative(u) - D-(a . D+ u) + lambda*u."""
-    if coeffs.grid != u.grid:
-        raise ValueError("coefficients and field live on different grids")
+    _check_grid(coeffs, u)
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    flux = matrix_gradient(coeffs, u)
-    out = time_derivative(u).data - divergence_minus(flux).data + lam * u.data
-    return Field(u.grid, out)
+    return Field(u.grid, _operator(coeffs, lam, u.data))
 
 
 @dataclass(frozen=True)
@@ -106,18 +141,12 @@ class DataBundle:
 
 def apply_rhs(data: DataBundle) -> Field:
     """D_t^{1/2} h + D-(g) + f."""
-    out = (
-        half_derivative(data.h).data
-        + divergence_minus(data.g).data
-        + data.f.data
-    )
-    return Field(data.grid, out)
+    return Field(data.grid, _rhs(data))
 
 
 def residual(coeffs: Coefficients, data: DataBundle, u: Field) -> Field:
-    return Field(
-        u.grid, apply_operator(coeffs, data.lam, u).data - apply_rhs(data).data
-    )
+    _check_grid(coeffs, u)
+    return Field(u.grid, _operator(coeffs, data.lam, u.data) - _rhs(data))
 
 
 @dataclass(frozen=True)
@@ -136,11 +165,8 @@ class SolutionBundle:
 
     def components(self) -> list[np.ndarray]:
         """Sample arrays of all bundle slots, sqrt(lambda)-weighted."""
-        return (
-            [self.half_du.data]
-            + [c.data for c in self.grad.components]
-            + [np.sqrt(self.lam) * self.u.data]
-        )
+        grad = [c.data for c in self.grad.components]
+        return [self.half_du.data, *grad, np.sqrt(self.lam) * self.u.data]
 
 
 def manufacture_data(coeffs: Coefficients, lam: float, u: Field) -> DataBundle:
@@ -149,11 +175,12 @@ def manufacture_data(coeffs: Coefficients, lam: float, u: Field) -> DataBundle:
     -m_half*m_hilb*m_half = m_deriv), g = -a.D+u cancels the flux, f = lambda*u.
     The residual is zero to rounding, not merely to discretization order.
     """
-    h = Field(u.grid, -hilbert(half_derivative(u)).data)
-    flux = matrix_gradient(coeffs, u)
-    g = VectorField(tuple(Field(u.grid, -c.data) for c in flux.components))
-    f = Field(u.grid, lam * u.data)
-    return DataBundle(h=h, g=g, f=f, lam=lam)
+    _check_grid(coeffs, u)
+    half = _time_multiplier(u.data, time_symbol(u.grid, "half_derivative"))
+    h = Field(u.grid, -_time_multiplier(half, time_symbol(u.grid, "hilbert")))
+    flux = _flux(coeffs.data, _gradient(u.grid, u.data))
+    g = VectorField(tuple(Field(u.grid, -c) for c in flux))
+    return DataBundle(h=h, g=g, f=Field(u.grid, lam * u.data), lam=lam)
 
 
 def reduce_to_identity(
@@ -162,16 +189,8 @@ def reduce_to_identity(
     """Move the coefficient roughness into the data: if u solves the equation
     with (a, g) it solves the identity-coefficient equation with
     g~_i = g_i + (a_ij - delta_ij)(D+ u)_j, exactly on the discrete lattice."""
-    grad = gradient_plus(u).stacked()
     d = u.grid.d
     eye = np.eye(d).reshape(d, d, *([1] * (d + 1)))
-    shift = coeffs.data - eye
-    extra = np.einsum("ij...,j...->i...", shift, grad)
-    g_new = VectorField(
-        tuple(
-            Field(u.grid, data.g.components[i].data + extra[i])
-            for i in range(d)
-        )
-    )
-    new_data = DataBundle(h=data.h, g=g_new, f=data.f, lam=data.lam)
-    return identity_coefficients(u.grid), new_data
+    extra = _flux(coeffs.data - eye, _gradient(u.grid, u.data))
+    g_new = VectorField(tuple(Field(u.grid, c.data + e) for c, e in zip(data.g.components, extra)))
+    return identity_coefficients(u.grid), replace(data, g=g_new)

@@ -17,10 +17,13 @@ from .coefficients import Coefficients
 from .grid import Field, Grid
 from .operators import (
     DataBundle,
-    SolutionBundle,
-    apply_operator,
-    apply_rhs,
-    matrix_gradient,
+    _check_grid,
+    _flux,
+    _gradient,
+    _operator,
+    _rhs,
+    _solution_parts,
+    _square_sum,
 )
 
 __all__ = [
@@ -147,9 +150,12 @@ def tail_sum(
     """sum_{j<terms} 2^{-j/4} sqrt(mean of squared_field over
     Q_{2^{j/2} kappa r, kappa r}(center)); terms is clamped so the longest
     cylinder still fits (callers report the clamp via max_tail_terms)."""
+    return _tail_sum(squared_field.data, squared_field.grid, r, kappa, center, terms)
+
+
+def _tail_sum(squared: np.ndarray, grid: Grid, r, kappa, center, terms) -> float:
     if terms < 1:
         raise ValueError("tail_sum needs at least one term")
-    grid = squared_field.grid
     usable = min(terms, max_tail_terms(grid, r, kappa))
     if usable < 1:
         raise ValueError(
@@ -159,28 +165,26 @@ def tail_sum(
     for j in range(usable):
         cyl = Cylinder(center=center, r=2.0 ** (j / 2.0) * kappa * r, s=kappa * r)
         total += 2.0 ** (-j / 4.0) * math.sqrt(
-            max(cylinder_mean(squared_field, cyl), 0.0)
+            max(float(_cylinder_samples(squared, grid, cyl).mean()), 0.0)
         )
     return total
 
 
 def theta_field(coeffs: Coefficients, u: Field) -> Field:
     """First component of the coefficient flux, sum_j a_1j (D+ u)_j."""
-    return matrix_gradient(coeffs, u).components[0]
+    _check_grid(coeffs, u)
+    return Field(u.grid, _flux(coeffs.data, _gradient(u.grid, u.data))[0])
 
 
 def _data_squared(data: DataBundle) -> np.ndarray:
-    total = data.h.data ** 2
-    for comp in data.g.components:
-        total = total + comp.data**2
-    if data.lam > 0:
-        total = total + data.f.data ** 2 / data.lam
-    return total
+    total = _square_sum([data.h.data] + [c.data for c in data.g.components])
+    return total + data.f.data ** 2 / data.lam if data.lam > 0 else total
 
 
 def _relative_residual(coeffs: Coefficients, data: DataBundle, u: Field) -> float:
-    rhs = apply_rhs(data).data
-    res = apply_operator(coeffs, data.lam, u).data - rhs
+    _check_grid(coeffs, u)
+    rhs = _rhs(data)
+    res = _operator(coeffs, data.lam, u.data) - rhs
     scale = float(np.linalg.norm(rhs))
     if scale == 0.0:
         scale = max(float(np.linalg.norm(u.data)), 1.0)
@@ -232,17 +236,13 @@ def verify_local_estimate(
                 f"u is not supported in B_{radius}: |u| reaches {stray} outside"
             )
 
-    bundle = SolutionBundle.from_field(u, data.lam)
-    u_sq = np.zeros(grid.shape)
-    for arr in bundle.components():
-        u_sq = u_sq + arr * arr
+    u_sq = _square_sum(_solution_parts(grid, u.data, data.lam))
     origin = (0.0,) * (grid.d + 1)
-    lhs = math.sqrt(
-        max(cylinder_mean(Field(grid, u_sq), Cylinder(origin, r=radius)), 0.0)
-    )
+    samples = _cylinder_samples(u_sq, grid, Cylinder(origin, r=radius))
+    lhs = math.sqrt(max(float(samples.mean()), 0.0))
     terms_used = min(_LOCAL_TERMS, max_tail_terms(grid, radius, 1.0))
-    f_sq = Field(grid, _data_squared(data))
-    rhs = tail_sum(f_sq, radius, 1.0, origin, terms_used) if terms_used else 0.0
+    f_sq = _data_squared(data)
+    rhs = _tail_sum(f_sq, grid, radius, 1.0, origin, terms_used) if terms_used else 0.0
     trivial = lhs == 0.0 and rhs == 0.0
     n_emp = lhs / rhs if rhs > 0 else None
     return LocalEstimateReport(
@@ -311,25 +311,21 @@ def verify_mean_oscillation(
             f"u does not solve the equation: relative residual {rel} > {rtol}"
         )
 
-    bundle = SolutionBundle.from_field(u, data.lam)
-    grad_arrays = [c.data for c in bundle.grad.components]
-    weighted_u = np.sqrt(data.lam) * u.data
+    half_du, *grad_arrays, weighted_u = _solution_parts(grid, u.data, data.lam)
     if case == "calU_time_coeffs":
         lhs_bundles = [grad_arrays + [weighted_u]]
         theta = 1.0
     elif case == "U_heat":
-        lhs_bundles = [[bundle.half_du.data] + grad_arrays + [weighted_u]]
+        lhs_bundles = [[half_du] + grad_arrays + [weighted_u]]
         theta = 1.0
     else:
         prime = grad_arrays[1:]  # D'u: spatial axes 2..d (empty when d = 1)
-        lhs_bundles = [
-            prime + [weighted_u],
-            [theta_field(coeffs, u).data],
-        ]
+        theta_flux = _flux(coeffs.data, _gradient(grid, u.data))[0]
+        lhs_bundles = [prime + [weighted_u], [theta_flux]]
         theta = 0.5
     rhs_arrays = grad_arrays + [weighted_u]
 
-    f_sq = Field(grid, _data_squared(data))
+    f_sq = _data_squared(data)
     outer = Cylinder(center, r=r)
     rows = []
     truncated = False
@@ -347,7 +343,7 @@ def verify_mean_oscillation(
         usable = min(_OSCILLATION_TERMS, max_tail_terms(grid, inner_r, kappa))
         tail = (
             kappa ** (1.0 + grid.d / 2.0)
-            * tail_sum(f_sq, inner_r, kappa, center, usable)
+            * _tail_sum(f_sq, grid, inner_r, kappa, center, usable)
             if usable
             else 0.0
         )

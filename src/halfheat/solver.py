@@ -16,21 +16,22 @@ kept below 1/delta by the generators, kappa = delta^2/2 yields the lower bound
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .coefficients import Coefficients
-from .grid import Field, Grid, _integer, _lp, inner, lp_norm, zeros
+from .grid import Field, Grid, _integer, _lp, inner, zeros
 from .operators import (
     DataBundle,
-    SolutionBundle,
-    apply_operator,
-    apply_rhs,
-    gradient_plus,
-    matrix_gradient,
+    _flux,
+    _gradient,
+    _operator,
+    _rhs,
+    _solution_parts,
+    _square_sum,
 )
 from .timeops import half_derivative, hilbert, time_symbol
 
@@ -129,6 +130,20 @@ def _operator_symbol(grid: Grid, matrix: np.ndarray, lam: float) -> np.ndarray:
     return 1j * tau + quad + lam
 
 
+def _spectral_divide(x: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """irfftn(rfftn(x) / denom); denom is a zero-free half-spectrum symbol."""
+    x_hat = np.fft.rfftn(x)
+    x_hat /= denom
+    return np.fft.irfftn(x_hat, s=x.shape, axes=tuple(range(x.ndim)))
+
+
+def _flux_pairing(coeffs: Coefficients, u: Field, v: Field) -> float:
+    """sum_ij inner(a_ij (D+u)_j, (D+v)_i)."""
+    grid = u.grid
+    pairs = zip(_flux(coeffs.data, _gradient(grid, u.data)), _gradient(grid, v.data))
+    return sum(float(np.sum(f * g) * grid.cell_measure) for f, g in pairs)
+
+
 def weak_pairing(coeffs: Coefficients, lam: float, u: Field, phi: Field) -> float:
     """Integration-by-parts form of <apply_operator(a, lam, u), phi>:
     -inner(H(D_t^{1/2}u), D_t^{1/2}phi) + sum_ij inner(a_ij (D+u)_j, (D+phi)_i)
@@ -137,13 +152,7 @@ def weak_pairing(coeffs: Coefficients, lam: float, u: Field, phi: Field) -> floa
     if u.grid != phi.grid or coeffs.grid != u.grid:
         raise ValueError("weak_pairing needs one shared grid")
     time_term = -inner(hilbert(half_derivative(u)), half_derivative(phi))
-    flux = matrix_gradient(coeffs, u)
-    grad_phi = gradient_plus(phi)
-    space_term = sum(
-        inner(flux.components[i], grad_phi.components[i])
-        for i in range(u.grid.d)
-    )
-    return time_term + space_term + lam * inner(u, phi)
+    return time_term + _flux_pairing(coeffs, u, phi) + lam * inner(u, phi)
 
 
 def twisted_pairing(
@@ -159,19 +168,10 @@ def duality_defect(coeffs: Coefficients, lam: float, u: Field, v: Field) -> floa
     pairing u against v plus pairing v against u with transposed coefficients
     must equal twice the symmetric (flux + lambda) part, the time term being
     exactly skew on the lattice."""
-    transposed = Coefficients(
-        grid=coeffs.grid,
-        data=np.swapaxes(coeffs.data, 0, 1).copy(),
-        tag=coeffs.tag,
-        ellipticity=coeffs.ellipticity,
-    )
+    transposed = replace(coeffs, data=np.swapaxes(coeffs.data, 0, 1).copy())
     forward = weak_pairing(coeffs, lam, u, v)
     backward = weak_pairing(transposed, lam, v, u)
-    flux = matrix_gradient(coeffs, u)
-    grad_v = gradient_plus(v)
-    sym = sum(
-        inner(flux.components[i], grad_v.components[i]) for i in range(u.grid.d)
-    ) + lam * inner(u, v)
+    sym = _flux_pairing(coeffs, u, v) + lam * inner(u, v)
     return abs(forward + backward - 2.0 * sym)
 
 
@@ -200,15 +200,15 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
     grid = data.grid
     lam = data.lam
     matrix = coeffs.constant_matrix()
-    rhs = apply_rhs(data)
-    rhs_norm = lp_norm(rhs, 2)
+    rhs = _rhs(data)
+    rhs_norm = _lp(rhs, 2, grid.cell_measure)
     if rhs_norm == 0.0:
         return _zero_result(grid, started, "oracle")
 
     denom = _operator_symbol(grid, matrix, lam)
     # max |rhs_hat| over the half spectrum is the full-spectrum max: the
     # dropped modes are conjugates of kept ones
-    rhs_hat = np.fft.rfftn(rhs.data)
+    rhs_hat = np.fft.rfftn(rhs)
     singular = np.abs(denom) == 0.0
     if singular.any():
         stray = float(np.max(np.abs(rhs_hat[singular])))
@@ -221,7 +221,7 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
     np.divide(rhs_hat, denom, out=u_hat, where=~singular)
     u = Field(grid, np.fft.irfftn(u_hat, s=grid.shape, axes=tuple(range(grid.d + 1))))
 
-    res = apply_operator(coeffs, lam, u).data - rhs.data
+    res = _operator(coeffs, lam, u.data) - rhs
     rel = _lp(res, 2, grid.cell_measure) / rhs_norm
     return SolveResult(
         u=u,
@@ -344,6 +344,25 @@ def _time_profile(coeffs: Coefficients) -> np.ndarray:
     return coeffs.data.reshape(d, d, coeffs.grid.n_t, -1)[..., 0]
 
 
+def _q_table(grid: Grid, profile: np.ndarray) -> np.ndarray:
+    """q_xi(t) = sum_ij profile_ij(t) conj(sigma_i) sigma_j of a (d, d, n_t) profile,
+    shape (modes, n_t): one row per mode of the spatial ``rfftn`` half spectrum."""
+    _, sigmas = _spectral_tables(grid)
+    half = _half_shape(grid)
+    q = np.zeros((int(np.prod(half[1:])), grid.n_t), dtype=complex)
+    for i in range(grid.d):
+        for j in range(grid.d):
+            s_ij = np.broadcast_to(np.conj(sigmas[i]) * sigmas[j], (1, *half[1:]))
+            q += np.outer(s_ij, profile[i, j])
+    return q
+
+
+def _t_constant(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
+    """_t_direct for coefficients constant in t: one division, as in the oracle."""
+    matrix = _time_profile(coeffs)[..., 0]
+    return _spectral_divide(rhs, _operator_symbol(coeffs.grid, matrix, lam))
+
+
 def _t_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
     """Solve apply_operator(coeffs, lam, u) = rhs exactly (to rounding) for
     coefficients that vary in t only.
@@ -357,19 +376,9 @@ def _t_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
     (Nyquist zeroed) and sigma_j the forward-difference symbols.  D_t is
     spectral, so C is dense and no sweep applies: the systems are assembled in
     chunks of _T_DIRECT_CHUNK_BYTES and each chunk goes to one batched
-    np.linalg.solve.
-
-    Coefficients that do not vary in t at all (a time_piecewise draw whose
-    pieces coincide, as every draw at delta = 1 does) make each system
-    circulant, diagonal in tau: one division by the operator symbol, as in
-    the oracle, solves them."""
+    np.linalg.solve."""
     grid = coeffs.grid
     d, n_t = grid.d, grid.n_t
-    profile = _time_profile(coeffs)
-    if np.all(profile == profile[..., :1]):
-        u_hat = np.fft.rfftn(rhs) / _operator_symbol(grid, profile[..., 0], lam)
-        return np.fft.irfftn(u_hat, s=grid.shape, axes=tuple(range(d + 1)))
-
     spatial = tuple(range(1, d + 1))
     # C[m, k] = c[m - k]: convolution with the inverse transform of i*tau
     kernel = np.fft.irfft(time_symbol(grid, "time_derivative").values[: n_t // 2 + 1], n=n_t)
@@ -378,14 +387,9 @@ def _t_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
 
     # the spatial rfftn keeps the layout of the rfftn half spectrum, so the
     # cached sigma tables apply as they are; modes are flattened to one axis
-    _, sigmas = _spectral_tables(grid)
     half = _half_shape(grid)
     spec = np.fft.rfftn(rhs, axes=spatial).reshape(n_t, -1)
-    quad = np.zeros(spec.shape, dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            weight = np.broadcast_to(np.conj(sigmas[i]) * sigmas[j], (1, *half[1:]))
-            quad += np.outer(profile[i, j], weight)
+    quad = _q_table(grid, _time_profile(coeffs))
 
     modes = spec.shape[1]
     u_hat = np.empty((modes, n_t), dtype=complex)
@@ -395,7 +399,7 @@ def _t_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
         stop = min(start + chunk, modes)
         mats = np.empty((stop - start, n_t, n_t), dtype=complex)
         mats[...] = circulant
-        mats[:, diagonal, diagonal] += quad[:, start:stop].T
+        mats[:, diagonal, diagonal] += quad[start:stop]
         u_hat[start:stop] = np.linalg.solve(mats, spec[:, start:stop].T[..., None])[..., 0]
     u_hat = u_hat.T.reshape(half)
     return np.fft.irfftn(u_hat, s=grid.n_x, axes=spatial)
@@ -422,15 +426,10 @@ def _t_frame(coeffs: Coefficients, lam: float):
     d, n_t = grid.d, grid.n_t
     spatial = tuple(range(1, d + 1))
     half = _half_shape(grid)
-    _, sigmas = _spectral_tables(grid)
     profile = _time_profile(coeffs)
     mean = profile.mean(axis=-1)
     # q_xi(t) - q_bar_xi and the symbol of P, each one (modes, n_t) table
-    shifted = np.zeros((int(np.prod(half[1:])), n_t), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            s_ij = np.broadcast_to(np.conj(sigmas[i]) * sigmas[j], (1, *half[1:]))
-            shifted += np.outer(s_ij, profile[i, j] - mean[i, j])
+    shifted = _q_table(grid, profile - mean[..., None])
     symbol = np.ascontiguousarray(_operator_symbol(grid, mean, lam).reshape(n_t, -1).T)
 
     plane = np.full(half[-1], 2.0)
@@ -464,15 +463,19 @@ def _direct_solver(coeffs: Coefficients):
     (GMRES starts from zero).
 
     Time-measurable systems cost about modes * n_t^3 against GMRES's
-    iterations * n_t * modes * log; the measured crossover (2 vCPUs) is
-    n_t^2 = 8192 * d, so larger time axes stay on GMRES.  A field that does
-    not vary in t costs _t_direct one division at any n_t."""
+    iterations * n_t * modes * log.  n_t^2 <= 8192 * d goes direct; the rule was
+    measured against physical-frame GMRES and now trades time for memory at its
+    edge (single scratch runs, d = 2, 128^3, delta = 0.25: frame GMRES 3.5-3.6 s
+    and 784-816 MB peak RSS, dense 4.5-4.7 s and 346 MB).  Coefficients constant
+    in t (every time_piecewise draw at delta = 1) go to _t_constant at any n_t."""
     grid = coeffs.grid
     if coeffs.tag == "x1_measurable":
         return "x1_direct", _x1_direct
     if coeffs.tag == "time_measurable":
         profile = _time_profile(coeffs)
-        if grid.n_t**2 <= 8192 * grid.d or np.all(profile == profile[..., :1]):
+        if np.all(profile == profile[..., :1]):
+            return "t_direct", _t_constant
+        if grid.n_t**2 <= 8192 * grid.d:
             return "t_direct", _t_direct
     return None
 
@@ -510,14 +513,13 @@ def solve(
     krylov = "t_frame_gmres" if coeffs.tag == "time_measurable" else "gmres"
     method = direct[0] if direct else krylov
 
-    b = apply_rhs(data).data.ravel()
+    b = _rhs(data).ravel()
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return _zero_result(grid, started, method)
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        u = Field(grid, x.reshape(shape))
-        return apply_operator(coeffs, lam, u).data.ravel()
+        return _operator(coeffs, lam, x.reshape(shape)).ravel()
 
     history: list[float] = []
     x = np.zeros(n)
@@ -537,12 +539,9 @@ def solve(
             rhs = b
             operator = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
             denom = _operator_symbol(grid, coeffs.mean_matrix(), lam)
-            axes = tuple(range(grid.d + 1))
 
             def psolve(x: np.ndarray) -> np.ndarray:
-                x_hat = np.fft.rfftn(x.reshape(shape))
-                x_hat /= denom
-                return np.fft.irfftn(x_hat, s=shape, axes=axes).ravel()
+                return _spectral_divide(x.reshape(shape), denom).ravel()
 
             precond = LinearOperator((n, n), matvec=psolve, dtype=np.float64)
         y = to_frame(x)
@@ -598,10 +597,7 @@ def multiplier_bound(coeffs: Coefficients, lam: float) -> float:
 
 def bundle_lp_norm(arrays: list[np.ndarray], grid: Grid, p: float) -> float:
     """L_p norm in space-time of the pointwise Euclidean magnitude."""
-    mag_sq = np.zeros(grid.shape)
-    for arr in arrays:
-        mag_sq = mag_sq + arr * arr
-    return _lp(np.sqrt(mag_sq), p, grid.cell_measure)
+    return _lp(np.sqrt(_square_sum(arrays)), p, grid.cell_measure)
 
 
 def compute_bundles(
@@ -611,12 +607,11 @@ def compute_bundles(
     f/sqrt(lambda) slot omitted when lambda = 0 (f vanishes then)."""
     if u.grid != data.grid:
         raise ValueError("solution and data live on different grids")
-    lam = data.lam
-    u_parts = SolutionBundle.from_field(u, lam).components()
     f_parts = [data.h.data] + [c.data for c in data.g.components]
-    if lam > 0:
-        f_parts.append(data.f.data / np.sqrt(lam))
-    return {
-        "U": {p: bundle_lp_norm(u_parts, u.grid, p) for p in p_list},
-        "F": {p: bundle_lp_norm(f_parts, u.grid, p) for p in p_list},
-    }
+    if data.lam > 0:
+        f_parts.append(data.f.data / np.sqrt(data.lam))
+    norms = {}
+    for key, parts in (("U", _solution_parts(u.grid, u.data, data.lam)), ("F", f_parts)):
+        magnitude = np.sqrt(_square_sum(parts))
+        norms[key] = {p: _lp(magnitude, p, u.grid.cell_measure) for p in p_list}
+    return norms

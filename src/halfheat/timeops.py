@@ -81,18 +81,21 @@ def time_symbol(grid: Grid, kind: str) -> TimeSymbol:
     return TimeSymbol(grid=grid, kind=kind, values=values)
 
 
-def apply_time_symbol(field: Field, symbol: TimeSymbol) -> Field:
-    """Multiply the time spectrum by the symbol; exact per discrete mode.
+def _time_multiplier(data: np.ndarray, symbol: TimeSymbol) -> np.ndarray:
+    """apply_time_symbol on raw samples: the samples are real and the symbol
+    Hermitian, so the half spectrum k = 0..n_t/2 of ``rfft`` carries every mode."""
+    n = data.shape[0]
+    half = symbol.values[: n // 2 + 1].reshape([n // 2 + 1] + [1] * (data.ndim - 1))
+    spec = np.fft.rfft(data, axis=0)
+    spec *= half
+    return np.fft.irfft(spec, n=n, axis=0)
 
-    The field is real and the symbol Hermitian, so the half spectrum
-    k = 0..n_t/2 of ``rfft`` carries every mode."""
+
+def apply_time_symbol(field: Field, symbol: TimeSymbol) -> Field:
+    """Multiply the time spectrum by the symbol; exact per discrete mode."""
     if symbol.grid != field.grid:
         raise ValueError("symbol was tabulated for a different grid")
-    n = field.grid.n_t
-    half = symbol.values[: n // 2 + 1].reshape([n // 2 + 1] + [1] * field.grid.d)
-    spec = np.fft.rfft(field.data, axis=0)
-    spec *= half
-    return Field(field.grid, np.fft.irfft(spec, n=n, axis=0))
+    return Field(field.grid, _time_multiplier(field.data, symbol))
 
 
 def hilbert(field: Field) -> Field:
@@ -184,8 +187,6 @@ def cutoff_commutator(field: Field, k: int) -> Field:
     """u_k = D^(1/2)(u * eta_k) - eta_k * D^(1/2)u, both terms spectral."""
     grid = field.grid
     eta = cutoff_eta(grid, k).reshape([grid.n_t] + [1] * grid.d)
-    windowed = Field(grid, field.data * eta)
-    return Field(
-        grid,
-        half_derivative(windowed).data - eta * half_derivative(field).data,
-    )
+    half = time_symbol(grid, "half_derivative")
+    out = _time_multiplier(field.data * eta, half) - eta * _time_multiplier(field.data, half)
+    return Field(grid, out)

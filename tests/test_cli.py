@@ -362,6 +362,15 @@ SMALL_EXPERIMENT = {"grid": {"d": 1, "n_t": 16, "n_x": 16, "l_t": 2.0, "l_x": 2.
         ),
         ("solve", {"coefficients": {"file": 3}}, "'file' must be a sidecar path string, got 3"),
         ("solve", {"lambda": float("nan")}, "lambda must be finite and >= 0, got nan"),
+        # an empty p list would give tail-decay no rows to fail on; l2 and
+        # oscillation run at one lambda, so a second one would be ignored
+        ("tail-decay", {"p_list": []}, "p list must not be empty"),
+        ("l2", {"lambdas": [1.0, 4.0]}, "'lambdas' must hold one lambda > 0 for l2"),
+        (
+            "oscillation",
+            {"lambdas": [1.0, 4.0]},
+            "'lambdas' must hold one lambda > 0 for oscillation, got [1.0, 4.0]",
+        ),
     ],
     ids=[
         "solve_coefficients_list", "solve_delta_null", "solve_seed_list",
@@ -372,6 +381,7 @@ SMALL_EXPERIMENT = {"grid": {"d": 1, "n_t": 16, "n_x": 16, "l_t": 2.0, "l_x": 2.
         "l2_trials_fraction", "l2_seed_fraction", "l2_trials_bool", "l2_n_t_fraction",
         "l2_restart_fraction", "tail_decay_k_max_fraction", "solve_seed_fraction",
         "solve_n_jumps_fraction", "solve_file_number", "solve_lambda_nan",
+        "tail_decay_p_list_empty", "l2_lambdas_list", "oscillation_lambdas_list",
     ],
 )
 def test_malformed_config_values_fail_cleanly(tmp_path, capsys, command, edit, message):

@@ -177,6 +177,20 @@ def test_lp_sweep_small():
     assert {row["p"] for row in result.rows} == {1.5, 2.0}
 
 
+def test_checkerboard_sweep_draws_at_the_delta_of_its_epsilon():
+    """With no delta a checkerboard sweep draws at delta = 0.25, the value its
+    default epsilon = (1 - delta) / 2 = 0.375 assumes (at delta = 1 that
+    epsilon is not admissible)."""
+    grid = dict(d=1, n_t=16, n_x=16, l_t=2.0, l_x=2.0)
+    implicit = _config("lp-sweep", grid=grid, coefficients={"kinds": ["checkerboard"]}, trials=1)
+    result = run_lp_sweep(implicit)
+    assert result.passed, result.failures
+    explicit = dataclasses.replace(
+        implicit, coefficients={"kinds": ["checkerboard"], "delta": 0.25, "epsilon": 0.375}
+    )
+    assert run_lp_sweep(explicit).rows == result.rows
+
+
 def test_lp_sweep_rejects_unknown_kind():
     config = _config(
         "lp-sweep",

@@ -79,6 +79,7 @@ def test_higher_dimensions_expose_more_names():
         # numbers out of range
         "noise(-1, 0.25)",
         "noise(1e400, 0.25)",
+        "gauss(0, 1e200)",
         str(10**400),
     ],
 )

@@ -238,9 +238,7 @@ def test_oracle_rejects_weight_on_the_singular_modes(monkeypatch, mode):
     t = np.arange(g.n_t).reshape([g.n_t, 1, 1])
     stray = np.ones(g.shape) if mode == "zero" else np.broadcast_to((-1.0) ** t, g.shape)
     rhs = apply_rhs(data)
-    monkeypatch.setattr(
-        solver_module, "apply_rhs", lambda _: Field(g, rhs.data + 0.1 * stray)
-    )
+    monkeypatch.setattr(solver_module, "_rhs", lambda _: rhs.data + 0.1 * stray)
     with pytest.raises(ValueError, match="non-invertible"):
         solve_oracle(identity_coefficients(g), data)
 
@@ -322,6 +320,34 @@ def _white_bundle(grid, seed, lam):
         f=_rand(grid, seed + 9),
         lam=lam,
     )
+
+
+def test_physical_gmres_matvec_builds_no_field(monkeypatch):
+    """The physical-frame matvec and the true-residual recomputations run on
+    raw arrays: a checkerboard solve builds as many Fields at two iteration
+    budgets, so no GMRES iteration builds one."""
+    g = _grid(d=2, n_t=16, n_x=8)
+    a = generate_coefficients(
+        kind="checkerboard", delta=0.25, seed=1, grid=g, roughness_scale=0.5
+    )
+    data = _white_bundle(g, 50, 1.0)
+    real_init = Field.__init__
+    built = []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "__init__", counting_init)
+    counts, iterations = [], []
+    for budget in (2, 8):
+        built.clear()
+        result = solve(a, data, SolverOptions(max_iterations=budget, restart=budget))
+        assert result.method == "gmres" and not result.converged
+        counts.append(len(built))
+        iterations.append(result.iterations)
+    assert iterations[0] < iterations[1]
+    assert counts[0] == counts[1]
 
 
 def _rel_diff(a, b):
@@ -492,7 +518,7 @@ def test_direct_time_solve_covers_the_short_grids():
     assert solver_module._direct_solver(varying) is None
     flat = generate_coefficients(kind="time_piecewise", delta=1.0, seed=1, grid=g)
     assert flat.tag == "time_measurable"
-    assert solver_module._direct_solver(flat) == ("t_direct", solver_module._t_direct)
+    assert solver_module._direct_solver(flat) == ("t_direct", solver_module._t_constant)
     data = _white_bundle(g, 60, 1.0)
     result = solve(flat, data)
     assert result.iterations == 0 and result.method == "t_direct"
