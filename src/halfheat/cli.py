@@ -185,6 +185,8 @@ def _run_solve(name: str, args: argparse.Namespace) -> int:
             "iterations": result.iterations,
             "final_relative_residual": result.final_relative_residual,
             "method": result.method,
+            "residual_history": list(result.residual_history),
+            "matvecs": result.matvecs,
             "wall_time": result.wall_time,
             "lambda": data.lam,
             "norms": {

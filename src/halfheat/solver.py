@@ -1,6 +1,6 @@
 """Weak pairing, the twisted coercive form, the constant-coefficient Fourier
 oracle, the exact solves for x1- and time-measurable coefficients, and the
-matrix-free preconditioned Krylov solver.
+matrix-free preconditioned Krylov solver with its restarted GMRES loop.
 
 The oracle divides by the symbol of the exact DISCRETE operator (Nyquist-zeroed
 time symbols, forward-difference spatial symbols), so oracle and iterative
@@ -20,7 +20,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.linalg.blas import get_blas_funcs
+from scipy.linalg.lapack import get_lapack_funcs
+from scipy.sparse.linalg import LinearOperator
 
 from .coefficients import Coefficients
 from .grid import Field, Grid, _integer, _lp, inner, zeros
@@ -83,7 +85,11 @@ class SolveResult:
     # the path that produced u: "oracle", "x1_direct", "t_direct",
     # "t_frame_gmres" or "gmres"
     method: str
+    # ||P^{-1} r|| / ||P^{-1} b|| after each GMRES iteration (the quantity the
+    # inner stop compares), in the frame GMRES ran in
     residual_history: tuple[float, ...] = ()
+    # operator applications, the true-residual checks included
+    matvecs: int = 0
 
 
 def _half_shape(grid: Grid) -> tuple[int, ...]:
@@ -230,6 +236,7 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
         wall_time=time.perf_counter() - started,
         converged=True,
         method="oracle",
+        matvecs=1,
     )
 
 
@@ -415,13 +422,14 @@ def _t_frame(coeffs: Coefficients, lam: float):
     ones.  In the frame the operator is C + diag(q_xi(t)) + lam per mode, as
     in _t_direct, and P = C + q_bar_xi + lam with q_bar_xi = sum_ij
     mean_t(a_ij) conj(sigma_i) sigma_j is the constant_mean preconditioner,
-    diagonal in tau.  GMRES runs on the fused left-preconditioned operator
-    v -> v + P^{-1}((q - q_bar) v): one complex FFT pair along t and
-    pointwise products per iteration.
+    diagonal in tau.  The left-preconditioned operator is I + B with
+    B v = P^{-1}((q - q_bar) v): one complex FFT pair along t and pointwise
+    products.  I + B and B span the same Krylov spaces, so GMRES runs
+    Arnoldi on B and adds the shift 1 to the Hessenberg diagonal.
 
     Returns (to_frame, from_frame, matvec, precondition): the two maps
-    between flat physical and flat frame vectors, the fused operator on flat
-    frame vectors and P^{-1} on (modes, n_t) frame arrays."""
+    between flat physical and flat frame vectors, B on flat frame vectors
+    and P^{-1} on (modes, n_t) frame arrays."""
     grid = coeffs.grid
     d, n_t = grid.d, grid.n_t
     spatial = tuple(range(1, d + 1))
@@ -450,10 +458,7 @@ def _t_frame(coeffs: Coefficients, lam: float):
         return np.fft.ifft(v_hat, axis=1)
 
     def matvec(y: np.ndarray) -> np.ndarray:
-        v = y.reshape(shifted.shape)
-        out = precondition(shifted * v)
-        out += v
-        return out.ravel()
+        return precondition(shifted * y.reshape(shifted.shape)).ravel()
 
     return to_frame, from_frame, matvec, precondition
 
@@ -480,6 +485,133 @@ def _direct_solver(coeffs: Coefficients):
     return None
 
 
+# a second Gram-Schmidt pass (DGKS) runs when the first one kept less than
+# this fraction of the new vector's norm
+_DGKS = 1.0 / np.sqrt(2.0)
+
+
+def _arnoldi_step(apply, basis: np.ndarray, k: int, shift: float):
+    """One Arnoldi step for shift*I + apply on the orthonormal rows
+    basis[:k+1], storing the next basis vector in basis[k+1].
+
+    w = apply(basis[k]) is orthogonalised by classical Gram-Schmidt, two BLAS
+    calls per pass on basis[:k+1].T (gemv with trans=2 for the coefficients,
+    then an in-place gemv update), with a second pass (Daniel, Gragg,
+    Kaufman and Stewart) when the first leaves less than 1/sqrt(2) of
+    ||w||.  The shift changes the Hessenberg diagonal only: shift*I + apply
+    and apply span the same Krylov spaces.
+
+    Returns the Hessenberg column (k + 2 entries) and the breakdown flag,
+    set when w vanishes to rounding (an invariant Krylov space, so the least
+    squares solution is exact); basis[k+1] is not written then."""
+    gemv, nrm2 = get_blas_funcs(("gemv", "nrm2"), (basis,))
+    known = basis[: k + 1].T
+    column = np.zeros(k + 2, dtype=basis.dtype)
+    w = apply(basis[k])
+    start = norm = nrm2(w)
+    for _ in range(2):
+        coefficients = gemv(1.0, known, w, trans=2)
+        w = gemv(-1.0, known, coefficients, beta=1.0, y=w, overwrite_y=1)
+        column[: k + 1] += coefficients
+        kept, norm = norm, nrm2(w)
+        if norm >= _DGKS * kept:
+            break
+    column[k] += shift
+    breakdown = norm <= np.finfo(basis.dtype).eps * start
+    if not breakdown:
+        column[k + 1] = norm
+        np.multiply(w, 1.0 / norm, out=basis[k + 1])
+    return column, breakdown
+
+
+def gmres(A, b, x0, *, rtol, restart, maxiter, M, shift, callback):
+    """Restarted GMRES for (shift*I + A) x = b, left-preconditioned by M, from
+    x0; A and M are LinearOperators, M None for no preconditioner.
+
+    The method is scipy.sparse.linalg.gmres's: Arnoldi with a Givens (LAPACK
+    lartg) least-squares update, an inner stop at ||M r|| <= ptol with
+    scipy's ptol update between restarts, restarts from the recomputed
+    residual, and success at ||b - (shift*I + A) x|| <= rtol * ||b||.  The
+    Arnoldi steps run on one preallocated (restart + 1, n) basis
+    (_arnoldi_step).  maxiter caps the Arnoldi iterations over all restarts.
+    callback receives ||M r|| / ||M b|| after each iteration.
+
+    Returns (x, matvecs), matvecs counting the applications of A."""
+    x = np.array(x0, dtype=np.result_type(x0, b))
+    restart = min(restart, b.size)
+    gemv, nrm2 = get_blas_funcs(("gemv", "nrm2"), (x,))
+    lartg = get_lapack_funcs("lartg", dtype=x.dtype)
+    psolve = M.matvec if M is not None else (lambda v: v)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        return psolve(A.matvec(v))
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        r = b - A.matvec(x)
+        if shift:
+            r -= shift * x
+        return r
+
+    atol = rtol * nrm2(b)
+    mb_norm = nrm2(psolve(b))
+    ptol = rtol * mb_norm
+    matvecs = 0
+    r = b
+    if x.any():
+        r = residual(x)
+        matvecs += 1
+        if nrm2(r) < atol:
+            return x, matvecs
+    basis = np.empty((restart + 1, b.size), dtype=x.dtype)
+    hess = np.zeros((restart, restart + 1), dtype=x.dtype)  # row j: column j of H
+    givens = np.zeros((restart, 2), dtype=x.dtype)
+    factor = 1.0
+    iterations = 0
+    while True:
+        z = psolve(r)
+        s = np.zeros(restart + 1, dtype=x.dtype)
+        s[0] = nrm2(z)
+        np.multiply(z, 1.0 / s[0], out=basis[0])
+        for col in range(restart):
+            h = hess[col]
+            h[: col + 2], breakdown = _arnoldi_step(apply, basis, col, shift)
+            matvecs += 1
+            for k in range(col):
+                c, sn = givens[k]
+                h[k], h[k + 1] = c * h[k] + sn * h[k + 1], -np.conj(sn) * h[k] + c * h[k + 1]
+            c, sn, h[col] = lartg(h[col], h[col + 1])
+            h[col + 1] = 0.0
+            givens[col] = c, sn
+            s[col], s[col + 1] = c * s[col], -np.conj(sn) * s[col]
+            presid = abs(s[col + 1])
+            iterations += 1
+            callback(float(presid / mb_norm))
+            if presid <= ptol or breakdown or iterations == maxiter:
+                break
+        # back substitution on the triangle, zeroing the component of a
+        # singular last pivot as scipy does
+        if hess[col, col] == 0:
+            s[col] = 0
+        y = s[: col + 1].copy()
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= hess[k, k]
+                y[:k] -= y[k] * hess[k, :k]
+        if y[0] != 0:
+            y[0] /= hess[0, 0]
+        x = gemv(1.0, basis[: col + 1].T, y, beta=1.0, y=x, overwrite_y=1)
+        r = residual(x)
+        matvecs += 1
+        r_norm = nrm2(r)
+        if r_norm <= atol or breakdown or iterations == maxiter:
+            return x, matvecs
+        if presid <= ptol:  # the inner stop passed, the outer did not
+            factor = max(np.finfo(x.dtype).eps, 0.25 * factor)
+        else:
+            factor = min(1.0, 1.5 * factor)
+        ptol = presid * min(factor, atol / r_norm)
+
+
 def solve(
     coeffs: Coefficients, data: DataBundle, options: SolverOptions | None = None
 ) -> SolveResult:
@@ -495,7 +627,9 @@ def solve(
     built, and the result reports iterations = 0.  GMRES for time_measurable
     coefficients runs in the (t, xi) frame (_t_frame), where the operator is
     diagonal in the spatial modes; the physical frame serves the rest.
-    SolveResult.method names the path that produced u."""
+    Both run the in-package loop gmres, in two passes; max_iterations caps
+    their iterations together.  SolveResult.method names the path that
+    produced u."""
     started = time.perf_counter()
     options = options or SolverOptions()
     if coeffs.grid != data.grid:
@@ -522,11 +656,13 @@ def solve(
         return _operator(coeffs, lam, x.reshape(shape)).ravel()
 
     history: list[float] = []
+    matvecs = 0
     x = np.zeros(n)
     rel = 1.0
     if direct is not None:
         x = direct[1](coeffs, lam, b.reshape(shape)).ravel()
         rel = float(np.linalg.norm(b - matvec(x))) / b_norm
+        matvecs += 1
     if rel > options.rtol:
         method = krylov
         if method == "t_frame_gmres":
@@ -534,6 +670,7 @@ def solve(
             rhs = precondition(to_frame(b).reshape(-1, grid.n_t)).ravel()
             operator = LinearOperator((rhs.size, rhs.size), matvec=frame_matvec, dtype=complex)
             precond = None
+            shift = 1.0  # the frame operator is I + frame_matvec
         else:
             to_frame = from_frame = np.ravel  # the physical frame: flat fields
             rhs = b
@@ -544,25 +681,29 @@ def solve(
                 return _spectral_divide(x.reshape(shape), denom).ravel()
 
             precond = LinearOperator((n, n), matvec=psolve, dtype=np.float64)
+            shift = 0.0
         y = to_frame(x)
-        outer = max(1, -(-options.max_iterations // options.restart))
         # the Krylov recurrence tracks the preconditioned residual; aim below
-        # the target and accept on the recomputed true residual only
+        # the target and accept on the recomputed true residual only.
+        # max_iterations caps the iterations of both passes together
         for target in (0.1 * options.rtol, 1e-3 * options.rtol):
-            y, _ = gmres(
+            budget = options.max_iterations - len(history)
+            if budget == 0:
+                break
+            y, used = gmres(
                 operator,
                 rhs,
-                x0=y,
+                y,
                 rtol=target,
-                atol=0.0,
                 restart=options.restart,
-                maxiter=outer,
+                maxiter=budget,
                 M=precond,
-                callback=lambda pr: history.append(float(pr)),
-                callback_type="pr_norm",
+                shift=shift,
+                callback=history.append,
             )
             x = from_frame(y)
             rel = float(np.linalg.norm(b - matvec(x))) / b_norm
+            matvecs += used + 1
             if rel <= options.rtol:
                 break
 
@@ -574,6 +715,7 @@ def solve(
         converged=rel <= options.rtol,
         method=method,
         residual_history=tuple(history),
+        matvecs=matvecs,
     )
 
 

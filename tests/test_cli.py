@@ -161,12 +161,22 @@ def test_solve_and_oracle(tmp_path, capsys):
 
     disk = json.loads((tmp_path / "orc" / "result.json").read_text())
     assert disk["outputs"]["solution"] == report["outputs"]["solution"]
+    # the oracle applies the operator once, for its residual
+    assert disk["residual_history"] == [] and disk["matvecs"] == 1
 
     code, report = _run(
         capsys, ["solve", "--config", str(config), "--out", str(tmp_path / "gm")]
     )
     assert code == 0
     assert report["method"] == "gmres"
+    disk = json.loads((tmp_path / "gm" / "result.json").read_text())
+    history = disk["residual_history"]
+    # one GMRES pass from zero: one matvec per iteration, one for the
+    # recomputed residual that ends the cycle, one for the physical check
+    assert len(history) == disk["iterations"] >= 1
+    assert disk["matvecs"] == disk["iterations"] + 2
+    # ||P^{-1} r|| / ||P^{-1} b|| ends below the first pass's target 0.1 * rtol
+    assert history[-1] <= 0.1 * 1e-9
     u_gmres = read_field(tmp_path / "gm" / "u.htpf")
     scale = float(abs(u_oracle.data).max())
     assert abs(u_gmres.data - u_oracle.data).max() <= 1e-6 * scale

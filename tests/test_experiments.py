@@ -245,6 +245,8 @@ def test_oscillation_quarter_scale():
     # each case's solve; n_t = 1024 keeps the time case on GMRES
     solves = result.summary["solves"]
     assert list(solves) == list(decays)
+    # the residual history and matvec count stay out of summary.json
+    assert all(set(s) == {"final_relative_residual", "iterations", "method"} for s in solves.values())
     assert all(s["final_relative_residual"] <= 1e-9 for s in solves.values())
     assert solves["calU_time_coeffs"]["iterations"] > 0
     assert solves["U_heat"]["iterations"] == solves["calUprime_theta_x1"]["iterations"] == 0

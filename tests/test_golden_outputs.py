@@ -56,8 +56,8 @@ GOLDEN = {
         "29dba93ef0b34ea67a09bd26beec665cdd73b8964bd286c0170dbdfee3dc5e49",
     ),
     ("oscillation", 0): (
-        "caae17738a49f58f459bfb37f295ce4534b76779a720e1df748f00973b53e8e2",
-        "f967261a7c499dd46e70f0cc0bf2e5d671fd71398a1883ee90b5e7adabe1af1a",
+        "bf0a06641042f023f76590919c2d4b073d7a045c63599e827b2806ebb2fe2ff1",
+        "beb6859e6bc2c3807da11061d13e8121a1d1be8c732296300f4fe17331c33e51",
     ),
 }
 

@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import gmres as scipy_gmres
 
 import halfheat.solver as solver_module
 from halfheat import (
@@ -490,8 +492,8 @@ def test_t_frame_gmres_matches_physical_gmres(monkeypatch, d, lam):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_t_frame_is_an_isometry_carrying_the_operator(d):
     """The frame map keeps the Euclidean norm and inverts exactly, and the
-    fused frame operator is P^{-1} A of the physical operator A, with P^{-1}
-    the frame preconditioner."""
+    shift 1 plus the frame matvec B is P^{-1} A of the physical operator A,
+    with P^{-1} the frame preconditioner."""
     g = _grid(**_FRAME_GRIDS[d])
     a = generate_coefficients(kind="time_piecewise", delta=0.25, seed=d, grid=g)
     to_frame, from_frame, matvec, precondition = solver_module._t_frame(a, 2.0)
@@ -501,7 +503,206 @@ def test_t_frame_is_an_isometry_carrying_the_operator(d):
     assert np.max(np.abs(from_frame(y) - x)) <= 1e-13 * np.max(np.abs(x))
     ax = apply_operator(a, 2.0, Field(g, x.reshape(g.shape))).data.ravel()
     want = precondition(to_frame(ax).reshape(-1, g.n_t)).ravel()
-    assert np.max(np.abs(matvec(y) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(y + matvec(y) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _zero_mode_bundle(grid, lam):
+    """f = 1 + cos(2 pi t / l_t) cos(8 pi x1 / l_1): the zero mode, where the
+    preconditioner symbol is lam, carries most of ||P^{-1} b||, so the frame
+    residual meets its first target before the physical one does and
+    solve() runs its second GMRES pass."""
+    t, x1 = grid.coordinate_mesh()[:2]
+    wave = np.cos(2.0 * np.pi * t / grid.l_t) * np.cos(8.0 * np.pi * x1 / grid.l_x[0])
+    f = Field(grid, np.broadcast_to(1.0 + wave, grid.shape))
+    empty = VectorField(tuple(zeros(grid) for _ in range(grid.d)))
+    return DataBundle(h=zeros(grid), g=empty, f=f, lam=lam)
+
+
+def _record_passes(monkeypatch):
+    """Record each GMRES pass solve() runs: its operator, right-hand side,
+    start, keywords, result and iteration count."""
+    real = solver_module.gmres
+    passes = []
+
+    def recording(A, b, x0, **kwargs):
+        start = np.array(x0)
+        history = []
+
+        def callback(value):
+            history.append(value)
+            kwargs["callback"](value)
+
+        x, matvecs = real(A, b, x0, **{**kwargs, "callback": callback})
+        passes.append((A, b, start, kwargs, x, len(history)))
+        return x, matvecs
+
+    monkeypatch.setattr(solver_module, "gmres", recording)
+    return passes
+
+
+def _scipy_pass(A, b, x0, kwargs):
+    """The same pass through scipy.sparse.linalg.gmres, on the operator
+    shift*I + A; returns the solution and the iteration count."""
+    shift = kwargs["shift"]
+    shifted = LinearOperator(A.shape, matvec=lambda v: shift * v + A.matvec(v), dtype=A.dtype)
+    history = []
+    x, _ = scipy_gmres(
+        shifted,
+        b,
+        x0=x0,
+        rtol=kwargs["rtol"],
+        atol=0.0,
+        restart=kwargs["restart"],
+        maxiter=-(-kwargs["maxiter"] // kwargs["restart"]),
+        M=kwargs["M"],
+        callback=history.append,
+        callback_type="pr_norm",
+    )
+    return x, len(history)
+
+
+# checkerboard needs its amplitude; time_piecewise draws its jump count
+_ROUGH = {"checkerboard": 0.5, "time_piecewise": None}
+
+_CROSS_CHECKS = {
+    # physical frame: rough coefficients, several restart cycles
+    "physical_d1": (dict(d=1, n_t=32, n_x=32), "checkerboard", "white"),
+    "physical_d2": (dict(d=2, n_t=16, n_x=(8, 8)), "checkerboard", "white"),
+    "physical_d3": (dict(d=3, n_t=16, n_x=(8, 8, 8)), "checkerboard", "white"),
+    # (t, xi) frame, both passes
+    "frame_d1": (_FRAME_GRIDS[1], "time_piecewise", "zero_mode"),
+    "frame_d2": (_FRAME_GRIDS[2], "time_piecewise", "zero_mode"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CROSS_CHECKS))
+def test_gmres_loop_matches_scipy_gmres(monkeypatch, case):
+    """Each GMRES pass of solve(), rerun through scipy.sparse.linalg.gmres
+    on the same operator, preconditioner, right-hand side and start, gives
+    the same solution to 1e-10 relative in the same number of iterations,
+    give or take one."""
+    grid, kind, data_kind = _CROSS_CHECKS[case]
+    g = _grid(**grid)
+    a = generate_coefficients(kind=kind, delta=0.25, seed=g.d, grid=g, roughness_scale=_ROUGH[kind])
+    data = _white_bundle(g, 70 + g.d, 1.0) if data_kind == "white" else _zero_mode_bundle(g, 1.0)
+    monkeypatch.setattr(solver_module, "_t_direct", _refuse)
+    passes = _record_passes(monkeypatch)
+    options = SolverOptions(rtol=1e-10, restart=4)
+    result = solve(a, data, options)
+    assert result.converged
+    assert result.method == ("gmres" if kind == "checkerboard" else "t_frame_gmres")
+    assert result.iterations > 2 * options.restart  # several restart cycles
+    if kind == "time_piecewise":
+        assert len(passes) == 2
+    for A, b, start, kwargs, x, iterations in passes:
+        reference, reference_iterations = _scipy_pass(A, b, start, kwargs)
+        assert _rel_diff(x, reference) <= 1e-10
+        assert abs(iterations - reference_iterations) <= 1
+
+
+@pytest.mark.parametrize("shifted", [True, False], ids=["shifted", "unshifted"])
+def test_arnoldi_basis_stays_orthonormal(shifted):
+    """Over one full cycle the Arnoldi basis of the frame operator I + B is
+    orthonormal to 1e-12 and carries the Arnoldi relation
+    (I + B) V_k = V_{k+1} H, whether the loop runs on B with the shift 1 on
+    the Hessenberg diagonal or on I + B itself.  Unshifted, every new vector
+    keeps most of the last one, so this needs the second Gram-Schmidt pass."""
+    g = _grid(**_FRAME_GRIDS[1])
+    a = generate_coefficients(kind="time_piecewise", delta=0.25, seed=1, grid=g)
+    _, _, matvec, _ = solver_module._t_frame(a, 1.0)
+    apply = matvec if shifted else (lambda v: v + matvec(v))
+    restart = SolverOptions().restart
+    start = np.random.default_rng(1).standard_normal(g.n_t * (g.n_x[0] // 2 + 1)) + 0j
+    basis = np.empty((restart + 1, start.size), dtype=complex)
+    basis[0] = start / np.linalg.norm(start)
+    hess = np.zeros((restart + 1, restart), dtype=complex)
+    for k in range(restart):
+        hess[: k + 2, k], breakdown = solver_module._arnoldi_step(
+            apply, basis, k, 1.0 if shifted else 0.0
+        )
+        assert not breakdown
+    gram = basis.conj() @ basis.T
+    assert np.max(np.abs(gram - np.eye(restart + 1))) <= 1e-12
+    image = np.array([v + matvec(v) for v in basis[:restart]])
+    assert np.max(np.abs(image - hess.T @ basis)) <= 1e-12
+
+
+def test_shifted_and_unshifted_frame_solves_agree():
+    """GMRES on B with the shift 1 solves (I + B) y = c as GMRES on I + B
+    does, to 1e-12 relative, in the same number of iterations."""
+    g = _grid(**_FRAME_GRIDS[2])
+    a = generate_coefficients(kind="time_piecewise", delta=0.25, seed=2, grid=g)
+    to_frame, _, matvec, precondition = solver_module._t_frame(a, 1.0)
+    rhs = apply_rhs(_white_bundle(g, 80, 1.0)).data.ravel()
+    rhs = precondition(to_frame(rhs).reshape(-1, g.n_t)).ravel()
+    solutions, counts = [], []
+    for shift, apply in ((1.0, matvec), (0.0, lambda v: v + matvec(v))):
+        operator = LinearOperator((rhs.size, rhs.size), matvec=apply, dtype=complex)
+        history = []
+        y, _ = solver_module.gmres(
+            operator, rhs, np.zeros_like(rhs), rtol=1e-13, restart=40, maxiter=500,
+            M=None, shift=shift, callback=history.append,
+        )
+        solutions.append(y)
+        counts.append(len(history))
+    assert _rel_diff(solutions[0], solutions[1]) <= 1e-12
+    assert counts[0] == counts[1]
+    assert np.linalg.norm(rhs - solutions[0] - matvec(solutions[0])) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_gmres_breakdown_returns_the_exact_solution(monkeypatch):
+    """Constant coefficients sent through frame GMRES make B = 0 exactly:
+    the first Arnoldi step breaks down, and the one-column least squares
+    problem (the shift 1 alone) is the exact solution, in one iteration.
+    Physical-frame GMRES, exactly preconditioned, stops in at most three."""
+    g = _grid(**_FRAME_GRIDS[1])
+    constant = generate_coefficients(kind="constant", delta=0.25, seed=1, grid=g)
+    tagged = coefficients_from_matrix(g, constant.constant_matrix(), 0.25, tag="time_measurable")
+    data = _white_bundle(g, 90, 1.0)
+    oracle = solve_oracle(constant, data)
+    _, _, matvec, _ = solver_module._t_frame(tagged, 1.0)
+    basis = np.zeros((2, g.n_t * (g.n_x[0] // 2 + 1)), dtype=complex)
+    basis[0, 0] = 1.0
+    column, breakdown = solver_module._arnoldi_step(matvec, basis, 0, 1.0)
+    assert breakdown and np.array_equal(column, [1.0, 0.0])
+
+    monkeypatch.setattr(solver_module, "_direct_solver", lambda coeffs: None)
+    frame = solve(tagged, data)
+    assert frame.method == "t_frame_gmres" and frame.converged
+    assert frame.iterations == 1 and frame.matvecs == 3
+    assert _rel_diff(frame.u.data, oracle.u.data) <= 1e-12
+    physical = solve(constant, data)
+    assert physical.method == "gmres" and physical.converged
+    assert 1 <= physical.iterations <= 3
+    assert _rel_diff(physical.u.data, oracle.u.data) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "kind, budget, restart",
+    [
+        ("checkerboard", 1, 40),
+        ("checkerboard", 8, 8),
+        ("checkerboard", 7, 3),
+        ("time_piecewise", 7, 3),
+    ],
+)
+def test_max_iterations_caps_gmres_over_restarts_and_passes(monkeypatch, kind, budget, restart):
+    """max_iterations caps the GMRES iterations over every restart cycle and
+    both passes: a budget too small to converge is spent exactly, the solve
+    reports converged False, and the matvecs are one per iteration, one per
+    cycle's recomputed residual and one for the physical check."""
+    g = _grid(**(_FRAME_GRIDS[1] if kind == "time_piecewise" else dict(d=2, n_t=16, n_x=8)))
+    a = generate_coefficients(kind=kind, delta=0.25, seed=1, grid=g, roughness_scale=_ROUGH[kind])
+    data = _white_bundle(g, 50, 1.0)
+    monkeypatch.setattr(solver_module, "_t_direct", _refuse)
+    result = solve(a, data, SolverOptions(max_iterations=budget, restart=restart))
+    assert result.iterations == budget
+    assert len(result.residual_history) == budget
+    assert not result.converged and result.final_relative_residual > SolverOptions().rtol
+    cycles = -(-budget // restart)
+    assert result.matvecs == budget + cycles + 1
+    # the same solve converges once the budget allows it
+    assert solve(a, data, SolverOptions(restart=restart)).converged
 
 
 def test_direct_time_solve_covers_the_short_grids():
