@@ -26,7 +26,6 @@ from halfheat import (
     run_identity_suite,
     run_l2_trials,
     run_lp_sweep,
-    run_oscillation_experiments,
     run_tail_decay,
     solve,
     solve_oracle,
@@ -244,11 +243,12 @@ def test_criterion_07_tail_decay():
     assert ok, result.failures
 
 
-def test_criterion_08_mean_oscillation_decay():
+def test_criterion_08_mean_oscillation_decay(default_oscillation):
     """Homogeneous-part oscillation decay over kappa in {4, 8, 16}: fitted
     exponent <= -0.9 for the time-coefficient and heat cases, <= -0.45 for
-    the x1 case, plus the interior-estimate stability checks."""
-    result = run_oscillation_experiments(_config("oscillation"))
+    the x1 case, plus the interior-estimate stability checks.  The default
+    oscillation run (_config("oscillation")) is shared with the golden test."""
+    result = default_oscillation
     decays = result.summary["fitted_decay"]
     local = result.summary["local_estimate"]
     ok = (

@@ -436,9 +436,10 @@ def test_solve_on_x1_coefficients_takes_the_exact_path(tmp_path, capsys):
     assert report["iterations"] == 0
 
 
-def test_solve_on_time_coefficients_takes_the_exact_path(tmp_path, capsys):
-    """time_piecewise coefficients on the default 64x64 grid are solved
-    directly: no GMRES iteration and a residual at rounding level."""
+def test_solve_on_time_coefficients_takes_the_frame_path(tmp_path, capsys):
+    """time_piecewise coefficients on the default 64x64 grid are solved by
+    GMRES in the (t, xi) frame, whose residual history ends at the physical
+    residual it reports."""
     mapping = dict(
         SOLVE_CONFIG,
         grid={"d": 1},
@@ -449,7 +450,9 @@ def test_solve_on_time_coefficients_takes_the_exact_path(tmp_path, capsys):
     assert code == 0
     assert read_field(tmp_path / "o" / "u.htpf").grid.shape == (64, 64)
     disk = json.loads((tmp_path / "o" / "result.json").read_text())
-    assert disk["iterations"] == 0
-    assert disk["method"] == "t_direct"
+    assert disk["iterations"] == report["iterations"] > 0
+    assert disk["method"] == report["method"] == "t_frame_gmres"
     assert disk["converged"] is True
-    assert disk["final_relative_residual"] <= 1e-12
+    assert disk["final_relative_residual"] <= 1e-9
+    assert len(disk["residual_history"]) == disk["iterations"]
+    assert disk["residual_history"][-1] == pytest.approx(disk["final_relative_residual"], rel=1e-3)

@@ -242,7 +242,7 @@ def test_oscillation_quarter_scale():
     assert local["refinement_deviation"] <= 0.2
     assert local["rescaling_deviation"] <= 0.05
     assert local["trivial_flagged"]
-    # each case's solve; n_t = 1024 keeps the time case on GMRES
+    # each case's solve
     solves = result.summary["solves"]
     assert list(solves) == list(decays)
     # the residual history and matvec count stay out of summary.json

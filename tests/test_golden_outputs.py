@@ -5,7 +5,8 @@ Every refactor must keep these bytes.  The digests were recorded with numpy
 2.4.6 and scipy 1.17.1; another FFT or BLAS build may move the last bits of
 some floats.  When a digest changes on purpose, CHANGES.md says why; a digest
 is never re-pinned silently.  The oscillation experiment is pinned at seed 0
-only: it is the slowest of them (several seconds).
+only: it is the slowest of them (several seconds), and its run is shared with
+acceptance criterion 8 (conftest.default_oscillation).
 """
 
 import hashlib
@@ -32,12 +33,12 @@ GOLDEN = {
         "c68d5837120533339b3329abc142b6815a96c97fff8a8ab928c444e84a00062b",
     ),
     ("lp_sweep", 0): (
-        "5914adcda40ea400d32a0741f18ed9645c2744cee85cd6c607a71a8401e3f88e",
-        "4f7ba22a8d134fdbbed0123f999a16f420f698ede4289ec1dc7dc9b216325b1f",
+        "479032ab9bf25b199158fb6db56ff6800f171a1830e477e5d4b841da05933d34",
+        "02cd10dd39b87b392e32bffc799b9f036db747de715a4cb55e04588b7a7163c4",
     ),
     ("lp_sweep", 1): (
-        "0a40ba30ee233cf8e1857b075e931afca99f10b1f55fe993ffa2e3b42c9671de",
-        "a8f8daae4c1d1d84e4cf3333da7c1c6cca432bb981e7548772430a73b1f1c6f0",
+        "99b41d277a8be18328b55db983118540d15e3c96ae47516c08cc4d0bfc8964e4",
+        "3c60cd3d8cc1a4262a4c37bb5513c17c1bd3a547b21f81f3504570b4e02c23ef",
     ),
     ("tail_decay", 0): (
         "793342009da8de814d993db86ba52e1d76dd5ae912a88308e6457943b242c176",
@@ -56,15 +57,18 @@ GOLDEN = {
         "29dba93ef0b34ea67a09bd26beec665cdd73b8964bd286c0170dbdfee3dc5e49",
     ),
     ("oscillation", 0): (
-        "bf0a06641042f023f76590919c2d4b073d7a045c63599e827b2806ebb2fe2ff1",
-        "beb6859e6bc2c3807da11061d13e8121a1d1be8c732296300f4fe17331c33e51",
+        "62eaa7be7bbc1741d4ff1ad14a6c1a9ff4d0efd5a394ae7da6c0f3dedd2df9d8",
+        "55f604ca83abb7b3493ca2438ecfcf4e707398a1c1d864388d7542994871fe0c",
     ),
 }
 
 
 @pytest.mark.parametrize("kind, seed", sorted(GOLDEN), ids=lambda v: str(v))
-def test_default_outputs_are_byte_identical(tmp_path, kind, seed):
-    config = ExperimentConfig.from_mapping({"seed": seed}, kind=kind)
-    paths = write_outputs(EXPERIMENTS[kind](config), tmp_path)
+def test_default_outputs_are_byte_identical(tmp_path, request, kind, seed):
+    if (kind, seed) == ("oscillation", 0):
+        result = request.getfixturevalue("default_oscillation")
+    else:
+        result = EXPERIMENTS[kind](ExperimentConfig.from_mapping({"seed": seed}, kind=kind))
+    paths = write_outputs(result, tmp_path)
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
     assert digests == GOLDEN[kind, seed]
