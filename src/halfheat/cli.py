@@ -16,21 +16,19 @@ import json
 import sys
 from pathlib import Path
 
-from .coefficients import generate_coefficients
 from .expressions import field_from_expression
 from .experiments import (
+    _COEFFICIENT_KEYS,
     EXPERIMENTS,
-    _GRID_TYPES,
     ExperimentConfig,
-    _generator_kwargs,
+    _coefficients_for,
     _grid_from_spec,
-    _object,
-    _scalar,
+    _section,
     _solver_options,
     write_outputs,
 )
-from .grid import VectorField, _integer
-from .htpf import read_coefficients, write_field
+from .grid import VectorField, _scalar
+from .htpf import write_field
 from .operators import DataBundle
 from .solver import compute_bundles, solve, solve_oracle
 
@@ -44,20 +42,22 @@ _EXPERIMENT_COMMANDS = (
 )
 
 
+# the top-level and 'data' keys of a solve/oracle config
+_PROBLEM_KEYS = ("grid", "coefficients", "data", "lambda", "solver", "out")
+_DATA_KEYS = ("h", "g", "f")
+
+
 def _apply_grid_overrides(mapping: dict, pairs: list[str]) -> None:
-    """Merge --grid KEY=VALUE pairs into the config's grid object; n_x and l_x
-    take comma-separated per-axis lists."""
+    """Merge --grid KEY=VALUE pairs into the config's grid object as text; n_x
+    and l_x take comma-separated per-axis lists.  The grid reader checks the
+    keys and reads the values."""
     overrides = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
-        key = key.strip()
         if not sep:
             raise ValueError(f"--grid expects KEY=VALUE, got {pair!r}")
-        if key not in _GRID_TYPES:
-            raise ValueError(f"unknown grid key {key!r} (use {', '.join(_GRID_TYPES)})")
-        read = (lambda v: _integer(v, key)) if _GRID_TYPES[key] is int else float
-        parts = [read(v) for v in value.split(",") if v]
-        overrides[key] = parts[0] if len(parts) == 1 else parts
+        parts = [v for v in value.split(",") if v]
+        overrides[key.strip()] = parts[0] if len(parts) == 1 else parts
     grid = mapping.get("grid")
     # a grid that is not an object stays as it is, for _grid_from_spec to reject
     if grid is None or isinstance(grid, dict):
@@ -122,26 +122,13 @@ def _run_experiment(name: str, args: argparse.Namespace) -> int:
 
 
 def _build_problem(mapping: dict, name: str = "solve"):
+    mapping = _section(mapping, "config", _PROBLEM_KEYS)
     if mapping.get("grid") is None:
         raise ValueError("solve config needs a 'grid' section")
     grid = _grid_from_spec(mapping["grid"], name)
-    spec = _object(mapping.get("coefficients"), "coefficients")
-    if "file" in spec:
-        if not isinstance(spec["file"], str):
-            raise ValueError(f"'file' must be a sidecar path string, got {spec['file']!r}")
-        coeffs = read_coefficients(spec["file"])
-        if coeffs.grid != grid:
-            raise ValueError("coefficient file grid does not match the config grid")
-    else:
-        kind = spec.get("kind", "constant")
-        coeffs = generate_coefficients(
-            kind,
-            _scalar(spec.get("delta", 1.0), "delta"),
-            _integer(spec.get("seed", 0), "seed"),
-            grid,
-            **_generator_kwargs(spec, kind),
-        )
-    data_spec = _object(mapping.get("data"), "data")
+    spec = _section(mapping.get("coefficients"), "coefficients", _COEFFICIENT_KEYS[name])
+    coeffs = _coefficients_for(spec, grid, "constant", 0)
+    data_spec = _section(mapping.get("data"), "data", _DATA_KEYS)
     if not data_spec:
         raise ValueError(
             "solve config needs a 'data' section with h/g/f expressions"

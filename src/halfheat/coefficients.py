@@ -148,16 +148,20 @@ def identity_coefficients(grid: Grid, delta: float = 1.0) -> Coefficients:
 def coefficients_from_matrix(
     grid: Grid, matrix: np.ndarray, delta: float, tag: str = "constant"
 ) -> Coefficients:
+    return Coefficients(
+        grid=grid, data=_constant_data(grid, matrix), tag=tag, ellipticity=Ellipticity(delta)
+    )
+
+
+def _constant_data(grid: Grid, matrix: np.ndarray) -> np.ndarray:
+    """The (d, d) matrix repeated at every sample, shape (d, d, n_t, n_x...)."""
     matrix = np.asarray(matrix, dtype=np.float64)
     d = grid.d
     if matrix.shape != (d, d):
         raise ValueError(f"matrix must be ({d}, {d}), got {matrix.shape}")
-    data = np.broadcast_to(
+    return np.broadcast_to(
         matrix.reshape(d, d, *([1] * (d + 1))), (d, d, *grid.shape)
     ).copy()
-    return Coefficients(
-        grid=grid, data=data, tag=tag, ellipticity=Ellipticity(delta)
-    )
 
 
 def _admissible_matrix(rng: np.random.Generator, d: int, delta: float) -> np.ndarray:
@@ -235,10 +239,9 @@ def generate_coefficients(
     meta: dict = {"kind": kind, "delta": delta, "seed": int(seed)}
 
     if kind == "constant":
-        matrix = _admissible_matrix(rng, d, delta)
-        out = coefficients_from_matrix(grid, matrix, delta, tag="constant")
+        data = _constant_data(grid, _admissible_matrix(rng, d, delta))
         return Coefficients(
-            grid=grid, data=out.data, tag="constant", ellipticity=ell, generator=meta
+            grid=grid, data=data, tag="constant", ellipticity=ell, generator=meta
         )
 
     if kind in ("time_piecewise", "x1_piecewise"):
@@ -343,9 +346,7 @@ class AssumptionReport:
     radii: tuple[float, ...]
     gamma_per_radius: tuple[float, ...]
     worst_radius: float
-    worst_center: tuple[float, ...]
     centers_scanned: int
-    scan_density: dict
 
 
 def _ball_offsets(grid: Grid, radius: float, first_axis: int = 0) -> np.ndarray:
@@ -409,14 +410,13 @@ def _validate_r0(grid: Grid, r_zero: float) -> None:
         )
 
 
-def _spatial_centers(grid: Grid, radius: float) -> tuple[np.ndarray, tuple[int, ...]]:
-    strides = tuple(
-        max(1, int(round(radius / (2.0 * grid.h[i])))) for i in range(grid.d)
-    )
-    axes = [np.arange(0, grid.n_x[i], strides[i]) for i in range(grid.d)]
+def _spatial_centers(grid: Grid, radius: float) -> np.ndarray:
+    axes = [
+        np.arange(0, grid.n_x[i], max(1, int(round(radius / (2.0 * grid.h[i])))))
+        for i in range(grid.d)
+    ]
     mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=-1)
-    return centers, strides
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def _scan(
@@ -433,35 +433,16 @@ def _scan(
     grid = coeffs.grid
     _validate_r0(grid, r_zero)
     radii = _scan_radii(grid, r_zero)
-    d = grid.d
-    t_coords = grid.time_coordinates()
-    x_coords = [grid.space_coordinates(i) for i in range(d)]
 
     gamma_per_radius = []
     centers_total = 0
-    density: dict = {}
-    worst = (-1.0, radii[0], (0.0,) * (d + 1))
     for r in radii:
         stride_t = max(1, int(round(r * r / (2.0 * grid.dt))))
         t_centers = np.arange(0, grid.n_t, stride_t)
-        centers, strides = _spatial_centers(grid, r)
-        density[f"r={r:g}"] = {
-            "stride_t": stride_t,
-            "stride_x": list(strides),
-            "spatial_centers": int(centers.shape[0]),
-        }
         means_at = deviation(coeffs, r, t_centers)
         level_max = -1.0
-        for center in centers:
-            peak = means_at(center).max(axis=0)  # worst entry per time center
-            ci = int(np.argmax(peak))
-            value = float(peak[ci])
-            level_max = max(level_max, value)
-            if value > worst[0]:
-                phys = (float(t_coords[t_centers[ci]]),) + tuple(
-                    float(x_coords[i][center[i]]) for i in range(d)
-                )
-                worst = (value, r, phys)
+        for center in _spatial_centers(grid, r):
+            level_max = max(level_max, float(means_at(center).max()))
             centers_total += t_centers.shape[0]
         gamma_per_radius.append(level_max)
 
@@ -471,10 +452,9 @@ def _scan(
         gamma_estimate=float(max(gamma_per_radius)),
         radii=tuple(radii),
         gamma_per_radius=tuple(gamma_per_radius),
-        worst_radius=float(worst[1]),
-        worst_center=worst[2],
+        # the first radius reaching the maximum
+        worst_radius=float(radii[int(np.argmax(gamma_per_radius))]),
         centers_scanned=centers_total,
-        scan_density=density,
     )
 
 

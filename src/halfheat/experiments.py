@@ -30,13 +30,16 @@ from .grid import (
     Field,
     Grid,
     VectorField,
+    _band_limited_noise,
     _integer,
+    _scalar,
     inner,
     lp_norm,
     make_grid,
     time_window_lp_norm,
     zeros,
 )
+from .htpf import read_coefficients
 from .operators import (
     DataBundle,
     _solution_parts,
@@ -90,28 +93,25 @@ _DEFAULT_GRIDS = {
 }
 
 
-# scalar type of each grid key; n_x and l_x may also be per-axis lists
-_GRID_TYPES = {"d": int, "n_t": int, "n_x": int, "l_t": float, "l_x": float}
+_GRID_KEYS = ("d", "n_t", "n_x", "l_t", "l_x")
 _SOLVER_KEYS = tuple(f.name for f in fields(SolverOptions))
-
-
-def _object(spec, name: str) -> dict:
-    """A config section that must be an object; None (absent) reads as {}.
-    Anything else is a ValueError naming the key."""
-    if spec is None:
-        return {}
-    if not isinstance(spec, dict):
-        raise ValueError(f"'{name}' must be an object, got {spec!r}")
-    return spec
-
-
-def _scalar(value, name: str) -> float:
-    """float(value); a value it rejects (null, a list, a non-numeric
-    string) is a ValueError naming the key."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"'{name}' must be a number, got {value!r}") from None
+# the top-level keys of an experiment config; solve/oracle have their own
+# (cli._PROBLEM_KEYS)
+_EXPERIMENT_KEYS = (
+    "experiment", "grid", "coefficients", "lambdas", "p_list", "trials", "solver", "seed", "out",
+)
+# the 'coefficients' keys each command reads; any other key is an error
+_SPEC_KEYS = ("kind", "delta", "seed", "n_jumps", "epsilon", "cell_size")
+_COEFFICIENT_KEYS = {
+    "identities": (),
+    "l2": _SPEC_KEYS,
+    "lp_sweep": ("kinds",) + _SPEC_KEYS,
+    "tail_decay": ("k_max",),
+    "oscillation": ("delta", "kappas", "outer_radius"),
+    "assumptions": ("delta", "epsilon", "r_zero"),
+    "solve": _SPEC_KEYS + ("file",),
+    "oracle": _SPEC_KEYS + ("file",),
+}
 
 
 def _numbers(value, name: str) -> tuple[float, ...]:
@@ -124,17 +124,21 @@ def _numbers(value, name: str) -> tuple[float, ...]:
 def _section(spec, name: str, keys: tuple[str, ...]) -> dict:
     """A config section that must be an object with keys from `keys`; None
     (absent) reads as {}.  Anything else is a ValueError naming the key."""
-    spec = _object(spec, name)
-    unknown = sorted(set(spec) - set(keys))
+    if spec is None:
+        return {}
+    if not isinstance(spec, dict):
+        raise ValueError(f"'{name}' must be an object, got {spec!r}")
+    unknown = [key for key in spec if key not in keys]
     if unknown:
-        raise ValueError(f"unknown {name} key {unknown[0]!r} (use {', '.join(keys)})")
+        hint = f"use {', '.join(keys)}" if keys else "this command reads none"
+        raise ValueError(f"unknown {name} key {unknown[0]!r} ({hint})")
     return spec
 
 
 def _grid_from_spec(spec, kind: str) -> Grid:
     """Grid of a config's 'grid' object: its keys merged onto the default
     grid of the command `kind` (the default itself when spec is None)."""
-    merged = {**_DEFAULT_GRIDS[kind], **_section(spec, "grid", tuple(_GRID_TYPES))}
+    merged = {**_DEFAULT_GRIDS[kind], **_section(spec, "grid", _GRID_KEYS)}
     try:
         return make_grid(**merged)
     except TypeError as exc:
@@ -182,16 +186,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict, kind: str | None = None) -> "ExperimentConfig":
+        """The config of a mapping in the README schema; `kind` is the
+        command that runs it, which an 'experiment' key must agree with."""
+        mapping = _section(mapping, "config", _EXPERIMENT_KEYS)
         name = mapping.get("experiment", kind)
         if name is None:
             raise ValueError("config needs an 'experiment' kind")
         name = str(name).replace("-", "_")
-        if name not in _DEFAULT_GRIDS:
+        if kind is not None and name != kind.replace("-", "_"):
+            raise ValueError(
+                f"config 'experiment' {mapping['experiment']!r} does not match "
+                f"the command {kind!r}"
+            )
+        if name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {name!r}")
         return cls(
             kind=name,
             grid=_grid_from_spec(mapping.get("grid"), name),
-            coefficients=dict(_object(mapping.get("coefficients"), "coefficients")),
+            coefficients=dict(
+                _section(mapping.get("coefficients"), "coefficients", _COEFFICIENT_KEYS[name])
+            ),
             lambdas=_numbers(mapping.get("lambdas", [1.0]), "lambdas"),
             p_list=_numbers(mapping.get("p_list", [2.0]), "p_list"),
             trials=_integer(mapping.get("trials", 20), "trials"),
@@ -269,17 +283,7 @@ def random_band_limited_field(
     With subspace=True the time mean and time Nyquist rows are removed, the
     subspace on which the Hilbert transform is an exact involution.
     """
-    spec = np.fft.fftn(rng.standard_normal(grid.shape))
-    for axis, n in enumerate(grid.shape):
-        k = np.abs(np.fft.fftfreq(n) * n)
-        keep = k <= band * (n // 2)
-        shape = [1] * len(grid.shape)
-        shape[axis] = n
-        spec = spec * keep.reshape(shape)
-    if subspace:
-        spec[0] = 0.0
-        spec[grid.n_t // 2] = 0.0
-    return _unit_l2(grid, np.fft.ifftn(spec).real, floor=0.0)
+    return _unit_l2(grid, _band_limited_noise(grid.shape, rng, band, subspace), floor=0.0)
 
 
 def harmonic_field(grid: Grid, rng: np.random.Generator) -> Field:
@@ -309,29 +313,40 @@ def _band_limited_bundle(grid: Grid, rng: np.random.Generator, lam: float) -> Da
     return _bundle(grid, lam, lambda: random_band_limited_field(grid, rng, 0.3))
 
 
-def _generator_kwargs(spec: dict, kind: str) -> dict:
-    """generate_coefficients keywords of a coefficient spec of this kind; the
-    aliases of roughness_scale take precedence roughness_scale > epsilon >
-    n_jumps, and for the piecewise kinds it is a jump count, an integer."""
-    read = _integer if kind in ("time_piecewise", "x1_piecewise") else _scalar
-    out = {}
-    for key in ("roughness_scale", "epsilon", "n_jumps"):
-        if spec.get(key) is not None:
-            out["roughness_scale"] = read(spec[key], key)
-            break
-    if spec.get("cell_size") is not None:
-        out["cell_size"] = _scalar(spec["cell_size"], "cell_size")
-    return out
+_PIECEWISE_KINDS = ("time_piecewise", "x1_piecewise")
 
 
 def _coefficients_for(
-    spec: dict, grid: Grid, default_kind: str, config_seed: int, *key: int
+    spec: dict, grid: Grid, default_kind: str, default_seed: int
 ) -> Coefficients:
+    """The coefficients of a config's coefficient spec: the HTPF stack its
+    'file' names, or generate_coefficients of its kind (default_kind), delta
+    (1.0) and seed (default_seed).  n_jumps is the jump count of the
+    piecewise kinds and epsilon the amplitude of checkerboard and smooth;
+    each kind ignores the other's key."""
+    if "file" in spec:
+        if not isinstance(spec["file"], str):
+            raise ValueError(f"'file' must be a sidecar path string, got {spec['file']!r}")
+        coeffs = read_coefficients(spec["file"])
+        if coeffs.grid != grid:
+            raise ValueError("coefficient file grid does not match the config grid")
+        return coeffs
     kind = spec.get("kind", default_kind)
-    delta = _scalar(spec.get("delta", 1.0), "delta")
     seed = spec.get("seed")
-    seed = _integer(seed, "seed") if seed is not None else _trial_seed(config_seed, *key)
-    return generate_coefficients(kind, delta, seed, grid, **_generator_kwargs(spec, kind))
+    options = {}
+    if kind in _PIECEWISE_KINDS and spec.get("n_jumps") is not None:
+        options["roughness_scale"] = _integer(spec["n_jumps"], "n_jumps")
+    if kind in ("checkerboard", "smooth") and spec.get("epsilon") is not None:
+        options["roughness_scale"] = _scalar(spec["epsilon"], "epsilon")
+    if spec.get("cell_size") is not None:
+        options["cell_size"] = _scalar(spec["cell_size"], "cell_size")
+    return generate_coefficients(
+        kind,
+        _scalar(spec.get("delta", 1.0), "delta"),
+        default_seed if seed is None else _integer(seed, "seed"),
+        grid,
+        **options,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +539,8 @@ def _solve_for(
 def _l2_trial(config: ExperimentConfig, trial: int) -> dict:
     grid = config.grid
     lam = config.lambdas[0]
-    spec = config.coefficients
-    coeffs = _coefficients_for(spec, grid, "constant", config.seed, trial, 1)
+    seed = _trial_seed(config.seed, trial, 1)
+    coeffs = _coefficients_for(config.coefficients, grid, "constant", seed)
     rng = _rng(config.seed, trial, 2)
     data = _band_limited_bundle(grid, rng, lam)
     result = _solve_for(coeffs, data, config.solver)
@@ -540,7 +555,7 @@ def _l2_trial(config: ExperimentConfig, trial: int) -> dict:
         ok = ok and ratio <= bound + 1e-8
     return {
         "trial": trial,
-        "seed": _trial_seed(config.seed, trial, 1),
+        "seed": seed,
         "kind": coeffs.tag,
         "lambda": lam,
         "norm_U": norm_u,
@@ -662,7 +677,7 @@ def _sweep_coefficients(
     if kind == "checkerboard":
         delta = spec.setdefault("delta", 0.25)
         spec.setdefault("epsilon", 0.5 * (1.0 - _scalar(delta, "delta")))
-    return _coefficients_for(spec, grid, kind, config.seed, kind_index, trial, 3)
+    return _coefficients_for(spec, grid, kind, _trial_seed(config.seed, kind_index, trial, 3))
 
 
 def _sweep_cell(
@@ -723,11 +738,13 @@ def run_lp_sweep(config: ExperimentConfig) -> ExperimentResult:
     from a doubled grid, a lambda_0 estimate, and exactness spot checks."""
     if any(lam <= 0 for lam in config.lambdas):
         raise ValueError("run_lp_sweep needs lambda > 0 entries")
-    kinds = config.coefficients.get("kinds") or [
-        config.coefficients.get("kind", "time_piecewise")
-    ]
+    kinds = config.coefficients.get("kinds")
+    if kinds is None:
+        kinds = [config.coefficients.get("kind", "time_piecewise")]
     if not isinstance(kinds, (list, tuple)):
         raise ValueError(f"'kinds' must be a list of kind names, got {kinds!r}")
+    if not kinds:
+        raise ValueError("'kinds' must name at least one kind, got []")
     for kind in kinds:
         if kind not in _SWEEP_KINDS:
             raise ValueError(
@@ -757,13 +774,6 @@ def run_lp_sweep(config: ExperimentConfig) -> ExperimentResult:
     }
     lambda_zero = _lambda_zero_estimate(config.lambdas, per_lambda)
 
-    # p = 2 column must coincide with the L2 path (same norms, same solve)
-    p2_dev = 0.0
-    for row in base_rows:
-        if row["p"] == 2.0:
-            direct = row["norm_U"] / row["norm_F"]
-            p2_dev = max(p2_dev, abs(direct - row["ratio"]))
-
     # duality spot check on one solved pair per kind
     duality_worst = 0.0
     grid = config.grid
@@ -784,8 +794,6 @@ def run_lp_sweep(config: ExperimentConfig) -> ExperimentResult:
             f"refinement stability factor {stability} exceeds 1.5 "
             f"(base {max_base}, doubled {max_doubled})"
         )
-    if p2_dev > 1e-10:
-        failures.append(f"p=2 column deviates from the L2 path by {p2_dev}")
     if duality_worst > 1e-12:
         failures.append(f"duality skewness {duality_worst} exceeds 1e-12")
     bad = [row for row in rows if not row["converged"]]
@@ -802,7 +810,6 @@ def run_lp_sweep(config: ExperimentConfig) -> ExperimentResult:
         "stability_factor": stability,
         "lambda_zero_estimate": lambda_zero,
         "max_ratio_per_lambda": {str(k): v for k, v in per_lambda.items()},
-        "p2_consistency": p2_dev,
         "duality_skewness": duality_worst,
     }
     return ExperimentResult(

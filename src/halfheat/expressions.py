@@ -8,7 +8,8 @@ constant ``pi``, and the calls
 * ``gauss(center, width)``: exp(-(t-center)^2 / (2*width^2)) in time
 * ``noise(seed, band)``: band-limited pseudo-random field; all modes with
   |k| above ``band`` times the axis Nyquist are zeroed.  Deterministic per
-  (seed, grid).
+  (seed, grid): the harness's ``random_band_limited_field`` draw from
+  ``default_rng(seed)`` before its scaling to unit L2.
 
 Evaluation is numpy-vectorized over the grid and broadcasts to full shape.
 """
@@ -19,7 +20,7 @@ import ast
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Field, Grid, _band_limited_noise
 
 __all__ = ["ExpressionError", "field_from_expression"]
 
@@ -41,21 +42,7 @@ def _noise(grid: Grid, seed: float, band: float) -> np.ndarray:
         raise ExpressionError(f"noise seed must be a non-negative integer, got {seed}")
     if not 0.0 < band <= 1.0:
         raise ExpressionError(f"noise band must lie in (0, 1], got {band}")
-    rng = np.random.default_rng(int(seed))
-    white = rng.standard_normal(grid.shape)
-    spec = np.fft.rfftn(white)
-    sizes = grid.shape
-    # per-axis integer mode magnitudes on the half spectrum
-    for axis, n in enumerate(sizes):
-        if axis == len(sizes) - 1:
-            k = np.arange(spec.shape[axis])
-        else:
-            k = np.abs(np.rint(np.fft.fftfreq(n) * n).astype(int))
-        keep = k <= band * (n // 2)
-        view = [1] * len(sizes)
-        view[axis] = spec.shape[axis]
-        spec = spec * keep.reshape(view)
-    return np.fft.irfftn(spec, s=sizes, axes=tuple(range(len(sizes))))
+    return _band_limited_noise(grid.shape, np.random.default_rng(int(seed)), band)
 
 
 class _Evaluator(ast.NodeVisitor):

@@ -57,6 +57,33 @@ def _integer(value, name: str) -> int:
     return int(number)
 
 
+def _scalar(value, name: str) -> float:
+    """float(value); a value it rejects (null, a list, a non-numeric
+    string) is a ValueError naming the key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"'{name}' must be a number, got {value!r}") from None
+
+
+def _band_limited_noise(
+    shape: tuple[int, ...], rng: np.random.Generator, band: float, time_subspace: bool = False
+) -> np.ndarray:
+    """White noise ``rng.standard_normal(shape)`` low-passed through ``fftn``:
+    every mode with |k| > band * (n // 2) along some axis is zeroed.  With
+    time_subspace=True the mean and Nyquist rows of axis 0 (time) go too."""
+    spec = np.fft.fftn(rng.standard_normal(shape))
+    for axis, n in enumerate(shape):
+        keep = np.abs(np.fft.fftfreq(n) * n) <= band * (n // 2)
+        view = [1] * len(shape)
+        view[axis] = n
+        spec = spec * keep.reshape(view)
+    if time_subspace:
+        spec[0] = 0.0
+        spec[shape[0] // 2] = 0.0
+    return np.fft.ifftn(spec).real
+
+
 def _axis_coordinates(n: int, period: float) -> np.ndarray:
     # m*dx wrapped to [-period/2, period/2); identical to period*fftfreq(n).
     return period * np.fft.fftfreq(n)
@@ -142,7 +169,9 @@ def make_grid(
 
     Sample counts must be even and at least 8 per axis (powers of two are
     recommended for FFT speed), and the total count may not exceed
-    ``SAMPLE_CAP`` (2**24).
+    ``SAMPLE_CAP`` (2**24).  Any value may also be numeric text ("64",
+    "2.0"), as the CLI's ``--grid KEY=VALUE`` passes it; a value that does
+    not read as its key's type is a ValueError naming the key.
     """
     d = _integer(d, "d")
     if not 1 <= d <= 3:  # before d sizes the broadcast below
@@ -151,8 +180,11 @@ def make_grid(
         nx = (_integer(n_x, "n_x"),) * d
     else:
         nx = tuple(_integer(n, f"n_x[{i}]") for i, n in enumerate(n_x))
-    lx = tuple([float(l_x)] * d) if np.isscalar(l_x) else tuple(float(l) for l in l_x)
-    grid = Grid(d=d, n_t=_integer(n_t, "n_t"), n_x=nx, l_t=float(l_t), l_x=lx)
+    if np.isscalar(l_x):
+        lx = (_scalar(l_x, "l_x"),) * d
+    else:
+        lx = tuple(_scalar(l, f"l_x[{i}]") for i, l in enumerate(l_x))
+    grid = Grid(d=d, n_t=_integer(n_t, "n_t"), n_x=nx, l_t=_scalar(l_t, "l_t"), l_x=lx)
     if grid.sample_count > SAMPLE_CAP:
         raise ValueError(
             f"total sample count {grid.sample_count} exceeds cap {SAMPLE_CAP}"

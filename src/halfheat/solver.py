@@ -108,10 +108,9 @@ def _difference_symbol(grid: Grid, i: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _spectral_tables(grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Broadcast-ready time frequencies (Nyquist zeroed) and forward-difference
-    spatial symbols on the ``rfftn`` half spectrum, cached per grid."""
-    tau = 2.0 * np.pi * np.fft.fftfreq(grid.n_t, d=grid.dt)
-    tau[grid.n_t // 2] = 0.0
-    tau = tau.reshape([grid.n_t] + [1] * grid.d)
+    spatial symbols on the ``rfftn`` half spectrum, cached per grid.  tau is
+    the table of the time derivative that ``operators._operator`` applies."""
+    tau = time_symbol(grid, "time_derivative").values.imag.reshape([grid.n_t] + [1] * grid.d)
     half = _half_shape(grid)
     sigmas = []
     for i in range(grid.d):

@@ -12,6 +12,7 @@ import pytest
 
 from halfheat.cli import _build_problem, main
 from halfheat.experiments import _coefficients_for
+from halfheat.grid import make_grid
 from halfheat.htpf import read_field
 
 
@@ -38,6 +39,9 @@ SOLVE_CONFIG = {
     "data": {"h": "cos(t)", "g": ["x1/4"], "f": "0.5"},
     "lambda": 2.0,
 }
+
+
+SMALL_EXPERIMENT = {"grid": {"d": 1, "n_t": 16, "n_x": 16, "l_t": 2.0, "l_x": 2.0}}
 
 
 def test_identities_command_runs_and_repeats(tmp_path, capsys):
@@ -214,21 +218,28 @@ def test_solve_honours_n_jumps():
     assert coeffs.generator["n_jumps"] == 8
 
 
-def test_solve_resolves_aliases_like_the_harness():
-    """roughness_scale > epsilon > n_jumps, in the CLI and the harness alike."""
-    spec = {
-        "kind": "checkerboard",
-        "delta": 0.5,
-        "seed": 3,
-        "epsilon": 0.2,
-        "roughness_scale": 0.3,
-        "n_jumps": 8,
-    }
-    coeffs, _, _ = _build_problem(dict(SOLVE_CONFIG, coefficients=spec))
-    harness = _coefficients_for(spec, coeffs.grid, "constant", 0)
-    assert coeffs.generator["epsilon"] == 0.3
-    assert harness.generator == coeffs.generator
-    assert (harness.data == coeffs.data).all()
+def test_mixed_sweep_reads_each_kind_its_own_key(tmp_path, capsys):
+    """epsilon is the checkerboard amplitude and n_jumps the jump count of the
+    piecewise kinds; a time_piecewise + checkerboard sweep with epsilon 0.375
+    gives each kind its own key (epsilon is no jump count)."""
+    spec = {"kinds": ["time_piecewise", "checkerboard"], "delta": 0.25, "epsilon": 0.375}
+    config = _write_config(
+        tmp_path, "sweep.json", dict(SMALL_EXPERIMENT, coefficients=spec, trials=1)
+    )
+    out = tmp_path / "sweep"
+    code, report = _run(capsys, ["lp-sweep", "--config", str(config), "--out", str(out)])
+    assert code == 0, report
+    assert json.loads((out / "summary.json").read_text())["summary"]["kinds"] == spec["kinds"]
+    grid = make_grid(d=1, n_t=16, n_x=16, l_t=2.0, l_x=2.0)
+    piecewise = _coefficients_for(dict(spec, kind="time_piecewise"), grid, "constant", 0)
+    checkerboard = _coefficients_for(dict(spec, kind="checkerboard"), grid, "constant", 0)
+    assert piecewise.generator["n_jumps"] == 4
+    assert checkerboard.generator["epsilon"] == 0.375
+    # solve reads a coefficient spec with the same reader
+    solve_spec = {"kind": "checkerboard", "delta": 0.25, "epsilon": 0.375, "n_jumps": 8}
+    coeffs, _, _ = _build_problem(dict(SOLVE_CONFIG, coefficients=solve_spec))
+    assert coeffs.generator == checkerboard.generator
+    assert (coeffs.data == checkerboard.data).all()
 
 
 def test_subcommand_is_required():
@@ -330,9 +341,6 @@ def test_bad_solver_section_fails_cleanly(tmp_path, capsys, solver, message):
         assert code == 1
         assert len(report["failures"]) == 1
         assert message in report["failures"][0]
-
-
-SMALL_EXPERIMENT = {"grid": {"d": 1, "n_t": 16, "n_x": 16, "l_t": 2.0, "l_x": 2.0}}
 
 
 @pytest.mark.parametrize(
@@ -456,3 +464,78 @@ def test_solve_on_time_coefficients_takes_the_frame_path(tmp_path, capsys):
     assert disk["final_relative_residual"] <= 1e-9
     assert len(disk["residual_history"]) == disk["iterations"]
     assert disk["residual_history"][-1] == pytest.approx(disk["final_relative_residual"], rel=1e-3)
+
+
+_COMMANDS = ("identities", "l2", "lp-sweep", "tail-decay", "oscillation", "assumptions")
+
+
+@pytest.mark.parametrize(
+    "command, edit, key",
+    [(command, {"trails": 20}, "config key 'trails'") for command in _COMMANDS]
+    + [
+        (command, {"coefficients": {"detla": 0.5}}, "coefficients key 'detla'")
+        for command in _COMMANDS
+    ]
+    + [(command, {"data": {"hh": "0"}}, "config key 'data'") for command in _COMMANDS]
+    + [
+        ("identities", {"coefficients": {"delta": 0.5}}, "coefficients key 'delta'"),
+        ("l2", {"coefficients": {"roughness_scale": 0.3}}, "coefficients key 'roughness_scale'"),
+        ("l2", {"coefficients": {"file": "a.json"}}, "coefficients key 'file'"),
+        ("lp-sweep", {"coefficients": {"file": "a.json"}}, "coefficients key 'file'"),
+        ("tail-decay", {"coefficients": {"delta": 0.5}}, "coefficients key 'delta'"),
+        ("oscillation", {"coefficients": {"kind": "smooth"}}, "coefficients key 'kind'"),
+        ("assumptions", {"coefficients": {"seed": 3}}, "coefficients key 'seed'"),
+    ]
+    + [
+        (command, edit, key)
+        for command in ("solve", "oracle")
+        for edit, key in (
+            ({"lamda": 1.0}, "config key 'lamda'"),
+            ({"seed": 1}, "config key 'seed'"),
+            ({"coefficients": {"sead": 3}}, "coefficients key 'sead'"),
+            ({"coefficients": {"roughness_scale": 0.3}}, "coefficients key 'roughness_scale'"),
+            ({"data": {"hh": "0"}}, "data key 'hh'"),
+        )
+    ],
+)
+def test_unknown_keys_fail_naming_the_key(tmp_path, capsys, command, edit, key):
+    """A key the command does not read, at the top level or in 'coefficients'
+    or 'data', is a one-line JSON failure naming it, not a silent default."""
+    base = SOLVE_CONFIG if command in ("solve", "oracle") else SMALL_EXPERIMENT
+    mapping = {**base, **edit}
+    for section in ("coefficients", "data"):
+        if section in base and section in edit:
+            mapping[section] = {**base[section], **edit[section]}
+    config = _write_config(tmp_path, "c.json", mapping)
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    report = json.loads(lines[0])
+    assert len(report["failures"]) == 1
+    assert report["failures"][0].startswith(f"unknown {key}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_experiment_key_must_match_the_command(tmp_path, capsys):
+    """`halfheat l2` on a config that says identities used to run l2 on the
+    identities grid and hash a config naming identities."""
+    config = _write_config(tmp_path, "c.json", dict(SMALL_EXPERIMENT, experiment="identities"))
+    code, report = _run(capsys, ["l2", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert report["failures"] == [
+        "config 'experiment' 'identities' does not match the command 'l2'"
+    ]
+    config = _write_config(tmp_path, "c.json", dict(SMALL_IDENTITIES, experiment="identities"))
+    argv = ["identities", "--config", str(config), "--out", str(tmp_path / "i")]
+    code, report = _run(capsys, argv)
+    assert code == 0, report
+
+
+def test_empty_sweep_kinds_fail(tmp_path, capsys):
+    """An empty kinds list used to sweep the default kind."""
+    config = _write_config(
+        tmp_path, "c.json", dict(SMALL_EXPERIMENT, coefficients={"kinds": []}, trials=1)
+    )
+    code, report = _run(capsys, ["lp-sweep", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert report["failures"] == ["'kinds' must name at least one kind, got []"]

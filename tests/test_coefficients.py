@@ -93,6 +93,18 @@ def test_generator_determinism():
     assert not np.array_equal(a.data, c.data)
 
 
+def test_constant_generator_validates_its_array_once(monkeypatch):
+    import halfheat.coefficients as module
+
+    real = module._min_symmetric_eig
+    calls = []
+    monkeypatch.setattr(module, "_min_symmetric_eig", lambda data: calls.append(1) or real(data))
+    a = generate_coefficients(kind="constant", delta=0.5, seed=3, grid=_grid(d=2, n_t=16, n_x=16))
+    assert calls == [1]
+    assert a.generator == {"kind": "constant", "delta": 0.5, "seed": 3}
+    assert np.array_equal(a.data, coefficients_from_matrix(a.grid, a.constant_matrix(), 0.5).data)
+
+
 def test_piecewise_structure():
     g = _grid()
     a = generate_coefficients(kind="time_piecewise", delta=0.5, seed=2, grid=g)

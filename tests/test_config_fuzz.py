@@ -1,6 +1,7 @@
 """Property fuzz of the config schema: whatever JSON value a known key holds,
 parsing either succeeds or raises ValueError (which the CLI turns into a
-one-line JSON failure), never another exception.
+one-line JSON failure), never another exception; a key a command does not
+read is a ValueError naming it.
 
 Parse only: `ExperimentConfig.from_mapping` builds no arrays, and
 `cli._build_problem` builds the coefficients and data of a small solve
@@ -9,11 +10,17 @@ config; no experiment and no solve runs.  Drawn integers stay within +-4096
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from halfheat.cli import _build_problem
-from halfheat.experiments import _GRID_TYPES, _SOLVER_KEYS, ExperimentConfig
+from halfheat.experiments import (
+    _COEFFICIENT_KEYS,
+    _EXPERIMENT_KEYS,
+    _GRID_KEYS,
+    _SOLVER_KEYS,
+    ExperimentConfig,
+)
 
 _PRIMITIVES = st.one_of(
     st.none(),
@@ -30,9 +37,8 @@ JSON_VALUES = st.one_of(
 )
 
 _EXPERIMENTS = ("identities", "l2", "lp_sweep", "tail_decay", "oscillation", "assumptions")
-_TOP_KEYS = (
-    "experiment", "grid", "coefficients", "lambdas", "p_list", "trials", "solver", "seed", "out",
-)
+# every coefficient key some command reads; most commands reject most of them
+_ANY_COEFFICIENT_KEY = sorted({key for keys in _COEFFICIENT_KEYS.values() for key in keys})
 _SOLVE_BASE = {
     "grid": {"d": 1, "n_t": 16, "n_x": 16, "l_t": 2.0, "l_x": 2.0},
     "coefficients": {"kind": "x1_piecewise", "delta": 0.5, "seed": 3},
@@ -40,14 +46,11 @@ _SOLVE_BASE = {
     "lambda": 2.0,
     "solver": {},
 }
-_COEFFICIENT_KEYS = (
-    "kind", "delta", "seed", "roughness_scale", "epsilon", "n_jumps", "cell_size", "file",
-)
 _SOLVE_KEYS = (
     [("lambda", None)]
     + [(section, None) for section in ("grid", "coefficients", "solver", "data")]
-    + [("grid", key) for key in _GRID_TYPES]
-    + [("coefficients", key) for key in _COEFFICIENT_KEYS]
+    + [("grid", key) for key in _GRID_KEYS]
+    + [("coefficients", key) for key in _COEFFICIENT_KEYS["solve"]]
     + [("solver", key) for key in _SOLVER_KEYS]
     + [("data", key) for key in ("h", "g", "f")]
 )
@@ -69,9 +72,10 @@ def _parses_or_rejects(parse) -> None:
 @given(
     st.sampled_from(_EXPERIMENTS),
     st.sampled_from(
-        [(key, None) for key in _TOP_KEYS]
-        + [("grid", key) for key in _GRID_TYPES]
+        [(key, None) for key in _EXPERIMENT_KEYS]
+        + [("grid", key) for key in _GRID_KEYS]
         + [("solver", key) for key in _SOLVER_KEYS]
+        + [("coefficients", key) for key in _ANY_COEFFICIENT_KEY]
     ),
     JSON_VALUES,
 )
@@ -83,6 +87,33 @@ def test_experiment_config_parses_or_raises_value_error(kind, where, value):
     else:
         mapping[section] = {key: value}
     _parses_or_rejects(lambda: ExperimentConfig.from_mapping(mapping))
+    if section == "coefficients" and key is not None and key not in _COEFFICIENT_KEYS[kind]:
+        with pytest.raises(ValueError, match=f"unknown coefficients key '{key}'"):
+            ExperimentConfig.from_mapping(mapping)
+
+
+_KNOWN = {"config": _EXPERIMENT_KEYS, "grid": _GRID_KEYS, "solver": _SOLVER_KEYS}
+
+
+@_FUZZ
+@given(
+    st.sampled_from(_EXPERIMENTS),
+    st.sampled_from(("config", "grid", "coefficients", "solver")),
+    st.text(max_size=8),
+    JSON_VALUES,
+)
+def test_unknown_experiment_keys_are_named(kind, section, key, value):
+    """A key the command does not read fails, naming the key, whatever its
+    value: it is never dropped silently."""
+    assume(key not in (_COEFFICIENT_KEYS[kind] if section == "coefficients" else _KNOWN[section]))
+    mapping = {"experiment": kind}
+    if section == "config":
+        mapping[key] = value
+    else:
+        mapping[section] = {key: value}
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig.from_mapping(mapping)
+    assert str(info.value).startswith(f"unknown {section} key {key!r}")
 
 
 @_FUZZ

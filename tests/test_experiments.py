@@ -170,7 +170,6 @@ def test_lp_sweep_small():
     result = run_lp_sweep(config)
     assert result.passed, result.failures
     assert result.summary["stability_factor"] <= 1.5
-    assert result.summary["p2_consistency"] <= 1e-10
     assert result.summary["duality_skewness"] <= 1e-12
     # base and doubled grids, 2 lambdas, p in {1.5, 2.0}
     assert len(result.rows) == 2 * 2 * 2

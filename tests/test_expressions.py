@@ -11,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from halfheat import ExpressionError, Field, field_from_expression, make_grid
+from halfheat import ExpressionError, Field, field_from_expression, lp_norm, make_grid
 from halfheat.cli import main
+from halfheat.experiments import random_band_limited_field
 
 
 @pytest.fixture
@@ -52,6 +53,33 @@ def test_noise_is_deterministic_and_band_limited(grid):
     spec = np.fft.fft(a.data, axis=0)
     dead = np.abs(np.rint(np.fft.fftfreq(16) * 16).astype(int)) > 2
     assert np.max(np.abs(spec[dead])) < 1e-10 * np.max(np.abs(spec))
+
+
+def _half_spectrum_noise(grid, seed, band):
+    """noise(seed, band) low-passed on the rfftn half spectrum instead."""
+    spec = np.fft.rfftn(np.random.default_rng(seed).standard_normal(grid.shape))
+    for axis, n in enumerate(grid.shape):
+        k = np.abs(np.rint(np.fft.fftfreq(n) * n)).astype(int)[: spec.shape[axis]]
+        view = [1] * len(grid.shape)
+        view[axis] = spec.shape[axis]
+        spec = spec * (k <= band * (n // 2)).reshape(view)
+    return np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(len(grid.shape))))
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 64, 64), (2, 32, (32, 16)), (1, 16, 16)], ids=["64x64", "32x32x16", "16x16"]
+)
+def test_noise_is_the_unnormalised_harness_draw(shape):
+    """noise(s, b) and the harness's band-limited fields share one low-pass
+    kernel: noise is the harness draw from default_rng(s) before its scaling
+    to unit L2, and agrees with a half-spectrum low pass to rounding."""
+    d, n_t, n_x = shape
+    g = make_grid(d=d, n_t=n_t, n_x=n_x, l_t=2.0, l_x=2.0)
+    noise = field_from_expression(g, "noise(3, 0.25)")
+    harness = random_band_limited_field(g, np.random.default_rng(3), 0.25)
+    peak = np.max(np.abs(noise.data))
+    assert np.max(np.abs(noise.data - lp_norm(noise, 2) * harness.data)) <= 1e-15 * peak
+    assert np.max(np.abs(noise.data - _half_spectrum_noise(g, 3, 0.25))) <= 1e-15 * peak
 
 
 def test_higher_dimensions_expose_more_names():

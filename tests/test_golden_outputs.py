@@ -34,11 +34,11 @@ GOLDEN = {
     ),
     ("lp_sweep", 0): (
         "479032ab9bf25b199158fb6db56ff6800f171a1830e477e5d4b841da05933d34",
-        "02cd10dd39b87b392e32bffc799b9f036db747de715a4cb55e04588b7a7163c4",
+        "8fea50cf33146bbe08c7aa2860c948155417041dce5fa1646af85436fe2fedff",
     ),
     ("lp_sweep", 1): (
         "99b41d277a8be18328b55db983118540d15e3c96ae47516c08cc4d0bfc8964e4",
-        "3c60cd3d8cc1a4262a4c37bb5513c17c1bd3a547b21f81f3504570b4e02c23ef",
+        "0021bbef14ba765dc017892eaf7bea8938a2e413b740e953e48059aa4ae25cf6",
     ),
     ("tail_decay", 0): (
         "793342009da8de814d993db86ba52e1d76dd5ae912a88308e6457943b242c176",

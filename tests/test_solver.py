@@ -295,6 +295,18 @@ def test_preconditioner_matches_the_complex_path(monkeypatch, d):
     assert diff <= 1e-12 * np.max(np.abs(slow.u.data))
 
 
+@pytest.mark.parametrize("l_t", [3.0, 0.7])
+def test_operator_symbol_takes_the_applied_time_table(l_t):
+    """The oracle and constant_mean divide by the symbol of the operator that
+    apply_operator applies: on the zero spatial mode its imaginary part is
+    time_symbol's time-derivative table, bit for bit, also at a period where
+    2*pi*fftfreq(n_t, dt) rounds differently from 2*pi*k/l_t."""
+    g = make_grid(d=2, n_t=64, n_x=16, l_t=l_t, l_x=2.0)
+    symbol = solver_module._operator_symbol(g, np.eye(2), 1.0)
+    table = time_symbol(g, "time_derivative").values.imag
+    assert np.array_equal(symbol[:, 0, 0].imag, table)
+
+
 def test_direct_solve_builds_no_preconditioner(monkeypatch):
     """The constant_mean symbol and both LinearOperators are built only when
     GMRES runs; an x1 solve that the direct path finishes builds none."""
