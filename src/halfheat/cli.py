@@ -153,6 +153,10 @@ def _run_solve(name: str, args: argparse.Namespace) -> int:
         mapping = _load_config(args.config)
         if not mapping:
             raise ValueError("solve/oracle need --config PATH")
+        if args.seed is not None:
+            raise ValueError(
+                f"{name} takes no --seed; the config's coefficients.seed sets the seed"
+            )
         if args.grid:
             _apply_grid_overrides(mapping, args.grid)
         coeffs, data, options = _build_problem(mapping, name)

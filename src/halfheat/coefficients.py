@@ -285,8 +285,10 @@ def generate_coefficients(
             if cell_size is not None
             else min(grid.l_t, *grid.l_x) / 8.0
         )
-        if cell <= 0:
-            raise ValueError("cell_size must be positive")
+        if not cell > 0:
+            raise ValueError(f"cell_size must be positive, got {cell}")
+        if math.isinf(max(grid.l_t, *grid.l_x) / cell):
+            raise ValueError(f"cell_size {cell} is too small: a period over it overflows")
         meta.update(epsilon=eps, cell_size=cell)
         parity = np.zeros(grid.shape)
         axes = [(_unwrapped_axis(grid.n_t, grid.l_t), 0)] + [

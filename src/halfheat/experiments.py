@@ -323,8 +323,11 @@ def _coefficients_for(
     'file' names, or generate_coefficients of its kind (default_kind), delta
     (1.0) and seed (default_seed).  n_jumps is the jump count of the
     piecewise kinds and epsilon the amplitude of checkerboard and smooth;
-    each kind ignores the other's key."""
+    each kind ignores the other's key.  A 'file' spec holds no other key."""
     if "file" in spec:
+        unread = [key for key in _SPEC_KEYS if key in spec]
+        if unread:
+            raise ValueError(f"coefficients key {unread[0]!r} does not apply beside 'file'")
         if not isinstance(spec["file"], str):
             raise ValueError(f"'file' must be a sidecar path string, got {spec['file']!r}")
         coeffs = read_coefficients(spec["file"])
@@ -741,6 +744,8 @@ def run_lp_sweep(config: ExperimentConfig) -> ExperimentResult:
     kinds = config.coefficients.get("kinds")
     if kinds is None:
         kinds = [config.coefficients.get("kind", "time_piecewise")]
+    elif "kind" in config.coefficients:
+        raise ValueError("coefficients key 'kind' does not apply beside 'kinds'")
     if not isinstance(kinds, (list, tuple)):
         raise ValueError(f"'kinds' must be a list of kind names, got {kinds!r}")
     if not kinds:
@@ -931,9 +936,10 @@ def _seam_bump(grid: Grid, width: float) -> np.ndarray:
 
 
 def _time_noise(grid: Grid, rng: np.random.Generator) -> np.ndarray:
-    """Twelve random cosines in time, each of a mode drawn from 1..32."""
+    """Twelve random cosines in time, each of a mode drawn from 1..32, as an
+    open-mesh time column (n_t, 1, ..., 1)."""
     t = grid.coordinate_mesh()[0]
-    total = np.zeros(grid.shape)
+    total = np.zeros(t.shape)
     for _ in range(12):
         k = int(rng.integers(1, 33))
         amp = float(rng.standard_normal())

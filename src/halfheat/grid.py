@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 SAMPLE_CAP = 2**24
+# Largest period: the cell measure dt * prod h (up to four factors) and every
+# coordinate times a sample count or a mode number stay finite below it.
+_PERIOD_CAP = 1e75
 
 
 def _integer(value, name: str) -> int:
@@ -114,8 +117,10 @@ class Grid:
         for label, period in [("l_t", self.l_t)] + [
             (f"l_x[{i}]", p) for i, p in enumerate(self.l_x)
         ]:
-            if not (np.isfinite(period) and period > 0):
-                raise ValueError(f"{label} must be a positive finite period, got {period}")
+            if not (np.isfinite(period) and 0 < period <= _PERIOD_CAP):
+                raise ValueError(
+                    f"{label} must be a positive finite period <= {_PERIOD_CAP:g}, got {period}"
+                )
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -169,9 +174,10 @@ def make_grid(
 
     Sample counts must be even and at least 8 per axis (powers of two are
     recommended for FFT speed), and the total count may not exceed
-    ``SAMPLE_CAP`` (2**24).  Any value may also be numeric text ("64",
-    "2.0"), as the CLI's ``--grid KEY=VALUE`` passes it; a value that does
-    not read as its key's type is a ValueError naming the key.
+    ``SAMPLE_CAP`` (2**24).  Periods are positive and at most 1e75.  Any
+    value may also be numeric text ("64", "2.0"), as the CLI's ``--grid
+    KEY=VALUE`` passes it; a value that does not read as its key's type is a
+    ValueError naming the key.
     """
     d = _integer(d, "d")
     if not 1 <= d <= 3:  # before d sizes the broadcast below

@@ -12,13 +12,15 @@ point rather than up to discretization error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .coefficients import Coefficients, identity_coefficients
 from .grid import Field, Grid, VectorField
-from .timeops import _time_multiplier, half_derivative, time_symbol
+from .timeops import _half_spectrum, _time_multiplier, half_derivative, time_symbol
 
 __all__ = [
     "gradient_plus",
@@ -37,11 +39,27 @@ __all__ = [
 # once and wrap the result in a Field; internal callers use the kernels.
 
 
+def _planes(axis: int) -> tuple[tuple, tuple]:
+    """Index tuples of the first and the last plane along ``axis``."""
+    lead = (slice(None),) * axis
+    return lead + (slice(None, 1),), lead + (slice(-1, None),)
+
+
+# Along spatial axis i the neighbour of a sample is one stride
+# prod(shape[2 + i:]) away in the flat C-order samples, except across the
+# periodic seam: each difference is one contiguous flat subtraction, and the
+# seam plane is then redone with its wrapped neighbour.
+
+
 def _gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Forward differences of u, stacked component-major as (d, n_t, n_x...)."""
     grad = np.empty((grid.d, *u.shape))
+    flat = u.reshape(-1)
     for i in range(grid.d):
-        np.subtract(np.roll(u, -1, axis=1 + i), u, out=grad[i])
+        step = math.prod(u.shape[2 + i :])
+        first, last = _planes(1 + i)
+        np.subtract(flat[step:], flat[:-step], out=grad[i].reshape(-1)[:-step])
+        np.subtract(u[first], u[last], out=grad[i][last])
         grad[i] /= grid.h[i]
     return grad
 
@@ -49,13 +67,22 @@ def _gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
 def _divergence(grid: Grid, v) -> np.ndarray:
     """Backward-difference divergence of the d component arrays v[i]."""
     total = np.zeros(grid.shape)
+    diff = np.empty(grid.shape)
     for i in range(grid.d):
-        total += (v[i] - np.roll(v[i], 1, axis=1 + i)) / grid.h[i]
+        step = math.prod(grid.shape[2 + i :])
+        first, last = _planes(1 + i)
+        flat = v[i].reshape(-1)
+        np.subtract(flat[step:], flat[:-step], out=diff.reshape(-1)[step:])
+        np.subtract(v[i][first], v[i][last], out=diff[first])
+        diff /= grid.h[i]
+        total += diff
     return total
 
 
 def _flux(a: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """sum_j a_ij grad_j for a (d, d, ...) coefficient array."""
+    if len(a) == 1:
+        return a[0] * grad  # d = 1: one product (einsum's sum turns -0.0 to +0.0)
     return np.einsum("ij...,j...->i...", a, grad)
 
 
@@ -66,14 +93,35 @@ def _operator(coeffs: Coefficients, lam: float, u: np.ndarray) -> np.ndarray:
 
 
 def _rhs(data: DataBundle) -> np.ndarray:
-    half_h = _time_multiplier(data.h.data, time_symbol(data.grid, "half_derivative"))
-    return half_h + _divergence(data.grid, [c.data for c in data.g.components]) + data.f.data
+    """D_t^{1/2} h + D-(g) + f, computed once per bundle (read-only)."""
+    return data._rhs_samples
 
 
 def _solution_parts(grid: Grid, u: np.ndarray, lam: float) -> list[np.ndarray]:
     """The bundle slots (D_t^{1/2}u, D+u components, sqrt(lambda) u)."""
     half = _time_multiplier(u, time_symbol(grid, "half_derivative"))
     return [half, *_gradient(grid, u), np.sqrt(lam) * u]
+
+
+def _operator_parts(
+    coeffs: Coefficients, lam: float, u: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """(_operator, _solution_parts, the flux a.D+u) of u from one time
+    spectrum and one gradient: the same samples as the separate kernels."""
+    grid = coeffs.grid
+    half_table, time_table = (
+        _half_spectrum(time_symbol(grid, kind), u.ndim)
+        for kind in ("half_derivative", "time_derivative")
+    )
+    spec = np.fft.rfft(u, axis=0)
+    half = np.fft.irfft(spec * half_table, n=grid.n_t, axis=0)
+    spec *= time_table
+    time_term = np.fft.irfft(spec, n=grid.n_t, axis=0)
+    del spec
+    grad = _gradient(grid, u)
+    flux = _flux(coeffs.data, grad)
+    applied = time_term - _divergence(grid, flux) + lam * u
+    return applied, [half, *grad, np.sqrt(lam) * u], flux
 
 
 def _square_sum(arrays: list[np.ndarray]) -> np.ndarray:
@@ -118,6 +166,8 @@ class DataBundle:
 
     When lambda = 0 the f-slot must vanish identically (it could otherwise be
     folded into g or h, and the f/sqrt(lambda) norm slot would be undefined).
+    The right-hand side D_t^{1/2} h + D-(g) + f is computed on first use and
+    kept on the bundle, read-only.
     """
 
     h: Field
@@ -137,6 +187,15 @@ class DataBundle:
     @property
     def grid(self):
         return self.h.grid
+
+    @cached_property
+    def _rhs_samples(self) -> np.ndarray:
+        # in the instance __dict__, which a frozen dataclass leaves writable;
+        # replace() builds a new bundle without it
+        half_h = _time_multiplier(self.h.data, time_symbol(self.grid, "half_derivative"))
+        rhs = half_h + _divergence(self.grid, [c.data for c in self.g.components]) + self.f.data
+        rhs.flags.writeable = False
+        return rhs
 
 
 def apply_rhs(data: DataBundle) -> Field:

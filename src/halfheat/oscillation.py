@@ -20,9 +20,8 @@ from .operators import (
     _check_grid,
     _flux,
     _gradient,
-    _operator,
+    _operator_parts,
     _rhs,
-    _solution_parts,
     _square_sum,
 )
 
@@ -181,14 +180,19 @@ def _data_squared(data: DataBundle) -> np.ndarray:
     return total + data.f.data ** 2 / data.lam if data.lam > 0 else total
 
 
-def _relative_residual(coeffs: Coefficients, data: DataBundle, u: Field) -> float:
+def _checked_parts(
+    coeffs: Coefficients, data: DataBundle, u: Field
+) -> tuple[float, list[np.ndarray], np.ndarray]:
+    """(relative residual of u against the bundle's right-hand side, the
+    solution bundle slots, the flux a.D+u), from one time spectrum of u."""
     _check_grid(coeffs, u)
+    applied, parts, flux = _operator_parts(coeffs, data.lam, u.data)
     rhs = _rhs(data)
-    res = _operator(coeffs, data.lam, u.data) - rhs
+    res = float(np.linalg.norm(applied - rhs))
     scale = float(np.linalg.norm(rhs))
     if scale == 0.0:
         scale = max(float(np.linalg.norm(u.data)), 1.0)
-    return float(np.linalg.norm(res)) / scale
+    return res / scale, parts, flux
 
 
 # tail-sum terms of each verifier; the local one's relative residual bound
@@ -221,7 +225,7 @@ def verify_local_estimate(
     condition of the infinite-cylinder setting.
     """
     grid = u.grid
-    rel = _relative_residual(coeffs, data, u)
+    rel, parts, _ = _checked_parts(coeffs, data, u)
     if rel > _LOCAL_RTOL:
         raise ValueError(
             f"u does not solve the equation: relative residual {rel} > {_LOCAL_RTOL}"
@@ -236,7 +240,7 @@ def verify_local_estimate(
                 f"u is not supported in B_{radius}: |u| reaches {stray} outside"
             )
 
-    u_sq = _square_sum(_solution_parts(grid, u.data, data.lam))
+    u_sq = _square_sum(parts)
     origin = (0.0,) * (grid.d + 1)
     samples = _cylinder_samples(u_sq, grid, Cylinder(origin, r=radius))
     lhs = math.sqrt(max(float(samples.mean()), 0.0))
@@ -305,13 +309,12 @@ def verify_mean_oscillation(
     grid = u.grid
     if any(k < 4 for k in kappa_list):
         raise ValueError("every kappa must be >= 4")
-    rel = _relative_residual(coeffs, data, u)
+    rel, (half_du, *grad_arrays, weighted_u), flux = _checked_parts(coeffs, data, u)
     if rel > rtol and float(np.abs(u.data).max()) > 0:
         raise ValueError(
             f"u does not solve the equation: relative residual {rel} > {rtol}"
         )
 
-    half_du, *grad_arrays, weighted_u = _solution_parts(grid, u.data, data.lam)
     if case == "calU_time_coeffs":
         lhs_bundles = [grad_arrays + [weighted_u]]
         theta = 1.0
@@ -320,8 +323,7 @@ def verify_mean_oscillation(
         theta = 1.0
     else:
         prime = grad_arrays[1:]  # D'u: spatial axes 2..d (empty when d = 1)
-        theta_flux = _flux(coeffs.data, _gradient(grid, u.data))[0]
-        lhs_bundles = [prime + [weighted_u], [theta_flux]]
+        lhs_bundles = [prime + [weighted_u], [flux[0]]]
         theta = 0.5
     rhs_arrays = grad_arrays + [weighted_u]
 

@@ -81,14 +81,19 @@ def time_symbol(grid: Grid, kind: str) -> TimeSymbol:
     return TimeSymbol(grid=grid, kind=kind, values=values)
 
 
+def _half_spectrum(symbol: TimeSymbol, ndim: int) -> np.ndarray:
+    """The symbol on k = 0..n_t/2, shaped to scale an ``rfft`` along axis 0 of
+    an ndim-dimensional array."""
+    n = symbol.grid.n_t
+    return symbol.values[: n // 2 + 1].reshape([n // 2 + 1] + [1] * (ndim - 1))
+
+
 def _time_multiplier(data: np.ndarray, symbol: TimeSymbol) -> np.ndarray:
     """apply_time_symbol on raw samples: the samples are real and the symbol
     Hermitian, so the half spectrum k = 0..n_t/2 of ``rfft`` carries every mode."""
-    n = data.shape[0]
-    half = symbol.values[: n // 2 + 1].reshape([n // 2 + 1] + [1] * (data.ndim - 1))
     spec = np.fft.rfft(data, axis=0)
-    spec *= half
-    return np.fft.irfft(spec, n=n, axis=0)
+    spec *= _half_spectrum(symbol, data.ndim)
+    return np.fft.irfft(spec, n=data.shape[0], axis=0)
 
 
 def apply_time_symbol(field: Field, symbol: TimeSymbol) -> Field:

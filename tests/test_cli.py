@@ -13,7 +13,8 @@ import pytest
 from halfheat.cli import _build_problem, main
 from halfheat.experiments import _coefficients_for
 from halfheat.grid import make_grid
-from halfheat.htpf import read_field
+from halfheat.coefficients import generate_coefficients
+from halfheat.htpf import read_field, write_coefficients
 
 
 def _run(capsys, argv):
@@ -539,3 +540,68 @@ def test_empty_sweep_kinds_fail(tmp_path, capsys):
     code, report = _run(capsys, ["lp-sweep", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 1
     assert report["failures"] == ["'kinds' must name at least one kind, got []"]
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_solve_seed_flag_fails(tmp_path, capsys, command):
+    """solve and oracle used to accept --seed and ignore it."""
+    config = _write_config(tmp_path, "solve.json", SOLVE_CONFIG)
+    argv = [command, "--config", str(config), "--seed", "2", "--out", str(tmp_path / "o")]
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert json.loads(lines[0])["failures"] == [
+        f"{command} takes no --seed; the config's coefficients.seed sets the seed"
+    ]
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_kind_beside_kinds_fails(tmp_path, capsys):
+    """A 'kind' beside 'kinds' used to be dropped: the sweep ran 'kinds' only."""
+    spec = {"kinds": ["x1_piecewise"], "kind": "checkerboard"}
+    config = _write_config(tmp_path, "c.json", dict(SMALL_EXPERIMENT, coefficients=spec, trials=1))
+    argv = ["lp-sweep", "--config", str(config), "--out", str(tmp_path / "o")]
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert json.loads(lines[0])["failures"] == [
+        "coefficients key 'kind' does not apply beside 'kinds'"
+    ]
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("kind", "smooth"), ("delta", 0.5), ("seed", 3), ("n_jumps", 4), ("epsilon", 0.3),
+     ("cell_size", 0.5)],
+)
+def test_file_spec_takes_no_generator_key(tmp_path, capsys, command, key, value):
+    """A key beside 'file' used to be ignored: the stack was loaded as is."""
+    grid = make_grid(**SOLVE_CONFIG["grid"])
+    sidecar = write_coefficients(
+        tmp_path / "a", generate_coefficients(kind="constant", delta=0.5, seed=4, grid=grid)
+    )
+    mapping = dict(SOLVE_CONFIG, coefficients={"file": str(sidecar)})
+    config = _write_config(tmp_path, "file.json", mapping)
+    code, _ = _run(capsys, [command, "--config", str(config), "--out", str(tmp_path / "ok")])
+    assert code == 0
+    mapping["coefficients"][key] = value
+    config = _write_config(tmp_path, "extra.json", mapping)
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert json.loads(lines[0])["failures"] == [
+        f"coefficients key {key!r} does not apply beside 'file'"
+    ]
+    assert not (tmp_path / "o").exists()
+
+
+def test_huge_period_fails_cleanly(tmp_path, capsys):
+    """A period whose products with sample counts overflow used to reach the
+    generators, where the checkerboard parity turned to NaN."""
+    argv = ["identities", "--grid", "l_t=1e308", "--out", str(tmp_path / "o")]
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    failure = json.loads(lines[0])["failures"][0]
+    assert failure.startswith("l_t must be a positive finite period")

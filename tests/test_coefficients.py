@@ -144,6 +144,20 @@ def test_checkerboard_pattern_and_epsilon_gate():
         generate_coefficients(kind="checkerboard", delta=0.5, seed=0, grid=g)
 
 
+@pytest.mark.parametrize(
+    "cell, message",
+    [(5e-324, "is too small"), (float("nan"), "must be positive"), (-1.0, "must be positive")],
+)
+def test_checkerboard_rejects_cells_the_parity_cannot_count(cell, message):
+    """A period over a subnormal cell overflowed, and a NaN cell passed the
+    positivity check: the parity turned to NaN and every sign read -1."""
+    g = _grid(d=1, n_t=16, n_x=16)
+    with pytest.raises(ValueError, match=f"cell_size.*{message}"):
+        generate_coefficients(
+            kind="checkerboard", delta=0.25, seed=0, grid=g, roughness_scale=0.5, cell_size=cell
+        )
+
+
 def test_smooth_amplitude_gate():
     g = _grid()
     coeffs = generate_coefficients(

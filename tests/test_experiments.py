@@ -27,6 +27,9 @@ from halfheat import (
 )
 from halfheat.experiments import (
     EXPERIMENTS,
+    _localized_bundle,
+    _seam_bump,
+    _time_noise,
     config_hash,
     harmonic_field,
     random_band_limited_field,
@@ -339,3 +342,29 @@ def test_csv_cells_use_full_precision_repr(tmp_path):
     )
     csv_path, _ = write_outputs(result, tmp_path)
     assert csv_path.read_text().splitlines()[1] == "0.30000000000000004,,true,text"
+
+
+def _full_grid_time_noise(grid, rng):
+    """The full-grid loop that _time_noise's time column replaced."""
+    t = grid.coordinate_mesh()[0]
+    total = np.zeros(grid.shape)
+    for _ in range(12):
+        k = int(rng.integers(1, 33))
+        amp = float(rng.standard_normal())
+        phase = float(rng.uniform(0.0, 2.0 * np.pi))
+        total = total + amp * np.cos(2.0 * np.pi * k * t / grid.l_t + phase)
+    return total
+
+
+@pytest.mark.parametrize("n_x", [(24,), (16, 10)], ids=["d1", "d2"])
+def test_time_noise_column_matches_the_full_grid_loop(n_x):
+    grid = make_grid(d=len(n_x), n_t=64, n_x=n_x, l_t=2.0, l_x=[2.0, 3.0][: len(n_x)])
+    bump = _seam_bump(grid, width=0.12)
+    column = _time_noise(grid, np.random.default_rng(5))
+    assert column.shape == (grid.n_t,) + (1,) * grid.d
+    full = _full_grid_time_noise(grid, np.random.default_rng(5))
+    assert np.array_equal(bump * column, bump * full)
+    data = _localized_bundle(grid, np.random.default_rng(6), 1.0)
+    rng = np.random.default_rng(6)
+    for field in (data.h, *data.g.components, data.f):
+        assert np.array_equal(field.data, bump * _full_grid_time_noise(grid, rng))

@@ -5,6 +5,8 @@ squared L2 norm (l_t/2) * prod(l_x) under the rectangle rule (exact for trig
 polynomials below Nyquist).
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,14 @@ from hypothesis import strategies as st
 from halfheat import (
     Field,
     VectorField,
+    generate_coefficients,
     inner,
     lp_norm,
     make_grid,
     time_window_lp_norm,
     zeros,
 )
+from halfheat.experiments import harmonic_field
 
 
 def _cos_time_mode(grid, k):
@@ -47,6 +51,27 @@ def test_make_grid_rejects_bad_axes():
         make_grid(d=1, n_t=16, n_x=8, l_t=-2.0, l_x=1.0)
     with pytest.raises(ValueError, match="exceeds cap"):
         make_grid(d=3, n_t=1024, n_x=1024, l_t=1.0, l_x=1.0)
+
+
+@pytest.mark.parametrize(
+    "l_t, l_x, key", [(1e308, 2.0, "l_t"), (2.0, 1e76, "l_x[0]"), (2.0, [2.0, 1e300], "l_x[1]")]
+)
+def test_make_grid_rejects_huge_periods(l_t, l_x, key):
+    d = 2 if isinstance(l_x, list) else 1
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be a positive finite period"):
+        make_grid(d, 16, 16, l_t, l_x)
+
+
+def test_generators_stay_finite_at_the_largest_period():
+    """At the period cap the unwrapped coordinates, the trigonometric phases
+    and the cell measure are finite (RuntimeWarnings fail the suite)."""
+    g = make_grid(d=3, n_t=64, n_x=8, l_t=1e75, l_x=1e75)
+    assert np.isfinite(g.cell_measure) and g.cell_measure > 0
+    a = generate_coefficients(
+        kind="checkerboard", delta=0.25, seed=0, grid=g, roughness_scale=0.5
+    )
+    assert set(np.unique(a.data[0, 0])) == {0.5, 1.5}
+    assert np.isfinite(harmonic_field(g, np.random.default_rng(1)).data).all()
 
 
 def test_coordinates_wrap_to_symmetric_cell():

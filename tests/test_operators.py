@@ -6,6 +6,8 @@ merely to discretization order.  The single-mode eigenvalue of the discrete
 Laplacian is 2(1 - cos(xi h))/h^2.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,15 @@ from halfheat import (
     reduce_to_identity,
     residual,
     zeros,
+)
+from halfheat.operators import (
+    _divergence,
+    _flux,
+    _gradient,
+    _operator,
+    _operator_parts,
+    _rhs,
+    _solution_parts,
 )
 
 
@@ -195,3 +206,76 @@ def test_reduction_formula_in_one_dimension():
     assert np.allclose(reduced.g.components[0].data, expected, atol=1e-13)
     assert np.array_equal(reduced.h.data, data.h.data)
     assert np.array_equal(reduced.f.data, data.f.data)
+
+
+# ---------------------------------------------------------------------------
+# fast kernels against the forms they replaced
+
+
+def _roll_gradient(grid, u):
+    return np.stack([(np.roll(u, -1, axis=1 + i) - u) / grid.h[i] for i in range(grid.d)])
+
+
+def _roll_divergence(grid, v):
+    total = np.zeros(grid.shape)
+    for i in range(grid.d):
+        total += (v[i] - np.roll(v[i], 1, axis=1 + i)) / grid.h[i]
+    return total
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("n_x", [(24,), (16, 10), (8, 12, 10)], ids=["d1", "d2", "d3"])
+def test_flat_shift_differences_match_the_roll_forms(n_x):
+    d = len(n_x)
+    g = make_grid(d=d, n_t=8, n_x=n_x, l_t=2.0, l_x=[2.0, 3.0, 5.0][:d])
+    rng = np.random.default_rng(d)
+    u = rng.standard_normal(g.shape)
+    v = rng.standard_normal((d, *g.shape))
+    # signed zeros: -0.0 - 0.0 = -0.0 along the last axis, which the roll
+    # form's divergence turns into +0.0 by adding it to zeros
+    u.reshape(-1)[::5] = 0.0
+    u.reshape(-1)[1::5] = -0.0
+    v.reshape(d, -1)[:, ::7] = 0.0
+    v.reshape(d, -1)[:, 1::7] = -0.0
+    assert _same_bits(_gradient(g, u), _roll_gradient(g, u))
+    assert _same_bits(_divergence(g, v), _roll_divergence(g, v))
+    # the kernels read non-contiguous samples too
+    assert _same_bits(_gradient(g, np.asfortranarray(u)), _roll_gradient(g, u))
+    assert _same_bits(_divergence(g, list(np.asfortranarray(v))), _roll_divergence(g, v))
+
+
+def test_one_dimensional_flux_is_the_einsum_product():
+    g = _grid()
+    a = generate_coefficients(kind="time_piecewise", delta=0.5, seed=1, grid=g).data
+    grad = _gradient(g, _rand(g, 3).data)
+    assert np.array_equal(_flux(a, grad), np.einsum("ij...,j...->i...", a, grad))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_operator_parts_match_the_separate_kernels(d):
+    g = _grid(d=d, n_t=16, n_x=8)
+    a = generate_coefficients(kind="smooth", delta=0.5, seed=2, grid=g)
+    u = _rand(g, 4).data
+    applied, parts, flux = _operator_parts(a, 2.0, u)
+    assert np.array_equal(applied, _operator(a, 2.0, u))
+    assert len(parts) == d + 2
+    for part, expected in zip(parts, _solution_parts(g, u, 2.0)):
+        assert np.array_equal(part, expected)
+    assert np.array_equal(flux, _flux(a.data, _gradient(g, u)))
+
+
+def test_rhs_is_computed_once_per_bundle():
+    g = _grid()
+    data = DataBundle(h=_rand(g, 6), g=_rand_vector(g, 7), f=_rand(g, 8), lam=1.0)
+    rhs = _rhs(data)
+    assert _rhs(data) is rhs
+    assert not rhs.flags.writeable
+    assert apply_rhs(data).data is rhs
+    changed = replace(data, g=_rand_vector(g, 9))
+    fresh = _rhs(changed)
+    assert fresh is not rhs
+    rebuilt = DataBundle(h=changed.h, g=changed.g, f=changed.f, lam=1.0)
+    assert np.array_equal(fresh, _rhs(rebuilt))

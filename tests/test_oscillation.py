@@ -30,6 +30,7 @@ from halfheat import (
     verify_mean_oscillation,
     zeros,
 )
+from halfheat.operators import _operator, _rhs
 from halfheat.oscillation import (
     bundle_oscillation,
     bundle_rms,
@@ -271,3 +272,43 @@ def test_mean_oscillation_zero_solution_is_degenerate():
     assert all(row.lhs == 0.0 for row in report.rows)
     assert all(row.n_emp is None for row in report.rows)
     assert report.fitted_decay is None
+
+
+def _rows_instance():
+    g = make_grid(d=1, n_t=256, n_x=128, l_t=4.0, l_x=4.0)
+    a = generate_coefficients(kind="x1_piecewise", delta=0.5, seed=3, grid=g)
+    u = _rand(g, 10)
+    return a, manufacture_data(a, 1.0, u), u
+
+
+def test_verifiers_check_the_operator_residual():
+    """Each verifier checks u against the bundle's right-hand side itself."""
+    a, data, u = _rows_instance()
+    rhs = _rhs(data)
+    expected = np.linalg.norm(_operator(a, 1.0, u.data) - rhs) / np.linalg.norm(rhs)
+    report = verify_mean_oscillation(
+        "calUprime_theta_x1", a, data, u, 0.5, (0.0, 0.0), (4.0,)
+    )
+    assert report.residual_rel == expected
+    _, a, data, u = _local_instance()
+    rhs = _rhs(data)
+    expected = np.linalg.norm(_operator(a, 1.0, u.data) - rhs) / np.linalg.norm(rhs)
+    assert verify_local_estimate(a, data, u, radius=1.0).residual_rel == expected
+
+
+@pytest.mark.parametrize("case", ["calU_time_coeffs", "U_heat", "calUprime_theta_x1"])
+def test_mean_oscillation_takes_one_time_spectrum(monkeypatch, case):
+    """Once the bundle holds its right-hand side (as after a solve), the
+    verifier transforms u along time once."""
+    a, data, u = _rows_instance()
+    _rhs(data)
+    calls = []
+    rfft = np.fft.rfft
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    verify_mean_oscillation(case, a, data, u, 0.5, (0.0, 0.0), (4.0, 8.0))
+    assert calls == [u.grid.shape]
