@@ -19,6 +19,7 @@ from pathlib import Path
 from .expressions import field_from_expression
 from .experiments import (
     _COEFFICIENT_KEYS,
+    _CONFIG_KEYS,
     EXPERIMENTS,
     ExperimentConfig,
     _coefficients_for,
@@ -32,18 +33,8 @@ from .htpf import write_field
 from .operators import DataBundle
 from .solver import compute_bundles, solve, solve_oracle
 
-_EXPERIMENT_COMMANDS = (
-    "identities",
-    "l2",
-    "lp-sweep",
-    "tail-decay",
-    "oscillation",
-    "assumptions",
-)
-
-
-# the top-level and 'data' keys of a solve/oracle config
-_PROBLEM_KEYS = ("grid", "coefficients", "data", "lambda", "solver", "out")
+_EXPERIMENT_COMMANDS = tuple(kind.replace("_", "-") for kind in EXPERIMENTS)
+# the 'data' keys of a solve/oracle config
 _DATA_KEYS = ("h", "g", "f")
 
 
@@ -122,7 +113,7 @@ def _run_experiment(name: str, args: argparse.Namespace) -> int:
 
 
 def _build_problem(mapping: dict, name: str = "solve"):
-    mapping = _section(mapping, "config", _PROBLEM_KEYS)
+    mapping = _section(mapping, "config", _CONFIG_KEYS[name])
     if mapping.get("grid") is None:
         raise ValueError("solve config needs a 'grid' section")
     grid = _grid_from_spec(mapping["grid"], name)

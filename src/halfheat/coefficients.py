@@ -131,7 +131,7 @@ class Coefficients:
         return self.data.mean(axis=axes)
 
 
-def identity_coefficients(grid: Grid, delta: float = 1.0) -> Coefficients:
+def identity_coefficients(grid: Grid) -> Coefficients:
     d = grid.d
     data = np.zeros((d, d, *grid.shape))
     for i in range(d):
@@ -140,7 +140,7 @@ def identity_coefficients(grid: Grid, delta: float = 1.0) -> Coefficients:
         grid=grid,
         data=data,
         tag="constant",
-        ellipticity=Ellipticity(delta),
+        ellipticity=Ellipticity(1.0),
         generator={"kind": "identity"},
     )
 

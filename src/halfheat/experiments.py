@@ -48,7 +48,13 @@ from .operators import (
     reduce_to_identity,
     residual,
 )
-from .oscillation import _spatial_dist_sq, verify_local_estimate, verify_mean_oscillation
+from .oscillation import (
+    Cylinder,
+    _cylinder_masks,
+    _spatial_dist_sq,
+    verify_local_estimate,
+    verify_mean_oscillation,
+)
 from .solver import (
     SolverOptions,
     SolveResult,
@@ -95,15 +101,25 @@ _DEFAULT_GRIDS = {
 
 _GRID_KEYS = ("d", "n_t", "n_x", "l_t", "l_x")
 _SOLVER_KEYS = tuple(f.name for f in fields(SolverOptions))
-# the top-level keys of an experiment config; solve/oracle have their own
-# (cli._PROBLEM_KEYS)
-_EXPERIMENT_KEYS = (
-    "experiment", "grid", "coefficients", "lambdas", "p_list", "trials", "solver", "seed", "out",
-)
-# the 'coefficients' keys each command reads; any other key is an error
+# the top-level keys each command reads ('out' is read by the CLI); any other
+# key is an error
+_CONFIG_KEYS = {
+    "identities": ("experiment", "grid", "trials", "seed", "out"),
+    "l2": ("experiment", "grid", "coefficients", "lambdas", "trials", "solver", "seed", "out"),
+    "lp_sweep": (
+        "experiment", "grid", "coefficients", "lambdas", "p_list", "trials", "solver",
+        "seed", "out",
+    ),
+    "tail_decay": ("experiment", "grid", "coefficients", "p_list", "seed", "out"),
+    "oscillation": ("experiment", "grid", "coefficients", "lambdas", "solver", "seed", "out"),
+    "assumptions": ("experiment", "grid", "coefficients", "seed", "out"),
+    "solve": ("grid", "coefficients", "data", "lambda", "solver", "out"),
+    "oracle": ("grid", "coefficients", "data", "lambda", "out"),
+}
+# the 'coefficients' keys each command that has that section reads; any other
+# key is an error
 _SPEC_KEYS = ("kind", "delta", "seed", "n_jumps", "epsilon", "cell_size")
 _COEFFICIENT_KEYS = {
-    "identities": (),
     "l2": _SPEC_KEYS,
     "lp_sweep": ("kinds",) + _SPEC_KEYS,
     "tail_decay": ("k_max",),
@@ -154,6 +170,11 @@ def _solver_options(spec) -> SolverOptions:
         raise ValueError(f"malformed solver section {spec!r}: {exc}") from None
 
 
+# Largest lambda: the single-mode check squares it, and the bundle norms sum
+# lambda * u^2 over the grid.
+_LAMBDA_CAP = 1e75
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything an experiment run depends on.  See README for the config
@@ -181,14 +202,19 @@ class ExperimentConfig:
         if not self.p_list:
             raise ValueError("p list must not be empty")
         for lam in self.lambdas:
-            if lam < 0 or not math.isfinite(lam):
-                raise ValueError(f"lambda entries must be finite and >= 0, got {lam}")
+            if not 0 <= lam <= _LAMBDA_CAP:
+                raise ValueError(
+                    f"'lambdas' entries must be finite and >= 0, at most "
+                    f"{_LAMBDA_CAP:g}, got {lam}"
+                )
 
     @classmethod
     def from_mapping(cls, mapping: dict, kind: str | None = None) -> "ExperimentConfig":
         """The config of a mapping in the README schema; `kind` is the
-        command that runs it, which an 'experiment' key must agree with."""
-        mapping = _section(mapping, "config", _EXPERIMENT_KEYS)
+        command that runs it, which an 'experiment' key must agree with.  A
+        top-level key the command does not read is an error."""
+        if not isinstance(mapping, dict):
+            raise ValueError(f"'config' must be an object, got {mapping!r}")
         name = mapping.get("experiment", kind)
         if name is None:
             raise ValueError("config needs an 'experiment' kind")
@@ -200,11 +226,13 @@ class ExperimentConfig:
             )
         if name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {name!r}")
+        mapping = _section(mapping, "config", _CONFIG_KEYS[name])
+        coefficient_keys = _COEFFICIENT_KEYS.get(name, ())
         return cls(
             kind=name,
             grid=_grid_from_spec(mapping.get("grid"), name),
             coefficients=dict(
-                _section(mapping.get("coefficients"), "coefficients", _COEFFICIENT_KEYS[name])
+                _section(mapping.get("coefficients"), "coefficients", coefficient_keys)
             ),
             lambdas=_numbers(mapping.get("lambdas", [1.0]), "lambdas"),
             p_list=_numbers(mapping.get("p_list", [2.0]), "p_list"),
@@ -214,27 +242,12 @@ class ExperimentConfig:
         )
 
 
-def _config_mapping(config: ExperimentConfig) -> dict:
-    return {
-        "experiment": config.kind,
-        "grid": {
-            "d": config.grid.d,
-            "n_t": config.grid.n_t,
-            "n_x": list(config.grid.n_x),
-            "l_t": config.grid.l_t,
-            "l_x": list(config.grid.l_x),
-        },
-        "coefficients": config.coefficients,
-        "lambdas": list(config.lambdas),
-        "p_list": list(config.p_list),
-        "trials": config.trials,
-        "solver": asdict(config.solver),
-        "seed": config.seed,
-    }
-
-
 def config_hash(config: ExperimentConfig) -> str:
-    canon = json.dumps(_config_mapping(config), sort_keys=True)
+    """First 12 hex digits of the sha256 of the config's canonical JSON (every
+    field, with `kind` under its config key 'experiment')."""
+    mapping = asdict(config)
+    mapping["experiment"] = mapping.pop("kind")
+    canon = json.dumps(mapping, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
@@ -248,6 +261,24 @@ class ExperimentResult:
     columns: tuple[str, ...]
     rows: list[dict]
     summary: dict
+
+
+def _result(
+    config: ExperimentConfig, rows: list[dict], failures: list[str], summary: dict
+) -> ExperimentResult:
+    """The result of running `config`: passed when nothing failed, its CSV
+    columns the keys of the first row (every row of a run has the same keys,
+    in the same order, and no run has zero rows)."""
+    return ExperimentResult(
+        name=config.kind,
+        config_hash=config_hash(config),
+        seed=config.seed,
+        passed=not failures,
+        failures=failures,
+        columns=tuple(rows[0]),
+        rows=rows,
+        summary=summary,
+    )
 
 
 def _trial_seed(config_seed: int, *key: int) -> int:
@@ -507,16 +538,7 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentResult:
         for name, info in sorted(worst.items())
         if info["deviation"] > info["tolerance"]
     ]
-    return ExperimentResult(
-        name="identities",
-        config_hash=config_hash(config),
-        seed=config.seed,
-        passed=not failures,
-        failures=failures,
-        columns=("trial", "seed", "identity", "deviation", "tolerance", "passed"),
-        rows=rows,
-        summary={"worst": worst, "trials": config.trials},
-    )
+    return _result(config, rows, failures, {"worst": worst, "trials": config.trials})
 
 
 # ---------------------------------------------------------------------------
@@ -629,29 +651,7 @@ def run_l2_trials(config: ExperimentConfig) -> ExperimentResult:
         "trials": config.trials,
         "mode_check": mode_check,
     }
-    return ExperimentResult(
-        name="l2",
-        config_hash=config_hash(config),
-        seed=config.seed,
-        passed=not failures,
-        failures=failures,
-        columns=(
-            "trial",
-            "seed",
-            "kind",
-            "lambda",
-            "norm_U",
-            "norm_F",
-            "ratio",
-            "bound",
-            "iterations",
-            "residual",
-            "trivial",
-            "passed",
-        ),
-        rows=rows,
-        summary=summary,
-    )
+    return _result(config, rows, failures, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -817,29 +817,7 @@ def run_lp_sweep(config: ExperimentConfig) -> ExperimentResult:
         "max_ratio_per_lambda": {str(k): v for k, v in per_lambda.items()},
         "duality_skewness": duality_worst,
     }
-    return ExperimentResult(
-        name="lp_sweep",
-        config_hash=config_hash(config),
-        seed=config.seed,
-        passed=not failures,
-        failures=failures,
-        columns=(
-            "grid",
-            "kind",
-            "trial",
-            "seed",
-            "lambda",
-            "p",
-            "norm_U",
-            "norm_F",
-            "ratio",
-            "iterations",
-            "residual",
-            "converged",
-        ),
-        rows=rows,
-        summary=summary,
-    )
+    return _result(config, rows, failures, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -858,9 +836,9 @@ def run_tail_decay(config: ExperimentConfig) -> ExperimentResult:
     k_max = _integer(config.coefficients.get("k_max", 6), "k_max")
     if k_max < 3:
         raise ValueError(f"k_max must be >= 3 to fit a decay slope, got {k_max}")
-    if grid.l_t < 2.0 ** (k_max + 3):
+    if k_max + 3 > math.log2(grid.l_t):  # 2.0 ** (k_max + 3) may overflow
         raise ValueError(
-            f"grid too short: l_t = {grid.l_t} < 2^(k_max+3) = {2.0 ** (k_max + 3)}"
+            f"grid too short for 'k_max' {k_max}: l_t = {grid.l_t} < 2^{k_max + 3}"
         )
     mesh = grid.coordinate_mesh()
     profile = np.exp(-mesh[0] ** 2) * np.ones(grid.shape)
@@ -908,20 +886,8 @@ def run_tail_decay(config: ExperimentConfig) -> ExperimentResult:
         if slope is None or slope > -0.4:
             failures.append(f"p={p}: fitted slope {slope} exceeds -0.4")
 
-    return ExperimentResult(
-        name="tail_decay",
-        config_hash=config_hash(config),
-        seed=config.seed,
-        passed=not failures,
-        failures=failures,
-        columns=("p", "k", "norm", "weighted_sum", "bound", "ratio"),
-        rows=rows,
-        summary={
-            "k_max": k_max,
-            "fitted_slope": slopes,
-            "measured_constant": constants,
-        },
-    )
+    summary = {"k_max": k_max, "fitted_slope": slopes, "measured_constant": constants}
+    return _result(config, rows, failures, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -960,6 +926,31 @@ _OSC_THRESHOLDS = {
 }
 
 
+def _oscillation_spec(config: ExperimentConfig) -> tuple[float, tuple[float, ...], float]:
+    """(delta, kappas, outer radius) of an oscillation config.  kappas is a
+    non-empty list of finite kappa >= 4, and Q_r(0) and every Q_{r/kappa}(0)
+    fit the grid and hold samples, so each case has one row per kappa."""
+    spec = config.coefficients
+    delta = _scalar(spec.get("delta", 0.5), "delta")
+    kappas = _numbers(spec.get("kappas", [4.0, 8.0, 16.0]), "kappas")
+    r_outer = _scalar(spec.get("outer_radius", 1.0), "outer_radius")
+    if not kappas:
+        raise ValueError("'kappas' must hold at least one kappa, got []")
+    for kappa in kappas:
+        if not (math.isfinite(kappa) and kappa >= 4.0):
+            raise ValueError(f"'kappas' entries must be finite and >= 4, got {kappa}")
+    center = (0.0,) * (config.grid.d + 1)
+    for kappa in (1.0,) + kappas:
+        try:
+            _cylinder_masks(config.grid, Cylinder(center, r=r_outer / kappa))
+        except ValueError as exc:
+            raise ValueError(
+                f"'outer_radius' {r_outer} with 'kappas' {list(kappas)} does not suit "
+                f"the grid: {exc}"
+            ) from None
+    return delta, kappas, r_outer
+
+
 def run_oscillation_experiments(config: ExperimentConfig) -> ExperimentResult:
     """Oscillation-decay regression for the three coefficient structures plus
     the interior-estimate verifier with its refinement and rescaling checks.
@@ -971,9 +962,7 @@ def run_oscillation_experiments(config: ExperimentConfig) -> ExperimentResult:
     """
     grid = config.grid
     lam = _one_lambda(config)
-    delta = _scalar(config.coefficients.get("delta", 0.5), "delta")
-    kappas = _numbers(config.coefficients.get("kappas", [4.0, 8.0, 16.0]), "kappas")
-    r_outer = _scalar(config.coefficients.get("outer_radius", 1.0), "outer_radius")
+    delta, kappas, r_outer = _oscillation_spec(config)
     center = (0.0,) * (grid.d + 1)
 
     cases = {
@@ -1038,25 +1027,8 @@ def run_oscillation_experiments(config: ExperimentConfig) -> ExperimentResult:
     local = _local_estimate_checks(config)
     failures.extend(local.pop("failures"))
 
-    return ExperimentResult(
-        name="oscillation",
-        config_hash=config_hash(config),
-        seed=config.seed,
-        passed=not failures,
-        failures=failures,
-        columns=(
-            "case",
-            "kappa",
-            "inner_radius",
-            "oscillation",
-            "term_homogeneous",
-            "term_tail",
-            "n_emp",
-            "fitted_decay",
-        ),
-        rows=rows,
-        summary={"fitted_decay": decays, "local_estimate": local, "solves": solves},
-    )
+    summary = {"fitted_decay": decays, "local_estimate": local, "solves": solves}
+    return _result(config, rows, failures, summary)
 
 
 def _local_estimate_checks(config: ExperimentConfig) -> dict:
@@ -1174,16 +1146,8 @@ def run_assumption_report(config: ExperimentConfig) -> ExperimentResult:
                     f"checkerboard gamma {gamma} outside [{epsilon / 4.0}, {2.0 * epsilon}]"
                 )
 
-    return ExperimentResult(
-        name="assumptions",
-        config_hash=config_hash(config),
-        seed=config.seed,
-        passed=not failures,
-        failures=failures,
-        columns=("kind", "checker", "gamma", "worst_radius", "centers_scanned", "seed"),
-        rows=rows,
-        summary={"gamma": gammas, "epsilon": epsilon, "r_zero": r_zero},
-    )
+    summary = {"gamma": gammas, "epsilon": epsilon, "r_zero": r_zero}
+    return _result(config, rows, failures, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -1222,7 +1186,7 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> tuple[Path, 
     csv_path = out / "trials.csv"
     lines = [",".join(result.columns)]
     for row in result.rows:
-        lines.append(",".join(_cell_text(row.get(col)) for col in result.columns))
+        lines.append(",".join(_cell_text(row[col]) for col in result.columns))
     csv_path.write_text("\n".join(lines) + "\n")
 
     summary_path = out / "summary.json"

@@ -29,9 +29,11 @@ __all__ = [
 ]
 
 SAMPLE_CAP = 2**24
-# Largest period: the cell measure dt * prod h (up to four factors) and every
-# coordinate times a sample count or a mode number stay finite below it.
-_PERIOD_CAP = 1e75
+# Period range: below the cap the cell measure dt * prod h (up to four factors)
+# and every coordinate times a sample count or a mode number stay finite; above
+# the floor, with at most SAMPLE_CAP samples, the cell measure stays a positive
+# normal float (>= 1e-300 / 2**24).
+_PERIOD_FLOOR, _PERIOD_CAP = 1e-75, 1e75
 
 
 def _integer(value, name: str) -> int:
@@ -117,9 +119,10 @@ class Grid:
         for label, period in [("l_t", self.l_t)] + [
             (f"l_x[{i}]", p) for i, p in enumerate(self.l_x)
         ]:
-            if not (np.isfinite(period) and 0 < period <= _PERIOD_CAP):
+            if not _PERIOD_FLOOR <= period <= _PERIOD_CAP:
                 raise ValueError(
-                    f"{label} must be a positive finite period <= {_PERIOD_CAP:g}, got {period}"
+                    f"{label} must be a positive finite period in "
+                    f"[{_PERIOD_FLOOR:g}, {_PERIOD_CAP:g}], got {period}"
                 )
 
     @property
@@ -174,7 +177,7 @@ def make_grid(
 
     Sample counts must be even and at least 8 per axis (powers of two are
     recommended for FFT speed), and the total count may not exceed
-    ``SAMPLE_CAP`` (2**24).  Periods are positive and at most 1e75.  Any
+    ``SAMPLE_CAP`` (2**24).  Periods lie in [1e-75, 1e75].  Any
     value may also be numeric text ("64", "2.0"), as the CLI's ``--grid
     KEY=VALUE`` passes it; a value that does not read as its key's type is a
     ValueError naming the key.

@@ -10,8 +10,9 @@ import sys
 
 import pytest
 
+from halfheat import experiments
 from halfheat.cli import _build_problem, main
-from halfheat.experiments import _coefficients_for
+from halfheat.experiments import _CONFIG_KEYS, _coefficients_for
 from halfheat.grid import make_grid
 from halfheat.coefficients import generate_coefficients
 from halfheat.htpf import read_field, write_coefficients
@@ -332,10 +333,10 @@ def test_unknown_config_grid_key_fails_cleanly(tmp_path, capsys):
     ],
 )
 def test_bad_solver_section_fails_cleanly(tmp_path, capsys, solver, message):
-    experiment = _write_config(tmp_path, "id.json", dict(SMALL_IDENTITIES, solver=solver))
+    experiment = _write_config(tmp_path, "l2.json", dict(SMALL_EXPERIMENT, solver=solver))
     problem = _write_config(tmp_path, "solve.json", dict(SOLVE_CONFIG, solver=solver))
     for argv in (
-        ["identities", "--config", str(experiment), "--out", str(tmp_path / "o")],
+        ["l2", "--config", str(experiment), "--out", str(tmp_path / "o")],
         ["solve", "--config", str(problem), "--out", str(tmp_path / "s")],
     ):
         code, report = _run(capsys, argv)
@@ -390,6 +391,10 @@ def test_bad_solver_section_fails_cleanly(tmp_path, capsys, solver, message):
             {"lambdas": [1.0, 4.0]},
             "'lambdas' must hold one lambda > 0 for oscillation, got [1.0, 4.0]",
         ),
+        # both used to end in an OverflowError traceback (2.0 ** (k_max + 3),
+        # lambda**2 in the single-mode check)
+        ("tail-decay", {"coefficients": {"k_max": 1e6}}, "grid too short for 'k_max' 1000000"),
+        ("l2", {"lambdas": [1e308]}, "'lambdas' entries must be finite and >= 0, at most 1e+75"),
     ],
     ids=[
         "solve_coefficients_list", "solve_delta_null", "solve_seed_list",
@@ -401,6 +406,7 @@ def test_bad_solver_section_fails_cleanly(tmp_path, capsys, solver, message):
         "l2_restart_fraction", "tail_decay_k_max_fraction", "solve_seed_fraction",
         "solve_n_jumps_fraction", "solve_file_number", "solve_lambda_nan",
         "tail_decay_p_list_empty", "l2_lambdas_list", "oscillation_lambdas_list",
+        "tail_decay_k_max_huge", "l2_lambda_huge",
     ],
 )
 def test_malformed_config_values_fail_cleanly(tmp_path, capsys, command, edit, message):
@@ -474,18 +480,43 @@ _COMMANDS = ("identities", "l2", "lp-sweep", "tail-decay", "oscillation", "assum
     "command, edit, key",
     [(command, {"trails": 20}, "config key 'trails'") for command in _COMMANDS]
     + [
-        (command, {"coefficients": {"detla": 0.5}}, "coefficients key 'detla'")
+        (
+            command,
+            {"coefficients": {"detla": 0.5}},
+            # identities has no coefficients section
+            "config key 'coefficients'" if command == "identities" else "coefficients key 'detla'",
+        )
         for command in _COMMANDS
     ]
     + [(command, {"data": {"hh": "0"}}, "config key 'data'") for command in _COMMANDS]
     + [
-        ("identities", {"coefficients": {"delta": 0.5}}, "coefficients key 'delta'"),
+        ("identities", {"coefficients": {"delta": 0.5}}, "config key 'coefficients'"),
         ("l2", {"coefficients": {"roughness_scale": 0.3}}, "coefficients key 'roughness_scale'"),
         ("l2", {"coefficients": {"file": "a.json"}}, "coefficients key 'file'"),
         ("lp-sweep", {"coefficients": {"file": "a.json"}}, "coefficients key 'file'"),
         ("tail-decay", {"coefficients": {"delta": 0.5}}, "coefficients key 'delta'"),
         ("oscillation", {"coefficients": {"kind": "smooth"}}, "coefficients key 'kind'"),
         ("assumptions", {"coefficients": {"seed": 3}}, "coefficients key 'seed'"),
+    ]
+    # top-level keys each of these commands used to accept and never read
+    + [
+        (command, {key: value}, f"config key '{key}'")
+        for command, key, value in (
+            ("identities", "lambdas", [1.0]),
+            ("identities", "p_list", [2.0]),
+            ("identities", "solver", {"rtol": 1e-6}),
+            ("l2", "p_list", [2.0]),
+            ("tail-decay", "lambdas", [1.0]),
+            ("tail-decay", "trials", 2),
+            ("tail-decay", "solver", {}),
+            ("oscillation", "trials", 2),
+            ("oscillation", "p_list", [2.0]),
+            ("assumptions", "lambdas", [1.0]),
+            ("assumptions", "p_list", [2.0]),
+            ("assumptions", "trials", 2),
+            ("assumptions", "solver", {}),
+            ("oracle", "solver", {"rtol": 0.5, "max_iterations": 1}),
+        )
     ]
     + [
         (command, edit, key)
@@ -515,6 +546,85 @@ def test_unknown_keys_fail_naming_the_key(tmp_path, capsys, command, edit, key):
     assert len(report["failures"]) == 1
     assert report["failures"][0].startswith(f"unknown {key}")
     assert not (tmp_path / "o").exists()
+
+
+_ANY_TOP_LEVEL_KEY = sorted({key for keys in _CONFIG_KEYS.values() for key in keys})
+# a valid value of each top-level key, on grids small enough to run every command
+_GRIDS = {"tail_decay": {}, "oscillation": {"n_t": 128, "n_x": 64}}
+_VALID = {
+    "coefficients": {},
+    "lambdas": [1.0],
+    "p_list": [2.0],
+    "trials": 1,
+    "solver": {},
+    "seed": 1,
+    "data": {"h": "cos(t)"},
+    "lambda": 1.0,
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [(kind, key) for kind in _CONFIG_KEYS for key in _ANY_TOP_LEVEL_KEY],
+    ids=[f"{kind}-{key}" for kind in _CONFIG_KEYS for key in _ANY_TOP_LEVEL_KEY],
+)
+def test_each_command_accepts_exactly_its_top_level_keys(tmp_path, capsys, kind, key):
+    """A top-level key in the command's row of the key table is accepted; any
+    other is a one-line JSON failure naming it, with exit 1, before any work."""
+    command = kind.replace("_", "-")
+    keys = _CONFIG_KEYS[kind]
+    if kind in ("solve", "oracle"):
+        mapping = dict(SOLVE_CONFIG)
+    else:
+        mapping = {"grid": _GRIDS.get(kind, {"n_t": 16, "n_x": 16})}
+        if "trials" in keys:
+            mapping["trials"] = 1
+    out = tmp_path / "o"
+    value = {"experiment": kind, "grid": mapping["grid"], "out": str(out)}.get(key, _VALID.get(key))
+    config = _write_config(tmp_path, "c.json", {**mapping, key: value})
+    argv = [command, "--config", str(config)] + ([] if key == "out" else ["--out", str(out)])
+    code, report = _run(capsys, argv)
+    if key in keys:
+        assert code == 0, report
+        assert out.exists()
+    else:
+        assert code == 1
+        assert len(report["failures"]) == 1
+        assert report["failures"][0].startswith(f"unknown config key {key!r}")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "coefficients, message",
+    [
+        ({"kappas": []}, "'kappas' must hold at least one kappa, got []"),
+        ({"kappas": ["nan"]}, "'kappas' entries must be finite and >= 4, got nan"),
+        ({"kappas": [4.0, 2.0]}, "'kappas' entries must be finite and >= 4, got 2.0"),
+        ({"kappas": [4.0, float("inf")]}, "'kappas' entries must be finite and >= 4, got inf"),
+        ({"outer_radius": 100}, "'outer_radius' 100.0 with 'kappas' [4.0, 8.0, 16.0]"),
+        ({"outer_radius": -1}, "'outer_radius' -1.0 with 'kappas' [4.0, 8.0, 16.0]"),
+        # (r/kappa)^2 underflows to 0, so Q_{r/kappa} holds no sample
+        ({"kappas": [4.0, 1e200]}, "'outer_radius' 1.0 with 'kappas' [4.0, 1e+200]"),
+    ],
+    ids=["kappas_empty", "kappa_nan", "kappa_small", "kappa_inf", "radius_large",
+         "radius_negative", "inner_cylinder_empty"],
+)
+def test_oscillation_rejects_kappas_and_radius_before_solving(
+    tmp_path, capsys, monkeypatch, coefficients, message
+):
+    """Each of these used to run all three case solves, then fail on a fitted
+    decay of None."""
+
+    def no_solve(*args):
+        raise AssertionError("solved before the kappas and the radius were checked")
+
+    monkeypatch.setattr(experiments, "_solve_for", no_solve)
+    mapping = {"grid": _GRIDS["oscillation"], "coefficients": coefficients}
+    config = _write_config(tmp_path, "c.json", mapping)
+    code, report = _run(capsys, ["oscillation", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert len(report["failures"]) == 1
+    assert report["failures"][0].startswith(message)
 
 
 def test_experiment_key_must_match_the_command(tmp_path, capsys):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from halfheat.cli import _build_problem
 from halfheat.experiments import (
     _COEFFICIENT_KEYS,
-    _EXPERIMENT_KEYS,
+    _CONFIG_KEYS,
     _GRID_KEYS,
     _SOLVER_KEYS,
     ExperimentConfig,
@@ -37,7 +37,9 @@ JSON_VALUES = st.one_of(
 )
 
 _EXPERIMENTS = ("identities", "l2", "lp_sweep", "tail_decay", "oscillation", "assumptions")
-# every coefficient key some command reads; most commands reject most of them
+# every top-level key some experiment reads, and every coefficient key some
+# command reads; most commands reject some of them
+_ANY_CONFIG_KEY = sorted({key for kind in _EXPERIMENTS for key in _CONFIG_KEYS[kind]})
 _ANY_COEFFICIENT_KEY = sorted({key for keys in _COEFFICIENT_KEYS.values() for key in keys})
 _SOLVE_BASE = {
     "grid": {"d": 1, "n_t": 16, "n_x": 16, "l_t": 2.0, "l_x": 2.0},
@@ -72,7 +74,7 @@ def _parses_or_rejects(parse) -> None:
 @given(
     st.sampled_from(_EXPERIMENTS),
     st.sampled_from(
-        [(key, None) for key in _EXPERIMENT_KEYS]
+        [(key, None) for key in _ANY_CONFIG_KEY]
         + [("grid", key) for key in _GRID_KEYS]
         + [("solver", key) for key in _SOLVER_KEYS]
         + [("coefficients", key) for key in _ANY_COEFFICIENT_KEY]
@@ -87,12 +89,15 @@ def test_experiment_config_parses_or_raises_value_error(kind, where, value):
     else:
         mapping[section] = {key: value}
     _parses_or_rejects(lambda: ExperimentConfig.from_mapping(mapping))
-    if section == "coefficients" and key is not None and key not in _COEFFICIENT_KEYS[kind]:
+    if section not in _CONFIG_KEYS[kind]:
+        with pytest.raises(ValueError, match=f"unknown config key '{section}'"):
+            ExperimentConfig.from_mapping(mapping)
+    elif section == "coefficients" and key is not None and key not in _COEFFICIENT_KEYS[kind]:
         with pytest.raises(ValueError, match=f"unknown coefficients key '{key}'"):
             ExperimentConfig.from_mapping(mapping)
 
 
-_KNOWN = {"config": _EXPERIMENT_KEYS, "grid": _GRID_KEYS, "solver": _SOLVER_KEYS}
+_KNOWN = {"grid": _GRID_KEYS, "solver": _SOLVER_KEYS}
 
 
 @_FUZZ
@@ -104,8 +109,15 @@ _KNOWN = {"config": _EXPERIMENT_KEYS, "grid": _GRID_KEYS, "solver": _SOLVER_KEYS
 )
 def test_unknown_experiment_keys_are_named(kind, section, key, value):
     """A key the command does not read fails, naming the key, whatever its
-    value: it is never dropped silently."""
-    assume(key not in (_COEFFICIENT_KEYS[kind] if section == "coefficients" else _KNOWN[section]))
+    value: it is never dropped silently.  A section the command does not read
+    fails as an unknown config key."""
+    if section == "config":
+        known = _CONFIG_KEYS[kind]
+    elif section == "coefficients":
+        known = _COEFFICIENT_KEYS.get(kind, ())
+    else:
+        known = _KNOWN[section]
+    assume(key not in known)
     mapping = {"experiment": kind}
     if section == "config":
         mapping[key] = value
@@ -113,7 +125,10 @@ def test_unknown_experiment_keys_are_named(kind, section, key, value):
         mapping[section] = {key: value}
     with pytest.raises(ValueError) as info:
         ExperimentConfig.from_mapping(mapping)
-    assert str(info.value).startswith(f"unknown {section} key {key!r}")
+    if section == "config" or section in _CONFIG_KEYS[kind]:
+        assert str(info.value).startswith(f"unknown {section} key {key!r}")
+    else:
+        assert str(info.value).startswith(f"unknown config key {section!r}")
 
 
 @_FUZZ

@@ -6,6 +6,7 @@ polynomials below Nyquist).
 """
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -71,6 +72,26 @@ def test_generators_stay_finite_at_the_largest_period():
         kind="checkerboard", delta=0.25, seed=0, grid=g, roughness_scale=0.5
     )
     assert set(np.unique(a.data[0, 0])) == {0.5, 1.5}
+    assert np.isfinite(harmonic_field(g, np.random.default_rng(1)).data).all()
+
+
+@pytest.mark.parametrize(
+    "l_t, l_x, key", [(1e-90, 1.0, "l_t"), (1.0, 1e-76, "l_x[0]"), (1.0, [1.0, 5e-324], "l_x[1]")]
+)
+def test_make_grid_rejects_tiny_periods(l_t, l_x, key):
+    d = 2 if isinstance(l_x, list) else 1
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be a positive finite period"):
+        make_grid(d, 16, 16, l_t, l_x)
+
+
+def test_cell_measure_stays_normal_at_the_smallest_period():
+    """At the period floor, with the most samples the cap allows, the cell
+    measure is a positive normal float, and the unit-L2 scalings that divide
+    by it stay finite (make_grid(3, 8, 8, 1e-90, 1e-90) had cell measure 0.0,
+    and harmonic_field divided by zero)."""
+    worst = make_grid(d=3, n_t=256, n_x=[256, 16, 16], l_t=1e-75, l_x=1e-75)
+    assert worst.cell_measure >= sys.float_info.min
+    g = make_grid(d=3, n_t=8, n_x=8, l_t=1e-75, l_x=1e-75)
     assert np.isfinite(harmonic_field(g, np.random.default_rng(1)).data).all()
 
 
