@@ -498,6 +498,17 @@ _COMMANDS = ("identities", "l2", "lp-sweep", "tail-decay", "oscillation", "assum
         ("oscillation", {"coefficients": {"kind": "smooth"}}, "coefficients key 'kind'"),
         ("assumptions", {"coefficients": {"seed": 3}}, "coefficients key 'seed'"),
     ]
+    + [
+        (command, edit, key)
+        for command in ("solve", "oracle")
+        for edit, key in (
+            ({"lamda": 1.0}, "config key 'lamda'"),
+            ({"seed": 1}, "config key 'seed'"),
+            ({"coefficients": {"sead": 3}}, "coefficients key 'sead'"),
+            ({"coefficients": {"roughness_scale": 0.3}}, "coefficients key 'roughness_scale'"),
+            ({"data": {"hh": "0"}}, "data key 'hh'"),
+        )
+    ]
     # top-level keys each of these commands used to accept and never read
     + [
         (command, {key: value}, f"config key '{key}'")
@@ -516,17 +527,6 @@ _COMMANDS = ("identities", "l2", "lp-sweep", "tail-decay", "oscillation", "assum
             ("assumptions", "trials", 2),
             ("assumptions", "solver", {}),
             ("oracle", "solver", {"rtol": 0.5, "max_iterations": 1}),
-        )
-    ]
-    + [
-        (command, edit, key)
-        for command in ("solve", "oracle")
-        for edit, key in (
-            ({"lamda": 1.0}, "config key 'lamda'"),
-            ({"seed": 1}, "config key 'seed'"),
-            ({"coefficients": {"sead": 3}}, "coefficients key 'sead'"),
-            ({"coefficients": {"roughness_scale": 0.3}}, "coefficients key 'roughness_scale'"),
-            ({"data": {"hh": "0"}}, "data key 'hh'"),
         )
     ],
 )
