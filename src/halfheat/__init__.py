@@ -37,7 +37,6 @@ from .coefficients import (
 )
 from .operators import (
     DataBundle,
-    SolutionBundle,
     apply_operator,
     apply_rhs,
     divergence_minus,

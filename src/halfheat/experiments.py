@@ -57,7 +57,6 @@ from .oscillation import (
 )
 from .solver import (
     SolverOptions,
-    SolveResult,
     bundle_lp_norm,
     compute_bundles,
     duality_defect,
@@ -553,14 +552,6 @@ def _one_lambda(config: ExperimentConfig) -> float:
     return config.lambdas[0]
 
 
-def _solve_for(
-    coeffs: Coefficients, data: DataBundle, options: SolverOptions
-) -> SolveResult:
-    if coeffs.tag == "constant":
-        return solve_oracle(coeffs, data)
-    return solve(coeffs, data, options)
-
-
 def _l2_trial(config: ExperimentConfig, trial: int) -> dict:
     grid = config.grid
     lam = config.lambdas[0]
@@ -568,7 +559,7 @@ def _l2_trial(config: ExperimentConfig, trial: int) -> dict:
     coeffs = _coefficients_for(config.coefficients, grid, "constant", seed)
     rng = _rng(config.seed, trial, 2)
     data = _band_limited_bundle(grid, rng, lam)
-    result = _solve_for(coeffs, data, config.solver)
+    result = solve(coeffs, data, config.solver)
     norms = compute_bundles(result.u, data, (2.0,))
     norm_f = norms["F"][2.0]
     norm_u = norms["U"][2.0]
@@ -699,7 +690,7 @@ def _sweep_cell(
     rows = []
     for lam in config.lambdas:
         data = replace(drawn, lam=lam)
-        result = _solve_for(coeffs, data, config.solver)
+        result = solve(coeffs, data, config.solver)
         norms = compute_bundles(result.u, data, p_all)
         for p in p_all:
             norm_f = norms["F"][p]
@@ -919,13 +910,6 @@ def _localized_bundle(grid: Grid, rng: np.random.Generator, lam: float) -> DataB
     return _bundle(grid, lam, lambda: Field(grid, bump * _time_noise(grid, rng)))
 
 
-_OSC_THRESHOLDS = {
-    "calU_time_coeffs": -0.9,
-    "U_heat": -0.9,
-    "calUprime_theta_x1": -0.45,
-}
-
-
 def _oscillation_spec(config: ExperimentConfig) -> tuple[float, tuple[float, ...], float]:
     """(delta, kappas, outer radius) of an oscillation config.  kappas is a
     non-empty list of finite kappa >= 4, and Q_r(0) and every Q_{r/kappa}(0)
@@ -965,16 +949,17 @@ def run_oscillation_experiments(config: ExperimentConfig) -> ExperimentResult:
     delta, kappas, r_outer = _oscillation_spec(config)
     center = (0.0,) * (grid.d + 1)
 
+    # case: (coefficient kind, its delta, the fitted decay it must reach)
     cases = {
-        "calU_time_coeffs": ("time_piecewise", delta),
-        "U_heat": (None, 1.0),
-        "calUprime_theta_x1": ("x1_piecewise", delta),
+        "calU_time_coeffs": ("time_piecewise", delta, -0.9),
+        "U_heat": (None, 1.0, -0.9),
+        "calUprime_theta_x1": ("x1_piecewise", delta, -0.45),
     }
     rows = []
     failures = []
     decays = {}
     solves = {}
-    for index, (case, (kind, case_delta)) in enumerate(cases.items()):
+    for index, (case, (kind, case_delta, threshold)) in enumerate(cases.items()):
         if kind is None:
             coeffs = identity_coefficients(grid)
         else:
@@ -983,7 +968,7 @@ def run_oscillation_experiments(config: ExperimentConfig) -> ExperimentResult:
             )
         rng = _rng(config.seed, 60 + index)
         data = _localized_bundle(grid, rng, lam)
-        result = _solve_for(coeffs, data, config.solver)
+        result = solve(coeffs, data, config.solver)
         solves[case] = {
             "final_relative_residual": result.final_relative_residual,
             "iterations": result.iterations,
@@ -1018,7 +1003,6 @@ def run_oscillation_experiments(config: ExperimentConfig) -> ExperimentResult:
                     "fitted_decay": report.fitted_decay,
                 }
             )
-        threshold = _OSC_THRESHOLDS[case]
         if report.fitted_decay is None or report.fitted_decay > threshold:
             failures.append(
                 f"case {case}: fitted decay {report.fitted_decay} exceeds {threshold}"

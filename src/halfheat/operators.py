@@ -20,7 +20,7 @@ import numpy as np
 
 from .coefficients import Coefficients, identity_coefficients
 from .grid import Field, Grid, VectorField
-from .timeops import _half_spectrum, _time_multiplier, half_derivative, time_symbol
+from .timeops import _half_spectrum, _time_multiplier, time_symbol
 
 __all__ = [
     "gradient_plus",
@@ -30,7 +30,6 @@ __all__ = [
     "apply_rhs",
     "residual",
     "DataBundle",
-    "SolutionBundle",
     "manufacture_data",
     "reduce_to_identity",
 ]
@@ -206,26 +205,6 @@ def apply_rhs(data: DataBundle) -> Field:
 def residual(coeffs: Coefficients, data: DataBundle, u: Field) -> Field:
     _check_grid(coeffs, u)
     return Field(u.grid, _operator(coeffs, data.lam, u.data) - _rhs(data))
-
-
-@dataclass(frozen=True)
-class SolutionBundle:
-    """A solution together with its derivative components
-    U = (D_t^{1/2} u, D+ u, sqrt(lambda) u)."""
-
-    u: Field
-    half_du: Field
-    grad: VectorField
-    lam: float
-
-    @classmethod
-    def from_field(cls, u: Field, lam: float) -> "SolutionBundle":
-        return cls(u=u, half_du=half_derivative(u), grad=gradient_plus(u), lam=lam)
-
-    def components(self) -> list[np.ndarray]:
-        """Sample arrays of all bundle slots, sqrt(lambda)-weighted."""
-        grad = [c.data for c in self.grad.components]
-        return [self.half_du.data, *grad, np.sqrt(self.lam) * self.u.data]
 
 
 def manufacture_data(coeffs: Coefficients, lam: float, u: Field) -> DataBundle:

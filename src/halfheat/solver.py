@@ -1,6 +1,7 @@
-"""Weak pairing, the twisted coercive form, the constant-coefficient Fourier
-oracle, the exact solve for x1-measurable coefficients, and the matrix-free
-preconditioned Krylov solver with its batched restarted GMRES loop.
+"""Weak pairing, the twisted coercive form, and solve(), whose path the
+coefficient tag picks: the constant-coefficient Fourier oracle, or an exact
+start where the tag gives one (x1-measurable coefficients) and then one
+correction by the batched restarted GMRES loop in the tag's frame.
 
 The oracle divides by the symbol of the exact DISCRETE operator (Nyquist-zeroed
 time symbols, forward-difference spatial symbols), so oracle and iterative
@@ -415,6 +416,41 @@ def _t_frame(coeffs: Coefficients, lam: float):
     return to_frame, from_frame, apply, precondition
 
 
+def _physical_frame(coeffs: Coefficients, lam: float):
+    """GMRES's system for any coefficients in the physical frame, returned as
+    _t_frame returns its own: one row, the flattened field, so the frame maps
+    are reshapes, and P^{-1} the spectral inverse of the mean coefficient
+    operator (constant_mean).  perfbench's traced run names its spans by the
+    closures matvec and psolve that the LinearOperators wrap."""
+    grid = coeffs.grid
+    shape = grid.shape
+    n = int(np.prod(shape))
+    denom = _operator_symbol(grid, coeffs.mean_matrix(), lam)
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        return _operator(coeffs, lam, x.reshape(shape)).ravel()
+
+    def psolve(x: np.ndarray) -> np.ndarray:
+        return _spectral_divide(x.reshape(shape), denom).ravel()
+
+    operator = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    precond = LinearOperator((n, n), matvec=psolve, dtype=np.float64)
+
+    def to_frame(x: np.ndarray) -> np.ndarray:
+        return x.reshape(1, n)
+
+    def from_frame(y: np.ndarray) -> np.ndarray:
+        return y.reshape(shape)
+
+    def precondition(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return precond.matvec(block[0])[None]
+
+    def apply(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return operator.matvec(precond.matvec(block[0]))[None]
+
+    return to_frame, from_frame, apply, precondition
+
+
 # the residual targets of the Krylov rows: their squares sum to
 # (_ETA * rtol * ||b||)^2, so the rounding between the loop's residuals and
 # solve()'s physical check cannot carry an accepted solve above rtol
@@ -568,35 +604,32 @@ def gmres(apply, b, targets, *, restart, max_iterations):
 def solve(
     coeffs: Coefficients, data: DataBundle, options: SolverOptions | None = None
 ) -> SolveResult:
-    """Solve apply_operator(coeffs, lam, u) = rhs, matrix-free, by GMRES
-    right-preconditioned with the spectral inverse P^{-1} of the mean
-    coefficient operator (constant_mean).  The reported residual is the
-    true relative residual, recomputed with the operator.
-
-    Coefficients tagged x1_measurable start from the exact solve _x1_direct;
-    when its true residual meets rtol, no GMRES iteration runs, no
-    preconditioner is built and the result reports iterations = 0, and
-    otherwise GMRES solves for the remaining residual.  Time-measurable
-    coefficients run GMRES in the (t, xi) frame (_t_frame), one row per
-    spatial mode, with per-row targets whose squares sum to
-    (_ETA * rtol * ||b||)^2; the rest run it in the physical frame, as one
-    row with the target _ETA * rtol * ||b||.  Both frames stop on true
-    residuals, which the frame map keeps equal to the physical one.
-    max_iterations and restart apply per row.  SolveResult.method names the
-    path that produced u."""
+    """Solve apply_operator(coeffs, lam, u) = rhs by the path the coefficient
+    tag picks; SolveResult.method names it.  Constant coefficients go to
+    solve_oracle (any lambda >= 0; the options are unused).  Every other tag
+    needs lambda > 0.  x1_measurable coefficients start from the exact
+    _x1_direct; when there is no start or its true residual misses rtol, one
+    GMRES call, right-preconditioned with the constant_mean inverse, solves
+    for the remaining residual in the tag's frame: _t_frame (one row per
+    spatial mode) for time_measurable, else _physical_frame (one row, method
+    "gmres").  The rows' targets have squares summing to
+    (_ETA * rtol * ||b||)^2 and stop on true residuals, which both frame maps
+    keep physical; max_iterations and restart apply per row.  The reported
+    residual is the true relative one, recomputed with the operator."""
     started = time.perf_counter()
     options = options or SolverOptions()
     if coeffs.grid != data.grid:
         raise ValueError("coefficients and data live on different grids")
+    if coeffs.tag == "constant":
+        return solve_oracle(coeffs, data)
     lam = data.lam
     if lam <= 0:
         raise ValueError(
-            "the iterative solver needs lambda > 0 (zero mode non-invertible); "
-            "constant-coefficient lambda = 0 problems go through solve_oracle"
+            f"lambda = 0 leaves the zero mode non-invertible; {coeffs.tag} "
+            "coefficients need lambda > 0 (only constant ones admit lambda = 0)"
         )
     grid = data.grid
     shape = grid.shape
-    n = int(np.prod(shape))
     b = _rhs(data).ravel()
     b_norm = float(np.linalg.norm(b))
     paths = {"time_measurable": "t_frame_gmres", "x1_measurable": "x1_direct"}
@@ -604,48 +637,36 @@ def solve(
     if b_norm == 0.0:
         return _zero_result(grid, started, method)
 
-    def matvec(x: np.ndarray) -> np.ndarray:
-        return _operator(coeffs, lam, x.reshape(shape)).ravel()
+    def residual(x: np.ndarray) -> np.ndarray:
+        return b - _operator(coeffs, lam, x.reshape(shape)).ravel()
 
-    total = _ETA * options.rtol * b_norm
-    krylov = dict(restart=options.restart, max_iterations=options.max_iterations)
-    norms: list[float] = []
-    if method == "t_frame_gmres":
-        to_frame, from_frame, apply, precondition = _t_frame(coeffs, lam)
-        rhs = to_frame(b)
-        w, norms, matvecs = gmres(apply, rhs, _targets(rhs, total), **krylov)
+    x, r, rel, matvecs, norms = None, b, 1.0, 0, []
+    if method == "x1_direct":
+        x = _x1_direct(coeffs, lam, b.reshape(shape)).ravel()
+        r = residual(x)
+        rel = float(np.linalg.norm(r)) / b_norm
+        matvecs = 1
+    if rel > options.rtol:
+        if method == "x1_direct":
+            method = "gmres"
+        frame = _t_frame if method == "t_frame_gmres" else _physical_frame
+        to_frame, from_frame, apply, precondition = frame(coeffs, lam)
+        rhs = to_frame(r)
+        targets = _targets(rhs, _ETA * options.rtol * b_norm)
+        w, norms, used = gmres(
+            apply, rhs, targets, restart=options.restart, max_iterations=options.max_iterations
+        )
         touched = np.flatnonzero(w.any(axis=1))
         y = np.zeros_like(w)
         y[touched] = precondition(w[touched], touched)
-        x = from_frame(y).ravel()
+        correction = from_frame(y).ravel()
         # the frame tables die before the physical check, the solve's peak
         del to_frame, from_frame, apply, precondition, rhs, w, y
-        rel = float(np.linalg.norm(b - matvec(x))) / b_norm
-        matvecs += 1
-    else:
-        x, r, rel, matvecs = np.zeros(n), b, 1.0, 0
-        if method == "x1_direct":
-            x = _x1_direct(coeffs, lam, b.reshape(shape)).ravel()
-            r = b - matvec(x)
-            rel = float(np.linalg.norm(r)) / b_norm
-            matvecs = 1
-        if rel > options.rtol:
-            method = "gmres"
-            operator = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-            denom = _operator_symbol(grid, coeffs.mean_matrix(), lam)
-
-            def psolve(x: np.ndarray) -> np.ndarray:
-                return _spectral_divide(x.reshape(shape), denom).ravel()
-
-            precond = LinearOperator((n, n), matvec=psolve, dtype=np.float64)
-
-            def apply(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
-                return operator.matvec(precond.matvec(block[0]))[None]
-
-            w, norms, used = gmres(apply, r[None], np.array([total]), **krylov)
-            x = x + precond.matvec(w[0])
-            rel = float(np.linalg.norm(b - matvec(x))) / b_norm
-            matvecs += used + 1
+        # a start takes the correction; adding it to zeros would turn its
+        # -0.0 samples into 0.0
+        x = correction if x is None else x + correction
+        rel = float(np.linalg.norm(residual(x))) / b_norm
+        matvecs += used + 1
 
     return SolveResult(
         u=Field(grid, x.reshape(shape)),

