@@ -2,11 +2,11 @@
 
 Experiment subcommands (identities, l2, lp-sweep, tail-decay, oscillation,
 assumptions) run one harness experiment and write trials.csv + summary.json;
-solve and oracle run a single problem described by a JSON config and write the
-solution as HTPF plus a result.json.  Exit code 0 means every assertion
-passed; on failure the process prints a machine-readable JSON failure list and
-exits 1.  Output bytes for experiments depend only on (config, seed); wall
-times appear only in solve/oracle results.
+solve runs a single problem described by a JSON config, by the path its
+coefficient tag picks, and writes the solution as HTPF plus a result.json.
+Exit code 0 means every assertion passed; on failure the process prints a
+machine-readable JSON failure list and exits 1.  Output bytes for experiments
+depend only on (config, seed); wall times appear only in solve results.
 """
 
 from __future__ import annotations
@@ -31,11 +31,9 @@ from .experiments import (
 from .grid import VectorField, _scalar
 from .htpf import write_field
 from .operators import DataBundle
-from .solver import compute_bundles, solve, solve_oracle
+from .solver import compute_bundles, solve
 
 _EXPERIMENT_COMMANDS = tuple(kind.replace("_", "-") for kind in EXPERIMENTS)
-# the 'data' keys of a solve/oracle config
-_DATA_KEYS = ("h", "g", "f")
 
 
 def _apply_grid_overrides(mapping: dict, pairs: list[str]) -> None:
@@ -112,14 +110,14 @@ def _run_experiment(name: str, args: argparse.Namespace) -> int:
     return 0 if result.passed else 1
 
 
-def _build_problem(mapping: dict, name: str = "solve"):
-    mapping = _section(mapping, "config", _CONFIG_KEYS[name])
+def _build_problem(mapping: dict):
+    mapping = _section(mapping, "config", _CONFIG_KEYS["solve"])
     if mapping.get("grid") is None:
         raise ValueError("solve config needs a 'grid' section")
-    grid = _grid_from_spec(mapping["grid"], name)
-    spec = _section(mapping.get("coefficients"), "coefficients", _COEFFICIENT_KEYS[name])
+    grid = _grid_from_spec(mapping["grid"], "solve")
+    spec = _section(mapping.get("coefficients"), "coefficients", _COEFFICIENT_KEYS["solve"])
     coeffs = _coefficients_for(spec, grid, "constant", 0)
-    data_spec = _section(mapping.get("data"), "data", _DATA_KEYS)
+    data_spec = _section(mapping.get("data"), "data", ("h", "g", "f"))
     if not data_spec:
         raise ValueError(
             "solve config needs a 'data' section with h/g/f expressions"
@@ -139,30 +137,27 @@ def _build_problem(mapping: dict, name: str = "solve"):
     return coeffs, data, _solver_options(mapping.get("solver"))
 
 
-def _run_solve(name: str, args: argparse.Namespace) -> int:
+def _run_solve(args: argparse.Namespace) -> int:
     try:
         mapping = _load_config(args.config)
         if not mapping:
-            raise ValueError("solve/oracle need --config PATH")
+            raise ValueError("solve: need --config PATH")
         if args.seed is not None:
             raise ValueError(
-                f"{name} takes no --seed; the config's coefficients.seed sets the seed"
+                "solve takes no --seed; the config's coefficients.seed sets the seed"
             )
         if args.grid:
             _apply_grid_overrides(mapping, args.grid)
-        coeffs, data, options = _build_problem(mapping, name)
-        out_dir = _out_dir(args, mapping, name)
-        if name == "oracle":
-            result = solve_oracle(coeffs, data)
-        else:
-            result = solve(coeffs, data, options)
+        coeffs, data, options = _build_problem(mapping)
+        out_dir = _out_dir(args, mapping, "solve")
+        result = solve(coeffs, data, options)
         norms = compute_bundles(result.u, data, (2.0,))
         out_dir.mkdir(parents=True, exist_ok=True)
         solution_path = out_dir / "u.htpf"
         write_field(solution_path, result.u)
         norm_f = norms["F"][2.0]
         payload = {
-            "command": name,
+            "command": "solve",
             "converged": result.converged,
             "iterations": result.iterations,
             "final_relative_residual": result.final_relative_residual,
@@ -182,7 +177,7 @@ def _run_solve(name: str, args: argparse.Namespace) -> int:
             json.dumps(payload, sort_keys=True, indent=2) + "\n"
         )
     except (OSError, ValueError) as exc:
-        return _fail(name, [str(exc)])
+        return _fail("solve", [str(exc)])
     print(json.dumps(payload))
     return 0 if result.converged else 1
 
@@ -194,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         "trials, decay regressions, assumption scans, and single solves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _EXPERIMENT_COMMANDS + ("solve", "oracle"):
+    for name in _EXPERIMENT_COMMANDS + ("solve",):
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="JSON config file (see README schema)")
         cmd.add_argument("--seed", type=int, help="override the config seed")
@@ -207,9 +202,7 @@ def main(argv: list[str] | None = None) -> int:
             help="grid override (d, n_t, n_x, l_t, l_x); repeatable",
         )
     args = parser.parse_args(argv)
-    if args.command in ("solve", "oracle"):
-        return _run_solve(args.command, args)
-    return _run_experiment(args.command, args)
+    return _run_solve(args) if args.command == "solve" else _run_experiment(args.command, args)
 
 
 if __name__ == "__main__":

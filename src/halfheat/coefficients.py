@@ -227,7 +227,7 @@ def generate_coefficients(
     * ``constant``: one admissible matrix (roughness_scale unused)
     * ``time_piecewise``: number of jumps in time (default 4, at most n_t)
     * ``x1_piecewise``: number of jumps along x1 (default 4, at most n_x[0])
-    * ``checkerboard``: oscillation amplitude epsilon; the pattern is
+    * ``checkerboard``: amplitude epsilon (default 0.5*(1-delta)); the pattern is
       (1 + eps*sign) * identity with sign alternating on cells of physical
       size ``cell_size`` (default: smallest period / 8) along every axis
     * ``smooth``: modulation amplitude (default 0.5*(1-delta)) applied to a
@@ -271,9 +271,7 @@ def generate_coefficients(
         )
 
     if kind == "checkerboard":
-        if roughness_scale is None:
-            raise ValueError("checkerboard needs roughness_scale = epsilon")
-        eps = float(roughness_scale)
+        eps = float(roughness_scale) if roughness_scale is not None else 0.5 * (1.0 - delta)
         eps_max = 1.0 - delta
         if not 0.0 < eps <= eps_max:
             raise ValueError(

@@ -94,7 +94,6 @@ _DEFAULT_GRIDS = {
     "oscillation": dict(d=1, n_t=4096, n_x=512, l_t=4.0, l_x=4.0),
     "assumptions": dict(d=1, n_t=64, n_x=64, l_t=2.0, l_x=2.0),
     "solve": dict(d=1, n_t=64, n_x=64, l_t=2.0, l_x=2.0),
-    "oracle": dict(d=1, n_t=64, n_x=64, l_t=2.0, l_x=2.0),
 }
 
 
@@ -113,7 +112,6 @@ _CONFIG_KEYS = {
     "oscillation": ("experiment", "grid", "coefficients", "lambdas", "solver", "seed", "out"),
     "assumptions": ("experiment", "grid", "coefficients", "seed", "out"),
     "solve": ("grid", "coefficients", "data", "lambda", "solver", "out"),
-    "oracle": ("grid", "coefficients", "data", "lambda", "out"),
 }
 # the 'coefficients' keys each command that has that section reads; any other
 # key is an error
@@ -125,7 +123,6 @@ _COEFFICIENT_KEYS = {
     "oscillation": ("delta", "kappas", "outer_radius"),
     "assumptions": ("delta", "epsilon", "r_zero"),
     "solve": _SPEC_KEYS + ("file",),
-    "oracle": _SPEC_KEYS + ("file",),
 }
 
 
@@ -422,15 +419,9 @@ def _identity_trial(config: ExperimentConfig, trial: int) -> list[dict]:
     phi = random_band_limited_field(grid, rng)
 
     kind = _ROUGH_KINDS[trial % 4]
-    scale = None
-    if kind == "checkerboard":
-        if delta == 1.0:
-            kind = "constant"
-        else:
-            scale = 0.5 * (1.0 - delta)
-    rough = generate_coefficients(
-        kind, delta, _trial_seed(config.seed, trial, 1), grid, roughness_scale=scale
-    )
+    if kind == "checkerboard" and delta == 1.0:
+        kind = "constant"  # at delta = 1 no checkerboard amplitude is admissible
+    rough = generate_coefficients(kind, delta, _trial_seed(config.seed, trial, 1), grid)
     constant = generate_coefficients(
         "constant", delta, _trial_seed(config.seed, trial, 2), grid
     )
@@ -666,11 +657,10 @@ def _sweep_coefficients(
     config: ExperimentConfig, grid: Grid, kind: str, kind_index: int, trial: int
 ) -> Coefficients:
     """The sweep's coefficients of one kind; checkerboard draws default to
-    delta = 0.25 and amplitude epsilon = (1 - delta) / 2."""
+    delta = 0.25 (and to the generator's amplitude epsilon = (1 - delta) / 2)."""
     spec = dict(config.coefficients, kind=kind)
     if kind == "checkerboard":
-        delta = spec.setdefault("delta", 0.25)
-        spec.setdefault("epsilon", 0.5 * (1.0 - _scalar(delta, "delta")))
+        spec.setdefault("delta", 0.25)
     return _coefficients_for(spec, grid, kind, _trial_seed(config.seed, kind_index, trial, 3))
 
 

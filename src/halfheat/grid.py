@@ -260,7 +260,15 @@ def _lp(samples: np.ndarray, p: float, cell_measure: float) -> float:
         return float(np.max(np.abs(samples)))
     if p < 1:
         raise ValueError(f"p must satisfy p >= 1, got {p}")
-    return float((np.sum(np.abs(samples) ** p) * cell_measure) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        power = np.sum(np.abs(samples) ** p) * cell_measure
+    if not np.finfo(np.float64).tiny <= power < np.inf:
+        # the p-th powers underflowed or overflowed: divide out the peak first
+        peak = float(np.max(np.abs(samples), initial=0.0))
+        if 0.0 < peak < np.inf:
+            scaled = np.sum((np.abs(samples) / peak) ** p) * cell_measure
+            return peak * float(scaled ** (1.0 / p))
+    return float(power ** (1.0 / p))
 
 
 def lp_norm(field: Field, p: float) -> float:

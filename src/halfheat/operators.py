@@ -102,6 +102,15 @@ def _solution_parts(grid: Grid, u: np.ndarray, lam: float) -> list[np.ndarray]:
     return [half, *_gradient(grid, u), np.sqrt(lam) * u]
 
 
+def _data_parts(data: DataBundle) -> list[np.ndarray]:
+    """The bundle slots (h, g components, f/sqrt(lambda)), with no f slot at
+    lambda = 0 (f vanishes then)."""
+    parts = [data.h.data, *(c.data for c in data.g.components)]
+    if data.lam > 0:
+        parts.append(data.f.data / np.sqrt(data.lam))
+    return parts
+
+
 def _operator_parts(
     coeffs: Coefficients, lam: float, u: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:

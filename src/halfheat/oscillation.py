@@ -18,6 +18,7 @@ from .grid import Field, Grid
 from .operators import (
     DataBundle,
     _check_grid,
+    _data_parts,
     _flux,
     _gradient,
     _operator_parts,
@@ -175,11 +176,6 @@ def theta_field(coeffs: Coefficients, u: Field) -> Field:
     return Field(u.grid, _flux(coeffs.data, _gradient(u.grid, u.data))[0])
 
 
-def _data_squared(data: DataBundle) -> np.ndarray:
-    total = _square_sum([data.h.data] + [c.data for c in data.g.components])
-    return total + data.f.data ** 2 / data.lam if data.lam > 0 else total
-
-
 def _checked_parts(
     coeffs: Coefficients, data: DataBundle, u: Field
 ) -> tuple[float, list[np.ndarray], np.ndarray]:
@@ -245,7 +241,7 @@ def verify_local_estimate(
     samples = _cylinder_samples(u_sq, grid, Cylinder(origin, r=radius))
     lhs = math.sqrt(max(float(samples.mean()), 0.0))
     terms_used = min(_LOCAL_TERMS, max_tail_terms(grid, radius, 1.0))
-    f_sq = _data_squared(data)
+    f_sq = _square_sum(_data_parts(data))
     rhs = _tail_sum(f_sq, grid, radius, 1.0, origin, terms_used) if terms_used else 0.0
     trivial = lhs == 0.0 and rhs == 0.0
     n_emp = lhs / rhs if rhs > 0 else None
@@ -327,7 +323,7 @@ def verify_mean_oscillation(
         theta = 0.5
     rhs_arrays = grad_arrays + [weighted_u]
 
-    f_sq = _data_squared(data)
+    f_sq = _square_sum(_data_parts(data))
     outer = Cylinder(center, r=r)
     rows = []
     truncated = False

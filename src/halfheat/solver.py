@@ -27,6 +27,7 @@ from .coefficients import Coefficients
 from .grid import Field, Grid, _integer, _lp, inner, zeros
 from .operators import (
     DataBundle,
+    _data_parts,
     _flux,
     _gradient,
     _operator,
@@ -606,12 +607,13 @@ def solve(
 ) -> SolveResult:
     """Solve apply_operator(coeffs, lam, u) = rhs by the path the coefficient
     tag picks; SolveResult.method names it.  Constant coefficients go to
-    solve_oracle (any lambda >= 0; the options are unused).  Every other tag
-    needs lambda > 0.  x1_measurable coefficients start from the exact
-    _x1_direct; when there is no start or its true residual misses rtol, one
-    GMRES call, right-preconditioned with the constant_mean inverse, solves
-    for the remaining residual in the tag's frame: _t_frame (one row per
-    spatial mode) for time_measurable, else _physical_frame (one row, method
+    solve_oracle (any lambda >= 0; converged when its residual meets rtol).
+    Every other tag needs lambda > 0.  x1_measurable coefficients start from
+    the exact _x1_direct, unless it is not finite (a zero pivot); when there
+    is no start or its true residual misses rtol, one GMRES call,
+    right-preconditioned with the constant_mean inverse, solves for the
+    remaining residual in the tag's frame: _t_frame (one row per spatial
+    mode) for time_measurable, else _physical_frame (one row, method
     "gmres").  The rows' targets have squares summing to
     (_ETA * rtol * ||b||)^2 and stop on true residuals, which both frame maps
     keep physical; max_iterations and restart apply per row.  The reported
@@ -621,7 +623,8 @@ def solve(
     if coeffs.grid != data.grid:
         raise ValueError("coefficients and data live on different grids")
     if coeffs.tag == "constant":
-        return solve_oracle(coeffs, data)
+        result = solve_oracle(coeffs, data)
+        return replace(result, converged=result.final_relative_residual <= options.rtol)
     lam = data.lam
     if lam <= 0:
         raise ValueError(
@@ -642,10 +645,13 @@ def solve(
 
     x, r, rel, matvecs, norms = None, b, 1.0, 0, []
     if method == "x1_direct":
-        x = _x1_direct(coeffs, lam, b.reshape(shape)).ravel()
-        r = residual(x)
-        rel = float(np.linalg.norm(r)) / b_norm
+        with np.errstate(all="ignore"):  # a zero pivot: the start is dropped below
+            x = _x1_direct(coeffs, lam, b.reshape(shape)).ravel()
+            r = residual(x)
+            rel = float(np.linalg.norm(r)) / b_norm
         matvecs = 1
+        if not np.isfinite(rel):
+            x, r, rel = None, b, 1.0
     if rel > options.rtol:
         if method == "x1_direct":
             method = "gmres"
@@ -710,11 +716,9 @@ def compute_bundles(
     f/sqrt(lambda) slot omitted when lambda = 0 (f vanishes then)."""
     if u.grid != data.grid:
         raise ValueError("solution and data live on different grids")
-    f_parts = [data.h.data] + [c.data for c in data.g.components]
-    if data.lam > 0:
-        f_parts.append(data.f.data / np.sqrt(data.lam))
+    bundles = (("U", _solution_parts(u.grid, u.data, data.lam)), ("F", _data_parts(data)))
     norms = {}
-    for key, parts in (("U", _solution_parts(u.grid, u.data, data.lam)), ("F", f_parts)):
+    for key, parts in bundles:
         magnitude = np.sqrt(_square_sum(parts))
         norms[key] = {p: _lp(magnitude, p, u.grid.cell_measure) for p in p_list}
     return norms

@@ -6,8 +6,10 @@ halfheat` entry point.
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,8 @@ from halfheat.cli import _build_problem, main
 from halfheat.experiments import _CONFIG_KEYS, _coefficients_for
 from halfheat.grid import make_grid
 from halfheat.coefficients import generate_coefficients
-from halfheat.htpf import read_field, write_coefficients
+from halfheat.htpf import read_field, write_coefficients, write_field
+from halfheat.solver import solve_oracle
 
 
 def _run(capsys, argv):
@@ -150,9 +153,11 @@ def test_solve_needs_a_config(capsys):
 
 
 def test_solve_and_oracle(tmp_path, capsys):
+    """solve sends constant coefficients to the spectral oracle, and the
+    same matrix tagged general to physical-frame GMRES."""
     config = _write_config(tmp_path, "solve.json", SOLVE_CONFIG)
     code, report = _run(
-        capsys, ["oracle", "--config", str(config), "--out", str(tmp_path / "orc")]
+        capsys, ["solve", "--config", str(config), "--out", str(tmp_path / "orc")]
     )
     assert code == 0
     assert report["converged"] is True
@@ -171,17 +176,20 @@ def test_solve_and_oracle(tmp_path, capsys):
     # the oracle applies the operator once, for its residual
     assert disk["residual_history"] == [] and disk["matvecs"] == 1
 
-    # solve picks the oracle for constant coefficients: the same bytes
-    code, report = _run(
-        capsys, ["solve", "--config", str(config), "--out", str(tmp_path / "sol")]
-    )
-    assert code == 0
-    assert report["method"] == "oracle" and report["iterations"] == 0
-    solved = (tmp_path / "sol" / "u.htpf").read_bytes()
-    assert solved == (tmp_path / "orc" / "u.htpf").read_bytes()
+    # u.htpf holds the bytes of solve_oracle's solution, at lambda = 0 too
+    for lam, f in ((2.0, "0.5"), (1.0, "0.5"), (0.0, "0")):
+        mapping = dict(SOLVE_CONFIG, data=dict(SOLVE_CONFIG["data"], f=f), **{"lambda": lam})
+        out = tmp_path / f"sol{lam}"
+        config = _write_config(tmp_path, "lam.json", mapping)
+        code, report = _run(capsys, ["solve", "--config", str(config), "--out", str(out)])
+        assert code == 0
+        assert report["method"] == "oracle" and report["iterations"] == 0
+        coeffs, data, _ = _build_problem(mapping)
+        write_field(tmp_path / "oracle.htpf", solve_oracle(coeffs, data).u)
+        assert (out / "u.htpf").read_bytes() == (tmp_path / "oracle.htpf").read_bytes()
 
     # the same matrix tagged general goes through physical-frame GMRES
-    coeffs, _, _ = _build_problem(SOLVE_CONFIG, "solve")
+    coeffs, _, _ = _build_problem(SOLVE_CONFIG)
     sidecar = write_coefficients(tmp_path / "a", dataclasses.replace(coeffs, tag="general"))
     general = _write_config(
         tmp_path, "general.json", dict(SOLVE_CONFIG, coefficients={"file": str(sidecar)})
@@ -266,6 +274,32 @@ def test_subcommand_is_required():
     assert info.value.code == 2
 
 
+def test_oracle_is_no_subcommand(capsys):
+    """The oracle is solve's path for constant coefficients, not a command:
+    `halfheat oracle` fails as any unknown subcommand does."""
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", "--config", "c.json"])
+    assert info.value.code == 2
+    assert "invalid choice: 'oracle'" in capsys.readouterr().err
+
+
+def test_readme_key_table_matches_the_commands(capsys):
+    """README's top-level-keys table has one row per CLI subcommand, each
+    listing exactly the keys that command reads."""
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    commands = re.search(r"\{([a-z0-9,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command | top-level keys |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        command, keys = line.strip("|").split("|")
+        rows[command.strip().strip("`")] = sorted(re.findall(r"`(\w+)`", keys))
+    assert sorted(rows) == sorted(commands)
+    for command, keys in rows.items():
+        assert keys == sorted(_CONFIG_KEYS[command.replace("-", "_")]), command
+
+
 def test_module_entry_point(tmp_path):
     config = tmp_path / "id.json"
     config.write_text(json.dumps(SMALL_IDENTITIES))
@@ -302,13 +336,11 @@ def test_partial_grid_override_keeps_the_command_default(tmp_path, capsys):
 
 
 def test_partial_solve_grid_fills_from_the_default(tmp_path, capsys):
-    """solve/oracle take missing grid keys from the 64x64 default grid."""
-    for name, grid in (("solve", {"d": 1}), ("oracle", {"n_t": 32})):
-        config = _write_config(
-            tmp_path, f"{name}.json", dict(SOLVE_CONFIG, grid=grid)
-        )
-        out = tmp_path / name
-        code, report = _run(capsys, [name, "--config", str(config), "--out", str(out)])
+    """solve takes missing grid keys from the 64x64 default grid."""
+    for index, grid in enumerate(({"d": 1}, {"n_t": 32})):
+        config = _write_config(tmp_path, f"{index}.json", dict(SOLVE_CONFIG, grid=grid))
+        out = tmp_path / str(index)
+        code, report = _run(capsys, ["solve", "--config", str(config), "--out", str(out)])
         assert code == 0, report
         u = read_field(out / "u.htpf")
         assert (u.grid.n_t, u.grid.n_x, u.grid.l_t) == (grid.get("n_t", 64), (64,), 2.0)
@@ -515,14 +547,19 @@ _COMMANDS = ("identities", "l2", "lp-sweep", "tail-decay", "oscillation", "assum
         ("assumptions", {"coefficients": {"seed": 3}}, "coefficients key 'seed'"),
     ]
     + [
-        (command, edit, key)
-        for command in ("solve", "oracle")
+        ("solve", edit, key)
         for edit, key in (
             ({"lamda": 1.0}, "config key 'lamda'"),
             ({"seed": 1}, "config key 'seed'"),
             ({"coefficients": {"sead": 3}}, "coefficients key 'sead'"),
             ({"coefficients": {"roughness_scale": 0.3}}, "coefficients key 'roughness_scale'"),
             ({"data": {"hh": "0"}}, "data key 'hh'"),
+            # five keys of other sections, which keep the ids of the cases below
+            ({"grid": {"nt": 16}}, "grid key 'nt'"),
+            ({"solver": {"tol": 1e-6}}, "solver key 'tol'"),
+            ({"coefficients": {"kinds": ["smooth"]}}, "coefficients key 'kinds'"),
+            ({"coefficients": {"r_zero": 0.5}}, "coefficients key 'r_zero'"),
+            ({"data": {"g1": "0"}}, "data key 'g1'"),
         )
     ]
     # top-level keys each of these commands used to accept and never read
@@ -542,14 +579,13 @@ _COMMANDS = ("identities", "l2", "lp-sweep", "tail-decay", "oscillation", "assum
             ("assumptions", "p_list", [2.0]),
             ("assumptions", "trials", 2),
             ("assumptions", "solver", {}),
-            ("oracle", "solver", {"rtol": 0.5, "max_iterations": 1}),
         )
     ],
 )
 def test_unknown_keys_fail_naming_the_key(tmp_path, capsys, command, edit, key):
     """A key the command does not read, at the top level or in 'coefficients'
     or 'data', is a one-line JSON failure naming it, not a silent default."""
-    base = SOLVE_CONFIG if command in ("solve", "oracle") else SMALL_EXPERIMENT
+    base = SOLVE_CONFIG if command == "solve" else SMALL_EXPERIMENT
     mapping = {**base, **edit}
     for section in ("coefficients", "data"):
         if section in base and section in edit:
@@ -589,7 +625,7 @@ def test_each_command_accepts_exactly_its_top_level_keys(tmp_path, capsys, kind,
     other is a one-line JSON failure naming it, with exit 1, before any work."""
     command = kind.replace("_", "-")
     keys = _CONFIG_KEYS[kind]
-    if kind in ("solve", "oracle"):
+    if kind == "solve":
         mapping = dict(SOLVE_CONFIG)
     else:
         mapping = {"grid": _GRIDS.get(kind, {"n_t": 16, "n_x": 16})}
@@ -668,9 +704,9 @@ def test_empty_sweep_kinds_fail(tmp_path, capsys):
     assert report["failures"] == ["'kinds' must name at least one kind, got []"]
 
 
-@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize("command", ["solve"])
 def test_solve_seed_flag_fails(tmp_path, capsys, command):
-    """solve and oracle used to accept --seed and ignore it."""
+    """solve used to accept --seed and ignore it."""
     config = _write_config(tmp_path, "solve.json", SOLVE_CONFIG)
     argv = [command, "--config", str(config), "--seed", "2", "--out", str(tmp_path / "o")]
     code = main(argv)
@@ -695,7 +731,7 @@ def test_sweep_kind_beside_kinds_fails(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize("command", ["solve"])
 @pytest.mark.parametrize(
     "key, value",
     [("kind", "smooth"), ("delta", 0.5), ("seed", 3), ("n_jumps", 4), ("epsilon", 0.3),

@@ -140,8 +140,13 @@ def test_checkerboard_pattern_and_epsilon_gate():
         generate_coefficients(
             kind="checkerboard", delta=0.5, seed=0, grid=g, roughness_scale=0.75
         )
-    with pytest.raises(ValueError, match="needs roughness_scale"):
-        generate_coefficients(kind="checkerboard", delta=0.5, seed=0, grid=g)
+    # epsilon defaults to (1 - delta) / 2, as the smooth amplitude does
+    default = generate_coefficients(kind="checkerboard", delta=0.5, seed=0, grid=g)
+    assert default.generator["epsilon"] == 0.25
+    assert set(np.unique(default.data[0, 0])) == {0.75, 1.25}
+    # at delta = 1 that default is 0, which no checkerboard admits
+    with pytest.raises(ValueError, match="checkerboard epsilon 0.0 not admissible"):
+        generate_coefficients(kind="checkerboard", delta=1.0, seed=0, grid=g)
 
 
 @pytest.mark.parametrize(

@@ -154,6 +154,16 @@ def test_lp_norm_special_cases():
         lp_norm(u, 0.5)
 
 
+@pytest.mark.parametrize("value", [30.0, 0.3])
+def test_lp_norm_at_large_finite_p(value):
+    """|u|^700 overflows at 30 and underflows at 0.3, yet the norm of a
+    constant is |u| (samples * cell measure)^(1/p), with no RuntimeWarning."""
+    g = make_grid(d=1, n_t=8, n_x=8, l_t=2.0, l_x=3.0)
+    u = Field(g, np.full(g.shape, value))
+    expected = value * (g.n_t * g.n_x[0] * g.cell_measure) ** (1.0 / 700)
+    assert lp_norm(u, 700.0) == pytest.approx(expected, rel=1e-12)
+
+
 @settings(max_examples=25)
 @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
 def test_inner_is_bilinear_and_symmetric(seed, c):

@@ -869,6 +869,49 @@ def test_solve_sends_constant_coefficients_to_the_oracle(lam):
     assert (solved.iterations, solved.matvecs, solved.converged) == (0, 1, True)
 
 
+def test_solve_judges_the_oracle_by_rtol():
+    """At lambda = 1e-20 the data's f makes u's mean 1e20, and float64 loses
+    its O(1) part: the oracle's residual is O(1).  solve used to report such
+    a result converged; it now compares the residual with rtol."""
+    g = _grid(n_t=16, n_x=16, l_t=2.0)
+    a = generate_coefficients(kind="constant", delta=0.5, seed=0, grid=g)
+    t, x1 = g.coordinate_mesh()
+    ones = np.ones(g.shape)
+    data = DataBundle(
+        h=Field(g, np.cos(np.pi * t) * ones),
+        g=VectorField((Field(g, np.sin(np.pi * x1) * ones),)),
+        f=Field(g, ones),
+        lam=1e-20,
+    )
+    result = solve(a, data)
+    assert result.method == "oracle"
+    assert result.final_relative_residual > 0.5 and not result.converged
+    assert solve(a, dataclasses.replace(data, lam=1.0)).converged
+
+
+def test_non_finite_x1_start_falls_back_to_gmres():
+    """At lambda = 1e-14 the periodic sweep of this 64^3 draw meets a zero
+    pivot, so its start is not finite.  solve used to skip the correction
+    (a NaN residual is not above rtol) and fail building the Field; it now
+    drops the start and corrects from zero, raising no RuntimeWarning."""
+    g = make_grid(d=2, n_t=64, n_x=64, l_t=2.0, l_x=2.0)
+    a = generate_coefficients(kind="x1_piecewise", delta=0.5, seed=0, grid=g)
+    t, x1, _ = g.coordinate_mesh()
+    ones = np.ones(g.shape)
+    data = DataBundle(
+        h=Field(g, np.cos(np.pi * t) * ones),
+        g=VectorField((Field(g, np.sin(np.pi * x1) * ones), zeros(g))),
+        f=zeros(g),
+        lam=1e-14,
+    )
+    with np.errstate(all="ignore"):
+        start = solver_module._x1_direct(a, data.lam, apply_rhs(data).data)
+    assert not np.isfinite(start).all()
+    result = solve(a, data)
+    assert result.method == "gmres"
+    assert result.converged and result.final_relative_residual <= SolverOptions().rtol
+
+
 def test_solver_options_misuse():
     with pytest.raises(ValueError):
         SolverOptions(rtol=0.0)
