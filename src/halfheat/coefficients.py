@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
 
 from .grid import Grid, _integer
 
@@ -377,11 +376,10 @@ def _ball_indices(shape: tuple[int, ...], center, offsets: np.ndarray) -> np.nda
     )
 
 
-def _time_window_size(grid: Grid, radius: float) -> int:
-    """Odd count of time samples with |s| < radius^2."""
-    m = int(math.ceil(radius**2 / grid.dt - 1e-12))
-    m = min(m, grid.n_t // 2)
-    return max(1, 2 * m - 1)
+def _time_half_width(grid: Grid, radius: float) -> int:
+    """Largest m with m*dt < radius^2: the time samples with |s| < radius^2
+    are the offsets -m..m."""
+    return int(math.ceil(radius**2 / grid.dt - 1e-12)) - 1
 
 
 def _scan_radii(grid: Grid, r_zero: float) -> list[float]:
@@ -398,7 +396,8 @@ def _scan_radii(grid: Grid, r_zero: float) -> list[float]:
 
 
 def _validate_r0(grid: Grid, r_zero: float) -> None:
-    if r_zero <= 0:
+    # R0^2 <= l_t / 4 keeps a scan's time window to at most n_t / 4 samples each side
+    if not r_zero > 0:
         raise ValueError("R0 must be positive")
     if r_zero > min(grid.l_x) / 4.0:
         raise ValueError(
@@ -426,9 +425,11 @@ def _scan(
 
     Radii are dyadic {R0, R0/2, ...} down to the grid resolution; centers are
     a strided space-time lattice with strides of about half the cylinder
-    extent.  ``deviation(coeffs, r, t_centers)`` returns the per-center
-    function mapping a spatial center index to the (d*d, len(t_centers))
-    cylinder means of the checker's oscillation.
+    extent.  ``t_windows`` holds, per time center, the wrapped indices of
+    the time samples with |s| < r^2 around it, shape (n_centers, 2m + 1).
+    ``deviation(coeffs, r, t_windows)`` returns the per-center function
+    mapping a spatial center index to the (d*d, n_centers) cylinder means
+    of the checker's oscillation.
     """
     grid = coeffs.grid
     _validate_r0(grid, r_zero)
@@ -439,7 +440,9 @@ def _scan(
     for r in radii:
         stride_t = max(1, int(round(r * r / (2.0 * grid.dt))))
         t_centers = np.arange(0, grid.n_t, stride_t)
-        means_at = deviation(coeffs, r, t_centers)
+        m = _time_half_width(grid, r)
+        t_windows = (t_centers[:, None] + np.arange(-m, m + 1)) % grid.n_t
+        means_at = deviation(coeffs, r, t_windows)
         level_max = -1.0
         for center in _spatial_centers(grid, r):
             level_max = max(level_max, float(means_at(center).max()))
@@ -458,23 +461,26 @@ def _scan(
     )
 
 
-def _time_deviation(coeffs: Coefficients, r: float, t_centers: np.ndarray):
+def _time_deviation(coeffs: Coefficients, r: float, t_windows: np.ndarray):
+    """Per spatial center: the mean over each time window of the ball mean
+    of |a_ij(s, y) - mean_{B_r} a_ij(s, .)|."""
     grid = coeffs.grid
     data = coeffs.data.reshape(grid.d**2, grid.n_t, -1)  # flat spatial index
     offsets = _ball_offsets(grid, r)
-    w = _time_window_size(grid, r)
 
     def means(center: np.ndarray) -> np.ndarray:
         ball = data[:, :, _ball_indices(grid.n_x, center, offsets)]
         bar = ball.mean(axis=-1, keepdims=True)
         dev = np.abs(ball - bar).mean(axis=-1)  # (d*d, n_t)
-        windowed = uniform_filter1d(dev, size=w, axis=-1, mode="wrap")
-        return windowed[:, t_centers]
+        return dev[:, t_windows].mean(axis=-1)
 
     return means
 
 
-def _x1_deviation(coeffs: Coefficients, r: float, t_centers: np.ndarray):
+def _x1_deviation(coeffs: Coefficients, r: float, t_windows: np.ndarray):
+    """Per spatial center: the cylinder mean of |a_ij - reference|, where
+    the reference at y1 averages a_ij over the center's time window and
+    B'_r(x') at frozen y1."""
     grid = coeffs.grid
     n1 = grid.n_x[0]
     prime_shape = grid.n_x[1:]
@@ -483,18 +489,13 @@ def _x1_deviation(coeffs: Coefficients, r: float, t_centers: np.ndarray):
     data = flat.reshape(grid.d**2, grid.n_t, n1, -1)
     offsets = _ball_offsets(grid, r)
     prime_offsets = _ball_offsets(grid, r, first_axis=1)
-    w = _time_window_size(grid, r)
-    half_w = (w - 1) // 2
-    t_windows = (t_centers[:, None] + np.arange(-half_w, half_w + 1)) % grid.n_t
 
     def means(center: np.ndarray) -> np.ndarray:
         pidx = _ball_indices(prime_shape, center[1:], prime_offsets)
         slab = data[:, :, :, pidx].mean(axis=-1)  # x1 profile, mean over B'
-        # reference profile per time center: window-mean of slab
-        profile = uniform_filter1d(slab, size=w, axis=1, mode="wrap")
         ball_y1 = (center[0] + offsets[:, 0]) % n1
         cyl = flat[:, :, _ball_indices(grid.n_x, center, offsets)]  # (d*d, n_t, n_ball)
-        ref = profile[:, t_centers][:, :, ball_y1]  # (d*d, n_tc, n_ball)
+        ref = slab[:, t_windows].mean(axis=2)[:, :, ball_y1]  # (d*d, n_tc, n_ball)
         dev = np.abs(cyl[:, t_windows, :] - ref[:, :, None, :])
         return dev.mean(axis=(2, 3))
 

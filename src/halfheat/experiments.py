@@ -348,9 +348,10 @@ def _coefficients_for(
 ) -> Coefficients:
     """The coefficients of a config's coefficient spec: the HTPF stack its
     'file' names, or generate_coefficients of its kind (default_kind), delta
-    (1.0) and seed (default_seed).  n_jumps is the jump count of the
-    piecewise kinds and epsilon the amplitude of checkerboard and smooth;
-    each kind ignores the other's key.  A 'file' spec holds no other key."""
+    (1.0; 0.25 for checkerboard, which admits no amplitude at delta = 1) and
+    seed (default_seed).  n_jumps is the jump count of the piecewise kinds
+    and epsilon the amplitude of checkerboard and smooth; each kind ignores
+    the other's key.  A 'file' spec holds no other key."""
     if "file" in spec:
         unread = [key for key in _SPEC_KEYS if key in spec]
         if unread:
@@ -372,7 +373,7 @@ def _coefficients_for(
         options["cell_size"] = _scalar(spec["cell_size"], "cell_size")
     return generate_coefficients(
         kind,
-        _scalar(spec.get("delta", 1.0), "delta"),
+        _scalar(spec.get("delta", 0.25 if kind == "checkerboard" else 1.0), "delta"),
         default_seed if seed is None else _integer(seed, "seed"),
         grid,
         **options,
@@ -656,11 +657,8 @@ def _doubled(grid: Grid) -> Grid:
 def _sweep_coefficients(
     config: ExperimentConfig, grid: Grid, kind: str, kind_index: int, trial: int
 ) -> Coefficients:
-    """The sweep's coefficients of one kind; checkerboard draws default to
-    delta = 0.25 (and to the generator's amplitude epsilon = (1 - delta) / 2)."""
+    """The sweep's coefficients of one kind, from the config's spec."""
     spec = dict(config.coefficients, kind=kind)
-    if kind == "checkerboard":
-        spec.setdefault("delta", 0.25)
     return _coefficients_for(spec, grid, kind, _trial_seed(config.seed, kind_index, trial, 3))
 
 

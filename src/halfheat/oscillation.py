@@ -52,9 +52,9 @@ class Cylinder:
     s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.r <= 0:
+        if not self.r > 0:
             raise ValueError(f"cylinder needs r > 0, got {self.r}")
-        if self.s is not None and self.s <= 0:
+        if self.s is not None and not self.s > 0:
             raise ValueError(f"cylinder needs s > 0, got {self.s}")
 
     @property

@@ -268,6 +268,29 @@ def test_mixed_sweep_reads_each_kind_its_own_key(tmp_path, capsys):
     assert (coeffs.data == checkerboard.data).all()
 
 
+def test_checkerboard_spec_without_delta_draws_at_a_quarter(tmp_path, capsys):
+    """Every command that reads a coefficient spec draws a checkerboard with
+    no delta at delta = 0.25: at delta = 1 no amplitude is admissible.  An
+    explicit delta = 1 still fails with the generator's message."""
+    spec = {"kind": "checkerboard"}
+    config = _write_config(tmp_path, "l2.json", dict(SMALL_EXPERIMENT, coefficients=spec, trials=3))
+    code, report = _run(capsys, ["l2", "--config", str(config), "--out", str(tmp_path / "l2")])
+    assert code == 0, report
+    coeffs, _, _ = _build_problem(dict(SOLVE_CONFIG, coefficients=spec))
+    assert coeffs.generator["delta"] == 0.25
+    config = _write_config(tmp_path, "solve.json", dict(SOLVE_CONFIG, coefficients=spec))
+    code, report = _run(capsys, ["solve", "--config", str(config), "--out", str(tmp_path / "s")])
+    assert code == 0 and report["converged"] is True, report
+    config = _write_config(
+        tmp_path, "l2_unit.json", dict(SMALL_EXPERIMENT, coefficients=dict(spec, delta=1))
+    )
+    code, report = _run(capsys, ["l2", "--config", str(config), "--out", str(tmp_path / "l2_unit")])
+    assert code == 1
+    assert report["failures"] == [
+        "checkerboard epsilon 0.0 not admissible for delta=1.0; maximal admissible epsilon is 0.0"
+    ]
+
+
 def test_subcommand_is_required():
     with pytest.raises(SystemExit) as info:
         main([])

@@ -190,8 +190,10 @@ def test_constant_matrix_requires_constant_tag():
 def test_r_zero_validation():
     g = _grid()
     coeffs = identity_coefficients(g)
-    with pytest.raises(ValueError, match="must be positive"):
-        check_assumption_time(coeffs, r_zero=-1.0)
+    # NaN fails as not positive, not as below the grid resolution
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="must be positive"):
+            check_assumption_time(coeffs, r_zero=bad)
     with pytest.raises(ValueError, match="min spatial period / 4"):
         check_assumption_time(coeffs, r_zero=0.9)
     tall = identity_coefficients(_grid(l_t=0.25, l_x=8.0))

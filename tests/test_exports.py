@@ -1,10 +1,14 @@
 """Export lists stay honest: every name a module lists in ``__all__`` exists,
 and every name the package re-exports is listed by the module it comes from.
-A deleted function that an export list still names fails here."""
+A deleted function that an export list still names fails here.  The package
+binds scipy in one place only, and importing it loads no other scipy part."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +66,38 @@ def test_names_perfbench_binds_resolve():
         assert callable(experiments.get(name)), f"experiments.{name}"
     solver = vars(importlib.import_module("halfheat.solver"))
     assert "gmres" in solver and "LinearOperator" in solver
+
+
+def _imports_scipy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    else:
+        return False
+    return any(name.split(".")[0] == "scipy" for name in names)
+
+
+def test_only_the_solver_imports_scipy():
+    """The package is numpy only but for one module-level scipy import in
+    solver.py: the LinearOperator binding that perfbench's traced run wraps."""
+    found = []
+    for path in sorted(Path(halfheat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [
+            (path.name, node in tree.body) for node in ast.walk(tree) if _imports_scipy(node)
+        ]
+    assert found == [("solver.py", True)]
+
+
+def test_import_leaves_scipy_ndimage_unloaded():
+    src = str(Path(halfheat.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, halfheat; print('scipy.ndimage' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

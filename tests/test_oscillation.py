@@ -66,6 +66,10 @@ def test_cylinder_validation():
         cylinder_mean(u, Cylinder(center=(0.0, 0.0), r=0.5, s=1.5))
     with pytest.raises(ValueError, match="does not fit"):
         cylinder_mean(u, Cylinder(center=(0.0, 0.0), r=1.5))
+    with pytest.raises(ValueError, match="needs r > 0"):
+        Cylinder(center=(0.0, 0.0), r=math.nan)
+    with pytest.raises(ValueError, match="needs s > 0"):
+        Cylinder(center=(0.0, 0.0), r=0.5, s=math.nan)
     # a center between lattice points with a sub-cell radius selects nothing
     tiny = Cylinder(center=(g.dt / 2.0, g.h[0] / 2.0), r=math.sqrt(g.dt) / 4.0)
     with pytest.raises(ValueError, match="no grid cell centers"):
