@@ -193,22 +193,33 @@ _TRIG_MAX_MODE = 3
 def _trig_polynomial(rng: np.random.Generator, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Random low-order trigonometric polynomial of the physical coordinates:
     the samples of sum_j c_j cos(phi_j + 2*pi*k_j.X/L) and the amplitudes c_j.
-    The draw order is grid-independent, so the same generator state yields
-    the same physical function on a refined grid."""
-    mesh = grid.coordinate_mesh()
-    periods = [grid.l_t, *grid.l_x]
+    The draw order (amplitudes, phases, then modes) is grid-independent, so
+    the same generator state yields the same physical function on a refined
+    grid.
+
+    Each mode is separable, Re(c_j e^{i phi_j} prod_axis e^{2 pi i k_j x/L}):
+    per-axis tables of e^{2 pi i k x/L}, one row per mode, are multiplied out
+    over the leading axes with c_j e^{i phi_j} folded in, and the sum over
+    modes with the last axis is one real matrix product, of the stacked real
+    and imaginary parts."""
     amps = rng.standard_normal(_TRIG_MODES)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=_TRIG_MODES)
     modes = rng.integers(
         -_TRIG_MAX_MODE, _TRIG_MAX_MODE + 1, size=(_TRIG_MODES, grid.d + 1)
     )
-    total = np.zeros(grid.shape)
-    for amp, phi, k in zip(amps, phases, modes):
-        arg = phi + sum(
-            2.0 * np.pi * k[ax] * mesh[ax] / periods[ax] for ax in range(grid.d + 1)
-        )
-        total = total + amp * np.cos(arg)
-    return total, amps
+    coords = [grid.time_coordinates()] + [grid.space_coordinates(i) for i in range(grid.d)]
+    periods = [grid.l_t, *grid.l_x]
+    tables = [
+        np.exp(1j * (2.0 * np.pi * k[:, None] * x / period))
+        for k, x, period in zip(modes.T, coords, periods)
+    ]  # (modes, n_axis) each
+    lead = (amps * np.exp(1j * phases))[:, None]  # (modes, leading samples so far)
+    for table in tables[:-1]:
+        lead = (lead[:, :, None] * table[:, None, :]).reshape(_TRIG_MODES, -1)
+    last = tables[-1]
+    # Re(sum_j lead_j last_j) = sum_j (Re lead_j Re last_j - Im lead_j Im last_j)
+    total = np.concatenate([lead.real, lead.imag]).T @ np.concatenate([last.real, -last.imag])
+    return total.reshape(grid.shape), amps
 
 
 def generate_coefficients(
@@ -309,7 +320,7 @@ def generate_coefficients(
             if roughness_scale is not None
             else 0.5 * (1.0 - delta)
         )
-        if alpha < 0 or alpha > 1.0 - delta + 1e-12:
+        if not 0 <= alpha <= 1.0 - delta + 1e-12:  # NaN fails here, naming the amplitude
             raise ValueError(
                 f"smooth amplitude {alpha} not admissible for delta={delta}; "
                 f"maximal admissible amplitude is {1.0 - delta}"

@@ -42,6 +42,7 @@ from .grid import (
 from .htpf import read_coefficients
 from .operators import (
     DataBundle,
+    _at_lambda,
     _solution_parts,
     apply_operator,
     manufacture_data,
@@ -671,13 +672,14 @@ def _sweep_cell(
     trial: int,
 ) -> list[dict]:
     coeffs = _sweep_coefficients(config, grid, kind, kind_index, trial)
-    # one (h, g, f) draw shared by every lambda (all positive in a sweep)
+    # one (h, g, f) draw and its right-hand side shared by every lambda (all
+    # positive in a sweep)
     rng = _rng(config.seed, kind_index, trial, 4)
     drawn = harmonic_bundle(grid, rng, config.lambdas[0])
     p_all = tuple(sorted(set(config.p_list) | {2.0}))
     rows = []
     for lam in config.lambdas:
-        data = replace(drawn, lam=lam)
+        data = _at_lambda(drawn, lam)
         result = solve(coeffs, data, config.solver)
         norms = compute_bundles(result.u, data, p_all)
         for p in p_all:

@@ -252,28 +252,29 @@ class VectorField:
         return self.components[0].grid
 
 
-def _lp(samples: np.ndarray, p: float, cell_measure: float) -> float:
-    """Rectangle-rule L_p norm of raw samples with the given cell measure; p
-    may be inf.  Shared by lp_norm, time_window_lp_norm and
-    solver.bundle_lp_norm."""
+def _lp(magnitudes: np.ndarray, p: float, cell_measure: float) -> float:
+    """Rectangle-rule L_p norm of non-negative samples (magnitudes) with the
+    given cell measure; p may be inf.  Signed samples go through np.abs
+    first, at the caller (lp_norm, time_window_lp_norm and solve_oracle's
+    two p = 2 norms); the bundle norms pass sqrt(|U|^2) as it is."""
     if p == np.inf:
-        return float(np.max(np.abs(samples)))
+        return float(np.max(magnitudes))
     if p < 1:
         raise ValueError(f"p must satisfy p >= 1, got {p}")
     with np.errstate(over="ignore"):
-        power = np.sum(np.abs(samples) ** p) * cell_measure
+        power = np.sum(magnitudes**p) * cell_measure
     if not np.finfo(np.float64).tiny <= power < np.inf:
         # the p-th powers underflowed or overflowed: divide out the peak first
-        peak = float(np.max(np.abs(samples), initial=0.0))
+        peak = float(np.max(magnitudes, initial=0.0))
         if 0.0 < peak < np.inf:
-            scaled = np.sum((np.abs(samples) / peak) ** p) * cell_measure
+            scaled = np.sum((magnitudes / peak) ** p) * cell_measure
             return peak * float(scaled ** (1.0 / p))
     return float(power ** (1.0 / p))
 
 
 def lp_norm(field: Field, p: float) -> float:
     """Rectangle-rule L_p norm over the full space-time cell; p may be inf."""
-    return _lp(field.data, p, field.grid.cell_measure)
+    return _lp(np.abs(field.data), p, field.grid.cell_measure)
 
 
 def inner(a: Field, b: Field) -> float:
@@ -293,4 +294,4 @@ def time_window_lp_norm(field: Field, half_width: float, p: float) -> float:
         mask = np.ones(grid.n_t, dtype=bool)
     else:
         mask = np.abs(grid.time_coordinates()) < half_width
-    return _lp(field.data[mask], p, grid.cell_measure)
+    return _lp(np.abs(field.data[mask]), p, grid.cell_measure)

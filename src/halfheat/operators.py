@@ -133,8 +133,12 @@ def _operator_parts(
 
 
 def _square_sum(arrays: list[np.ndarray]) -> np.ndarray:
-    """Pointwise sum of squares, |U|^2 of a bundle U given by its slots."""
-    return sum(arr * arr for arr in arrays)
+    """Pointwise sum of squares, |U|^2 of a bundle U given by its slots,
+    accumulated in place into a new array from the first slot's square."""
+    total = arrays[0] * arrays[0]
+    for arr in arrays[1:]:
+        total += arr * arr
+    return total
 
 
 def _check_grid(coeffs: Coefficients, u: Field) -> None:
@@ -204,6 +208,14 @@ class DataBundle:
         rhs = half_h + _divergence(self.grid, [c.data for c in self.g.components]) + self.f.data
         rhs.flags.writeable = False
         return rhs
+
+
+def _at_lambda(data: DataBundle, lam: float) -> DataBundle:
+    """data with weight lam, sharing data's right-hand side samples: the
+    right-hand side D_t^{1/2} h + D-(g) + f contains no lambda."""
+    bundle = replace(data, lam=lam)
+    bundle.__dict__["_rhs_samples"] = data._rhs_samples
+    return bundle
 
 
 def apply_rhs(data: DataBundle) -> Field:

@@ -209,7 +209,7 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
     lam = data.lam
     matrix = coeffs.constant_matrix()
     rhs = _rhs(data)
-    rhs_norm = _lp(rhs, 2, grid.cell_measure)
+    rhs_norm = _lp(np.abs(rhs), 2, grid.cell_measure)
     if rhs_norm == 0.0:
         return _zero_result(grid, started, "oracle")
 
@@ -230,7 +230,7 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
     u = Field(grid, np.fft.irfftn(u_hat, s=grid.shape, axes=tuple(range(grid.d + 1))))
 
     res = _operator(coeffs, lam, u.data) - rhs
-    rel = _lp(res, 2, grid.cell_measure) / rhs_norm
+    rel = _lp(np.abs(res), 2, grid.cell_measure) / rhs_norm
     return SolveResult(
         u=u,
         iterations=0,
@@ -719,6 +719,7 @@ def compute_bundles(
     bundles = (("U", _solution_parts(u.grid, u.data, data.lam)), ("F", _data_parts(data)))
     norms = {}
     for key, parts in bundles:
-        magnitude = np.sqrt(_square_sum(parts))
+        magnitude = _square_sum(parts)
+        np.sqrt(magnitude, out=magnitude)
         norms[key] = {p: _lp(magnitude, p, u.grid.cell_measure) for p in p_list}
     return norms

@@ -466,6 +466,17 @@ def test_bad_solver_section_fails_cleanly(tmp_path, capsys, solver, message):
         # lambda**2 in the single-mode check)
         ("tail-decay", {"coefficients": {"k_max": 1e6}}, "grid too short for 'k_max' 1000000"),
         ("l2", {"lambdas": [1e308]}, "'lambdas' entries must be finite and >= 0, at most 1e+75"),
+        # a NaN amplitude used to fail later, as "coefficient entries must be finite"
+        (
+            "solve",
+            {"coefficients": {"kind": "smooth", "delta": 0.5, "epsilon": float("nan")}},
+            "smooth amplitude nan not admissible for delta=0.5",
+        ),
+        (
+            "l2",
+            {"coefficients": {"kind": "smooth", "delta": 0.5, "epsilon": float("nan")}},
+            "smooth amplitude nan not admissible for delta=0.5",
+        ),
     ],
     ids=[
         "solve_coefficients_list", "solve_delta_null", "solve_seed_list",
@@ -477,7 +488,8 @@ def test_bad_solver_section_fails_cleanly(tmp_path, capsys, solver, message):
         "l2_restart_fraction", "tail_decay_k_max_fraction", "solve_seed_fraction",
         "solve_n_jumps_fraction", "solve_file_number", "solve_lambda_nan",
         "tail_decay_p_list_empty", "l2_lambdas_list", "oscillation_lambdas_list",
-        "tail_decay_k_max_huge", "l2_lambda_huge",
+        "tail_decay_k_max_huge", "l2_lambda_huge", "solve_smooth_epsilon_nan",
+        "l2_smooth_epsilon_nan",
     ],
 )
 def test_malformed_config_values_fail_cleanly(tmp_path, capsys, command, edit, message):

@@ -23,6 +23,7 @@ from halfheat import (
     identity_coefficients,
     make_grid,
 )
+from halfheat.coefficients import _trig_polynomial
 
 
 def _grid(d=1, n_t=32, n_x=32, l_t=2.0, l_x=2.0):
@@ -173,6 +174,45 @@ def test_smooth_amplitude_gate():
         generate_coefficients(
             kind="smooth", delta=0.5, seed=1, grid=g, roughness_scale=0.6
         )
+    # NaN passed a test written as two comparisons and failed later as
+    # "coefficient entries must be finite", not naming the amplitude
+    with pytest.raises(ValueError, match="smooth amplitude nan not admissible"):
+        generate_coefficients(
+            kind="smooth", delta=0.5, seed=1, grid=g, roughness_scale=float("nan")
+        )
+
+
+def _full_grid_trig_polynomial(rng, grid):
+    """The full-grid cos loop that _trig_polynomial's separable tables replaced."""
+    mesh = grid.coordinate_mesh()
+    periods = [grid.l_t, *grid.l_x]
+    amps = rng.standard_normal(6)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=6)
+    modes = rng.integers(-3, 4, size=(6, grid.d + 1))
+    total = np.zeros(grid.shape)
+    for amp, phi, k in zip(amps, phases, modes):
+        arg = phi + sum(
+            2.0 * np.pi * k[ax] * mesh[ax] / periods[ax] for ax in range(grid.d + 1)
+        )
+        total = total + amp * np.cos(arg)
+    return total, amps
+
+
+@pytest.mark.parametrize(
+    "n_x, l_x",
+    [((24,), (3.0,)), ((16, 10), (3.0, 1.5)), ((8, 12, 10), (3.0, 1.5, 2.5))],
+    ids=["d1", "d2", "d3"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_trig_polynomial_matches_the_full_grid_loop(n_x, l_x, seed):
+    grid = make_grid(d=len(n_x), n_t=20, n_x=n_x, l_t=2.0, l_x=l_x)
+    total, amps = _trig_polynomial(np.random.default_rng(seed), grid)
+    ref, ref_amps = _full_grid_trig_polynomial(np.random.default_rng(seed), grid)
+    assert total.shape == grid.shape
+    assert np.array_equal(amps, ref_amps)
+    assert np.abs(total - ref).max() <= 1e-13 * np.abs(ref).max()
+    again, _ = _trig_polynomial(np.random.default_rng(seed), grid)
+    assert again.tobytes() == total.tobytes()
 
 
 def test_unknown_kind():

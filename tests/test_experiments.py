@@ -25,6 +25,7 @@ from halfheat import (
     run_tail_decay,
     write_outputs,
 )
+from halfheat import experiments
 from halfheat.experiments import (
     EXPERIMENTS,
     _localized_bundle,
@@ -191,6 +192,42 @@ def test_checkerboard_sweep_draws_at_the_delta_of_its_epsilon():
         implicit, coefficients={"kinds": ["checkerboard"], "delta": 0.25, "epsilon": 0.375}
     )
     assert run_lp_sweep(explicit).rows == result.rows
+
+
+def test_sweep_bundles_share_one_right_hand_side(monkeypatch):
+    """A sweep cell draws (h, g, f) once and builds its right-hand side once:
+    every per-lambda bundle carries the same read-only samples, and each is
+    bit-equal to a bundle drawn afresh at its lambda."""
+    seen = []
+    compute_bundles = experiments.compute_bundles
+
+    def record(u, data, p_list):
+        seen.append(data)
+        return compute_bundles(u, data, p_list)
+
+    monkeypatch.setattr(experiments, "compute_bundles", record)
+    config = _config(
+        "lp-sweep",
+        grid=dict(d=2, n_t=16, n_x=16, l_t=2.0, l_x=2.0),
+        coefficients={"kinds": ["x1_piecewise"], "delta": 0.25},
+        lambdas=[1.0, 4.0, 16.0],
+        trials=1,
+        seed=2,
+    )
+    experiments._sweep_cell(config, config.grid, "base", "x1_piecewise", 0, 0)
+    assert [data.lam for data in seen] == list(config.lambdas)
+    shared = seen[0]._rhs_samples
+    assert not shared.flags.writeable
+    for data in seen:
+        assert data._rhs_samples is shared
+        fresh = experiments.harmonic_bundle(
+            config.grid, experiments._rng(config.seed, 0, 0, 4), data.lam
+        )
+        for mine, theirs in zip(
+            (data.h, *data.g.components, data.f), (fresh.h, *fresh.g.components, fresh.f)
+        ):
+            assert mine.data.tobytes() == theirs.data.tobytes()
+        assert fresh._rhs_samples.tobytes() == shared.tobytes()
 
 
 def test_lp_sweep_rejects_unknown_kind():

@@ -4,10 +4,13 @@ experiments, pinned by sha256.
 Every refactor must keep these bytes.  The digests were recorded with numpy
 2.4.6; another FFT or BLAS build may move the last bits of some floats.  No
 output depends on scipy: the solver's LinearOperator.matvec only calls the
-solver's own closures.  When a digest changes on purpose, CHANGES.md says
-why; a digest is never re-pinned silently.  The oscillation experiment is
-pinned at seed 0 only: it is the slowest of them (several seconds), and its
-run is shared with acceptance criterion 8 (conftest.default_oscillation).
+solver's own closures.  Harmonic data and the ``smooth`` coefficient kind
+now go through one BLAS product (coefficients._trig_polynomial), so a BLAS
+build that orders that sum differently can move their last bits too.  When
+a digest changes on purpose, CHANGES.md says why; a digest is never
+re-pinned silently.  The oscillation experiment is pinned at seed 0 only: it
+is the slowest of them (several seconds), and its run is shared with
+acceptance criterion 8 (conftest.default_oscillation).
 """
 
 import hashlib
@@ -18,12 +21,12 @@ from halfheat.experiments import EXPERIMENTS, ExperimentConfig, write_outputs
 
 GOLDEN = {
     ("identities", 0): (
-        "91c670ca282e0516b5f424f75edf1b0b567ed4ec5a013fa4c1dfcfb9abb4841a",
+        "39d14da86a32275eabdc04cc7494656bbea3de155eb1b606fafb91869589d434",
         "fa3812beb6fe6a644d3c49049bf5a4e83919786888cd054b161d999be567cd96",
     ),
     ("identities", 1): (
-        "6b5c84a940a4d02fd6450d8e43761f9277c7f7fd0e1b2246369a98aa12587d70",
-        "a7ffdd446f6908d0ddedb96d6927bd1307107384fe567825d2c08d828fb80147",
+        "433dd1813db8e27f7a834c76324686cc740acbb5716264d29b9d1a58f4160b77",
+        "273b9f4f797a325f26c0e32ff145ad5642627e4223a8576162c80c2ab327171f",
     ),
     ("l2", 0): (
         "517d2662169ad3a257e02b4f07d2a8632fb52fb8c290952e0d0543db7a2384e6",
@@ -34,12 +37,12 @@ GOLDEN = {
         "c68d5837120533339b3329abc142b6815a96c97fff8a8ab928c444e84a00062b",
     ),
     ("lp_sweep", 0): (
-        "479032ab9bf25b199158fb6db56ff6800f171a1830e477e5d4b841da05933d34",
-        "8fea50cf33146bbe08c7aa2860c948155417041dce5fa1646af85436fe2fedff",
+        "aeffc3c236b3b5dce40668af5e27bcc1e983fcf5b0c7da35b7652386fa6ef735",
+        "d0de67d46fdd88db50544fb92f7d7f6e8df31db29173028695719965a1dea0f4",
     ),
     ("lp_sweep", 1): (
-        "99b41d277a8be18328b55db983118540d15e3c96ae47516c08cc4d0bfc8964e4",
-        "0021bbef14ba765dc017892eaf7bea8938a2e413b740e953e48059aa4ae25cf6",
+        "d938287cc6506968ff874385122d8ba36525650504b18e029c87c37c7a4817bc",
+        "2723a66f39623b3685c021d4adbf56850b451bf215271db8367f5594222962f1",
     ),
     ("tail_decay", 0): (
         "793342009da8de814d993db86ba52e1d76dd5ae912a88308e6457943b242c176",
@@ -54,8 +57,8 @@ GOLDEN = {
         "554f95db907367d5e3178844af5548e6dfc5e67f3f399ecf81773eab754a9669",
     ),
     ("assumptions", 1): (
-        "0318dd20f59eb3209520a996a5e02e6cceccb0ba8c6027cb6e2722127c298f16",
-        "a3a136df95813b008b10f907f2dd1a9f52bf28e63242a92f2d68198f195f6531",
+        "ca150b4ffbb65900fe38fa7a8cf549f98293370acdb86583e6d7c802c4998456",
+        "eed0edd5b4e7662b5b5f3f0a8d4379c2b9a610f086d324260ca74c57f5c22b3f",
     ),
     ("oscillation", 0): (
         "62eaa7be7bbc1741d4ff1ad14a6c1a9ff4d0efd5a394ae7da6c0f3dedd2df9d8",

@@ -164,6 +164,22 @@ def test_lp_norm_at_large_finite_p(value):
     assert lp_norm(u, 700.0) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.0, 3.0, np.inf, 700.0])
+def test_signed_norms_take_the_magnitude_first(p):
+    """grid._lp takes magnitudes; lp_norm and time_window_lp_norm take |u|
+    before it, so -u has the norm of u.  At p = 700 the p-th powers of these
+    samples overflow, and the peak-scaled fallback runs on negated samples."""
+    g = make_grid(d=2, n_t=16, n_x=8, l_t=2.0, l_x=3.0)
+    u = Field(g, 30.0 * harmonic_field(g, np.random.default_rng(3)).data)
+    neg = Field(g, -u.data)
+    assert (neg.data < 0).any() and (neg.data > 0).any()
+    if p == 700.0:
+        with np.errstate(over="ignore"):
+            assert np.sum(np.abs(u.data) ** p) == np.inf
+    assert lp_norm(neg, p) == lp_norm(u, p) > 0
+    assert time_window_lp_norm(neg, 0.3, p) == time_window_lp_norm(u, 0.3, p) > 0
+
+
 @settings(max_examples=25)
 @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
 def test_inner_is_bilinear_and_symmetric(seed, c):

@@ -49,6 +49,8 @@ from halfheat import (
     weak_pairing,
     zeros,
 )
+from halfheat.experiments import harmonic_bundle
+from halfheat.operators import _data_parts, _solution_parts
 
 
 def _grid(d=1, n_t=32, n_x=32, l_t=2.0 * np.pi, l_x=2.0):
@@ -958,6 +960,31 @@ def test_bound_actually_bounds_the_bundle_ratio():
         result = solve_oracle(a, data)
         norms = compute_bundles(result.u, data)
         assert norms["U"][2.0] <= (bound + 1e-8) * norms["F"][2.0]
+
+
+def _abs_lp(samples, p, cell_measure):
+    """The Lp kernel before it took magnitudes: np.abs of every sample."""
+    if p == np.inf:
+        return float(np.max(np.abs(samples)))
+    return float((np.sum(np.abs(samples) ** p) * cell_measure) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("kind", ["time_piecewise", "x1_piecewise"])
+def test_compute_bundles_match_the_abs_expression(kind):
+    """The bundle norms pass sqrt(|U|^2) to grid._lp without an np.abs pass;
+    the bytes equal the old sqrt(sum of squares) then np.abs expression."""
+    g = make_grid(d=2, n_t=16, n_x=16, l_t=2.0, l_x=2.0)
+    coeffs = generate_coefficients(kind=kind, delta=0.25, seed=5, grid=g)
+    data = harmonic_bundle(g, np.random.default_rng(6), 4.0)
+    result = solve(coeffs, data)
+    assert result.converged
+    p_list = (1.5, 2.0, 3.0, 4.0, np.inf)
+    norms = compute_bundles(result.u, data, p_list)
+    slots = {"U": _solution_parts(g, result.u.data, data.lam), "F": _data_parts(data)}
+    for key, parts in slots.items():
+        magnitude = np.sqrt(sum(a * a for a in parts))
+        for p in p_list:
+            assert norms[key][p] == _abs_lp(magnitude, p, g.cell_measure)
 
 
 def test_compute_bundles_norm_tables():
