@@ -12,6 +12,9 @@ n/2 + 1 modes) and return through ``irfftn``.  Testing against
 v - kappa*H(v) makes the skew time term coercive; with the operator norm of a
 kept below 1/delta by the generators, kappa = delta^2/2 yields the lower bound
 (delta^2/2)*||U||^2 exactly on the lattice.
+
+The module needs numpy only.  Its LinearOperator is a stand-in that keeps
+scipy's call convention, so that scipy is not loaded at import.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from .coefficients import Coefficients
 from .grid import Field, Grid, _integer, _lp, inner, zeros
@@ -417,12 +419,24 @@ def _t_frame(coeffs: Coefficients, lam: float):
     return to_frame, from_frame, apply, precondition
 
 
+class LinearOperator:
+    """scipy.sparse.linalg.LinearOperator's call convention, no more: shape
+    and dtype are taken and ignored, and .matvec is the closure itself.  It
+    is the name through which perfbench's traced run and the tests wrap or
+    substitute _physical_frame's closures, and it goes once perfbench reads
+    its spans from an in-package recorder."""
+
+    def __init__(self, shape, *, matvec, dtype):
+        self.matvec = matvec
+
+
 def _physical_frame(coeffs: Coefficients, lam: float):
     """GMRES's system for any coefficients in the physical frame, returned as
     _t_frame returns its own: one row, the flattened field, so the frame maps
     are reshapes, and P^{-1} the spectral inverse of the mean coefficient
-    operator (constant_mean).  perfbench's traced run names its spans by the
-    closures matvec and psolve that the LinearOperators wrap."""
+    operator (constant_mean).  The closures matvec and psolve reach gmres
+    through the module's LinearOperator, a direct call, so that perfbench's
+    traced run can name its spans after them."""
     grid = coeffs.grid
     shape = grid.shape
     n = int(np.prod(shape))
@@ -587,13 +601,17 @@ def gmres(apply, b, targets, *, restart, max_iterations):
                 estimate[finished] = _row_norms(residual[finished])
                 retry = estimate[finished] > targets[finished]
                 queued.append(finished[retry & (steps[finished] < max_iterations)])
-                # compact the rows that go on, copying only the steps taken
+                # compact the rows that go on: the live rows past the new size
+                # move into the stopped rows' places below it, copying only
+                # the steps taken; no row's arithmetic depends on its place
                 keep = np.flatnonzero(~stop)
                 size = len(keep)
-                rows = rows[keep]
+                holes, movers = done[done < size], keep[keep >= size]
+                rows[holes] = rows[movers]
+                rows = rows[:size]
                 cycle = (basis, hess, rotations, s)
                 for array in cycle:
-                    array[:size, : col + 2] = array[keep, : col + 2]
+                    array[holes, : col + 2] = array[movers, : col + 2]
                 basis, hess, rotations, s = (array[:size] for array in cycle)
             norms.append(float(np.linalg.norm(estimate)))
             if not size:

@@ -6,6 +6,7 @@ halfheat` entry point.
 
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -344,6 +345,30 @@ def test_module_entry_point(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["passed"] is True
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+def test_solve_runs_with_scipy_blocked(tmp_path):
+    """The runtime is numpy only: with every scipy import made to fail, a
+    smooth-coefficient solve, which runs physical-frame GMRES, exits 0 and
+    writes its field."""
+    smooth = {"kind": "smooth", "delta": 0.5, "seed": 3}
+    config = _write_config(tmp_path, "smooth.json", dict(SOLVE_CONFIG, coefficients=smooth))
+    out = tmp_path / "out"
+    argv = ["solve", "--config", str(config), "--out", str(out)]
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from halfheat import cli\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    src = str(Path(experiments.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["method"] == "gmres"
+    assert (out / "u.htpf").is_file()
 
 
 def test_partial_grid_override_keeps_the_command_default(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Export lists stay honest: every name a module lists in ``__all__`` exists,
 and every name the package re-exports is listed by the module it comes from.
 A deleted function that an export list still names fails here.  The package
-binds scipy in one place only, and importing it loads no other scipy part."""
+needs numpy only: no module imports scipy, and importing it loads none."""
 
 import ast
 import importlib
@@ -78,26 +78,28 @@ def _imports_scipy(node: ast.AST) -> bool:
     return any(name.split(".")[0] == "scipy" for name in names)
 
 
-def test_only_the_solver_imports_scipy():
-    """The package is numpy only but for one module-level scipy import in
-    solver.py: the LinearOperator binding that perfbench's traced run wraps."""
+def test_no_module_imports_scipy():
+    """The runtime is numpy only: no scipy import anywhere in a module, at
+    module level or inside a function."""
     found = []
     for path in sorted(Path(halfheat.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        found += [
-            (path.name, node in tree.body) for node in ast.walk(tree) if _imports_scipy(node)
-        ]
-    assert found == [("solver.py", True)]
+        found += [(path.name, node.lineno) for node in ast.walk(tree) if _imports_scipy(node)]
+    assert found == []
 
 
-def test_import_leaves_scipy_ndimage_unloaded():
+def test_import_leaves_scipy_unloaded():
     src = str(Path(halfheat.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, halfheat; print('scipy.ndimage' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            "import sys, halfheat; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+        ],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

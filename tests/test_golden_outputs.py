@@ -3,8 +3,7 @@ experiments, pinned by sha256.
 
 Every refactor must keep these bytes.  The digests were recorded with numpy
 2.4.6; another FFT or BLAS build may move the last bits of some floats.  No
-output depends on scipy: the solver's LinearOperator.matvec only calls the
-solver's own closures.  Harmonic data and the ``smooth`` coefficient kind
+output depends on scipy, which the package does not import.  Harmonic data and the ``smooth`` coefficient kind
 now go through one BLAS product (coefficients._trig_polynomial), so a BLAS
 build that orders that sum differently can move their last bits too.  When
 a digest changes on purpose, CHANGES.md says why; a digest is never

@@ -313,6 +313,30 @@ def test_operator_symbol_takes_the_applied_time_table(l_t):
     assert np.array_equal(symbol[:, 0, 0].imag, table)
 
 
+@pytest.mark.parametrize("kind, d", [("smooth", 1), ("checkerboard", 2)])
+def test_linear_operator_matches_scipys(monkeypatch, kind, d):
+    """solve()'s LinearOperator keeps scipy's call convention and calls its
+    closure directly: with scipy.sparse.linalg.LinearOperator in its place, a
+    general-tag solve gives the same bits."""
+    g = _grid(**_FAST_PATH_GRIDS[d])
+    a = generate_coefficients(
+        kind=kind, delta=0.25, seed=d, grid=g, roughness_scale=_ROUGH.get(kind)
+    )
+    assert a.tag == "general"
+    data = _white_bundle(g, 30 + d, 1.0)
+    ours = solve(a, data)
+    monkeypatch.setattr(solver_module, "LinearOperator", LinearOperator)
+    seen = _capture_operators(monkeypatch)
+    theirs = solve(a, data)
+    assert set(seen) == {"matvec", "psolve"}
+    assert ours.method == theirs.method == "gmres" and ours.converged
+    assert ours.iterations > 0
+    assert np.array_equal(ours.u.data, theirs.u.data)
+    assert ours.iterations == theirs.iterations
+    assert ours.residual_history == theirs.residual_history
+    assert ours.matvecs == theirs.matvecs
+
+
 def test_direct_solve_builds_no_preconditioner(monkeypatch):
     """The constant_mean symbol and both LinearOperators are built only when
     GMRES runs; an x1 solve that the direct path finishes builds none."""
@@ -713,6 +737,38 @@ def test_rows_solved_together_equal_rows_solved_alone():
     assert len(set(lengths)) > 2  # the rows left the batch at different steps
     assert len(norms) == max(lengths)
     assert np.linalg.norm(rhs - apply(together, np.arange(len(rhs)))) <= np.linalg.norm(targets)
+
+
+@pytest.mark.parametrize("restart", [6, 40])
+def test_gmres_is_invariant_under_a_permutation_of_its_systems(restart):
+    """gmres compacts its batch by moving live rows into stopped rows'
+    places, so no row's arithmetic may depend on its place: the systems of
+    a frame, shuffled, get the same solutions bit for bit in the same
+    number of applies, while rows leave the batch at different steps and
+    the compaction reorders them."""
+    g = _grid(**_FRAME_GRIDS[2])
+    a = generate_coefficients(kind="time_piecewise", delta=0.25, seed=2, grid=g)
+    to_frame, _, apply, _ = solver_module._t_frame(a, 1.0)
+    rhs = to_frame(apply_rhs(_white_bundle(g, 80, 1.0)).data)
+    targets = solver_module._targets(rhs, 1e-10 * np.linalg.norm(rhs))
+    options = dict(restart=restart, max_iterations=500)
+    batches = []
+
+    def recording(block, rows):
+        batches.append(rows.copy())
+        return apply(block, rows)
+
+    w, norms, matvecs = solver_module.gmres(recording, rhs, targets, **options)
+    assert len({len(rows) for rows in batches}) > 2  # rows stopped at different steps
+    assert any(np.any(np.diff(rows) < 0) for rows in batches)  # and were moved
+    order = np.random.default_rng(restart).permutation(len(rhs))
+    shuffled, shuffled_norms, shuffled_matvecs = solver_module.gmres(
+        lambda block, rows: apply(block, order[rows]), rhs[order], targets[order], **options
+    )
+    assert np.array_equal(shuffled, w[order])
+    assert shuffled_matvecs == matvecs
+    # the history norms sum the rows' estimates in another order
+    assert shuffled_norms == pytest.approx(norms, rel=1e-13)
 
 
 def test_arnoldi_basis_stays_orthonormal():
