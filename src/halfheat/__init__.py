@@ -64,9 +64,7 @@ from .oscillation import (
     OscillationReport,
     bundle_oscillation,
     bundle_rms,
-    cylinder_mean,
     tail_sum,
-    theta_field,
     verify_local_estimate,
     verify_mean_oscillation,
 )

@@ -19,8 +19,6 @@ from .operators import (
     DataBundle,
     _check_grid,
     _data_parts,
-    _flux,
-    _gradient,
     _operator_parts,
     _rhs,
     _square_sum,
@@ -28,12 +26,10 @@ from .operators import (
 
 __all__ = [
     "Cylinder",
-    "cylinder_mean",
     "bundle_rms",
     "bundle_oscillation",
     "max_tail_terms",
     "tail_sum",
-    "theta_field",
     "LocalEstimateReport",
     "verify_local_estimate",
     "OscillationRow",
@@ -99,81 +95,63 @@ def _cylinder_masks(grid: Grid, cyl: Cylinder) -> tuple[np.ndarray, np.ndarray]:
     return t_mask, x_mask
 
 
-def _cylinder_samples(arr: np.ndarray, grid: Grid, cyl: Cylinder) -> np.ndarray:
+def _cylinder_samples(
+    arrays: list[np.ndarray], grid: Grid, cyl: Cylinder
+) -> list[np.ndarray]:
+    """Each array's samples inside cyl, from one pair of masks."""
+    if not arrays:
+        raise ValueError("a bundle needs at least one array")
     t_mask, x_mask = _cylinder_masks(grid, cyl)
-    return arr.reshape(grid.n_t, -1)[t_mask][:, x_mask]
-
-
-def cylinder_mean(field: Field, cyl: Cylinder) -> float:
-    return float(_cylinder_samples(field.data, field.grid, cyl).mean())
+    return [arr.reshape(grid.n_t, -1)[t_mask][:, x_mask] for arr in arrays]
 
 
 def bundle_rms(arrays: list[np.ndarray], grid: Grid, cyl: Cylinder) -> float:
     """sqrt of the cylinder mean of the summed squares (the (|W|^2)^{1/2}_Q
     quantity for a several-component bundle W)."""
-    total = 0.0
-    count = 0
-    for arr in arrays:
-        samples = _cylinder_samples(arr, grid, cyl)
-        total += float((samples**2).sum())
-        count = samples.size
-    return math.sqrt(total / count)
+    samples = _cylinder_samples(arrays, grid, cyl)
+    total = sum(float((part**2).sum()) for part in samples)
+    return math.sqrt(total / samples[0].size)
 
 
 def bundle_oscillation(arrays: list[np.ndarray], grid: Grid, cyl: Cylinder) -> float:
     """Cylinder mean of the Euclidean magnitude of the deviation from the
     per-component cylinder means."""
-    devs = []
-    for arr in arrays:
-        samples = _cylinder_samples(arr, grid, cyl)
-        devs.append(samples - samples.mean())
-    mag = np.sqrt(sum(dev**2 for dev in devs))
-    return float(mag.mean())
+    devs = [part - part.mean() for part in _cylinder_samples(arrays, grid, cyl)]
+    return float(np.sqrt(sum(dev**2 for dev in devs)).mean())
 
 
 # ---------------------------------------------------------------------------
 # tail sums and verifiers
 
 
-def max_tail_terms(grid: Grid, r: float, kappa: float) -> int:
-    """Largest J with the time extent of Q_{2^{(J-1)/2} kappa r, kappa r}
-    inside the fundamental cell."""
-    base = (kappa * r) ** 2
-    if base > grid.l_t / 2.0:
+def max_tail_terms(grid: Grid, r: float) -> int:
+    """Largest J with the time extent of Q_{2^{(J-1)/2} r, r} inside the
+    fundamental cell."""
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"tail cylinders need a finite r > 0, got r={r}")
+    if r**2 > grid.l_t / 2.0:
         return 0
-    return 1 + int(math.floor(math.log2(grid.l_t / (2.0 * base)) + 1e-12))
+    return 1 + int(math.floor(math.log2(grid.l_t / (2.0 * r**2)) + 1e-12))
 
 
 def tail_sum(
-    squared_field: Field, r: float, kappa: float, center: tuple[float, ...], terms: int
+    squared: np.ndarray, grid: Grid, r: float, center: tuple[float, ...], terms: int
 ) -> float:
-    """sum_{j<terms} 2^{-j/4} sqrt(mean of squared_field over
-    Q_{2^{j/2} kappa r, kappa r}(center)); terms is clamped so the longest
-    cylinder still fits (callers report the clamp via max_tail_terms)."""
-    return _tail_sum(squared_field.data, squared_field.grid, r, kappa, center, terms)
-
-
-def _tail_sum(squared: np.ndarray, grid: Grid, r, kappa, center, terms) -> float:
+    """sum_{j<terms} 2^{-j/4} sqrt(mean of the samples of squared over
+    Q_{2^{j/2} r, r}(center)), for a squared magnitude |F|^2 on grid; terms
+    is clamped so the longest cylinder still fits (callers report the clamp
+    via max_tail_terms)."""
     if terms < 1:
         raise ValueError("tail_sum needs at least one term")
-    usable = min(terms, max_tail_terms(grid, r, kappa))
+    usable = min(terms, max_tail_terms(grid, r))
     if usable < 1:
-        raise ValueError(
-            f"no tail cylinder fits: (kappa*r)^2 = {(kappa * r) ** 2} exceeds l_t/2"
-        )
+        raise ValueError(f"no tail cylinder fits: r^2 = {r**2} exceeds l_t/2")
     total = 0.0
     for j in range(usable):
-        cyl = Cylinder(center=center, r=2.0 ** (j / 2.0) * kappa * r, s=kappa * r)
-        total += 2.0 ** (-j / 4.0) * math.sqrt(
-            max(float(_cylinder_samples(squared, grid, cyl).mean()), 0.0)
-        )
+        cyl = Cylinder(center=center, r=2.0 ** (j / 2.0) * r, s=r)
+        (samples,) = _cylinder_samples([squared], grid, cyl)
+        total += 2.0 ** (-j / 4.0) * math.sqrt(max(float(samples.mean()), 0.0))
     return total
-
-
-def theta_field(coeffs: Coefficients, u: Field) -> Field:
-    """First component of the coefficient flux, sum_j a_1j (D+ u)_j."""
-    _check_grid(coeffs, u)
-    return Field(u.grid, _flux(coeffs.data, _gradient(u.grid, u.data))[0])
 
 
 def _checked_parts(
@@ -238,11 +216,11 @@ def verify_local_estimate(
 
     u_sq = _square_sum(parts)
     origin = (0.0,) * (grid.d + 1)
-    samples = _cylinder_samples(u_sq, grid, Cylinder(origin, r=radius))
+    (samples,) = _cylinder_samples([u_sq], grid, Cylinder(origin, r=radius))
     lhs = math.sqrt(max(float(samples.mean()), 0.0))
-    terms_used = min(_LOCAL_TERMS, max_tail_terms(grid, radius, 1.0))
+    terms_used = min(_LOCAL_TERMS, max_tail_terms(grid, radius))
     f_sq = _square_sum(_data_parts(data))
-    rhs = _tail_sum(f_sq, grid, radius, 1.0, origin, terms_used) if terms_used else 0.0
+    rhs = tail_sum(f_sq, grid, radius, origin, terms_used) if terms_used else 0.0
     trivial = lhs == 0.0 and rhs == 0.0
     n_emp = lhs / rhs if rhs > 0 else None
     return LocalEstimateReport(
@@ -294,7 +272,8 @@ def verify_mean_oscillation(
     r is the fixed outer scale: for each kappa the oscillation is taken over
     Q_{r/kappa}(center) and compared with kappa^{-theta} times the bundle
     root-mean-square over Q_r(center) plus kappa^{1+d/2} times the data tail
-    sum (whose cylinders Q_{2^{j/2} r, r} do not depend on kappa).  theta is 1
+    sum over Q_{2^{j/2} r, r}(center).  Neither average depends on kappa, so
+    both are taken once per call and each row only scales them.  theta is 1
     for the gradient bundle under time-measurable coefficients and for the
     full bundle under the heat operator, 1/2 for the x1-measurable case.  The
     fitted decay slope of log2(oscillation) against log2(kappa) is the
@@ -303,8 +282,8 @@ def verify_mean_oscillation(
     if case not in _CASES:
         raise ValueError(f"case must be one of {_CASES}, got {case!r}")
     grid = u.grid
-    if any(k < 4 for k in kappa_list):
-        raise ValueError("every kappa must be >= 4")
+    if not all(math.isfinite(k) and k >= 4 for k in kappa_list):
+        raise ValueError(f"every kappa must be >= 4 and finite, got {kappa_list}")
     rel, (half_du, *grad_arrays, weighted_u), flux = _checked_parts(coeffs, data, u)
     if rel > rtol and float(np.abs(u.data).max()) > 0:
         raise ValueError(
@@ -323,8 +302,10 @@ def verify_mean_oscillation(
         theta = 0.5
     rhs_arrays = grad_arrays + [weighted_u]
 
+    rms = bundle_rms(rhs_arrays, grid, Cylinder(center, r=r))
+    usable = min(_OSCILLATION_TERMS, max_tail_terms(grid, r))
     f_sq = _square_sum(_data_parts(data))
-    outer = Cylinder(center, r=r)
+    f_tail = tail_sum(f_sq, grid, r, center, usable) if usable else 0.0
     rows = []
     truncated = False
     for kappa in kappa_list:
@@ -337,14 +318,8 @@ def verify_mean_oscillation(
         except ValueError:
             truncated = True  # inner cylinder fell below the grid spacing
             continue
-        hom = kappa ** (-theta) * bundle_rms(rhs_arrays, grid, outer)
-        usable = min(_OSCILLATION_TERMS, max_tail_terms(grid, inner_r, kappa))
-        tail = (
-            kappa ** (1.0 + grid.d / 2.0)
-            * _tail_sum(f_sq, grid, inner_r, kappa, center, usable)
-            if usable
-            else 0.0
-        )
+        hom = kappa ** (-theta) * rms
+        tail = kappa ** (1.0 + grid.d / 2.0) * f_tail
         denom = hom + tail
         rows.append(
             OscillationRow(

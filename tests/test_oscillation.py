@@ -18,18 +18,19 @@ from halfheat import (
     DataBundle,
     Field,
     VectorField,
-    cylinder_mean,
     generate_coefficients,
     gradient_plus,
     identity_coefficients,
     make_grid,
     manufacture_data,
+    matrix_gradient,
     tail_sum,
-    theta_field,
     verify_local_estimate,
     verify_mean_oscillation,
     zeros,
 )
+from halfheat import oscillation
+from halfheat.experiments import ExperimentConfig, _oscillation_spec
 from halfheat.operators import _operator, _rhs
 from halfheat.oscillation import (
     bundle_oscillation,
@@ -61,11 +62,11 @@ def test_cylinder_validation():
     g = _grid()
     u = _rand(g, 0)
     with pytest.raises(ValueError, match="center needs 2 components"):
-        cylinder_mean(u, Cylinder(center=(0.0,), r=0.5))
+        bundle_rms([u.data], g, Cylinder(center=(0.0,), r=0.5))
     with pytest.raises(ValueError, match="does not fit"):
-        cylinder_mean(u, Cylinder(center=(0.0, 0.0), r=0.5, s=1.5))
+        bundle_rms([u.data], g, Cylinder(center=(0.0, 0.0), r=0.5, s=1.5))
     with pytest.raises(ValueError, match="does not fit"):
-        cylinder_mean(u, Cylinder(center=(0.0, 0.0), r=1.5))
+        bundle_oscillation([u.data], g, Cylinder(center=(0.0, 0.0), r=1.5))
     with pytest.raises(ValueError, match="needs r > 0"):
         Cylinder(center=(0.0, 0.0), r=math.nan)
     with pytest.raises(ValueError, match="needs s > 0"):
@@ -73,7 +74,15 @@ def test_cylinder_validation():
     # a center between lattice points with a sub-cell radius selects nothing
     tiny = Cylinder(center=(g.dt / 2.0, g.h[0] / 2.0), r=math.sqrt(g.dt) / 4.0)
     with pytest.raises(ValueError, match="no grid cell centers"):
-        cylinder_mean(u, tiny)
+        bundle_oscillation([u.data], g, tiny)
+
+
+def test_empty_bundle_is_rejected():
+    g = _grid()
+    cyl = Cylinder((0.0, 0.0), r=0.5)
+    for statistic in (bundle_rms, bundle_oscillation):
+        with pytest.raises(ValueError, match="at least one array"):
+            statistic([], g, cyl)
 
 
 def test_default_spatial_radius_is_r():
@@ -87,10 +96,9 @@ def test_default_spatial_radius_is_r():
 def test_cylinder_mean_of_constant(value, r):
     g = _grid()
     u = Field(g, np.full(g.shape, value))
-    assert cylinder_mean(u, Cylinder((0.0, 0.0), r=r)) == pytest.approx(value)
-    assert bundle_oscillation([u.data], g, Cylinder((0.0, 0.0), r=r)) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    cyl = Cylinder((0.0, 0.0), r=r)
+    assert bundle_rms([u.data], g, cyl) == pytest.approx(abs(value))
+    assert bundle_oscillation([u.data], g, cyl) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mean_oscillation_of_coordinate_field():
@@ -122,12 +130,10 @@ def test_bundle_statistics_reduce_to_scalar_case():
     g = _grid()
     u = _rand(g, 3)
     cyl = Cylinder((0.0, 0.0), r=0.6)
-    assert bundle_rms([u.data], g, cyl) == pytest.approx(
-        math.sqrt(cylinder_mean(Field(g, u.data**2), cyl))
-    )
     samples = u.data[np.abs(g.time_coordinates()) < 0.36][
         :, np.abs(g.space_coordinates(0)) < 0.6
     ]
+    assert bundle_rms([u.data], g, cyl) == pytest.approx(math.sqrt((samples**2).mean()))
     assert bundle_oscillation([u.data], g, cyl) == pytest.approx(
         np.abs(samples - samples.mean()).mean()
     )
@@ -143,24 +149,33 @@ def test_bundle_rms_adds_in_quadrature():
 def test_tail_sum_of_constant_is_geometric():
     g = _grid(n_t=64, n_x=32, l_t=8.0)
     c = 2.0
-    sq = Field(g, np.full(g.shape, c**2))
-    r, kappa = 0.125, 4.0
-    terms = max_tail_terms(g, r, kappa)
-    assert terms == 1 + int(math.floor(math.log2(g.l_t / (2.0 * (kappa * r) ** 2))))
-    got = tail_sum(sq, r, kappa, (0.0, 0.0), terms)
+    sq = np.full(g.shape, c**2)
+    r = 0.5
+    terms = max_tail_terms(g, r)
+    assert terms == 1 + int(math.floor(math.log2(g.l_t / (2.0 * r**2))))
+    got = tail_sum(sq, g, r, (0.0, 0.0), terms)
     expected = c * (1.0 - 2.0 ** (-terms / 4.0)) / (1.0 - 2.0 ** (-1.0 / 4.0))
     assert got == pytest.approx(expected, rel=1e-12)
     # asking for more terms than fit silently clamps to the same value
-    assert tail_sum(sq, r, kappa, (0.0, 0.0), terms + 10) == pytest.approx(got)
+    assert tail_sum(sq, g, r, (0.0, 0.0), terms + 10) == pytest.approx(got)
 
 
 def test_tail_sum_rejects_impossible_geometry():
     g = _grid()
-    sq = Field(g, np.ones(g.shape))
+    sq = np.ones(g.shape)
     with pytest.raises(ValueError, match="at least one term"):
-        tail_sum(sq, 0.2, 4.0, (0.0, 0.0), 0)
+        tail_sum(sq, g, 0.8, (0.0, 0.0), 0)
     with pytest.raises(ValueError, match="no tail cylinder fits"):
-        tail_sum(sq, 0.5, 4.0, (0.0, 0.0), 3)  # (kappa r)^2 = 4 > l_t/2
+        tail_sum(sq, g, 2.0, (0.0, 0.0), 3)  # r^2 = 4 > l_t/2
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+def test_tail_radius_must_be_finite_and_positive(r):
+    g = _grid()
+    with pytest.raises(ValueError, match=f"got r={r}"):
+        max_tail_terms(g, r)
+    with pytest.raises(ValueError, match=f"got r={r}"):
+        tail_sum(np.ones(g.shape), g, r, (0.0, 0.0), 3)
 
 
 @settings(max_examples=15)
@@ -170,17 +185,17 @@ def test_tail_sum_is_monotone(seed):
     rng = np.random.default_rng(seed)
     small = np.abs(rng.standard_normal(g.shape))
     bigger = small + np.abs(rng.standard_normal(g.shape))
-    args = (0.125, 4.0, (0.0, 0.0), 4)
-    assert tail_sum(Field(g, small), *args) <= tail_sum(
-        Field(g, bigger), *args
-    ) + 1e-12
+    args = (g, 0.5, (0.0, 0.0), 4)
+    assert tail_sum(small, *args) <= tail_sum(bigger, *args) + 1e-12
 
 
 def test_theta_field_is_the_first_flux_component():
+    """theta = sum_j a_1j (D+ u)_j, the first component of the flux a.D+u
+    that the x1-measurable oscillation case reads."""
     g = _grid(d=2, n_t=16, n_x=16)
     u = _rand(g, 6)
     assert np.array_equal(
-        theta_field(identity_coefficients(g), u).data,
+        matrix_gradient(identity_coefficients(g), u).components[0].data,
         gradient_plus(u).components[0].data,
     )
     a = generate_coefficients(kind="x1_piecewise", delta=0.5, seed=1, grid=g)
@@ -188,7 +203,7 @@ def test_theta_field_is_the_first_flux_component():
     manual = a.data[0, 0] * grad.components[0].data + a.data[0, 1] * (
         grad.components[1].data
     )
-    assert np.allclose(theta_field(a, u).data, manual, atol=1e-13)
+    assert np.allclose(matrix_gradient(a, u).components[0].data, manual, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +255,9 @@ def test_mean_oscillation_verifier_validation():
         verify_mean_oscillation("everything", a, data, u, 0.5, (0.0, 0.0), (4.0,))
     with pytest.raises(ValueError, match="kappa must be >= 4"):
         verify_mean_oscillation("U_heat", a, data, u, 0.5, (0.0, 0.0), (2.0,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="kappa must be >= 4 and finite"):
+            verify_mean_oscillation("U_heat", a, data, u, 0.5, (0.0, 0.0), (4.0, bad))
     wrong = _rand(g, 9)
     with pytest.raises(ValueError, match="does not solve"):
         verify_mean_oscillation("U_heat", a, data, wrong, 0.5, (0.0, 0.0), (4.0,))
@@ -316,3 +334,62 @@ def test_mean_oscillation_takes_one_time_spectrum(monkeypatch, case):
     monkeypatch.setattr(np.fft, "rfft", counted)
     verify_mean_oscillation(case, a, data, u, 0.5, (0.0, 0.0), (4.0, 8.0))
     assert calls == [u.grid.shape]
+
+
+_DEFAULT_KAPPAS = _oscillation_spec(
+    ExperimentConfig.from_mapping({}, kind="oscillation")
+)[1]
+
+
+@pytest.mark.parametrize(
+    "kappas",
+    [(4.0,), (4.0, 6.0, 12.0), _DEFAULT_KAPPAS],
+    ids=["4", "4-6-12", "default"],
+)
+def test_mean_oscillation_takes_the_outer_statistics_once(monkeypatch, kappas):
+    """The bundle root-mean-square over Q_r and the data tail sum do not
+    depend on kappa: each is taken once per call, however many kappas.  Each
+    cylinder's masks are built once for its whole bundle."""
+    a, data, u = _rows_instance()
+    calls = {"tail_sum": 0, "bundle_rms": 0, "_cylinder_masks": 0}
+    for name in calls:
+        original = getattr(oscillation, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(oscillation, name, counted)
+    report = verify_mean_oscillation(
+        "calUprime_theta_x1", a, data, u, 0.5, (0.0, 0.0), kappas
+    )
+    assert len(report.rows) == len(kappas)
+    # Q_r once, each tail cylinder once, and per kappa one cylinder for each
+    # of the x1 case's two oscillation bundles
+    tail_cylinders = min(oscillation._OSCILLATION_TERMS, max_tail_terms(u.grid, 0.5))
+    masks = 1 + tail_cylinders + 2 * len(kappas)
+    assert calls == {"tail_sum": 1, "bundle_rms": 1, "_cylinder_masks": masks}
+
+
+@pytest.mark.parametrize(
+    "kappas", [(4.0, 6.0, 12.0), _DEFAULT_KAPPAS], ids=["4-6-12", "default"]
+)
+@pytest.mark.parametrize(
+    "case, theta", [("calU_time_coeffs", 1.0), ("calUprime_theta_x1", 0.5)]
+)
+def test_mean_oscillation_rows_scale_one_pair_of_terms(kappas, case, theta):
+    """Every row is kappa^{-theta} times one root-mean-square plus
+    kappa^{1+d/2} times one tail sum.  The kappa = 4 row gives both back
+    exactly (its powers are powers of two); every row must match them to
+    the bit."""
+    a, data, u = _rows_instance()
+    report = verify_mean_oscillation(case, a, data, u, 0.5, (0.0, 0.0), kappas)
+    tail_power = 1.0 + u.grid.d / 2.0
+    first = report.rows[0]
+    assert first.kappa == 4.0
+    rms = first.term_homogeneous * 4.0**theta
+    f_tail = first.term_tail / 4.0**tail_power
+    assert rms > 0 and f_tail > 0
+    for row in report.rows:
+        assert row.term_homogeneous == row.kappa ** (-theta) * rms
+        assert row.term_tail == row.kappa**tail_power * f_tail
