@@ -31,7 +31,8 @@ __all__ = [
     "check_assumption_x1",
 ]
 
-_TAGS = ("constant", "time_measurable", "x1_measurable", "general")
+# each tag and the sample axes (0 = t, 1 = x1, ...) its field may vary along (None: all)
+_TAGS = {"constant": (), "time_measurable": (0,), "x1_measurable": (1,), "general": None}
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,10 @@ def _min_symmetric_eig(data: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Validated d x d coefficient matrices over a grid."""
+    """Validated d x d coefficient matrices over a grid, stored at the shape
+    the tag allows: each sample axis of ``data`` has length 1 or its grid
+    length, and length 1 on every axis the tag forbids variation along.
+    ``np.broadcast_to(data, (d, d, *grid.shape))`` is the full-grid view."""
 
     grid: Grid
     data: np.ndarray
@@ -72,15 +76,33 @@ class Coefficients:
 
     def __post_init__(self) -> None:
         d = self.grid.d
+        full = (d, d, *self.grid.shape)
         arr = np.asarray(self.data, dtype=np.float64)
-        if arr.shape != (d, d, *self.grid.shape):
+        bad = arr.ndim != len(full) or arr.shape[:2] != full[:2]
+        if bad or any(m not in (1, n) for m, n in zip(arr.shape[2:], full[2:])):
             raise ValueError(
-                f"coefficient array must have shape (d, d, n_t, n_x...), got {arr.shape}"
+                "coefficient array must have shape (d, d, n_t, n_x...), each sample "
+                f"axis of length 1 or its grid length, got {arr.shape}"
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("coefficient entries must be finite")
         if self.tag not in _TAGS:
-            raise ValueError(f"tag must be one of {_TAGS}, got {self.tag!r}")
+            raise ValueError(f"tag must be one of {tuple(_TAGS)}, got {self.tag!r}")
+        varying = _TAGS[self.tag]
+        stored = full[:2] + tuple(
+            n if varying is None or ax in varying else 1 for ax, n in enumerate(full[2:])
+        )
+        cut = [ax for ax in range(2, len(full)) if arr.shape[ax] > stored[ax]]
+        # variation along axes the tag forbids must be at sampling noise level
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(arr)))) if cut else 0.0
+        for ax in cut:
+            spread = float(np.max(np.ptp(arr, axis=ax)))
+            if spread > tol:
+                raise ValueError(
+                    f"tag {self.tag!r} inconsistent: variation {spread} along sample axis {ax - 2}"
+                )
+            arr = arr[(slice(None),) * ax + (slice(0, 1),)]
+        arr = np.array(np.broadcast_to(arr, stored), order="C")  # a private copy
         delta = self.ellipticity.delta
         bound = 1.0 / delta + 1e-10
         worst = float(np.max(np.abs(arr)))
@@ -93,51 +115,28 @@ class Coefficients:
             raise ValueError(
                 f"ellipticity violated: min symmetric eigenvalue {min_eig} < delta = {delta}"
             )
-        self._check_tag_consistency(arr)
-        arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
-
-    def _check_tag_consistency(self, arr: np.ndarray) -> None:
-        # variation along axes the tag forbids must be at sampling noise level
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(arr))))
-        sample_axes = tuple(range(2, 2 + self.grid.d + 1))
-        if self.tag == "constant":
-            forbidden = sample_axes
-        elif self.tag == "time_measurable":
-            forbidden = sample_axes[1:]
-        elif self.tag == "x1_measurable":
-            forbidden = (sample_axes[0],) + sample_axes[2:]
-        else:
-            return
-        for ax in forbidden:
-            spread = float(np.max(np.ptp(arr, axis=ax)))
-            if spread > tol:
-                raise ValueError(
-                    f"tag {self.tag!r} inconsistent: variation {spread} along sample axis {ax - 2}"
-                )
 
     def constant_matrix(self) -> np.ndarray:
         """The (d, d) matrix of a constant-tagged field."""
         if self.tag != "constant":
             raise ValueError(f"constant_matrix needs tag 'constant', got {self.tag!r}")
-        idx = (slice(None), slice(None)) + (0,) * (self.grid.d + 1)
-        return np.array(self.data[idx])
+        return self.data.reshape(self.grid.d, self.grid.d)
 
     def mean_matrix(self) -> np.ndarray:
         """Space-time mean per entry, shape (d, d)."""
-        axes = tuple(range(2, 2 + self.grid.d + 1))
-        return self.data.mean(axis=axes)
+        d = self.grid.d
+        full = np.broadcast_to(self.data, (d, d, *self.grid.shape))
+        # over the materialised full grid: numpy's pairwise sum depends on the
+        # summed length, so a mean over the compact samples can differ in the last bit
+        return np.ascontiguousarray(full).mean(axis=tuple(range(2, d + 3)))
 
 
 def identity_coefficients(grid: Grid) -> Coefficients:
-    d = grid.d
-    data = np.zeros((d, d, *grid.shape))
-    for i in range(d):
-        data[i, i] = 1.0
     return Coefficients(
         grid=grid,
-        data=data,
+        data=_constant_data(grid, np.eye(grid.d)),
         tag="constant",
         ellipticity=Ellipticity(1.0),
         generator={"kind": "identity"},
@@ -153,14 +152,12 @@ def coefficients_from_matrix(
 
 
 def _constant_data(grid: Grid, matrix: np.ndarray) -> np.ndarray:
-    """The (d, d) matrix repeated at every sample, shape (d, d, n_t, n_x...)."""
+    """The (d, d) matrix as a field constant along every sample axis, shape (d, d, 1, ...)."""
     matrix = np.asarray(matrix, dtype=np.float64)
     d = grid.d
     if matrix.shape != (d, d):
         raise ValueError(f"matrix must be ({d}, {d}), got {matrix.shape}")
-    return np.broadcast_to(
-        matrix.reshape(d, d, *([1] * (d + 1))), (d, d, *grid.shape)
-    ).copy()
+    return matrix.reshape(d, d, *([1] * (d + 1)))
 
 
 def _admissible_matrix(rng: np.random.Generator, d: int, delta: float) -> np.ndarray:
@@ -270,11 +267,10 @@ def generate_coefficients(
         mats = np.stack([_admissible_matrix(rng, d, delta) for _ in range(n_jumps)])
         coord = _unwrapped_axis(n_axis, period)
         region = np.searchsorted(cuts, coord, side="right") % n_jumps
-        profile = mats[region]  # (n_axis, d, d)
-        profile = np.moveaxis(profile, 0, -1)  # (d, d, n_axis)
+        profile = np.moveaxis(mats[region], 0, -1)  # (d, d, n_axis)
         shape = [d, d] + [1] * (d + 1)
         shape[2 if along_time else 3] = n_axis
-        data = np.broadcast_to(profile.reshape(shape), (d, d, *grid.shape)).copy()
+        data = profile.reshape(shape)
         tag = "time_measurable" if along_time else "x1_measurable"
         return Coefficients(
             grid=grid, data=data, tag=tag, ellipticity=ell, generator=meta
@@ -476,7 +472,8 @@ def _time_deviation(coeffs: Coefficients, r: float, t_windows: np.ndarray):
     """Per spatial center: the mean over each time window of the ball mean
     of |a_ij(s, y) - mean_{B_r} a_ij(s, .)|."""
     grid = coeffs.grid
-    data = coeffs.data.reshape(grid.d**2, grid.n_t, -1)  # flat spatial index
+    full = np.broadcast_to(coeffs.data, (grid.d, grid.d, *grid.shape))
+    data = full.reshape(grid.d**2, grid.n_t, -1)  # flat spatial index
     offsets = _ball_offsets(grid, r)
 
     def means(center: np.ndarray) -> np.ndarray:
@@ -495,7 +492,8 @@ def _x1_deviation(coeffs: Coefficients, r: float, t_windows: np.ndarray):
     grid = coeffs.grid
     n1 = grid.n_x[0]
     prime_shape = grid.n_x[1:]
-    flat = coeffs.data.reshape(grid.d**2, grid.n_t, -1)
+    full = np.broadcast_to(coeffs.data, (grid.d, grid.d, *grid.shape))
+    flat = full.reshape(grid.d**2, grid.n_t, -1)
     # x' axes flattened to one trailing index (length 1 when d = 1)
     data = flat.reshape(grid.d**2, grid.n_t, n1, -1)
     offsets = _ball_offsets(grid, r)

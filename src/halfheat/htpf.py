@@ -87,11 +87,12 @@ def write_coefficients(stem: str | Path, coeffs: Coefficients) -> Path:
     """Write one HTPF per matrix entry plus ``<stem>.json``; returns the sidecar path."""
     stem = Path(stem)
     d = coeffs.grid.d
+    full = np.broadcast_to(coeffs.data, (d, d, *coeffs.grid.shape))  # files hold every sample
     files = {}
     for i in range(d):
         for j in range(d):
             name = f"{stem.name}_{i + 1}{j + 1}.htpf"
-            write_field(stem.with_name(name), Field(coeffs.grid, coeffs.data[i, j]))
+            write_field(stem.with_name(name), Field(coeffs.grid, full[i, j]))
             files[f"a{i + 1}{j + 1}"] = name
     sidecar = stem.with_suffix(".json")
     meta = {

@@ -81,7 +81,9 @@ def _cylinder_masks(grid: Grid, cyl: Cylinder) -> tuple[np.ndarray, np.ndarray]:
         )
     s = cyl.spatial_radius
     slack = 1.0 + 1e-12  # sqrt/square round trips may overshoot the exact fit
-    if cyl.r**2 > slack * grid.l_t / 2.0 or s > slack * min(grid.l_x) / 2.0:
+    # r > sqrt(l_t) cannot fit, and its square may overflow: it is refused unsquared
+    too_long = cyl.r > math.sqrt(grid.l_t) or cyl.r**2 > slack * grid.l_t / 2.0
+    if too_long or s > slack * min(grid.l_x) / 2.0:
         raise ValueError(
             f"cylinder (r={cyl.r}, s={s}) does not fit the fundamental cell"
         )
@@ -129,7 +131,7 @@ def max_tail_terms(grid: Grid, r: float) -> int:
     fundamental cell."""
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"tail cylinders need a finite r > 0, got r={r}")
-    if r**2 > grid.l_t / 2.0:
+    if r > math.sqrt(grid.l_t) or r**2 > grid.l_t / 2.0:  # no square of a huge r
         return 0
     return 1 + int(math.floor(math.log2(grid.l_t / (2.0 * r**2)) + 1e-12))
 
@@ -145,7 +147,7 @@ def tail_sum(
         raise ValueError("tail_sum needs at least one term")
     usable = min(terms, max_tail_terms(grid, r))
     if usable < 1:
-        raise ValueError(f"no tail cylinder fits: r^2 = {r**2} exceeds l_t/2")
+        raise ValueError(f"no tail cylinder fits: r = {r} has r^2 above l_t/2")
     total = 0.0
     for j in range(usable):
         cyl = Cylinder(center=center, r=2.0 ** (j / 2.0) * r, s=r)

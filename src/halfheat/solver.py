@@ -178,7 +178,7 @@ def duality_defect(coeffs: Coefficients, lam: float, u: Field, v: Field) -> floa
     pairing u against v plus pairing v against u with transposed coefficients
     must equal twice the symmetric (flux + lambda) part, the time term being
     exactly skew on the lattice."""
-    transposed = replace(coeffs, data=np.swapaxes(coeffs.data, 0, 1).copy())
+    transposed = replace(coeffs, data=np.swapaxes(coeffs.data, 0, 1))
     forward = weak_pairing(coeffs, lam, u, v)
     backward = weak_pairing(transposed, lam, v, u)
     sym = _flux_pairing(coeffs, u, v) + lam * inner(u, v)
@@ -345,12 +345,6 @@ def _x1_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
     return np.fft.irfft(u_hat, n=grid.n_t, axis=0)
 
 
-def _time_profile(coeffs: Coefficients) -> np.ndarray:
-    """a_ij(t) of time-measurable coefficients, shape (d, d, n_t)."""
-    d = coeffs.grid.d
-    return coeffs.data.reshape(d, d, coeffs.grid.n_t, -1)[..., 0]
-
-
 def _q_table(grid: Grid, profile: np.ndarray) -> np.ndarray:
     """q_xi(t) = sum_ij profile_ij(t) conj(sigma_i) sigma_j of a (d, d, n_t) profile,
     shape (modes, n_t): one row per mode of the spatial ``rfftn`` half spectrum."""
@@ -387,7 +381,7 @@ def _t_frame(coeffs: Coefficients, lam: float):
     d, n_t = grid.d, grid.n_t
     spatial = tuple(range(1, d + 1))
     half = _half_shape(grid)
-    profile = _time_profile(coeffs)
+    profile = coeffs.data.reshape(d, d, n_t)  # a_ij(t)
     mean = profile.mean(axis=-1)
     # q_xi(t) - q_bar_xi and the symbol of P, each one (modes, n_t) table
     varying = _q_table(grid, profile - mean[..., None])

@@ -739,6 +739,19 @@ def test_oscillation_rejects_kappas_and_radius_before_solving(
     assert report["failures"][0].startswith(message)
 
 
+def test_oscillation_with_a_huge_outer_radius_fails_as_one_json_line(tmp_path, capsys):
+    """r = 1e200 used to end in an OverflowError from squaring it."""
+    config = _write_config(tmp_path, "c.json", {"coefficients": {"outer_radius": 1e200}})
+    argv = ["oscillation", "--config", str(config), "--out", str(tmp_path / "o")]
+    code = main(argv + ["--grid", "n_t=64", "--grid", "n_x=32"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(out) == 1
+    (failure,) = json.loads(out[0])["failures"]
+    assert failure.startswith("'outer_radius' 1e+200 with 'kappas' [4.0, 8.0, 16.0]")
+    assert "does not fit the fundamental cell" in failure
+
+
 def test_experiment_key_must_match_the_command(tmp_path, capsys):
     """`halfheat l2` on a config that says identities used to run l2 on the
     identities grid and hash a config naming identities."""

@@ -49,8 +49,9 @@ def test_identity_coefficients():
     coeffs = identity_coefficients(g)
     assert coeffs.tag == "constant"
     assert coeffs.ellipticity.delta == 1.0
-    assert np.array_equal(coeffs.data[0, 0], np.ones(g.shape))
-    assert np.array_equal(coeffs.data[0, 1], np.zeros(g.shape))
+    full = np.broadcast_to(coeffs.data, (2, 2, *g.shape))
+    assert np.array_equal(full[0, 0], np.ones(g.shape))
+    assert np.array_equal(full[0, 1], np.zeros(g.shape))
     assert np.array_equal(coeffs.constant_matrix(), np.eye(2))
 
 
@@ -65,10 +66,20 @@ def test_validation_rejects_inadmissible_data():
     too_big = np.full((1, 1, *g.shape), 3.0)  # entry above 1/delta
     with pytest.raises(ValueError):
         Coefficients(grid=g, data=too_big, tag="general", ellipticity=ell)
-    varies = np.ones((1, 1, *g.shape))
-    varies[0, 0, 0, 0] = 0.9
-    with pytest.raises(ValueError):
-        Coefficients(grid=g, data=varies, tag="constant", ellipticity=ell)
+    with pytest.raises(ValueError, match="shape"):  # an axis neither 1 nor full length
+        Coefficients(grid=g, data=np.ones((1, 1, 2, 1)), tag="general", ellipticity=ell)
+    # a field varying along t only, along x1 only: each tag forbids one of them
+    for axis, tags in ((0, ("constant", "x1_measurable")), (1, ("constant", "time_measurable"))):
+        varies = np.ones((1, 1, *g.shape))
+        varies[(0, 0) + (slice(None),) * axis + (3,)] = 0.9
+        for tag in tags:
+            with pytest.raises(ValueError, match=f"inconsistent.*sample axis {axis}"):
+                Coefficients(grid=g, data=varies, tag=tag, ellipticity=ell)
+    g2 = _grid(d=2, n_t=8, n_x=8)
+    varies = np.ones((1, 1, 1, 1, 8)) * np.eye(2).reshape(2, 2, 1, 1, 1)
+    varies[0, 0, 0, 0, 3] = 0.9  # along x2, which x1_measurable forbids
+    with pytest.raises(ValueError, match="inconsistent.*sample axis 2"):
+        Coefficients(grid=g2, data=varies, tag="x1_measurable", ellipticity=ell)
     with pytest.raises(ValueError, match="tag"):
         Coefficients(grid=g, data=np.ones((1, 1, *g.shape)), tag="weird", ellipticity=ell)
 
@@ -104,6 +115,44 @@ def test_constant_generator_validates_its_array_once(monkeypatch):
     assert calls == [1]
     assert a.generator == {"kind": "constant", "delta": 0.5, "seed": 3}
     assert np.array_equal(a.data, coefficients_from_matrix(a.grid, a.constant_matrix(), 0.5).data)
+
+
+# the generator kinds with a narrow tag, and that tag
+_NARROW = {
+    "constant": "constant",
+    "time_piecewise": "time_measurable",
+    "x1_piecewise": "x1_measurable",
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", [*_NARROW, "checkerboard", "smooth"])
+def test_data_is_stored_at_the_shape_its_tag_allows(kind, d):
+    g = _grid(d=d, n_t=16, n_x=8)
+    coeffs = generate_coefficients(kind=kind, delta=0.5, seed=1, grid=g)
+    axes = {"constant": (), "time_measurable": (0,), "x1_measurable": (1,)}.get(
+        coeffs.tag, range(d + 1)
+    )
+    compact = tuple(n if axis in axes else 1 for axis, n in enumerate(g.shape))
+    assert coeffs.data.shape == (d, d, *compact)
+    assert coeffs.data.flags.c_contiguous and not coeffs.data.flags.writeable
+    if kind in _NARROW:
+        assert coeffs.data.nbytes <= d * d * max(g.n_t, g.n_x[0]) * 8
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", list(_NARROW))
+def test_full_grid_input_compacts_to_the_generated_array(kind, d):
+    g = _grid(d=d, n_t=16, n_x=8)
+    made = generate_coefficients(kind=kind, delta=0.5, seed=2, grid=g)
+    full = np.broadcast_to(made.data, (d, d, *g.shape)).copy()
+    back = Coefficients(grid=g, data=full, tag=_NARROW[kind], ellipticity=made.ellipticity)
+    assert back.data.shape == made.data.shape
+    assert back.data.tobytes() == made.data.tobytes()
+    assert not np.shares_memory(back.data, full)  # the stored array is a private copy
+    # a general tag keeps every sample
+    general = Coefficients(grid=g, data=made.data, tag="general", ellipticity=made.ellipticity)
+    assert general.data.tobytes() == full.tobytes()
 
 
 def test_piecewise_structure():
@@ -304,7 +353,7 @@ def _brute_force_scan(coeffs, r_zero, kind):
     docstrings; returns (gamma per radius, cylinders scanned)."""
     grid = coeffs.grid
     d = grid.d
-    a = coeffs.data.reshape(d * d, grid.n_t, -1)
+    a = np.broadcast_to(coeffs.data, (d, d, *grid.shape)).reshape(d * d, grid.n_t, -1)
     x1_index = np.unravel_index(np.arange(a.shape[-1]), grid.n_x)[0]
     gammas, count = [], 0
     r = r_zero

@@ -5,6 +5,7 @@ magic "HTPF", u16 version (1), u8 rank, rank u64 sizes (time first), rank
 f64 periods, all little-endian, then float64 samples in row-major order.
 """
 
+import hashlib
 import json
 import struct
 
@@ -108,6 +109,29 @@ def test_coefficient_stack_round_trip(tmp_path):
     assert back.ellipticity == coeffs.ellipticity
     assert np.array_equal(back.data, coeffs.data)
     assert back.generator == coeffs.generator
+
+
+# sha256 over each stack file's name and bytes, in name order, as the
+# full-grid storage wrote them: compact storage must write the same files
+_STACK_DIGESTS = {
+    "time_piecewise": "558772403d16df5569f3db0005716759d4f0ee3a81d6857ce1e2822cb5b6767e",
+    "x1_piecewise": "12fb3f2322135899b2a33b6bc97b6612396e6ef25d23b264538ec400d9fd2733",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_STACK_DIGESTS))
+def test_coefficient_stack_bytes_are_pinned(tmp_path, kind):
+    g = make_grid(d=2, n_t=8, n_x=8, l_t=2.0, l_x=2.0)
+    coeffs = generate_coefficients(kind=kind, delta=0.5, seed=4, grid=g)
+    sidecar = write_coefficients(tmp_path / "a", coeffs)
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == _STACK_DIGESTS[kind]
+    back = read_coefficients(sidecar)  # full-size on disk, compact once read
+    assert back.data.tobytes() == coeffs.data.tobytes()
+    assert back.data.shape == coeffs.data.shape
 
 
 def _solve_with_stack(tmp_path, capsys, sidecar):

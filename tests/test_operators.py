@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfheat import (
+    Coefficients,
     DataBundle,
     Field,
     VectorField,
@@ -267,6 +268,27 @@ def test_operator_parts_match_the_separate_kernels(d):
     for part, expected in zip(parts, _solution_parts(g, u, 2.0)):
         assert np.array_equal(part, expected)
     assert np.array_equal(flux, _flux(a.data, _gradient(g, u)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ["constant", "time_piecewise", "x1_piecewise"])
+def test_compact_coefficients_apply_bit_for_bit_as_the_full_grid(kind, d):
+    # a general tag stores every sample, so it is the full-grid path
+    g = _grid(d=d, n_t=16, n_x=8)
+    a = generate_coefficients(kind=kind, delta=0.25, seed=3, grid=g)
+    full = Coefficients(
+        grid=g,
+        data=np.broadcast_to(a.data, (d, d, *g.shape)).copy(),
+        tag="general",
+        ellipticity=a.ellipticity,
+    )
+    assert a.data.size < full.data.size
+    u = _rand(g, 5).data
+    assert _operator(a, 2.0, u).tobytes() == _operator(full, 2.0, u).tobytes()
+    compact, _, flux = _operator_parts(a, 2.0, u)
+    reference, _, full_flux = _operator_parts(full, 2.0, u)
+    assert compact.tobytes() == reference.tobytes()
+    assert flux.tobytes() == full_flux.tobytes()
 
 
 def test_rhs_is_computed_once_per_bundle():

@@ -169,6 +169,15 @@ def test_tail_sum_rejects_impossible_geometry():
         tail_sum(sq, g, 2.0, (0.0, 0.0), 3)  # r^2 = 4 > l_t/2
 
 
+def test_a_huge_radius_is_refused_without_squaring_it():
+    g = _grid()
+    assert max_tail_terms(g, 1e200) == 0
+    with pytest.raises(ValueError, match="no tail cylinder fits: r = 1e"):
+        tail_sum(np.ones(g.shape), g, 1e200, (0.0, 0.0), 3)
+    with pytest.raises(ValueError, match="does not fit the fundamental cell"):
+        bundle_rms([np.ones(g.shape)], g, Cylinder((0.0, 0.0), r=1e200))
+
+
 @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
 def test_tail_radius_must_be_finite_and_positive(r):
     g = _grid()

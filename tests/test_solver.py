@@ -418,7 +418,7 @@ def _t_direct(coeffs, lam, rhs):
     # C[m, k] = c[m - k]: convolution with the inverse transform of i*tau
     kernel = np.fft.irfft(time_symbol(grid, "time_derivative").values[: n_t // 2 + 1], n=n_t)
     spec = np.fft.rfftn(rhs, axes=spatial).reshape(n_t, -1)
-    quad = solver_module._q_table(grid, solver_module._time_profile(coeffs))
+    quad = solver_module._q_table(grid, coeffs.data.reshape(d, d, n_t))
     u_hat = np.zeros((spec.shape[1], n_t), dtype=complex)
     size = np.max(np.abs(spec), axis=0)
     for mode in np.flatnonzero(size > 1e-13 * np.max(size)):
