@@ -73,6 +73,15 @@ def _spatial_dist_sq(grid: Grid, center: tuple[float, ...]) -> np.ndarray:
     return dist_sq.ravel()
 
 
+_SLACK = 1.0 + 1e-12  # sqrt/square round trips may overshoot the exact fit
+
+
+def _time_fits(grid: Grid, r: float) -> bool:
+    """Whether the time extent (-r^2, r^2) fits the fundamental cell; an r
+    above sqrt(l_t) cannot, and is refused unsquared (its square may overflow)."""
+    return r <= math.sqrt(grid.l_t) and r**2 <= _SLACK * grid.l_t / 2.0
+
+
 def _cylinder_masks(grid: Grid, cyl: Cylinder) -> tuple[np.ndarray, np.ndarray]:
     """(time mask (n_t,), flat spatial mask (prod n_x,)) of cell centers inside."""
     if len(cyl.center) != grid.d + 1:
@@ -80,13 +89,8 @@ def _cylinder_masks(grid: Grid, cyl: Cylinder) -> tuple[np.ndarray, np.ndarray]:
             f"cylinder center needs {grid.d + 1} components, got {len(cyl.center)}"
         )
     s = cyl.spatial_radius
-    slack = 1.0 + 1e-12  # sqrt/square round trips may overshoot the exact fit
-    # r > sqrt(l_t) cannot fit, and its square may overflow: it is refused unsquared
-    too_long = cyl.r > math.sqrt(grid.l_t) or cyl.r**2 > slack * grid.l_t / 2.0
-    if too_long or s > slack * min(grid.l_x) / 2.0:
-        raise ValueError(
-            f"cylinder (r={cyl.r}, s={s}) does not fit the fundamental cell"
-        )
+    if not _time_fits(grid, cyl.r) or s > _SLACK * min(grid.l_x) / 2.0:
+        raise ValueError(f"cylinder (r={cyl.r}, s={s}) does not fit the fundamental cell")
     dt_off = _wrapped_offset(grid.time_coordinates(), cyl.center[0], grid.l_t)
     t_mask = np.abs(dt_off) < cyl.r**2
     x_mask = _spatial_dist_sq(grid, cyl.center[1:]) < s**2
@@ -127,13 +131,14 @@ def bundle_oscillation(arrays: list[np.ndarray], grid: Grid, cyl: Cylinder) -> f
 
 
 def max_tail_terms(grid: Grid, r: float) -> int:
-    """Largest J with the time extent of Q_{2^{(J-1)/2} r, r} inside the
-    fundamental cell."""
+    """Number of the tail radii 2^{j/2} r, j = 0, 1, ..., whose time extent
+    fits the fundamental cell."""
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"tail cylinders need a finite r > 0, got r={r}")
-    if r > math.sqrt(grid.l_t) or r**2 > grid.l_t / 2.0:  # no square of a huge r
-        return 0
-    return 1 + int(math.floor(math.log2(grid.l_t / (2.0 * r**2)) + 1e-12))
+    terms = 0
+    while _time_fits(grid, 2.0 ** (terms / 2.0) * r):
+        terms += 1
+    return terms
 
 
 def tail_sum(
@@ -157,10 +162,11 @@ def tail_sum(
 
 
 def _checked_parts(
-    coeffs: Coefficients, data: DataBundle, u: Field
+    coeffs: Coefficients, data: DataBundle, u: Field, rtol: float
 ) -> tuple[float, list[np.ndarray], np.ndarray]:
     """(relative residual of u against the bundle's right-hand side, the
-    solution bundle slots, the flux a.D+u), from one time spectrum of u."""
+    solution bundle slots, the flux a.D+u), from one time spectrum of u; a
+    relative residual above rtol is a ValueError."""
     _check_grid(coeffs, u)
     applied, parts, flux = _operator_parts(coeffs, data.lam, u.data)
     rhs = _rhs(data)
@@ -168,7 +174,10 @@ def _checked_parts(
     scale = float(np.linalg.norm(rhs))
     if scale == 0.0:
         scale = max(float(np.linalg.norm(u.data)), 1.0)
-    return res / scale, parts, flux
+    rel = res / scale
+    if rel > rtol:
+        raise ValueError(f"u does not solve the equation: relative residual {rel} > {rtol}")
+    return rel, parts, flux
 
 
 # tail-sum terms of each verifier; the local one's relative residual bound
@@ -201,11 +210,7 @@ def verify_local_estimate(
     condition of the infinite-cylinder setting.
     """
     grid = u.grid
-    rel, parts, _ = _checked_parts(coeffs, data, u)
-    if rel > _LOCAL_RTOL:
-        raise ValueError(
-            f"u does not solve the equation: relative residual {rel} > {_LOCAL_RTOL}"
-        )
+    rel, parts, _ = _checked_parts(coeffs, data, u, _LOCAL_RTOL)
     outside = _spatial_dist_sq(grid, (0.0,) * grid.d) >= radius**2
     u_flat = np.abs(u.data.reshape(grid.n_t, -1))
     peak = float(u_flat.max())
@@ -216,13 +221,11 @@ def verify_local_estimate(
                 f"u is not supported in B_{radius}: |u| reaches {stray} outside"
             )
 
-    u_sq = _square_sum(parts)
     origin = (0.0,) * (grid.d + 1)
-    (samples,) = _cylinder_samples([u_sq], grid, Cylinder(origin, r=radius))
-    lhs = math.sqrt(max(float(samples.mean()), 0.0))
+    # the root mean square of |U| over Q_radius is the j = 0 tail-sum term
+    lhs = tail_sum(_square_sum(parts), grid, radius, origin, 1)
     terms_used = min(_LOCAL_TERMS, max_tail_terms(grid, radius))
-    f_sq = _square_sum(_data_parts(data))
-    rhs = tail_sum(f_sq, grid, radius, origin, terms_used) if terms_used else 0.0
+    rhs = tail_sum(_square_sum(_data_parts(data)), grid, radius, origin, terms_used)
     trivial = lhs == 0.0 and rhs == 0.0
     n_emp = lhs / rhs if rhs > 0 else None
     return LocalEstimateReport(
@@ -252,7 +255,6 @@ class OscillationReport:
     outer_radius: float
     rows: tuple[OscillationRow, ...]
     fitted_decay: float | None
-    truncated: bool
     residual_rel: float
 
 
@@ -286,40 +288,27 @@ def verify_mean_oscillation(
     grid = u.grid
     if not all(math.isfinite(k) and k >= 4 for k in kappa_list):
         raise ValueError(f"every kappa must be >= 4 and finite, got {kappa_list}")
-    rel, (half_du, *grad_arrays, weighted_u), flux = _checked_parts(coeffs, data, u)
-    if rel > rtol and float(np.abs(u.data).max()) > 0:
-        raise ValueError(
-            f"u does not solve the equation: relative residual {rel} > {rtol}"
-        )
+    rel, (half_du, *grad_arrays, weighted_u), flux = _checked_parts(coeffs, data, u, rtol)
 
-    if case == "calU_time_coeffs":
-        lhs_bundles = [grad_arrays + [weighted_u]]
-        theta = 1.0
-    elif case == "U_heat":
-        lhs_bundles = [[half_du] + grad_arrays + [weighted_u]]
-        theta = 1.0
-    else:
-        prime = grad_arrays[1:]  # D'u: spatial axes 2..d (empty when d = 1)
-        lhs_bundles = [prime + [weighted_u], [flux[0]]]
-        theta = 0.5
     rhs_arrays = grad_arrays + [weighted_u]
+    # each case's oscillation bundles and theta; D'u = grad_arrays[1:] holds
+    # the spatial axes 2..d (none when d = 1)
+    lhs_bundles, theta = {
+        "calU_time_coeffs": ([rhs_arrays], 1.0),
+        "U_heat": ([[half_du] + rhs_arrays], 1.0),
+        "calUprime_theta_x1": ([grad_arrays[1:] + [weighted_u], [flux[0]]], 0.5),
+    }[case]
 
     rms = bundle_rms(rhs_arrays, grid, Cylinder(center, r=r))
-    usable = min(_OSCILLATION_TERMS, max_tail_terms(grid, r))
     f_sq = _square_sum(_data_parts(data))
-    f_tail = tail_sum(f_sq, grid, r, center, usable) if usable else 0.0
+    f_tail = tail_sum(f_sq, grid, r, center, _OSCILLATION_TERMS)
     rows = []
-    truncated = False
     for kappa in kappa_list:
         inner_r = r / kappa
-        try:
-            lhs = sum(
-                bundle_oscillation(arrays, grid, Cylinder(center, r=inner_r))
-                for arrays in lhs_bundles
-            )
-        except ValueError:
-            truncated = True  # inner cylinder fell below the grid spacing
-            continue
+        lhs = sum(
+            bundle_oscillation(arrays, grid, Cylinder(center, r=inner_r))
+            for arrays in lhs_bundles
+        )
         hom = kappa ** (-theta) * rms
         tail = kappa ** (1.0 + grid.d / 2.0) * f_tail
         denom = hom + tail
@@ -346,6 +335,5 @@ def verify_mean_oscillation(
         outer_radius=float(r),
         rows=tuple(rows),
         fitted_decay=fitted,
-        truncated=truncated,
         residual_rel=rel,
     )

@@ -185,6 +185,14 @@ def duality_defect(coeffs: Coefficients, lam: float, u: Field, v: Field) -> floa
     return abs(forward + backward - 2.0 * sym)
 
 
+def _solution(grid: Grid, x: np.ndarray, method: str, lam: float) -> Field:
+    """x as the solution Field; non-finite samples (u carries 1/lambda, which
+    overflows at a tiny lambda) are a ValueError naming the path and lambda."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"{method} solve at lambda = {lam} overflowed: u is not finite")
+    return Field(grid, x)
+
+
 def _zero_result(grid: Grid, started: float, method: str) -> SolveResult:
     return SolveResult(
         u=zeros(grid),
@@ -229,7 +237,8 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
             )
     u_hat = np.zeros_like(rhs_hat)
     np.divide(rhs_hat, denom, out=u_hat, where=~singular)
-    u = Field(grid, np.fft.irfftn(u_hat, s=grid.shape, axes=tuple(range(grid.d + 1))))
+    u_data = np.fft.irfftn(u_hat, s=grid.shape, axes=tuple(range(grid.d + 1)))
+    u = _solution(grid, u_data, "oracle", lam)
 
     res = _operator(coeffs, lam, u.data) - rhs
     rel = _lp(np.abs(res), 2, grid.cell_measure) / rhs_norm
@@ -647,6 +656,8 @@ def solve(
     shape = grid.shape
     b = _rhs(data).ravel()
     b_norm = float(np.linalg.norm(b))
+    if not np.isfinite(b_norm):
+        raise ValueError("the right-hand side's 2-norm overflows: the data are too large")
     paths = {"time_measurable": "t_frame_gmres", "x1_measurable": "x1_direct"}
     method = paths.get(coeffs.tag, "gmres")
     if b_norm == 0.0:
@@ -687,7 +698,7 @@ def solve(
         matvecs += used + 1
 
     return SolveResult(
-        u=Field(grid, x.reshape(shape)),
+        u=_solution(grid, x.reshape(shape), method, lam),
         iterations=len(norms),
         final_relative_residual=rel,
         wall_time=time.perf_counter() - started,

@@ -840,3 +840,37 @@ def test_huge_period_fails_cleanly(tmp_path, capsys):
     assert code == 1 and len(lines) == 1
     failure = json.loads(lines[0])["failures"][0]
     assert failure.startswith("l_t must be a positive finite period")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the input overflows
+@pytest.mark.parametrize(
+    "kind, method",
+    [("constant", "oracle"), ("time_piecewise", "t_frame_gmres"), ("x1_piecewise", "gmres")],
+)
+def test_solve_at_a_tiny_lambda_fails_naming_lambda(tmp_path, capsys, kind, method):
+    """f = 1 puts 1/lambda in u, which overflows at lambda = 5e-324; the
+    failure used to say only 'field entries must be finite'."""
+    mapping = dict(SOLVE_CONFIG, coefficients={"kind": kind, "delta": 0.5, "seed": 3})
+    mapping.update(data={"f": "1"}, **{"lambda": 5e-324})
+    config = _write_config(tmp_path, "c.json", mapping)
+    code = main(["solve", "--config", str(config), "--out", str(tmp_path / "o")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert json.loads(lines[0])["failures"] == [
+        f"{method} solve at lambda = 5e-324 overflowed: u is not finite"
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the input overflows
+def test_solve_on_data_whose_norm_overflows_fails_cleanly(tmp_path, capsys):
+    """Finite data of size 1e300 have an infinite 2-norm; the GMRES path used
+    to end in an IndexError from an empty correction."""
+    mapping = dict(SOLVE_CONFIG, coefficients={"kind": "x1_piecewise", "delta": 0.5, "seed": 3})
+    mapping["data"] = {"f": "1e300"}
+    config = _write_config(tmp_path, "c.json", mapping)
+    code = main(["solve", "--config", str(config), "--out", str(tmp_path / "o")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert json.loads(lines[0])["failures"] == [
+        "the right-hand side's 2-norm overflows: the data are too large"
+    ]

@@ -30,9 +30,10 @@ from halfheat import (
     zeros,
 )
 from halfheat import oscillation
-from halfheat.experiments import ExperimentConfig, _oscillation_spec
+from halfheat.experiments import ExperimentConfig, _localized_bundle, _oscillation_spec
 from halfheat.operators import _operator, _rhs
 from halfheat.oscillation import (
+    _cylinder_masks,
     bundle_oscillation,
     bundle_rms,
     max_tail_terms,
@@ -178,6 +179,36 @@ def test_a_huge_radius_is_refused_without_squaring_it():
         bundle_rms([np.ones(g.shape)], g, Cylinder((0.0, 0.0), r=1e200))
 
 
+def test_a_cylinder_fitting_by_rounding_has_its_tail_term():
+    """At l_t = 4 and r = sqrt(2), r^2 rounds to 2.0000000000000004: the masks
+    accept Q_r, so the tail count must too.  It used to count 0 terms, and
+    tail_sum raised although its j = 0 cylinder is Q_r itself."""
+    g = _grid(n_t=64, n_x=64, l_t=4.0, l_x=4.0)
+    r = math.sqrt(2.0)
+    t_mask, x_mask = _cylinder_masks(g, Cylinder((0.0, 0.0), r=r))
+    assert (t_mask.sum(), x_mask.sum()) == (64, 45)
+    assert max_tail_terms(g, r) == 1
+    assert tail_sum(np.ones(g.shape), g, r, (0.0, 0.0), 6) == 1.0
+
+
+@settings(max_examples=60)
+@given(
+    st.floats(1e-3, 1e3),
+    st.floats(0.5, 1.0 + 1e-11),
+    st.sampled_from([16, 64, 256]),
+)
+def test_a_cylinder_that_fits_has_a_tail_term(l_t, factor, n_t):
+    """Whenever the masks accept Q_r, at least one tail cylinder fits: the
+    masks and the tail count read one fit rule."""
+    g = make_grid(d=1, n_t=n_t, n_x=16, l_t=l_t, l_x=4.0 * l_t)
+    r = math.sqrt(l_t / 2.0) * factor
+    try:
+        _cylinder_masks(g, Cylinder((0.0, 0.0), r=r))
+    except ValueError:
+        return
+    assert max_tail_terms(g, r) >= 1
+
+
 @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
 def test_tail_radius_must_be_finite_and_positive(r):
     g = _grid()
@@ -272,6 +303,29 @@ def test_mean_oscillation_verifier_validation():
         verify_mean_oscillation("U_heat", a, data, wrong, 0.5, (0.0, 0.0), (4.0,))
 
 
+def test_zero_solution_against_nonzero_data_does_not_solve():
+    """u = 0 leaves the relative residual at 1.  The oscillation verifier
+    used to exempt a zero u from its residual check and accept it."""
+    g = _grid(n_t=64, n_x=64, l_t=4.0, l_x=4.0)
+    a = identity_coefficients(g)
+    data = _localized_bundle(g, np.random.default_rng(0), 1.0)
+    with pytest.raises(ValueError, match="does not solve"):
+        verify_mean_oscillation("U_heat", a, data, zeros(g), 0.5, (0.0, 0.0), (4.0,))
+    with pytest.raises(ValueError, match="does not solve"):
+        verify_local_estimate(a, data, zeros(g), radius=0.5)
+
+
+def test_a_kappa_whose_inner_cylinder_is_empty_raises():
+    """A kappa whose Q_{r/kappa} holds no sample used to drop its row and
+    set a flag; it is an error now, as in every other cylinder reader."""
+    g = _grid(n_t=64, n_x=64, l_t=4.0, l_x=4.0)
+    u = _rand(g, 8)
+    a = identity_coefficients(g)
+    data = manufacture_data(a, 1.0, u)
+    with pytest.raises(ValueError, match="contains no grid cell centers"):
+        verify_mean_oscillation("U_heat", a, data, u, 0.5, (0.0, 0.0), (4.0, 1e200))
+
+
 def test_mean_oscillation_rows():
     g = make_grid(d=1, n_t=256, n_x=128, l_t=4.0, l_x=4.0)
     a = generate_coefficients(kind="time_piecewise", delta=0.5, seed=3, grid=g)
@@ -283,7 +337,6 @@ def test_mean_oscillation_rows():
     assert report.case == "calU_time_coeffs"
     assert report.outer_radius == 0.5
     assert len(report.rows) == 2
-    assert not report.truncated
     for row, kappa in zip(report.rows, (4.0, 8.0)):
         assert row.kappa == kappa
         assert row.inner_radius == pytest.approx(0.5 / kappa)
