@@ -127,17 +127,24 @@ def _spectral_tables(grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return tau, tuple(sigmas)
 
 
-def _operator_symbol(grid: Grid, matrix: np.ndarray, lam: float) -> np.ndarray:
-    """Per-mode symbol i*tau + sum_ij a_ij conj(sigma_i) sigma_j + lambda on
-    the half spectrum.  It is Hermitian, so the dropped modes are the complex
-    conjugates of kept ones."""
-    tau, sigmas = _spectral_tables(grid)
-    quad = np.zeros(_half_shape(grid), dtype=complex)
+def _quad_symbol(grid: Grid, matrix: np.ndarray) -> np.ndarray:
+    """sum_ij a_ij conj(sigma_i) sigma_j over the spatial modes of the half
+    spectrum, shaped (1, *half[1:]): the same at every tau."""
+    _, sigmas = _spectral_tables(grid)
+    quad = np.zeros((1, *_half_shape(grid)[1:]), dtype=complex)
     for i in range(grid.d):
         for j in range(grid.d):
             if matrix[i, j] != 0.0:
                 quad = quad + matrix[i, j] * np.conj(sigmas[i]) * sigmas[j]
-    return 1j * tau + quad + lam
+    return quad
+
+
+def _operator_symbol(grid: Grid, matrix: np.ndarray, lam: float) -> np.ndarray:
+    """Per-mode symbol i*tau + sum_ij a_ij conj(sigma_i) sigma_j + lambda on
+    the half spectrum.  It is Hermitian, so the dropped modes are the complex
+    conjugates of kept ones."""
+    tau, _ = _spectral_tables(grid)
+    return 1j * tau + _quad_symbol(grid, matrix) + lam
 
 
 def _spectral_divide(x: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -238,6 +245,8 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
     u_hat = np.zeros_like(rhs_hat)
     np.divide(rhs_hat, denom, out=u_hat, where=~singular)
     u_data = np.fft.irfftn(u_hat, s=grid.shape, axes=tuple(range(grid.d + 1)))
+    # the spectral arrays die before the physical check, the oracle's peak
+    del denom, rhs_hat, u_hat, singular
     u = _solution(grid, u_data, "oracle", lam)
 
     res = _operator(coeffs, lam, u.data) - rhs
@@ -264,34 +273,46 @@ def _cyclic_thomas(
     One Thomas sweep serves two right-hand sides: rhs and the Sherman-Morrison
     vector that moves the two corner entries, lower[0] (row 0, column n-1) and
     upper[n-1] (row n-1, column 0), out of the matrix (Numerical Recipes
-    section 2.7, gamma = -diag[0])."""
+    section 2.7, gamma = -diag[0]).  diag is read, not copied: only its two
+    corner-corrected rows are new.  rhs is copied into the sweep and then
+    released, so a caller that hands over its only reference frees it."""
     n = diag.shape[0]
     corner_top, corner_bottom = lower[0], upper[n - 1]
     gamma = -diag[0]
-    diag = diag.copy()
-    diag[0] = diag[0] - gamma
-    diag[n - 1] = diag[n - 1] - corner_bottom * corner_top / gamma
+    first = diag[0] - gamma
+    last = diag[n - 1] - corner_bottom * corner_top / gamma
     # column 0 is rhs, column 1 the Sherman-Morrison vector (gamma, 0, ..., 0, corner_bottom)
     sweep = np.zeros((n, 2, *diag.shape[1:]), dtype=complex)
     sweep[:, 0] = rhs
+    del rhs
     sweep[0, 1] = gamma
     sweep[n - 1, 1] = corner_bottom
     ratio = np.empty(diag.shape, dtype=complex)
-    pivot = diag[0]
-    ratio[0] = upper[0] / pivot
-    sweep[0] /= pivot
+    ratio[0] = upper[0] / first
+    sweep[0] /= first
     for m in range(1, n):
-        pivot = diag[m] - lower[m] * ratio[m - 1]
+        pivot = (last if m == n - 1 else diag[m]) - lower[m] * ratio[m - 1]
         ratio[m] = upper[m] / pivot
         sweep[m] -= lower[m] * sweep[m - 1]
         sweep[m] /= pivot
     for m in range(n - 2, -1, -1):
         sweep[m] -= ratio[m] * sweep[m + 1]
+    del ratio
     x, z = sweep[:, 0], sweep[:, 1]
     fact = (x[0] + corner_top * x[n - 1] / gamma) / (
         1.0 + z[0] + corner_top * z[n - 1] / gamma
     )
-    return x - fact * z
+    x -= fact * z
+    return x
+
+
+def _x1_spectrum(rhs: np.ndarray, spatial: tuple[int, ...]) -> np.ndarray:
+    """rfft of rhs along t and fft along the spatial axes, laid out as
+    (n1, n_tau, n2, ..., nd)."""
+    spec = np.fft.rfft(rhs, axis=0)
+    if spatial:
+        spec = np.fft.fftn(spec, axes=spatial)
+    return np.moveaxis(spec, 1, 0)
 
 
 def _x1_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
@@ -344,26 +365,29 @@ def _x1_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
     diag = itau + lam + (a11 + a11_prev) / h1**2 - (b + c) / h1 + e
 
     spatial = tuple(range(2, d + 1))
-    spec = np.fft.rfft(rhs, axis=0)
-    if spatial:
-        spec = np.fft.fftn(spec, axes=spatial)
-    u_hat = _cyclic_thomas(lower, diag, upper, np.moveaxis(spec, 1, 0))
-    u_hat = np.moveaxis(u_hat, 0, 1)
+    # the sweep holds the only reference to the spectrum, which dies once copied in
+    u_hat = np.moveaxis(_cyclic_thomas(lower, diag, upper, _x1_spectrum(rhs, spatial)), 0, 1)
     if spatial:
         u_hat = np.fft.ifftn(u_hat, axes=spatial)
     return np.fft.irfft(u_hat, n=grid.n_t, axis=0)
 
 
-def _q_table(grid: Grid, profile: np.ndarray) -> np.ndarray:
+def _q_table(grid: Grid, profile: np.ndarray, rows=slice(None)) -> np.ndarray:
     """q_xi(t) = sum_ij profile_ij(t) conj(sigma_i) sigma_j of a (d, d, n_t) profile,
-    shape (modes, n_t): one row per mode of the spatial ``rfftn`` half spectrum."""
+    shape (modes, n_t): one row per mode of the spatial ``rfftn`` half spectrum
+    picked by rows (all of them by default)."""
     _, sigmas = _spectral_tables(grid)
-    half = _half_shape(grid)
-    q = np.zeros((int(np.prod(half[1:])), grid.n_t), dtype=complex)
-    for i in range(grid.d):
-        for j in range(grid.d):
-            s_ij = np.broadcast_to(np.conj(sigmas[i]) * sigmas[j], (1, *half[1:]))
-            q += np.outer(s_ij, profile[i, j])
+    spatial = (1, *_half_shape(grid)[1:])
+    pairs = [
+        np.broadcast_to(np.conj(sigmas[i]) * sigmas[j], spatial).ravel()[rows]
+        for i in range(grid.d)
+        for j in range(grid.d)
+    ]
+    terms = map(np.outer, pairs, profile.reshape(-1, grid.n_t))
+    q = next(terms)
+    q += 0.0  # the sum starts from zeros, so a -0.0 term reads +0.0
+    for term in terms:
+        q += term
     return q
 
 
@@ -381,7 +405,9 @@ def _t_frame(coeffs: Coefficients, lam: float):
     sum over mean_t(a_ij), is the constant_mean preconditioner, diagonal in
     tau, and the right-preconditioned operator of mode xi is
     I + (q_xi - q_bar_xi) P^{-1}: one complex FFT pair along t and pointwise
-    products.
+    products.  Both tables are built per block, for its rows only, from the
+    per-time profiles and the per-mode q_bar_xi, with the operations of
+    _q_table and _operator_symbol, so no (modes, n_t) table stays resident.
 
     Returns (to_frame, from_frame, apply, precondition): the maps between
     physical fields and (modes, n_t) frame arrays, and A P^{-1} and P^{-1} on
@@ -392,9 +418,10 @@ def _t_frame(coeffs: Coefficients, lam: float):
     half = _half_shape(grid)
     profile = coeffs.data.reshape(d, d, n_t)  # a_ij(t)
     mean = profile.mean(axis=-1)
-    # q_xi(t) - q_bar_xi and the symbol of P, each one (modes, n_t) table
-    varying = _q_table(grid, profile - mean[..., None])
-    symbol = np.ascontiguousarray(_operator_symbol(grid, mean, lam).reshape(n_t, -1).T)
+    varying = profile - mean[..., None]  # a_ij(t) - mean_t(a_ij)
+    tau, _ = _spectral_tables(grid)
+    itau = 1j * tau.ravel()
+    quad = _quad_symbol(grid, mean).reshape(-1, 1)  # q_bar_xi, one row per mode
 
     plane = np.full(half[-1], 2.0)
     plane[[0, -1]] = 1.0  # every n_x is even, so the Nyquist plane exists
@@ -410,12 +437,14 @@ def _t_frame(coeffs: Coefficients, lam: float):
 
     def precondition(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
         v_hat = np.fft.fft(block, axis=1)
-        v_hat /= symbol[rows]
+        symbol = itau + quad[rows]
+        symbol += lam
+        v_hat /= symbol
         return np.fft.ifft(v_hat, axis=1)
 
     def apply(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
         v = precondition(block, rows)
-        v *= varying[rows]
+        v *= _q_table(grid, varying, rows)
         v += block
         return v
 
@@ -498,18 +527,20 @@ def _targets(rhs: np.ndarray, total: float) -> np.ndarray:
 
 def _arnoldi_step(apply, basis: np.ndarray, k: int, rows: np.ndarray):
     """One Arnoldi step of each row's system on its orthonormal basis
-    basis[r, :k+1], storing the next basis vector in basis[r, k+1].
+    basis[:k+1, r], storing the next basis vector in basis[k+1, r].  The basis
+    is column-major, (columns, rows, n), so each column is one contiguous
+    block and a cycle touches only the columns it writes.
 
-    w = apply(basis[:, k], rows) is orthogonalised by classical Gram-Schmidt,
+    w = apply(basis[k], rows) is orthogonalised by classical Gram-Schmidt,
     two batched BLAS products per pass (the coefficients, then the update),
     with a second pass (Daniel, Gragg, Kaufman and Stewart) when the first
     leaves some row less than 1/sqrt(2) of its ||w||.
 
     Returns the Hessenberg columns (rows, k + 2) and the breakdown mask: a
     row whose w vanishes to rounding has an invariant Krylov space, so its
-    least squares solution is exact; its basis[r, k+1] is meaningless."""
-    known = basis[:, : k + 1]
-    w = apply(basis[:, k], rows)
+    least squares solution is exact; its basis[k+1, r] is meaningless."""
+    known = basis[: k + 1].transpose(1, 0, 2)
+    w = apply(basis[k], rows)
     column = np.zeros((len(rows), k + 2), dtype=basis.dtype)
     start = norm = _row_norms(w)
     for _ in range(2):
@@ -521,7 +552,7 @@ def _arnoldi_step(apply, basis: np.ndarray, k: int, rows: np.ndarray):
             break
     breakdown = norm <= np.finfo(basis.dtype).eps * start
     column[:, k + 1] = norm
-    basis[:, k + 1] = w / np.where(breakdown, 1.0, norm)[:, None]
+    basis[k + 1] = w / np.where(breakdown, 1.0, norm)[:, None]
     return column, breakdown
 
 
@@ -549,7 +580,12 @@ def gmres(apply, b, targets, *, restart, max_iterations):
     recomputed, one apply for all rows that stop together.  The row leaves
     the batch, its basis compacted away, once that residual meets
     targets[r]; otherwise it restarts from it with the next cycle, within
-    its max_iterations.  Each cycle allocates its basis for its rows only.
+    its max_iterations, if the cycle lowered it.  A true residual not below
+    the one its cycle started from is no progress: GMRES never raises it in
+    exact arithmetic, and a cycle that changed nothing would repeat itself,
+    so the row stops there unconverged.  Each cycle allocates its basis for
+    its rows only, column-major, so it makes resident only the columns it
+    writes.
 
     Returns (w, norms, matvecs): w of b's shape, sqrt(sum_r estimate_r^2)
     after each batched step (a row's estimate is its true residual norm once
@@ -559,15 +595,17 @@ def gmres(apply, b, targets, *, restart, max_iterations):
     w = np.zeros_like(b)
     residual = b.copy()
     estimate = _row_norms(b)
+    begun = estimate.copy()  # each row's true residual norm at its cycle's start
     steps = np.zeros(len(b), dtype=int)
     norms: list[float] = []
     matvecs = 0
     pending = np.flatnonzero(estimate > targets)
     while pending.size:
         rows, queued = pending, []
+        begun[rows] = estimate[rows]
         size = len(rows)
-        basis = np.empty((size, restart + 1, n), dtype=b.dtype)
-        basis[:, 0] = residual[rows] / estimate[rows, None]
+        basis = np.empty((restart + 1, size, n), dtype=b.dtype)
+        basis[0] = residual[rows] / estimate[rows, None]
         # [:, j] is column j of the rotated Hessenberg matrix (triangular)
         hess = np.zeros((size, restart, restart), dtype=b.dtype)
         # [:, j] is the Givens rotation [[c, s], [-conj(s), c]] of column j
@@ -598,11 +636,12 @@ def gmres(apply, b, targets, *, restart, max_iterations):
                     pivot = triangle[:, k, k]
                     y[:, k] /= np.where(pivot == 0, np.inf, pivot)
                     y[:, :k] -= y[:, k : k + 1] * triangle[:, k, :k]
-                w[finished] += (y[:, None, :] @ basis[done, : col + 1])[:, 0]
+                w[finished] += (y[:, None, :] @ basis[: col + 1, done].transpose(1, 0, 2))[:, 0]
                 residual[finished] = b[finished] - apply(w[finished], finished)
                 matvecs += 1
                 estimate[finished] = _row_norms(residual[finished])
                 retry = estimate[finished] > targets[finished]
+                retry &= estimate[finished] < begun[finished]
                 queued.append(finished[retry & (steps[finished] < max_iterations)])
                 # compact the rows that go on: the live rows past the new size
                 # move into the stopped rows' places below it, copying only
@@ -612,10 +651,12 @@ def gmres(apply, b, targets, *, restart, max_iterations):
                 holes, movers = done[done < size], keep[keep >= size]
                 rows[holes] = rows[movers]
                 rows = rows[:size]
-                cycle = (basis, hess, rotations, s)
+                basis[: col + 2, holes] = basis[: col + 2, movers]
+                basis = basis[:, :size]
+                cycle = (hess, rotations, s)
                 for array in cycle:
                     array[holes, : col + 2] = array[movers, : col + 2]
-                basis, hess, rotations, s = (array[:size] for array in cycle)
+                hess, rotations, s = (array[:size] for array in cycle)
             norms.append(float(np.linalg.norm(estimate)))
             if not size:
                 break
@@ -689,7 +730,7 @@ def solve(
         y = np.zeros_like(w)
         y[touched] = precondition(w[touched], touched)
         correction = from_frame(y).ravel()
-        # the frame tables die before the physical check, the solve's peak
+        # the frame arrays die before the physical check
         del to_frame, from_frame, apply, precondition, rhs, w, y
         # a start takes the correction; adding it to zeros would turn its
         # -0.0 samples into 0.0
@@ -727,9 +768,27 @@ def multiplier_bound(coeffs: Coefficients, lam: float) -> float:
     return float(np.max(weight[live] / denom[live])) if live.any() else 0.0
 
 
+def _magnitude(parts: list[np.ndarray]) -> np.ndarray:
+    """Pointwise Euclidean magnitude sqrt(sum |slot|^2) of a bundle's slots.
+    When the squares overflow (slots above about 1e154), the slots are
+    divided by their largest |entry| first and the root multiplied back, as
+    grid._lp falls back when its p-th powers overflow."""
+    with np.errstate(over="ignore"):
+        magnitude = _square_sum(parts)
+        if not np.isfinite(np.max(magnitude)):
+            peak = max(float(np.max(np.abs(a))) for a in parts)
+            if peak < np.inf:
+                magnitude = _square_sum([a / peak for a in parts])
+                np.sqrt(magnitude, out=magnitude)
+                magnitude *= peak
+                return magnitude
+    np.sqrt(magnitude, out=magnitude)
+    return magnitude
+
+
 def bundle_lp_norm(arrays: list[np.ndarray], grid: Grid, p: float) -> float:
     """L_p norm in space-time of the pointwise Euclidean magnitude."""
-    return _lp(np.sqrt(_square_sum(arrays)), p, grid.cell_measure)
+    return _lp(_magnitude(arrays), p, grid.cell_measure)
 
 
 def compute_bundles(
@@ -742,7 +801,6 @@ def compute_bundles(
     bundles = (("U", _solution_parts(u.grid, u.data, data.lam)), ("F", _data_parts(data)))
     norms = {}
     for key, parts in bundles:
-        magnitude = _square_sum(parts)
-        np.sqrt(magnitude, out=magnitude)
+        magnitude = _magnitude(parts)
         norms[key] = {p: _lp(magnitude, p, u.grid.cell_measure) for p in p_list}
     return norms

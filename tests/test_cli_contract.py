@@ -99,6 +99,11 @@ def _runs(draw):
     return command, _with(_BASES[command], path, draw(st.sampled_from(values)))
 
 
+def _reject_constant(name):
+    """json.loads hook for NaN, Infinity and -Infinity, which strict JSON lacks."""
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @pytest.mark.filterwarnings("default::RuntimeWarning")
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_runs())
@@ -113,4 +118,4 @@ def test_every_command_ends_in_one_json_line(run):
     lines = printed.getvalue().splitlines()
     assert code in (0, 1)
     assert len(lines) == 1
-    assert isinstance(json.loads(lines[0]), dict)
+    assert isinstance(json.loads(lines[0], parse_constant=_reject_constant), dict)

@@ -12,6 +12,7 @@ Hand-computed anchors, all on the period-2*pi time axis:
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ from halfheat import (
     weak_pairing,
     zeros,
 )
-from halfheat.experiments import harmonic_bundle
+from halfheat.experiments import _localized_bundle, harmonic_bundle
 from halfheat.operators import _data_parts, _solution_parts
 
 
@@ -782,17 +783,18 @@ def test_arnoldi_basis_stays_orthonormal():
     restart = SolverOptions().restart
     rows = np.array([1, 4, 9])  # modes where q varies in t
     start = np.random.default_rng(1).standard_normal((len(rows), g.n_t)) + 0j
-    basis = np.empty((len(rows), restart + 1, g.n_t), dtype=complex)
-    basis[:, 0] = start / np.linalg.norm(start, axis=1, keepdims=True)
+    basis = np.empty((restart + 1, len(rows), g.n_t), dtype=complex)
+    basis[0] = start / np.linalg.norm(start, axis=1, keepdims=True)
     hess = np.zeros((len(rows), restart + 1, restart), dtype=complex)
     for k in range(restart):
         hess[:, : k + 2, k], breakdown = solver_module._arnoldi_step(apply, basis, k, rows)
         assert not breakdown.any()
     for r, row in enumerate(rows):
-        gram = basis[r].conj() @ basis[r].T
+        vectors = basis[:, r]
+        gram = vectors.conj() @ vectors.T
         assert np.max(np.abs(gram - np.eye(restart + 1))) <= 1e-12
-        image = apply(basis[r, :restart], np.full(restart, row))
-        assert np.max(np.abs(image - hess[r].T @ basis[r])) <= 1e-12
+        image = apply(vectors[:restart], np.full(restart, row))
+        assert np.max(np.abs(image - hess[r].T @ vectors)) <= 1e-12
 
 
 def test_gmres_breakdown_returns_the_exact_solution():
@@ -807,7 +809,7 @@ def test_gmres_breakdown_returns_the_exact_solution():
     data = _white_bundle(g, 90, 1.0)
     oracle = solve_oracle(constant, data)
     _, _, apply, _ = solver_module._t_frame(tagged, 1.0)
-    basis = np.zeros((1, 2, g.n_t), dtype=complex)
+    basis = np.zeros((2, 1, g.n_t), dtype=complex)
     basis[0, 0, 0] = 1.0
     column, breakdown = solver_module._arnoldi_step(apply, basis, 0, np.array([3]))
     assert breakdown.all() and np.array_equal(column, [[1.0, 0.0]])
@@ -1054,3 +1056,226 @@ def test_compute_bundles_norm_tables():
     data0 = _band_limited_bundle(g, 13, lam=0.0)
     norms0 = compute_bundles(u, data0, p_list=(2.0,))
     assert np.isfinite(norms0["F"][2.0])
+
+
+class _PoisonedNumpy:
+    """numpy as halfheat.solver sees it, except that np.empty returns arrays
+    filled with NaN: a solve that reads an entry it did not write goes NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        fill = complex(np.nan, np.nan) if np.dtype(dtype).kind == "c" else np.nan
+        return np.full(shape, fill, dtype=dtype)
+
+
+def test_solves_read_no_unwritten_scratch(monkeypatch):
+    """The Krylov basis and the sweep's ratios come from np.empty, and each
+    cycle writes only the basis columns it uses: with np.empty poisoned, a
+    restart-6 t-frame solve whose rows stop at different steps, a
+    physical-frame solve and an x1 solve give the same bits, iterations,
+    histories and applies."""
+    cases = []
+    for kind, grids, method in (
+        ("time_piecewise", _FRAME_GRIDS, "t_frame_gmres"),
+        ("checkerboard", _FAST_PATH_GRIDS, "gmres"),
+        ("x1_piecewise", _FAST_PATH_GRIDS, "x1_direct"),
+    ):
+        g = _grid(**grids[2])
+        a = generate_coefficients(
+            kind=kind, delta=0.25, seed=2, grid=g, roughness_scale=_ROUGH.get(kind)
+        )
+        cases.append((a, _white_bundle(g, 80 + len(cases), 1.0), method))
+    options = SolverOptions(restart=6)
+    real_frame = solver_module._t_frame
+    sizes = []
+
+    def recording_frame(*args):
+        to_frame, from_frame, apply, precondition = real_frame(*args)
+
+        def recording(block, rows):
+            sizes.append(len(rows))
+            return apply(block, rows)
+
+        return to_frame, from_frame, recording, precondition
+
+    monkeypatch.setattr(solver_module, "_t_frame", recording_frame)
+    clean = [solve(a, data, options) for a, data, _ in cases]
+    assert len(set(sizes)) > 2  # the frame's rows stopped at different steps
+    monkeypatch.setattr(solver_module, "np", _PoisonedNumpy())
+    poisoned = [solve(a, data, options) for a, data, _ in cases]
+    for (_, _, method), want, got in zip(cases, clean, poisoned):
+        assert want.method == got.method == method and want.converged
+        assert want.u.data.tobytes() == got.u.data.tobytes()
+        assert want.iterations == got.iterations
+        assert want.residual_history == got.residual_history
+        assert want.matvecs == got.matvecs
+    assert clean[0].iterations > options.restart and clean[1].iterations > 0
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_t_frame_blocks_take_the_rows_of_the_full_tables(d):
+    """precondition and apply build each block's symbol and q rows from
+    per-mode and per-time vectors, and give the bytes of the (modes, n_t)
+    tables _operator_symbol and _q_table make, sliced to the block's rows."""
+    g = _grid(**_FRAME_GRIDS[d])
+    a = generate_coefficients(kind="time_piecewise", delta=0.25, seed=d, grid=g)
+    lam = 2.0
+    to_frame, _, apply, precondition = solver_module._t_frame(a, lam)
+    profile = a.data.reshape(d, d, g.n_t)
+    mean = profile.mean(axis=-1)
+    symbol = solver_module._operator_symbol(g, mean, lam).reshape(g.n_t, -1).T
+    varying = solver_module._q_table(g, profile - mean[..., None])
+    y = to_frame(np.random.default_rng(d).standard_normal(g.shape))
+    rows = np.arange(len(y))[::-3]  # a reversed, strided block
+    assert _same_bytes(solver_module._q_table(g, profile - mean[..., None], rows), varying[rows])
+    block = y[rows]
+    want = np.fft.ifft(np.fft.fft(block, axis=1) / symbol[rows], axis=1)
+    assert _same_bytes(precondition(block, rows), want)
+    assert _same_bytes(apply(block, rows), want * varying[rows] + block)
+
+
+def _cyclic_thomas_reference(lower, diag, upper, rhs):
+    """_cyclic_thomas as it was before it stopped copying diag."""
+    n = diag.shape[0]
+    corner_top, corner_bottom = lower[0], upper[n - 1]
+    gamma = -diag[0]
+    diag = diag.copy()
+    diag[0] = diag[0] - gamma
+    diag[n - 1] = diag[n - 1] - corner_bottom * corner_top / gamma
+    sweep = np.zeros((n, 2, *diag.shape[1:]), dtype=complex)
+    sweep[:, 0] = rhs
+    sweep[0, 1] = gamma
+    sweep[n - 1, 1] = corner_bottom
+    ratio = np.empty(diag.shape, dtype=complex)
+    pivot = diag[0]
+    ratio[0] = upper[0] / pivot
+    sweep[0] /= pivot
+    for m in range(1, n):
+        pivot = diag[m] - lower[m] * ratio[m - 1]
+        ratio[m] = upper[m] / pivot
+        sweep[m] -= lower[m] * sweep[m - 1]
+        sweep[m] /= pivot
+    for m in range(n - 2, -1, -1):
+        sweep[m] -= ratio[m] * sweep[m + 1]
+    x, z = sweep[:, 0], sweep[:, 1]
+    fact = (x[0] + corner_top * x[n - 1] / gamma) / (
+        1.0 + z[0] + corner_top * z[n - 1] / gamma
+    )
+    return x - fact * z
+
+
+def _x1_direct_reference(coeffs, lam, rhs):
+    """_x1_direct as it was before its sweep freed the spectrum and diag."""
+    grid = coeffs.grid
+    d = grid.d
+    h1 = grid.h[0]
+    n_tau = grid.n_t // 2 + 1
+    view = (grid.n_x[0],) + (1,) * d
+    profile = [
+        [coeffs.data[(i, j, 0, slice(None)) + (0,) * (d - 1)].reshape(view) for j in range(d)]
+        for i in range(d)
+    ]
+    itau = time_symbol(grid, "time_derivative").values[:n_tau].reshape((1, n_tau) + (1,) * (d - 1))
+    sigmas = []
+    for i in range(1, d):
+        shape = [1] * (d + 1)
+        shape[1 + i] = grid.n_x[i]
+        sigmas.append(solver_module._difference_symbol(grid, i).reshape(shape))
+    a11 = profile[0][0]
+    zero = np.zeros(view)
+    b = sum((profile[0][j] * sigmas[j - 1] for j in range(1, d)), zero)
+    c = sum((np.conj(sigmas[i - 1]) * profile[i][0] for i in range(1, d)), zero)
+    e = sum(
+        (
+            np.conj(sigmas[i - 1]) * profile[i][j] * sigmas[j - 1]
+            for i in range(1, d)
+            for j in range(1, d)
+        ),
+        zero,
+    )
+    a11_prev, b_prev = np.roll(a11, 1, axis=0), np.roll(b, 1, axis=0)
+    lower = -a11_prev / h1**2 + b_prev / h1
+    upper = -a11 / h1**2 + c / h1
+    diag = itau + lam + (a11 + a11_prev) / h1**2 - (b + c) / h1 + e
+    spatial = tuple(range(2, d + 1))
+    spec = np.fft.rfft(rhs, axis=0)
+    if spatial:
+        spec = np.fft.fftn(spec, axes=spatial)
+    u_hat = _cyclic_thomas_reference(lower, diag, upper, np.moveaxis(spec, 1, 0))
+    u_hat = np.moveaxis(u_hat, 0, 1)
+    if spatial:
+        u_hat = np.fft.ifftn(u_hat, axes=spatial)
+    return np.fft.irfft(u_hat, n=grid.n_t, axis=0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_x1_direct_keeps_the_bytes_of_the_copying_sweep(d):
+    """The sweep that reads diag in place, drops the spectrum once copied in
+    and corrects in place gives the bytes of the one that copied all three."""
+    g = _grid(**_FAST_PATH_GRIDS[d])
+    a = generate_coefficients(kind="x1_piecewise", delta=0.25, seed=d, grid=g)
+    rhs = apply_rhs(_white_bundle(g, 60 + d, 1.0)).data
+    for lam in (0.5, 16.0):
+        assert _same_bytes(
+            solver_module._x1_direct(a, lam, rhs), _x1_direct_reference(a, lam, rhs)
+        )
+
+
+@pytest.mark.parametrize("kind, budget", [("constant", 6.0), ("x1_piecewise", 6.5)])
+def test_direct_solves_stay_within_their_memory_budget(kind, budget):
+    """The oracle and the x1 sweep free their spectral work arrays: the
+    second solve on a 512 x 128 grid, with the right-hand side already built,
+    allocates at most `budget` full-grid float64 arrays at its peak (8.1 and
+    8.3 while they kept them).  tracemalloc counts allocations, not resident
+    pages, so the count does not depend on the machine."""
+    g = make_grid(d=1, n_t=512, n_x=128, l_t=4.0, l_x=4.0)
+    a = generate_coefficients(kind=kind, delta=0.25, seed=0, grid=g)
+    data = _localized_bundle(g, np.random.default_rng(0), 1.0)
+    apply_rhs(data)
+    assert solve(a, data).converged
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = solve(a, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.method == ("oracle" if kind == "constant" else "x1_direct")
+    assert (peak - base) / (np.prod(g.shape) * 8) <= budget
+
+
+def test_a_solve_that_cannot_progress_stops():
+    """At lambda = 1e-150 the x1 start is not finite and GMRES from zero
+    cannot lower the true residual (the preconditioner's zero mode is
+    1/lambda).  A cycle that does not lower its row's true residual ends the
+    row: the solve stops unconverged after its first cycle's two steps, where
+    it used to spend all 500 on a climbing residual."""
+    g = make_grid(d=1, n_t=16, n_x=16, l_t=2.0, l_x=2.0)
+    a = generate_coefficients(kind="x1_piecewise", delta=0.25, seed=0, grid=g)
+    data = DataBundle(
+        h=zeros(g), g=VectorField((zeros(g),)), f=Field(g, np.ones(g.shape)), lam=1e-150
+    )
+    result = solve(a, data)
+    assert result.method == "gmres" and not result.converged
+    assert result.iterations == 2 and result.matvecs == 5
+
+
+def test_bundle_norms_of_huge_data_do_not_overflow():
+    """|F|^2 of slots near 1e300 overflows; the magnitude then divides out
+    the largest slot first, so ||F||_2 of h = 1e300 on the unit-measure
+    16 x 16 torus reads 1e300 * sqrt(l_t l_x), not inf, in both helpers."""
+    g = make_grid(d=1, n_t=16, n_x=16, l_t=2.0, l_x=2.0)
+    data = DataBundle(
+        h=Field(g, np.full(g.shape, 1e300)), g=VectorField((zeros(g),)), f=zeros(g), lam=1.0
+    )
+    norms = compute_bundles(zeros(g), data, (2.0, np.inf))
+    assert norms["F"][2.0] == pytest.approx(2e300, rel=1e-14)
+    assert norms["F"][np.inf] == 1e300
+    assert solver_module.bundle_lp_norm(_data_parts(data), g, 2.0) == norms["F"][2.0]
