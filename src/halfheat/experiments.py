@@ -32,6 +32,7 @@ from .grid import (
     VectorField,
     _band_limited_noise,
     _integer,
+    _norm,
     _scalar,
     inner,
     lp_norm,
@@ -431,9 +432,7 @@ def _identity_trial(config: ExperimentConfig, trial: int) -> list[dict]:
     devs: dict[str, float] = {}
 
     hh = hilbert(hilbert(u_sub))
-    devs["hilbert_involution"] = float(
-        np.linalg.norm(hh.data + u_sub.data) / np.linalg.norm(u_sub.data)
-    )
+    devs["hilbert_involution"] = _norm(hh.data + u_sub.data) / _norm(u_sub.data)
     devs["hilbert_isometry"] = abs(lp_norm(hilbert(u_sub), 2) - lp_norm(u_sub, 2)) / (
         lp_norm(u_sub, 2)
     )
@@ -445,16 +444,11 @@ def _identity_trial(config: ExperimentConfig, trial: int) -> list[dict]:
 
     du = time_derivative(u)
     twice = half_derivative(half_derivative(u))
-    devs["half_square"] = float(
-        np.linalg.norm(twice.data - hilbert(du).data)
-        / (np.linalg.norm(du.data) + 1e-300)
-    )
+    devs["half_square"] = _norm(twice.data - hilbert(du).data) / (_norm(du.data) + 1e-300)
 
     rolled = Field(grid, np.roll(u.data, 3, axis=1))
-    commute = np.linalg.norm(
-        hilbert(rolled).data - np.roll(hilbert(u).data, 3, axis=1)
-    )
-    devs["spatial_commutation"] = float(commute / np.linalg.norm(u.data))
+    commute = _norm(hilbert(rolled).data - np.roll(hilbert(u).data, 3, axis=1))
+    devs["spatial_commutation"] = commute / _norm(u.data)
 
     # time transform with the symmetric 1/sqrt(2*pi) convention
     coeff = np.fft.fft(u.data, axis=0) * (grid.dt / np.sqrt(2.0 * np.pi))
@@ -487,9 +481,8 @@ def _identity_trial(config: ExperimentConfig, trial: int) -> list[dict]:
     r_before = residual(rough, data, u)
     identity, reduced = reduce_to_identity(rough, data, u)
     r_after = residual(identity, reduced, u)
-    devs["reduction_identity"] = float(
-        np.linalg.norm(r_before.data - r_after.data)
-        / (np.linalg.norm(r_before.data) + 1e-300)
+    devs["reduction_identity"] = _norm(r_before.data - r_after.data) / (
+        _norm(r_before.data) + 1e-300
     )
 
     rows = []

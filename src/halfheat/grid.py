@@ -284,6 +284,13 @@ def inner(a: Field, b: Field) -> float:
     return float(np.sum(a.data * b.data) * a.grid.cell_measure)
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a real array, summed by numpy on one thread: the
+    threaded BLAS dot behind np.linalg.norm splits the sum by thread count."""
+    flat = np.ravel(x)
+    return math.sqrt(float(np.einsum("i,i->", flat, flat)))
+
+
 def time_window_lp_norm(field: Field, half_width: float, p: float) -> float:
     """L_p norm restricted to wrapped times |t| < half_width (full window
     when half_width >= l_t/2)."""

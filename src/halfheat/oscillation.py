@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import Coefficients
-from .grid import Field, Grid
+from .grid import Field, Grid, _norm
 from .operators import (
     DataBundle,
     _check_grid,
@@ -170,10 +170,10 @@ def _checked_parts(
     _check_grid(coeffs, u)
     applied, parts, flux = _operator_parts(coeffs, data.lam, u.data)
     rhs = _rhs(data)
-    res = float(np.linalg.norm(applied - rhs))
-    scale = float(np.linalg.norm(rhs))
+    res = _norm(applied - rhs)
+    scale = _norm(rhs)
     if scale == 0.0:
-        scale = max(float(np.linalg.norm(u.data)), 1.0)
+        scale = max(_norm(u.data), 1.0)
     rel = res / scale
     if rel > rtol:
         raise ValueError(f"u does not solve the equation: relative residual {rel} > {rtol}")

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coefficients import Coefficients
-from .grid import Field, Grid, _integer, _lp, inner, zeros
+from .grid import Field, Grid, _integer, _lp, _norm, inner, zeros
 from .operators import (
     DataBundle,
     _data_parts,
@@ -521,8 +521,8 @@ def _targets(rhs: np.ndarray, total: float) -> np.ndarray:
     tighter than total / (sqrt(2) ||rhs||), whatever the row count, and a
     row whose norm is already below its target takes no step."""
     norms = _row_norms(rhs)
-    weight = np.maximum(norms, np.linalg.norm(norms) / np.sqrt(norms.size))
-    return total * weight / np.linalg.norm(weight)
+    weight = np.maximum(norms, _norm(norms) / np.sqrt(norms.size))
+    return total * weight / _norm(weight)
 
 
 def _arnoldi_step(apply, basis: np.ndarray, k: int, rows: np.ndarray):
@@ -657,7 +657,7 @@ def gmres(apply, b, targets, *, restart, max_iterations):
                 for array in cycle:
                     array[holes, : col + 2] = array[movers, : col + 2]
                 hess, rotations, s = (array[:size] for array in cycle)
-            norms.append(float(np.linalg.norm(estimate)))
+            norms.append(_norm(estimate))
             if not size:
                 break
         pending = np.concatenate(queued)
@@ -696,7 +696,7 @@ def solve(
     grid = data.grid
     shape = grid.shape
     b = _rhs(data).ravel()
-    b_norm = float(np.linalg.norm(b))
+    b_norm = _norm(b)
     if not np.isfinite(b_norm):
         raise ValueError("the right-hand side's 2-norm overflows: the data are too large")
     paths = {"time_measurable": "t_frame_gmres", "x1_measurable": "x1_direct"}
@@ -712,7 +712,7 @@ def solve(
         with np.errstate(all="ignore"):  # a zero pivot: the start is dropped below
             x = _x1_direct(coeffs, lam, b.reshape(shape)).ravel()
             r = residual(x)
-            rel = float(np.linalg.norm(r)) / b_norm
+            rel = _norm(r) / b_norm
         matvecs = 1
         if not np.isfinite(rel):
             x, r, rel = None, b, 1.0
@@ -735,7 +735,7 @@ def solve(
         # a start takes the correction; adding it to zeros would turn its
         # -0.0 samples into 0.0
         x = correction if x is None else x + correction
-        rel = float(np.linalg.norm(residual(x))) / b_norm
+        rel = _norm(residual(x)) / b_norm
         matvecs += used + 1
 
     return SolveResult(

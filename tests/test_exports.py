@@ -103,3 +103,29 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_BLAS_REDUCTIONS = {"norm", "dot", "vdot", "inner", "vecdot"}
+
+
+def _blas_reduction(node: ast.AST) -> bool:
+    """np.linalg.norm, np.dot, np.vdot, np.inner, np.vecdot or any .dot(."""
+    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+        return False
+    func = node.func
+    if func.attr == "dot":
+        return True
+    owner = ast.unparse(func.value)
+    return func.attr in _BLAS_REDUCTIONS and owner in ("np", "np.linalg", "numpy")
+
+
+def test_no_module_calls_a_threaded_blas_reduction():
+    """Full-grid norms go through grid._norm, summed by numpy on one thread:
+    OpenBLAS's threaded dot splits a sum by thread count, which moves the
+    last bits of the outputs, and its idle worker spins after each call.
+    Matrix products (@) stay allowed."""
+    found = []
+    for path in sorted(Path(halfheat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [(path.name, node.lineno) for node in ast.walk(tree) if _blas_reduction(node)]
+    assert found == []

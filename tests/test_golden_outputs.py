@@ -3,9 +3,13 @@ experiments, pinned by sha256.
 
 Every refactor must keep these bytes.  The digests were recorded with numpy
 2.4.6; another FFT or BLAS build may move the last bits of some floats.  No
-output depends on scipy, which the package does not import.  Harmonic data and the ``smooth`` coefficient kind
-now go through one BLAS product (coefficients._trig_polynomial), so a BLAS
-build that orders that sum differently can move their last bits too.  When
+output depends on scipy, which the package does not import.  Every full-grid
+2-norm is grid._norm, summed by numpy's einsum on one thread, so the bytes do
+not depend on the core or OpenBLAS thread count (checked below).  Two BLAS
+products remain: coefficients._trig_polynomial (harmonic data and the
+``smooth`` coefficient kind) and the Gram-Schmidt products of
+solver._arnoldi_step.  Their bits are the same under one and two threads, but a
+BLAS build that orders those sums differently can move last bits.  When
 a digest changes on purpose, CHANGES.md says why; a digest is never
 re-pinned silently.  The oscillation experiment is pinned at seed 0 only: it
 is the slowest of them (several seconds), and its run is shared with
@@ -13,19 +17,24 @@ acceptance criterion 8 (conftest.default_oscillation).
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import halfheat
 from halfheat.experiments import EXPERIMENTS, ExperimentConfig, write_outputs
 
 GOLDEN = {
     ("identities", 0): (
-        "39d14da86a32275eabdc04cc7494656bbea3de155eb1b606fafb91869589d434",
-        "fa3812beb6fe6a644d3c49049bf5a4e83919786888cd054b161d999be567cd96",
+        "4af8019ba6705dc8671916f4f81abcadb88011a90eca83fdd6867977c44dcbfc",
+        "187805c31a3cfefe5425c27614de73aeeaafffc79bcfa4fc58310d3999ef877c",
     ),
     ("identities", 1): (
-        "433dd1813db8e27f7a834c76324686cc740acbb5716264d29b9d1a58f4160b77",
-        "273b9f4f797a325f26c0e32ff145ad5642627e4223a8576162c80c2ab327171f",
+        "4d6f3b65b99502c26d1e290f45a3730f667372134ce4e50a526b45f381e1a10c",
+        "eeb1f91e8e2ab4a15b94d005eab8df4fe0df8c568983f9c1b1fc896f2a7c109a",
     ),
     ("l2", 0): (
         "517d2662169ad3a257e02b4f07d2a8632fb52fb8c290952e0d0543db7a2384e6",
@@ -36,11 +45,11 @@ GOLDEN = {
         "c68d5837120533339b3329abc142b6815a96c97fff8a8ab928c444e84a00062b",
     ),
     ("lp_sweep", 0): (
-        "aeffc3c236b3b5dce40668af5e27bcc1e983fcf5b0c7da35b7652386fa6ef735",
+        "27994ac4aab99968db12053a5446f1131f9d695773146e967463a72f65843f85",
         "d0de67d46fdd88db50544fb92f7d7f6e8df31db29173028695719965a1dea0f4",
     ),
     ("lp_sweep", 1): (
-        "d938287cc6506968ff874385122d8ba36525650504b18e029c87c37c7a4817bc",
+        "d078e64fc09c54dc094a33a1c736565ce5c483d93d6c54256908228f0644c76d",
         "2723a66f39623b3685c021d4adbf56850b451bf215271db8367f5594222962f1",
     ),
     ("tail_decay", 0): (
@@ -61,7 +70,7 @@ GOLDEN = {
     ),
     ("oscillation", 0): (
         "62eaa7be7bbc1741d4ff1ad14a6c1a9ff4d0efd5a394ae7da6c0f3dedd2df9d8",
-        "55f604ca83abb7b3493ca2438ecfcf4e707398a1c1d864388d7542994871fe0c",
+        "df46708bd8164525b67261c159dd7f1a6c2cfc98a4721a970edf30fb5b70fd08",
     ),
 }
 
@@ -75,3 +84,30 @@ def test_default_outputs_are_byte_identical(tmp_path, request, kind, seed):
     paths = write_outputs(result, tmp_path)
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
     assert digests == GOLDEN[kind, seed]
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Default identities and lp_sweep at seed 0, each run by the CLI in a
+    child with one OpenBLAS thread and in a child with two, write the same
+    bytes."""
+    src = str(Path(halfheat.__file__).parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        written = outputs[threads] = {}
+        for command in ("identities", "lp-sweep"):
+            out = tmp_path / threads / command
+            proc = subprocess.run(
+                [sys.executable, "-m", "halfheat", command, "--seed", "0", "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            for name in ("trials.csv", "summary.json"):
+                written[command, name] = (out / name).read_bytes()
+    assert [key for key in outputs["1"] if outputs["1"][key] != outputs["2"][key]] == []

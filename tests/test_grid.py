@@ -24,6 +24,7 @@ from halfheat import (
     zeros,
 )
 from halfheat.experiments import harmonic_field
+from halfheat.grid import _norm
 
 
 def _cos_time_mode(grid, k):
@@ -179,6 +180,32 @@ def test_signed_norms_take_the_magnitude_first(p):
     assert lp_norm(neg, p) == lp_norm(u, p) > 0
     assert time_window_lp_norm(neg, 0.3, p) == time_window_lp_norm(u, 0.3, p) > 0
 
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: np.zeros(0),
+        lambda rng: rng.standard_normal(7),
+        lambda rng: rng.standard_normal((64, 64, 64)),
+        lambda rng: rng.standard_normal((512, 4096)).T,
+    ],
+    ids=["empty", "7", "64^3", "transposed-4096x512"],
+)
+def test_norm_matches_numpy(make):
+    """grid._norm, the single-threaded sum behind every full-grid residual
+    norm, agrees with np.linalg.norm, strided views included."""
+    x = make(np.random.default_rng(5))
+    assert _norm(x) == pytest.approx(float(np.linalg.norm(x)), rel=1e-14, abs=0.0)
+
+
+def test_norm_of_zeros_and_of_overflowing_entries():
+    """Zeros give 0.0, and entries of 1e200 give inf as np.linalg.norm does,
+    so solve's "2-norm overflows" guard still sees the overflow."""
+    assert _norm(np.zeros((4, 8))) == 0.0
+    big = np.full((4, 8), 1e200)
+    with np.errstate(over="ignore"):
+        assert _norm(big) == np.linalg.norm(big) == np.inf
 
 @settings(max_examples=25)
 @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
