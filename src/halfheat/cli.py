@@ -151,7 +151,7 @@ def _run_solve(args: argparse.Namespace) -> int:
         coeffs, data, options = _build_problem(mapping)
         out_dir = _out_dir(args, mapping, "solve")
         result = solve(coeffs, data, options)
-        norms = compute_bundles(result.u, data, (2.0,))
+        norms = compute_bundles(result, data, (2.0,))
         out_dir.mkdir(parents=True, exist_ok=True)
         solution_path = out_dir / "u.htpf"
         write_field(solution_path, result.u)

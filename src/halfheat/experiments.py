@@ -546,7 +546,7 @@ def _l2_trial(config: ExperimentConfig, trial: int) -> dict:
     rng = _rng(config.seed, trial, 2)
     data = _band_limited_bundle(grid, rng, lam)
     result = solve(coeffs, data, config.solver)
-    norms = compute_bundles(result.u, data, (2.0,))
+    norms = compute_bundles(result, data, (2.0,))
     norm_f = norms["F"][2.0]
     norm_u = norms["U"][2.0]
     trivial = norm_f == 0.0
@@ -589,7 +589,7 @@ def _single_mode_check(config: ExperimentConfig) -> dict:
     )
     coeffs = identity_coefficients(grid)
     result = solve_oracle(coeffs, data)
-    norms = compute_bundles(result.u, data, (2.0,))
+    norms = compute_bundles(result, data, (2.0,))
     ratio = norms["U"][2.0] / norms["F"][2.0]
     predicted = math.sqrt(omega * (omega + lam) / (omega**2 + lam**2))
     return {
@@ -674,7 +674,7 @@ def _sweep_cell(
     for lam in config.lambdas:
         data = _at_lambda(drawn, lam)
         result = solve(coeffs, data, config.solver)
-        norms = compute_bundles(result.u, data, p_all)
+        norms = compute_bundles(result, data, p_all)
         for p in p_all:
             norm_f = norms["F"][p]
             ratio = norms["U"][p] / norm_f if norm_f > 0 else None
@@ -694,6 +694,7 @@ def _sweep_cell(
                     "converged": result.converged,
                 }
             )
+        del result  # its slots die before the next lambda's solve
     return rows
 
 
@@ -966,12 +967,13 @@ def run_oscillation_experiments(config: ExperimentConfig) -> ExperimentResult:
             case,
             coeffs,
             data,
-            result.u,
+            result,
             r_outer,
             center,
             kappas,
             rtol=max(10.0 * result.final_relative_residual, 1e-8),
         )
+        del result  # its slots die before the next case's solve
         decays[case] = report.fitted_decay
         for row in report.rows:
             rows.append(

@@ -87,8 +87,11 @@ def _flux(a: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 def _operator(coeffs: Coefficients, lam: float, u: np.ndarray) -> np.ndarray:
     grid = coeffs.grid
-    time_term = _time_multiplier(u, time_symbol(grid, "time_derivative"))
-    return time_term - _divergence(grid, _flux(coeffs.data, _gradient(grid, u))) + lam * u
+    # assembled in place, in the bytes of time_term - div + lam*u
+    applied = _time_multiplier(u, time_symbol(grid, "time_derivative"))
+    applied -= _divergence(grid, _flux(coeffs.data, _gradient(grid, u)))
+    applied += lam * u
+    return applied
 
 
 def _rhs(data: DataBundle) -> np.ndarray:
@@ -113,23 +116,24 @@ def _data_parts(data: DataBundle) -> list[np.ndarray]:
 
 def _operator_parts(
     coeffs: Coefficients, lam: float, u: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """(_operator, _solution_parts, the flux a.D+u) of u from one time
-    spectrum and one gradient: the same samples as the separate kernels."""
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(_operator, _solution_parts but sqrt(lambda) u) of u from one time
+    spectrum, in the separate kernels' samples.  The gradient and the flux die
+    with the divergence before the spectrum is made; the caller makes
+    sqrt(lambda) u once A u is spent.  Each keeps the memory peak low."""
     grid = coeffs.grid
-    half_table, time_table = (
-        _half_spectrum(time_symbol(grid, kind), u.ndim)
-        for kind in ("half_derivative", "time_derivative")
-    )
+    div = _divergence(grid, _flux(coeffs.data, _gradient(grid, u)))
+    half_table = _half_spectrum(time_symbol(grid, "half_derivative"), u.ndim)
+    time_table = _half_spectrum(time_symbol(grid, "time_derivative"), u.ndim)
     spec = np.fft.rfft(u, axis=0)
     half = np.fft.irfft(spec * half_table, n=grid.n_t, axis=0)
     spec *= time_table
-    time_term = np.fft.irfft(spec, n=grid.n_t, axis=0)
+    applied = np.fft.irfft(spec, n=grid.n_t, axis=0)
     del spec
-    grad = _gradient(grid, u)
-    flux = _flux(coeffs.data, grad)
-    applied = time_term - _divergence(grid, flux) + lam * u
-    return applied, [half, *grad, np.sqrt(lam) * u], flux
+    applied -= div
+    del div
+    applied += lam * u
+    return applied, [half, *_gradient(grid, u)]
 
 
 def _square_sum(arrays: list[np.ndarray]) -> np.ndarray:

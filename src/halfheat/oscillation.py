@@ -19,10 +19,12 @@ from .operators import (
     DataBundle,
     _check_grid,
     _data_parts,
+    _flux,
     _operator_parts,
     _rhs,
     _square_sum,
 )
+from .solver import SolveResult
 
 __all__ = [
     "Cylinder",
@@ -162,22 +164,25 @@ def tail_sum(
 
 
 def _checked_parts(
-    coeffs: Coefficients, data: DataBundle, u: Field, rtol: float
-) -> tuple[float, list[np.ndarray], np.ndarray]:
-    """(relative residual of u against the bundle's right-hand side, the
-    solution bundle slots, the flux a.D+u), from one time spectrum of u; a
-    relative residual above rtol is a ValueError."""
-    _check_grid(coeffs, u)
-    applied, parts, flux = _operator_parts(coeffs, data.lam, u.data)
-    rhs = _rhs(data)
-    res = _norm(applied - rhs)
-    scale = _norm(rhs)
-    if scale == 0.0:
-        scale = max(_norm(u.data), 1.0)
-    rel = res / scale
+    coeffs: Coefficients, data: DataBundle, u: Field | SolveResult, rtol: float
+) -> tuple[Field, float, list[np.ndarray]]:
+    """(u's Field, its relative residual against the bundle's right-hand
+    side, the bundle slots), a residual above rtol being a ValueError: a
+    SolveResult's from its final check, a bare u's from one time spectrum."""
+    field, parts = (u.u, u.slots) if isinstance(u, SolveResult) else (u, None)
+    _check_grid(coeffs, field)
+    if data.grid != field.grid:
+        raise ValueError("solution and data live on different grids")
+    if parts is None:
+        applied, parts = _operator_parts(coeffs, data.lam, field.data)
+        parts.append(np.sqrt(data.lam) * field.data)
+        rhs = _rhs(data)
+        rel = _norm(applied - rhs) / (_norm(rhs) or max(_norm(field.data), 1.0))
+    else:
+        rel = u.final_relative_residual
     if rel > rtol:
         raise ValueError(f"u does not solve the equation: relative residual {rel} > {rtol}")
-    return rel, parts, flux
+    return field, rel, list(parts)
 
 
 # tail-sum terms of each verifier; the local one's relative residual bound
@@ -198,7 +203,7 @@ class LocalEstimateReport:
 def verify_local_estimate(
     coeffs: Coefficients,
     data: DataBundle,
-    u: Field,
+    u: Field | SolveResult,
     radius: float,
 ) -> LocalEstimateReport:
     """Check the interior estimate: root-mean-square of |U| over Q_radius(0)
@@ -209,8 +214,8 @@ def verify_local_estimate(
     supported in the spatial ball B_radius, emulating the zero lateral
     condition of the infinite-cylinder setting.
     """
+    u, rel, parts = _checked_parts(coeffs, data, u, _LOCAL_RTOL)
     grid = u.grid
-    rel, parts, _ = _checked_parts(coeffs, data, u, _LOCAL_RTOL)
     outside = _spatial_dist_sq(grid, (0.0,) * grid.d) >= radius**2
     u_flat = np.abs(u.data.reshape(grid.n_t, -1))
     peak = float(u_flat.max())
@@ -265,7 +270,7 @@ def verify_mean_oscillation(
     case: str,
     coeffs: Coefficients,
     data: DataBundle,
-    u: Field,
+    u: Field | SolveResult,
     r: float,
     center: tuple[float, ...],
     kappa_list: tuple[float, ...],
@@ -285,10 +290,10 @@ def verify_mean_oscillation(
     """
     if case not in _CASES:
         raise ValueError(f"case must be one of {_CASES}, got {case!r}")
-    grid = u.grid
     if not all(math.isfinite(k) and k >= 4 for k in kappa_list):
         raise ValueError(f"every kappa must be >= 4 and finite, got {kappa_list}")
-    rel, (half_du, *grad_arrays, weighted_u), flux = _checked_parts(coeffs, data, u, rtol)
+    u, rel, (half_du, *grad_arrays, weighted_u) = _checked_parts(coeffs, data, u, rtol)
+    grid = u.grid
 
     rhs_arrays = grad_arrays + [weighted_u]
     # each case's oscillation bundles and theta; D'u = grad_arrays[1:] holds
@@ -296,8 +301,11 @@ def verify_mean_oscillation(
     lhs_bundles, theta = {
         "calU_time_coeffs": ([rhs_arrays], 1.0),
         "U_heat": ([[half_du] + rhs_arrays], 1.0),
-        "calUprime_theta_x1": ([grad_arrays[1:] + [weighted_u], [flux[0]]], 0.5),
+        "calUprime_theta_x1": ([grad_arrays[1:] + [weighted_u]], 0.5),
     }[case]
+    if case == "calUprime_theta_x1":
+        # the flux's x1 component, a.D+u, from the bundle's gradient slots
+        lhs_bundles.append([_flux(coeffs.data, np.stack(grad_arrays))[0]])
 
     rms = bundle_rms(rhs_arrays, grid, Cylinder(center, r=r))
     f_sq = _square_sum(_data_parts(data))

@@ -20,7 +20,7 @@ scipy's call convention, so that scipy is not loaded at import.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -33,6 +33,7 @@ from .operators import (
     _flux,
     _gradient,
     _operator,
+    _operator_parts,
     _rhs,
     _solution_parts,
     _square_sum,
@@ -95,6 +96,12 @@ class SolveResult:
     # operator applications: one per batched apply of A P^{-1}, one per
     # batched true-residual check and one per physical check
     matvecs: int = 0
+    # the final check's bundle slots (D_t^{1/2}u, *D+u, sqrt(lambda) u); None for zero data
+    slots: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for slot in self.slots or ():
+            slot.flags.writeable = False
 
 
 def _half_shape(grid: Grid) -> tuple[int, ...]:
@@ -249,8 +256,9 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
     del denom, rhs_hat, u_hat, singular
     u = _solution(grid, u_data, "oracle", lam)
 
-    res = _operator(coeffs, lam, u.data) - rhs
-    rel = _lp(np.abs(res), 2, grid.cell_measure) / rhs_norm
+    res, parts = _operator_parts(coeffs, lam, u.data)
+    res -= rhs
+    rel = _lp(np.abs(res, out=res), 2, grid.cell_measure) / rhs_norm
     return SolveResult(
         u=u,
         iterations=0,
@@ -259,6 +267,7 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
         converged=True,
         method="oracle",
         matvecs=1,
+        slots=(*parts, np.sqrt(lam) * u.data),
     )
 
 
@@ -679,7 +688,8 @@ def solve(
     "gmres").  The rows' targets have squares summing to
     (_ETA * rtol * ||b||)^2 and stop on true residuals, which both frame maps
     keep physical; max_iterations and restart apply per row.  The reported
-    residual is the true relative one, recomputed with the operator."""
+    residual is the true relative one, recomputed by _operator_parts, whose
+    bundle slots SolveResult.slots hands on to the consumers of u."""
     started = time.perf_counter()
     options = options or SolverOptions()
     if coeffs.grid != data.grid:
@@ -704,19 +714,21 @@ def solve(
     if b_norm == 0.0:
         return _zero_result(grid, started, method)
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        return b - _operator(coeffs, lam, x.reshape(shape)).ravel()
+    def check(x: np.ndarray) -> tuple[np.ndarray, float, list[np.ndarray]]:
+        applied, parts = _operator_parts(coeffs, lam, x.reshape(shape))
+        r = np.subtract(b, applied.ravel(), out=applied.ravel())  # b - A x over A x
+        return r, _norm(r) / b_norm, parts
 
     x, r, rel, matvecs, norms = None, b, 1.0, 0, []
     if method == "x1_direct":
         with np.errstate(all="ignore"):  # a zero pivot: the start is dropped below
             x = _x1_direct(coeffs, lam, b.reshape(shape)).ravel()
-            r = residual(x)
-            rel = _norm(r) / b_norm
+            r, rel, parts = check(x)
         matvecs = 1
         if not np.isfinite(rel):
             x, r, rel = None, b, 1.0
     if rel > options.rtol:
+        parts = None  # a start's parts die before GMRES
         if method == "x1_direct":
             method = "gmres"
         frame = _t_frame if method == "t_frame_gmres" else _physical_frame
@@ -735,7 +747,7 @@ def solve(
         # a start takes the correction; adding it to zeros would turn its
         # -0.0 samples into 0.0
         x = correction if x is None else x + correction
-        rel = _norm(residual(x)) / b_norm
+        rel, parts = check(x)[1:]
         matvecs += used + 1
 
     return SolveResult(
@@ -747,6 +759,7 @@ def solve(
         method=method,
         residual_history=tuple(v / b_norm for v in norms),
         matvecs=matvecs,
+        slots=(*parts, np.sqrt(lam) * x.reshape(shape)),
     )
 
 
@@ -792,13 +805,16 @@ def bundle_lp_norm(arrays: list[np.ndarray], grid: Grid, p: float) -> float:
 
 
 def compute_bundles(
-    u: Field, data: DataBundle, p_list: tuple[float, ...] = (2.0,)
+    u: Field | SolveResult, data: DataBundle, p_list: tuple[float, ...] = (2.0,)
 ) -> dict:
     """The ||U||_p and ||F||_p tables of the solution u and its data, with the
-    f/sqrt(lambda) slot omitted when lambda = 0 (f vanishes then)."""
+    f/sqrt(lambda) slot omitted when lambda = 0 (f vanishes then).  The
+    slots of a SolveResult of solve(coeffs, data) are read, not recomputed."""
+    u, slots = (u.u, u.slots) if isinstance(u, SolveResult) else (u, None)
     if u.grid != data.grid:
         raise ValueError("solution and data live on different grids")
-    bundles = (("U", _solution_parts(u.grid, u.data, data.lam)), ("F", _data_parts(data)))
+    slots = _solution_parts(u.grid, u.data, data.lam) if slots is None else slots
+    bundles = (("U", slots), ("F", _data_parts(data)))
     norms = {}
     for key, parts in bundles:
         magnitude = _magnitude(parts)

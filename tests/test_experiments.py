@@ -9,6 +9,7 @@ at quarter scale, and so on).
 
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -406,3 +407,55 @@ def test_time_noise_column_matches_the_full_grid_loop(n_x):
     rng = np.random.default_rng(6)
     for field in (data.h, *data.g.components, data.f):
         assert np.array_equal(field.data, bump * _full_grid_time_noise(grid, rng))
+
+
+def _watch_slot_release(monkeypatch):
+    """Wrap experiments.solve: on entry to each solve, record which slot
+    arrays handed out by the previous solve are still alive.  Returns the
+    slot counts handed out per solve and the list of survivors."""
+    real_solve = experiments.solve
+    handed, counts, survivors = [], [], []
+
+    def watched(*args, **kwargs):
+        survivors.extend(ref for ref in handed if ref() is not None)
+        handed.clear()
+        result = real_solve(*args, **kwargs)
+        handed.extend(weakref.ref(slot) for slot in result.slots or ())
+        counts.append(len(handed))
+        return result
+
+    monkeypatch.setattr(experiments, "solve", watched)
+    return counts, survivors
+
+
+def test_oscillation_slots_die_before_the_next_solve(monkeypatch):
+    """Each case's solution slots are released once its verifier is done:
+    none is alive when the next case's solve starts, so two cases' slots
+    never add to a solve's peak."""
+    counts, survivors = _watch_slot_release(monkeypatch)
+    config = _config(
+        "oscillation",
+        grid=dict(d=1, n_t=1024, n_x=128, l_t=4.0, l_x=4.0),
+        coefficients={"delta": 0.5},
+        seed=0,
+    )
+    assert run_oscillation_experiments(config).passed
+    assert counts == [3, 3, 3]
+    assert survivors == []
+
+
+def test_sweep_slots_die_before_the_next_solve(monkeypatch):
+    """A sweep cell releases each lambda's solution slots after its norms,
+    before the next lambda's solve."""
+    counts, survivors = _watch_slot_release(monkeypatch)
+    config = _config(
+        "lp-sweep",
+        grid=dict(d=2, n_t=16, n_x=16, l_t=2.0, l_x=2.0),
+        coefficients={"kinds": ["x1_piecewise"], "delta": 0.25},
+        lambdas=[1.0, 4.0, 16.0],
+        trials=1,
+        seed=2,
+    )
+    experiments._sweep_cell(config, config.grid, "base", "x1_piecewise", 0, 0)
+    assert counts == [4, 4, 4]
+    assert survivors == []

@@ -86,6 +86,33 @@ def test_default_outputs_are_byte_identical(tmp_path, request, kind, seed):
     assert digests == GOLDEN[kind, seed]
 
 
+# the benchmark's lp_sweep_d2 workload config (perfbench/workloads.py,
+# LP_SWEEP_D2), copied here so that the benchmark and this pin move apart
+# only on purpose
+LP_SWEEP_D2 = {
+    "grid": {"d": 2, "n_t": 32, "n_x": 32, "l_t": 2.0, "l_x": 2.0},
+    "coefficients": {"kinds": ["time_piecewise", "x1_piecewise"], "delta": 0.25, "seed": 0},
+    "lambdas": [1.0, 4.0, 16.0, 64.0],
+    "p_list": [1.5, 3.0, 4.0],
+    "trials": 1,
+}
+
+
+def test_lp_sweep_d2_outputs_are_byte_identical(tmp_path):
+    """The d = 2 sweep with delta = 0.25 and p in {1.5, 3, 4} at seed 0: no
+    default config runs d = 2, p != 2 or delta < 1, so this pins the x1 and
+    (t, xi)-frame solves, their handed-over bundle slots and the p != 2 norms.
+    Those norms take the p-th power with np.power, whose last bits depend on
+    numpy's SIMD dispatch (AVX-512 or not), as oscillation-0's exp does."""
+    config = ExperimentConfig.from_mapping({**LP_SWEEP_D2, "seed": 0}, kind="lp_sweep")
+    paths = write_outputs(EXPERIMENTS["lp_sweep"](config), tmp_path)
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+    assert digests == (
+        "d12fb109d289bcf2f2ff1a5a0a534ed8ac4e9acf0208ebef8bab63bf2bd3fec3",
+        "8dd429a4672279b39a43ca521e68e9d69118f86f1d47ad71fa0c2e3594d03e1d",
+    )
+
+
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     """Default identities and lp_sweep at seed 0, each run by the CLI in a
     child with one OpenBLAS thread and in a child with two, write the same

@@ -6,6 +6,7 @@ merely to discretization order.  The single-mode eigenvalue of the discrete
 Laplacian is 2(1 - cos(xi h))/h^2.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,7 @@ from halfheat.operators import (
     _rhs,
     _solution_parts,
 )
+from halfheat.timeops import _time_multiplier, time_symbol
 
 
 def _grid(d=1, n_t=16, n_x=16):
@@ -262,12 +264,12 @@ def test_operator_parts_match_the_separate_kernels(d):
     g = _grid(d=d, n_t=16, n_x=8)
     a = generate_coefficients(kind="smooth", delta=0.5, seed=2, grid=g)
     u = _rand(g, 4).data
-    applied, parts, flux = _operator_parts(a, 2.0, u)
+    applied, parts = _operator_parts(a, 2.0, u)
     assert np.array_equal(applied, _operator(a, 2.0, u))
-    assert len(parts) == d + 2
-    for part, expected in zip(parts, _solution_parts(g, u, 2.0)):
+    # every slot but the last, sqrt(lambda) u, which the caller makes
+    assert len(parts) == d + 1
+    for part, expected in zip(parts, _solution_parts(g, u, 2.0)[:-1]):
         assert np.array_equal(part, expected)
-    assert np.array_equal(flux, _flux(a.data, _gradient(g, u)))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -285,10 +287,59 @@ def test_compact_coefficients_apply_bit_for_bit_as_the_full_grid(kind, d):
     assert a.data.size < full.data.size
     u = _rand(g, 5).data
     assert _operator(a, 2.0, u).tobytes() == _operator(full, 2.0, u).tobytes()
-    compact, _, flux = _operator_parts(a, 2.0, u)
-    reference, _, full_flux = _operator_parts(full, 2.0, u)
+    compact, _ = _operator_parts(a, 2.0, u)
+    reference, _ = _operator_parts(full, 2.0, u)
     assert compact.tobytes() == reference.tobytes()
-    assert flux.tobytes() == full_flux.tobytes()
+    grad = _gradient(g, u)
+    assert _flux(a.data, grad).tobytes() == _flux(full.data, grad).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ["constant", "time_piecewise", "x1_piecewise", "smooth"])
+def test_operator_assembles_the_bytes_of_the_expression(kind, d):
+    """_operator subtracts the divergence from the time term and adds lam*u
+    in place: the bytes of time_term - div + lam*u, on compact and full-grid
+    (smooth) coefficients."""
+    g = _grid(d=d, n_t=16, n_x=8)
+    a = generate_coefficients(kind=kind, delta=0.25, seed=4, grid=g)
+    assert (a.data.shape[2:] == g.shape) == (kind == "smooth")
+    u = _rand(g, 6).data
+    time_term = _time_multiplier(u, time_symbol(g, "time_derivative"))
+    div = _divergence(g, _flux(a.data, _gradient(g, u)))
+    for lam in (0.0, 2.0):
+        expected = time_term - div + lam * u
+        assert _operator(a, lam, u).tobytes() == expected.tobytes()
+
+
+def _transient(fn, *args):
+    """(traced peak of fn(*args) above the memory before the call) minus
+    (what its results still hold), in full-grid float64 arrays."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return (peak - held) / args[-1].nbytes, (peak - base) / args[-1].nbytes
+
+
+@pytest.mark.parametrize("d, n_x", [(1, 128), (2, 32)])
+def test_operator_parts_transient_stays_within_the_operators(d, n_x):
+    """_operator_parts' work arrays beyond its inputs and results stay at or
+    below _operator's: the divergence is taken before the time spectrum, so
+    the gradient and the flux are not alive beside the spectrum's products."""
+    g = _grid(d=d, n_t=256 if d == 1 else 32, n_x=n_x)
+    a = generate_coefficients(kind="x1_piecewise", delta=0.25, seed=5, grid=g)
+    u = _rand(g, 7).data
+    _operator_parts(a, 1.0, u)  # the symbol tables are cached outside the count
+    parts_transient, parts_peak = _transient(_operator_parts, a, 1.0, u)
+    operator_transient, operator_peak = _transient(_operator, a, 1.0, u)
+    assert parts_transient <= operator_transient
+    # the results are the operator and d + 1 slots; the peak holds about one
+    # array more (the spectrum) than they do
+    assert parts_peak <= d + 2 + 1.1
 
 
 def test_rhs_is_computed_once_per_bundle():

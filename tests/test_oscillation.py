@@ -24,6 +24,7 @@ from halfheat import (
     make_grid,
     manufacture_data,
     matrix_gradient,
+    solve,
     tail_sum,
     verify_local_estimate,
     verify_mean_oscillation,
@@ -456,3 +457,41 @@ def test_mean_oscillation_rows_scale_one_pair_of_terms(kappas, case, theta):
     for row in report.rows:
         assert row.term_homogeneous == row.kappa ** (-theta) * rms
         assert row.term_tail == row.kappa**tail_power * f_tail
+
+
+_CASE_KINDS = {
+    "calU_time_coeffs": ("time_piecewise", "t_frame_gmres"),
+    "U_heat": ("constant", "oracle"),
+    "calUprime_theta_x1": ("x1_piecewise", "x1_direct"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASE_KINDS))
+def test_mean_oscillation_reads_the_solves_slots(case):
+    """Given the SolveResult, the verifier reads the slots of solve's final
+    check and its true relative residual: the rows are the bytes of the
+    bare-u path, which transforms u itself, and so is the residual on the
+    x1 and GMRES paths (the oracle measures its own with grid._lp).  A
+    handed residual above rtol is refused as a bare u's is."""
+    kind, method = _CASE_KINDS[case]
+    g = make_grid(d=1, n_t=256, n_x=128, l_t=4.0, l_x=4.0)
+    a = generate_coefficients(kind=kind, delta=0.5, seed=3, grid=g)
+    data = _localized_bundle(g, np.random.default_rng(4), 1.0)
+    result = solve(a, data)
+    assert result.method == method and result.slots is not None
+    args = (0.5, (0.0, 0.0), (4.0, 8.0, 16.0))
+    handed = verify_mean_oscillation(case, a, data, result, *args, rtol=1e-8)
+    bare = verify_mean_oscillation(case, a, data, result.u, *args, rtol=1e-8)
+    assert handed.rows == bare.rows and handed.fitted_decay == bare.fitted_decay
+    assert handed.residual_rel == result.final_relative_residual
+    if method == "oracle":
+        assert handed.residual_rel == pytest.approx(bare.residual_rel, rel=1e-6, abs=1e-18)
+    else:
+        assert handed.residual_rel == bare.residual_rel
+    tight = result.final_relative_residual / 2.0
+    elsewhere = _localized_bundle(_grid(n_t=256, n_x=128), np.random.default_rng(4), 1.0)
+    for u in (result, result.u):
+        with pytest.raises(ValueError, match="u does not solve the equation"):
+            verify_mean_oscillation(case, a, data, u, *args, rtol=tight)
+        with pytest.raises(ValueError, match="different grids"):
+            verify_mean_oscillation(case, a, elsewhere, u, *args, rtol=1e-8)

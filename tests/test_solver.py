@@ -1279,3 +1279,54 @@ def test_bundle_norms_of_huge_data_do_not_overflow():
     assert norms["F"][2.0] == pytest.approx(2e300, rel=1e-14)
     assert norms["F"][np.inf] == 1e300
     assert solver_module.bundle_lp_norm(_data_parts(data), g, 2.0) == norms["F"][2.0]
+
+
+def _handover_cases(d):
+    """(coefficients, data, options, the path solve takes) for every path."""
+    g = _grid(**_FAST_PATH_GRIDS[d], l_t=2.0)
+    data = _band_limited_bundle(g, 70 + d, lam=2.0)
+
+    def kind(name):
+        return generate_coefficients(kind=name, delta=0.25, seed=d, grid=g)
+
+    # rtol below the x1 start's rounding makes the start miss and GMRES
+    # correct it; a few steps bound that correction's cost
+    missed = SolverOptions(rtol=1e-17, max_iterations=3, restart=3)
+    return [
+        (kind("constant"), data, None, "oracle"),
+        (kind("x1_piecewise"), data, None, "x1_direct"),
+        (kind("x1_piecewise"), data, missed, "gmres"),
+        (kind("time_piecewise"), data, None, "t_frame_gmres"),
+        (kind("smooth"), data, None, "gmres"),
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_solve_hands_over_the_slots_of_its_solution(d):
+    """On every path the slots of solve's final check are the bytes of
+    _solution_parts(u), read-only, and compute_bundles reads them to the
+    same tables as it makes from the bare u; zero data hand over none."""
+    for coeffs, data, options, method in _handover_cases(d):
+        result = solve(coeffs, data, options)
+        assert result.method == method
+        expected = _solution_parts(data.grid, result.u.data, data.lam)
+        assert len(result.slots) == len(expected) == d + 2
+        for slot, part in zip(result.slots, expected):
+            assert slot.tobytes() == part.tobytes()
+            assert not slot.flags.writeable
+        p_list = (1.5, 2.0, 3.0, 4.0, np.inf)
+        assert compute_bundles(result, data, p_list) == compute_bundles(result.u, data, p_list)
+    g = data.grid
+    zero = DataBundle(h=zeros(g), g=VectorField((zeros(g),) * d), f=zeros(g), lam=2.0)
+    for coeffs, _, options, _ in _handover_cases(d):
+        empty = solve(coeffs, zero, options)
+        assert empty.slots is None
+        assert compute_bundles(empty, zero) == compute_bundles(empty.u, zero)
+
+
+def test_solve_result_keeps_its_slots_out_of_repr_and_equality():
+    coeffs, data, _, _ = _handover_cases(1)[1]
+    result = solve(coeffs, data)
+    bare = dataclasses.replace(result, slots=None)
+    assert result == bare
+    assert repr(result) == repr(bare) and "slots" not in repr(result)
