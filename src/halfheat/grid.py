@@ -255,8 +255,8 @@ class VectorField:
 def _lp(magnitudes: np.ndarray, p: float, cell_measure: float) -> float:
     """Rectangle-rule L_p norm of non-negative samples (magnitudes) with the
     given cell measure; p may be inf.  Signed samples go through np.abs
-    first, at the caller (lp_norm, time_window_lp_norm and solve_oracle's
-    two p = 2 norms); the bundle norms pass sqrt(|U|^2) as it is."""
+    first, at the caller (lp_norm and time_window_lp_norm); the bundle norms
+    pass sqrt(|U|^2) as it is.  Residual norms are _norm's."""
     if p == np.inf:
         return float(np.max(magnitudes))
     if p < 1:
@@ -286,9 +286,16 @@ def inner(a: Field, b: Field) -> float:
 
 def _norm(x: np.ndarray) -> float:
     """Euclidean norm of a real array, summed by numpy on one thread: the
-    threaded BLAS dot behind np.linalg.norm splits the sum by thread count."""
+    threaded BLAS dot behind np.linalg.norm splits the sum by thread count.
+    When the squares underflow (entries below about 1e-154) and some entry
+    is nonzero, the peak's power of two is divided out first and multiplied
+    back, both exact; an overflowing sum still reads inf."""
     flat = np.ravel(x)
-    return math.sqrt(float(np.einsum("i,i->", flat, flat)))
+    total = float(np.einsum("i,i->", flat, flat))
+    if total < np.finfo(np.float64).tiny and flat.any():
+        scale = math.frexp(float(np.max(np.abs(flat))))[1]
+        return math.ldexp(_norm(np.ldexp(flat, -scale)), scale)
+    return math.sqrt(total)
 
 
 def time_window_lp_norm(field: Field, half_width: float, p: float) -> float:

@@ -14,17 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import Coefficients
-from .grid import Field, Grid, _norm
-from .operators import (
-    DataBundle,
-    _check_grid,
-    _data_parts,
-    _flux,
-    _operator_parts,
-    _rhs,
-    _square_sum,
-)
-from .solver import SolveResult
+from .grid import Field, Grid
+from .operators import DataBundle, _check_grid, _data_parts, _flux, _rhs, _square_sum
+from .solver import SolveResult, _check
 
 __all__ = [
     "Cylinder",
@@ -168,19 +160,17 @@ def _checked_parts(
 ) -> tuple[Field, float, list[np.ndarray]]:
     """(u's Field, its relative residual against the bundle's right-hand
     side, the bundle slots), a residual above rtol being a ValueError: a
-    SolveResult's from its final check, a bare u's from one time spectrum."""
+    SolveResult's from solve's final check, a bare u's from the same
+    solver._check."""
     field, parts = (u.u, u.slots) if isinstance(u, SolveResult) else (u, None)
     _check_grid(coeffs, field)
     if data.grid != field.grid:
         raise ValueError("solution and data live on different grids")
     if parts is None:
-        applied, parts = _operator_parts(coeffs, data.lam, field.data)
-        parts.append(np.sqrt(data.lam) * field.data)
-        rhs = _rhs(data)
-        rel = _norm(applied - rhs) / (_norm(rhs) or max(_norm(field.data), 1.0))
+        rel, parts = _check(coeffs, data.lam, field.data, _rhs(data))[1:]
     else:
         rel = u.final_relative_residual
-    if rel > rtol:
+    if not rel <= rtol:  # a NaN residual (an overflowing u or data) is refused too
         raise ValueError(f"u does not solve the equation: relative residual {rel} > {rtol}")
     return field, rel, list(parts)
 

@@ -1,7 +1,8 @@
-"""Weak pairing, the twisted coercive form, and solve(), whose path the
-coefficient tag picks: the constant-coefficient Fourier oracle, or an exact
-start where the tag gives one (x1-measurable coefficients) and then one
-correction by the batched restarted GMRES loop in the tag's frame.
+"""Weak pairing, the twisted coercive form, and solve(), one pipeline whose
+path the coefficient tag picks: an exact start where the tag gives one (the
+Fourier oracle for constant coefficients, which is final, and the x1 sweep
+for x1-measurable ones), one correction by the batched restarted GMRES loop
+in the tag's frame otherwise, and on every path one residual check.
 
 The oracle divides by the symbol of the exact DISCRETE operator (Nyquist-zeroed
 time symbols, forward-difference spatial symbols), so oracle and iterative
@@ -19,6 +20,7 @@ scipy's call convention, so that scipy is not loaded at import.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -199,26 +201,15 @@ def duality_defect(coeffs: Coefficients, lam: float, u: Field, v: Field) -> floa
     return abs(forward + backward - 2.0 * sym)
 
 
-def _solution(grid: Grid, x: np.ndarray, method: str, lam: float) -> Field:
-    """x as the solution Field; non-finite samples (u carries 1/lambda, which
-    overflows at a tiny lambda) are a ValueError naming the path and lambda."""
+def _finite(x: np.ndarray, method: str, lam: float) -> np.ndarray:
+    """x, whose samples must be finite: u carries 1/lambda, which overflows
+    at a tiny lambda, and that is a ValueError naming the path and lambda."""
     if not np.isfinite(x).all():
         raise ValueError(f"{method} solve at lambda = {lam} overflowed: u is not finite")
-    return Field(grid, x)
+    return x
 
 
-def _zero_result(grid: Grid, started: float, method: str) -> SolveResult:
-    return SolveResult(
-        u=zeros(grid),
-        iterations=0,
-        final_relative_residual=0.0,
-        wall_time=time.perf_counter() - started,
-        converged=True,
-        method=method,
-    )
-
-
-def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
+def _oracle(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
     """Exact spectral solve for constant coefficients: divide the transformed
     right-hand side by the discrete operator symbol per mode.
 
@@ -226,18 +217,8 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
     frequency at zero spatial mode) carry no right-hand side for a valid
     DataBundle and are set to zero in u.
     """
-    started = time.perf_counter()
-    if coeffs.grid != data.grid:
-        raise ValueError("coefficients and data live on different grids")
-    grid = data.grid
-    lam = data.lam
-    matrix = coeffs.constant_matrix()
-    rhs = _rhs(data)
-    rhs_norm = _lp(np.abs(rhs), 2, grid.cell_measure)
-    if rhs_norm == 0.0:
-        return _zero_result(grid, started, "oracle")
-
-    denom = _operator_symbol(grid, matrix, lam)
+    grid = coeffs.grid
+    denom = _operator_symbol(grid, coeffs.constant_matrix(), lam)
     # max |rhs_hat| over the half spectrum is the full-spectrum max: the
     # dropped modes are conjugates of kept ones
     rhs_hat = np.fft.rfftn(rhs)
@@ -251,24 +232,32 @@ def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
             )
     u_hat = np.zeros_like(rhs_hat)
     np.divide(rhs_hat, denom, out=u_hat, where=~singular)
-    u_data = np.fft.irfftn(u_hat, s=grid.shape, axes=tuple(range(grid.d + 1)))
     # the spectral arrays die before the physical check, the oracle's peak
-    del denom, rhs_hat, u_hat, singular
-    u = _solution(grid, u_data, "oracle", lam)
+    del denom, rhs_hat, singular
+    u = np.fft.irfftn(u_hat, s=grid.shape, axes=tuple(range(grid.d + 1)))
+    return _finite(u, "oracle", lam)  # refused before the check spends an apply on it
 
-    res, parts = _operator_parts(coeffs, lam, u.data)
-    res -= rhs
-    rel = _lp(np.abs(res, out=res), 2, grid.cell_measure) / rhs_norm
-    return SolveResult(
-        u=u,
-        iterations=0,
-        final_relative_residual=rel,
-        wall_time=time.perf_counter() - started,
-        converged=True,
-        method="oracle",
-        matvecs=1,
-        slots=(*parts, np.sqrt(lam) * u.data),
-    )
+
+def _check(
+    coeffs: Coefficients, lam: float, u: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, float, list[np.ndarray]]:
+    """The one residual check of u against the right-hand side b, for every
+    solve path and for the verifiers' bare u: (r = b - A u, written over A u;
+    ||r|| / ||b||, or ||r|| / max(||u||, 1) when b = 0; the bundle slots
+    (D_t^{1/2}u, *D+u, sqrt(lambda) u)).  A u and the slots come from one
+    time spectrum, and every norm is grid._norm."""
+    applied, parts = _operator_parts(coeffs, lam, u)
+    r = np.subtract(b, applied, out=applied)
+    rel = _norm(r) / (_norm(b) or max(_norm(u), 1.0))
+    parts.append(np.sqrt(lam) * u)
+    return r, rel, parts
+
+
+def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
+    """solve on constant coefficients, whose exact start _oracle is final."""
+    if coeffs.tag != "constant":
+        raise ValueError(f"solve_oracle needs tag 'constant', got {coeffs.tag!r}")
+    return solve(coeffs, data)
 
 
 def _cyclic_thomas(
@@ -673,61 +662,67 @@ def gmres(apply, b, targets, *, restart, max_iterations):
     return w, norms, matvecs
 
 
+# solve() divides data whose 2-norm lies outside this window by their peak's
+# power of two, and multiplies u and the slots back: exact on every path
+_WINDOW = (2.0**-400, 2.0**400)
+
+
 def solve(
     coeffs: Coefficients, data: DataBundle, options: SolverOptions | None = None
 ) -> SolveResult:
     """Solve apply_operator(coeffs, lam, u) = rhs by the path the coefficient
-    tag picks; SolveResult.method names it.  Constant coefficients go to
-    solve_oracle (any lambda >= 0; converged when its residual meets rtol).
-    Every other tag needs lambda > 0.  x1_measurable coefficients start from
-    the exact _x1_direct, unless it is not finite (a zero pivot); when there
-    is no start or its true residual misses rtol, one GMRES call,
-    right-preconditioned with the constant_mean inverse, solves for the
-    remaining residual in the tag's frame: _t_frame (one row per spatial
-    mode) for time_measurable, else _physical_frame (one row, method
-    "gmres").  The rows' targets have squares summing to
-    (_ETA * rtol * ||b||)^2 and stop on true residuals, which both frame maps
-    keep physical; max_iterations and restart apply per row.  The reported
-    residual is the true relative one, recomputed by _operator_parts, whose
-    bundle slots SolveResult.slots hands on to the consumers of u."""
+    tag picks; SolveResult.method names it.  Constant coefficients take the
+    exact _oracle (any lambda >= 0), which is final.  Every other tag needs
+    lambda > 0.  x1_measurable coefficients start from the exact _x1_direct,
+    unless it is not finite (a zero pivot); when there is no start or its
+    true residual misses rtol, one GMRES call, right-preconditioned with the
+    constant_mean inverse, solves for the remaining residual in the tag's
+    frame: _t_frame (one row per spatial mode) for time_measurable, else
+    _physical_frame (one row, method "gmres").  The rows' targets have
+    squares summing to (_ETA * rtol * ||b||)^2 and stop on true residuals,
+    which both frame maps keep physical; max_iterations and restart apply per
+    row.  Every path ends in _check: its true relative residual is reported
+    and compared with rtol, and its slots go on in SolveResult.slots.  Data
+    whose 2-norm is outside _WINDOW are rescaled by a power of two, exactly,
+    so no finite right-hand side is refused for its size."""
     started = time.perf_counter()
     options = options or SolverOptions()
     if coeffs.grid != data.grid:
         raise ValueError("coefficients and data live on different grids")
-    if coeffs.tag == "constant":
-        result = solve_oracle(coeffs, data)
-        return replace(result, converged=result.final_relative_residual <= options.rtol)
     lam = data.lam
-    if lam <= 0:
+    if lam <= 0 and coeffs.tag != "constant":
         raise ValueError(
             f"lambda = 0 leaves the zero mode non-invertible; {coeffs.tag} "
             "coefficients need lambda > 0 (only constant ones admit lambda = 0)"
         )
     grid = data.grid
-    shape = grid.shape
-    b = _rhs(data).ravel()
-    b_norm = _norm(b)
-    if not np.isfinite(b_norm):
-        raise ValueError("the right-hand side's 2-norm overflows: the data are too large")
-    paths = {"time_measurable": "t_frame_gmres", "x1_measurable": "x1_direct"}
+    paths = {"constant": "oracle", "time_measurable": "t_frame_gmres", "x1_measurable": "x1_direct"}
     method = paths.get(coeffs.tag, "gmres")
+    b = _rhs(data)
+    b_norm = _norm(b)
     if b_norm == 0.0:
-        return _zero_result(grid, started, method)
+        return SolveResult(zeros(grid), 0, 0.0, time.perf_counter() - started, True, method)
+    scale = 0
+    if not _WINDOW[0] <= b_norm <= _WINDOW[1]:
+        peak = float(np.max(np.abs(b)))
+        if not np.isfinite(peak):
+            raise ValueError("the right-hand side is not finite: the data are too large")
+        scale = math.frexp(peak)[1]
+        b = np.ldexp(b, -scale)
+        b_norm = _norm(b)
 
-    def check(x: np.ndarray) -> tuple[np.ndarray, float, list[np.ndarray]]:
-        applied, parts = _operator_parts(coeffs, lam, x.reshape(shape))
-        r = np.subtract(b, applied.ravel(), out=applied.ravel())  # b - A x over A x
-        return r, _norm(r) / b_norm, parts
-
+    # the exact starts, in C order (sums over the slots follow memory order);
+    # the oracle's is final, an x1 start that misses rtol is corrected
     x, r, rel, matvecs, norms = None, b, 1.0, 0, []
-    if method == "x1_direct":
-        with np.errstate(all="ignore"):  # a zero pivot: the start is dropped below
-            x = _x1_direct(coeffs, lam, b.reshape(shape)).ravel()
-            r, rel, parts = check(x)
+    start = {"oracle": _oracle, "x1_direct": _x1_direct}.get(method)
+    if start:
+        with np.errstate(all="ignore"):  # a zero pivot: the x1 start is dropped below
+            x = np.ascontiguousarray(start(coeffs, lam, b))
+            r, rel, parts = _check(coeffs, lam, x, b)
         matvecs = 1
-        if not np.isfinite(rel):
+        if not np.isfinite(rel) and method == "x1_direct":
             x, r, rel = None, b, 1.0
-    if rel > options.rtol:
+    if method != "oracle" and rel > options.rtol:
         parts = None  # a start's parts die before GMRES
         if method == "x1_direct":
             method = "gmres"
@@ -741,17 +736,22 @@ def solve(
         touched = np.flatnonzero(w.any(axis=1))
         y = np.zeros_like(w)
         y[touched] = precondition(w[touched], touched)
-        correction = from_frame(y).ravel()
+        correction = np.ascontiguousarray(from_frame(y))
         # the frame arrays die before the physical check
         del to_frame, from_frame, apply, precondition, rhs, w, y
         # a start takes the correction; adding it to zeros would turn its
         # -0.0 samples into 0.0
         x = correction if x is None else x + correction
-        rel, parts = check(x)[1:]
+        rel, parts = _check(coeffs, lam, x, b)[1:]
         matvecs += used + 1
+    del r  # before u's finiteness checks, which make a mask of u's size
+    if scale:
+        with np.errstate(over="ignore"):  # an overflowing u is refused below
+            for array in (x, *parts):
+                np.ldexp(array, scale, out=array)
 
     return SolveResult(
-        u=_solution(grid, x.reshape(shape), method, lam),
+        u=Field(grid, _finite(x, method, lam)),
         iterations=len(norms),
         final_relative_residual=rel,
         wall_time=time.perf_counter() - started,
@@ -759,7 +759,7 @@ def solve(
         method=method,
         residual_history=tuple(v / b_norm for v in norms),
         matvecs=matvecs,
-        slots=(*parts, np.sqrt(lam) * x.reshape(shape)),
+        slots=tuple(parts),
     )
 
 
@@ -783,14 +783,15 @@ def multiplier_bound(coeffs: Coefficients, lam: float) -> float:
 
 def _magnitude(parts: list[np.ndarray]) -> np.ndarray:
     """Pointwise Euclidean magnitude sqrt(sum |slot|^2) of a bundle's slots.
-    When the squares overflow (slots above about 1e154), the slots are
-    divided by their largest |entry| first and the root multiplied back, as
-    grid._lp falls back when its p-th powers overflow."""
+    When the largest square overflows (slots above about 1e154) or
+    underflows (below about 1e-154), the slots are divided by their largest
+    |entry| first and the root multiplied back, as grid._lp falls back when
+    its p-th powers overflow or underflow."""
     with np.errstate(over="ignore"):
         magnitude = _square_sum(parts)
-        if not np.isfinite(np.max(magnitude)):
+        if not np.finfo(np.float64).tiny <= np.max(magnitude) < np.inf:
             peak = max(float(np.max(np.abs(a))) for a in parts)
-            if peak < np.inf:
+            if 0.0 < peak < np.inf:
                 magnitude = _square_sum([a / peak for a in parts])
                 np.sqrt(magnitude, out=magnitude)
                 magnitude *= peak

@@ -6,12 +6,14 @@ halfheat` entry point.
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from halfheat import experiments
@@ -861,16 +863,17 @@ def test_solve_at_a_tiny_lambda_fails_naming_lambda(tmp_path, capsys, kind, meth
     ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the input overflows
-def test_solve_on_data_whose_norm_overflows_fails_cleanly(tmp_path, capsys):
-    """Finite data of size 1e300 have an infinite 2-norm; the GMRES path used
-    to end in an IndexError from an empty correction."""
+def test_solve_on_data_whose_norm_overflows(tmp_path, capsys):
+    """Finite data of size 1e300 have an infinite 2-norm.  solve used to
+    refuse them; it now solves them divided by their peak's power of two,
+    2^997, and multiplies u back, so u.htpf holds 2^997 times the solution
+    for the data 1e300 / 2^997, to the bit."""
     mapping = dict(SOLVE_CONFIG, coefficients={"kind": "x1_piecewise", "delta": 0.5, "seed": 3})
-    mapping["data"] = {"f": "1e300"}
-    config = _write_config(tmp_path, "c.json", mapping)
-    code = main(["solve", "--config", str(config), "--out", str(tmp_path / "o")])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 1 and len(lines) == 1
-    assert json.loads(lines[0])["failures"] == [
-        "the right-hand side's 2-norm overflows: the data are too large"
-    ]
+    solutions = {}
+    for name, f in (("huge", 1e300), ("scaled", math.ldexp(1e300, -997))):
+        config = _write_config(tmp_path, f"{name}.json", dict(mapping, data={"f": repr(f)}))
+        argv = ["solve", "--config", str(config), "--out", str(tmp_path / name)]
+        code, report = _run(capsys, argv)
+        assert code == 0 and report["converged"] and report["method"] == "x1_direct"
+        solutions[name] = read_field(tmp_path / name / "u.htpf").data
+    assert solutions["huge"].tobytes() == np.ldexp(solutions["scaled"], 997).tobytes()

@@ -129,3 +129,19 @@ def test_no_module_calls_a_threaded_blas_reduction():
         tree = ast.parse(path.read_text())
         found += [(path.name, node.lineno) for node in ast.walk(tree) if _blas_reduction(node)]
     assert found == []
+
+
+def test_one_module_call_makes_the_operator_parts():
+    """Every solve path and both verifiers judge u by one residual check,
+    solver._check, the only caller of operators._operator_parts: a second
+    residual pipeline (the oracle kept its own until it became a start of
+    solve) would measure u in other bits."""
+    calls = []
+    for path in sorted(Path(halfheat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls += [
+            path.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_operator_parts")
+        ]
+    assert calls == ["solver.py"]

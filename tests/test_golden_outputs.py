@@ -29,19 +29,19 @@ from halfheat.experiments import EXPERIMENTS, ExperimentConfig, write_outputs
 
 GOLDEN = {
     ("identities", 0): (
-        "4af8019ba6705dc8671916f4f81abcadb88011a90eca83fdd6867977c44dcbfc",
-        "187805c31a3cfefe5425c27614de73aeeaafffc79bcfa4fc58310d3999ef877c",
+        "dc6f8cbab10166ae4e505caf29d29cfeb4e0a5486fa3e52647cb659a42f84488",
+        "1a48e6e8d501cbf2b9502ca5a808a816de95150f3bd8b89a1ed8d74922e0bd73",
     ),
     ("identities", 1): (
-        "4d6f3b65b99502c26d1e290f45a3730f667372134ce4e50a526b45f381e1a10c",
-        "eeb1f91e8e2ab4a15b94d005eab8df4fe0df8c568983f9c1b1fc896f2a7c109a",
+        "e59e0db25b5589bbdf0539ba0dba6ce6b4494a10715bb2fd53f5b7ee6432dd77",
+        "df9ab90b9a6a98ce085c10fdb418b92cc9d5956931d846eab3ed38df8a575e22",
     ),
     ("l2", 0): (
-        "517d2662169ad3a257e02b4f07d2a8632fb52fb8c290952e0d0543db7a2384e6",
+        "7b6aa5081673215ba00eedfb0fbc6f7a4c2f425a036e70b086517db201852dd4",
         "7c39f7428d9fcbb9a6aa80474ed2b8c2c3a4b06a336fb84ee2411e8dd5a1a905",
     ),
     ("l2", 1): (
-        "b6ce37597c5fe9f3f8a2686fec76e4de6133685bd3acbc2efd8bff7a3410e952",
+        "fae9618a9dd3adb0f45e8899932d9d3624dec282c9fd79b03e004635fa302e02",
         "c68d5837120533339b3329abc142b6815a96c97fff8a8ab928c444e84a00062b",
     ),
     ("lp_sweep", 0): (

@@ -201,11 +201,17 @@ def test_norm_matches_numpy(make):
 
 def test_norm_of_zeros_and_of_overflowing_entries():
     """Zeros give 0.0, and entries of 1e200 give inf as np.linalg.norm does,
-    so solve's "2-norm overflows" guard still sees the overflow."""
+    so solve sees that the data leave its norm window.  Entries of 1e-170,
+    whose squares underflow, used to give 0.0: the peak's power of two is
+    now divided out first, so the norm is exact to scaling by 2^k."""
     assert _norm(np.zeros((4, 8))) == 0.0
     big = np.full((4, 8), 1e200)
     with np.errstate(over="ignore"):
         assert _norm(big) == np.linalg.norm(big) == np.inf
+    assert _norm(np.full((4, 8), 1e-170)) == pytest.approx(np.sqrt(32.0) * 1e-170, rel=1e-15)
+    assert _norm(np.full(3, 5e-324)) > 0.0
+    x = np.random.default_rng(2).standard_normal((64, 64))
+    assert _norm(np.ldexp(x, -600)) == np.ldexp(_norm(x), -600)
 
 @settings(max_examples=25)
 @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))

@@ -51,7 +51,7 @@ from halfheat import (
     zeros,
 )
 from halfheat.experiments import _localized_bundle, harmonic_bundle
-from halfheat.operators import _data_parts, _solution_parts
+from halfheat.operators import _data_parts, _rhs, _solution_parts
 
 
 def _grid(d=1, n_t=32, n_x=32, l_t=2.0 * np.pi, l_x=2.0):
@@ -1270,15 +1270,18 @@ def test_a_solve_that_cannot_progress_stops():
 def test_bundle_norms_of_huge_data_do_not_overflow():
     """|F|^2 of slots near 1e300 overflows; the magnitude then divides out
     the largest slot first, so ||F||_2 of h = 1e300 on the unit-measure
-    16 x 16 torus reads 1e300 * sqrt(l_t l_x), not inf, in both helpers."""
+    16 x 16 torus reads 1e300 * sqrt(l_t l_x), not inf, in both helpers.
+    |F|^2 of slots near 1e-170 underflows, and ||F||_2 used to read 0.0: the
+    same division now covers it."""
     g = make_grid(d=1, n_t=16, n_x=16, l_t=2.0, l_x=2.0)
-    data = DataBundle(
-        h=Field(g, np.full(g.shape, 1e300)), g=VectorField((zeros(g),)), f=zeros(g), lam=1.0
-    )
-    norms = compute_bundles(zeros(g), data, (2.0, np.inf))
-    assert norms["F"][2.0] == pytest.approx(2e300, rel=1e-14)
-    assert norms["F"][np.inf] == 1e300
-    assert solver_module.bundle_lp_norm(_data_parts(data), g, 2.0) == norms["F"][2.0]
+    for size in (1e300, 1e-170):
+        data = DataBundle(
+            h=Field(g, np.full(g.shape, size)), g=VectorField((zeros(g),)), f=zeros(g), lam=1.0
+        )
+        norms = compute_bundles(zeros(g), data, (2.0, np.inf))
+        assert norms["F"][2.0] == pytest.approx(2.0 * size, rel=1e-14)
+        assert norms["F"][np.inf] == size
+        assert solver_module.bundle_lp_norm(_data_parts(data), g, 2.0) == norms["F"][2.0]
 
 
 def _handover_cases(d):
@@ -1322,6 +1325,58 @@ def test_solve_hands_over_the_slots_of_its_solution(d):
         empty = solve(coeffs, zero, options)
         assert empty.slots is None
         assert compute_bundles(empty, zero) == compute_bundles(empty.u, zero)
+
+
+def _scaled(data, factor):
+    """data with h, g and f multiplied by factor."""
+    g = data.grid
+    return DataBundle(
+        h=Field(g, factor * data.h.data),
+        g=VectorField(tuple(Field(g, factor * c.data) for c in data.g.components)),
+        f=Field(g, factor * data.f.data),
+        lam=data.lam,
+    )
+
+
+@pytest.mark.parametrize("k", [-600, -60, 60, 600])
+@pytest.mark.parametrize("d", [1, 2])
+def test_solve_is_exactly_equivariant_under_power_of_two_scaling(d, k):
+    """On every path, solve(c, 2^k F) is 2^k solve(c, F) to the bit, u and
+    slots, with the same method, iterations, matvecs and residuals.  At
+    k = +-600 the data's 2-norm leaves solve's window (it overflows or
+    underflows): those data are divided by their peak's power of two and u
+    and the slots multiplied back, where the paths other than the oracle
+    used to refuse them or return u = 0."""
+    factor = 2.0**k
+    for coeffs, data, options, method in _handover_cases(d):
+        base = solve(coeffs, data, options)
+        result = solve(coeffs, _scaled(data, factor), options)
+        assert result.method == base.method == method
+        assert result.converged == base.converged
+        assert (result.iterations, result.matvecs) == (base.iterations, base.matvecs)
+        assert result.final_relative_residual == base.final_relative_residual
+        assert result.residual_history == base.residual_history
+        assert result.u.data.tobytes() == (factor * base.u.data).tobytes()
+        assert len(result.slots) == len(base.slots) == d + 2
+        for slot, part in zip(result.slots, base.slots):
+            assert slot.tobytes() == (factor * part).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # D-(g) overflows
+def test_solve_refuses_a_right_hand_side_that_is_not_finite():
+    """Finite data whose right-hand side overflows (g alternating +-1e308,
+    whose backward differences exceed the largest float) have no power of
+    two to rescale by: every path refuses them by name."""
+    for coeffs, data, options, _ in _handover_cases(1):
+        g = data.grid
+        sign = (-1.0) ** np.arange(g.n_x[0])
+        huge = DataBundle(
+            h=zeros(g), g=VectorField((Field(g, 1e308 * sign * np.ones(g.shape)),)),
+            f=zeros(g), lam=data.lam,
+        )
+        assert not np.isfinite(_rhs(huge)).all()
+        with pytest.raises(ValueError, match="right-hand side is not finite"):
+            solve(coeffs, huge, options)
 
 
 def test_solve_result_keeps_its_slots_out_of_repr_and_equality():
