@@ -136,15 +136,6 @@ def _operator_parts(
     return applied, [half, *_gradient(grid, u)]
 
 
-def _square_sum(arrays: list[np.ndarray]) -> np.ndarray:
-    """Pointwise sum of squares, |U|^2 of a bundle U given by its slots,
-    accumulated in place into a new array from the first slot's square."""
-    total = arrays[0] * arrays[0]
-    for arr in arrays[1:]:
-        total += arr * arr
-    return total
-
-
 def _check_grid(coeffs: Coefficients, u: Field) -> None:
     if coeffs.grid != u.grid:
         raise ValueError("coefficients and field live on different grids")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import Coefficients
-from .grid import Field, Grid
-from .operators import DataBundle, _check_grid, _data_parts, _flux, _rhs, _square_sum
+from .grid import Field, Grid, _magnitude, _square_sum
+from .operators import DataBundle, _check_grid, _data_parts, _flux, _rhs
 from .solver import SolveResult, _check
 
 __all__ = [
@@ -117,7 +117,7 @@ def bundle_oscillation(arrays: list[np.ndarray], grid: Grid, cyl: Cylinder) -> f
     """Cylinder mean of the Euclidean magnitude of the deviation from the
     per-component cylinder means."""
     devs = [part - part.mean() for part in _cylinder_samples(arrays, grid, cyl)]
-    return float(np.sqrt(sum(dev**2 for dev in devs)).mean())
+    return float(_magnitude(devs).mean())
 
 
 # ---------------------------------------------------------------------------

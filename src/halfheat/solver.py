@@ -20,7 +20,6 @@ scipy's call convention, so that scipy is not loaded at import.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -28,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coefficients import Coefficients
-from .grid import Field, Grid, _integer, _lp, _norm, inner, zeros
+from .grid import Field, Grid, _exponent, _integer, _lp, _magnitude, _norm, inner, zeros
 from .operators import (
     DataBundle,
     _data_parts,
@@ -38,7 +37,6 @@ from .operators import (
     _operator_parts,
     _rhs,
     _solution_parts,
-    _square_sum,
 )
 from .timeops import half_derivative, hilbert, time_symbol
 
@@ -702,14 +700,12 @@ def solve(
     b_norm = _norm(b)
     if b_norm == 0.0:
         return SolveResult(zeros(grid), 0, 0.0, time.perf_counter() - started, True, method)
-    scale = 0
-    if not _WINDOW[0] <= b_norm <= _WINDOW[1]:
-        peak = float(np.max(np.abs(b)))
-        if not np.isfinite(peak):
-            raise ValueError("the right-hand side is not finite: the data are too large")
-        scale = math.frexp(peak)[1]
+    scale = 0 if _WINDOW[0] <= b_norm <= _WINDOW[1] else _exponent([b])
+    if scale:
         b = np.ldexp(b, -scale)
         b_norm = _norm(b)
+    elif not b_norm < np.inf:  # an inf or NaN entry: _exponent reads 0
+        raise ValueError("the right-hand side is not finite: the data are too large")
 
     # the exact starts, in C order (sums over the slots follow memory order);
     # the oracle's is final, an x1 start that misses rtol is corrected
@@ -770,6 +766,8 @@ def multiplier_bound(coeffs: Coefficients, lam: float) -> float:
     with |v| = |w| = sqrt(|tau| + |sigma|^2 + lambda), so this quotient bounds
     ||U||_2/||F||_2 for every data bundle, exactly on the lattice.
     """
+    if not 0 <= lam < np.inf:  # NaN too
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     grid = coeffs.grid
     matrix = coeffs.constant_matrix()
     tau, sigmas = _spectral_tables(grid)
@@ -779,25 +777,6 @@ def multiplier_bound(coeffs: Coefficients, lam: float) -> float:
     denom = np.abs(_operator_symbol(grid, matrix, lam))
     live = denom > 0
     return float(np.max(weight[live] / denom[live])) if live.any() else 0.0
-
-
-def _magnitude(parts: list[np.ndarray]) -> np.ndarray:
-    """Pointwise Euclidean magnitude sqrt(sum |slot|^2) of a bundle's slots.
-    When the largest square overflows (slots above about 1e154) or
-    underflows (below about 1e-154), the slots are divided by their largest
-    |entry| first and the root multiplied back, as grid._lp falls back when
-    its p-th powers overflow or underflow."""
-    with np.errstate(over="ignore"):
-        magnitude = _square_sum(parts)
-        if not np.finfo(np.float64).tiny <= np.max(magnitude) < np.inf:
-            peak = max(float(np.max(np.abs(a))) for a in parts)
-            if 0.0 < peak < np.inf:
-                magnitude = _square_sum([a / peak for a in parts])
-                np.sqrt(magnitude, out=magnitude)
-                magnitude *= peak
-                return magnitude
-    np.sqrt(magnitude, out=magnitude)
-    return magnitude
 
 
 def bundle_lp_norm(arrays: list[np.ndarray], grid: Grid, p: float) -> float:

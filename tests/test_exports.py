@@ -145,3 +145,26 @@ def test_one_module_call_makes_the_operator_parts():
             if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_operator_parts")
         ]
     assert calls == ["solver.py"]
+
+
+def _reads_float_limits(node: ast.AST) -> bool:
+    """A frexp call (math.frexp, np.frexp) or a read of finfo(...).tiny."""
+    if isinstance(node, ast.Call):
+        return ast.unparse(node.func).split(".")[-1] == "frexp"
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "tiny"
+        and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func).split(".")[-1] == "finfo"
+    )
+
+
+def test_only_grid_rescales_near_the_float_limits():
+    """grid.py holds the norm kernels and the one exact power-of-two rule for
+    squared sums (_exponent): no other module reads a peak's exponent or the
+    smallest normal float to guard its own sums."""
+    found = []
+    for path in sorted(Path(halfheat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [path.name for node in ast.walk(tree) if _reads_float_limits(node)]
+    assert found and set(found) == {"grid.py"}

@@ -151,18 +151,23 @@ def test_lp_norm_special_cases():
     u = Field(g, np.full(g.shape, -2.0))
     assert lp_norm(u, np.inf) == 2.0
     assert lp_norm(u, 1.0) == pytest.approx(2.0)  # constant: |u| * measure
-    with pytest.raises(ValueError, match="p >= 1"):
-        lp_norm(u, 0.5)
+    for p in (0.5, np.nan):
+        with pytest.raises(ValueError, match="p >= 1"):
+            lp_norm(u, p)
 
 
 @pytest.mark.parametrize("value", [30.0, 0.3])
 def test_lp_norm_at_large_finite_p(value):
-    """|u|^700 overflows at 30 and underflows at 0.3, yet the norm of a
-    constant is |u| (samples * cell measure)^(1/p), with no RuntimeWarning."""
+    """|u|^p overflows at 30 and underflows at 0.3, yet the norm of a
+    constant is |u| (samples * cell measure)^(1/p), with no RuntimeWarning.
+    This is why _lp divides by the peak itself: divided by the peak's power
+    of two, the samples read 0.9375 and 0.6, and 0.6^2000 and 0.9375^1e9
+    underflow to 0, so such a rescale would read these norms as 0.0."""
     g = make_grid(d=1, n_t=8, n_x=8, l_t=2.0, l_x=3.0)
     u = Field(g, np.full(g.shape, value))
-    expected = value * (g.n_t * g.n_x[0] * g.cell_measure) ** (1.0 / 700)
-    assert lp_norm(u, 700.0) == pytest.approx(expected, rel=1e-12)
+    for p in (700.0, 2000.0, 1e9):
+        expected = value * (g.n_t * g.n_x[0] * g.cell_measure) ** (1.0 / p)
+        assert lp_norm(u, p) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 3.0, np.inf, 700.0])
@@ -237,9 +242,8 @@ def test_time_window_norm_full_window_matches_global():
     g = make_grid(d=1, n_t=16, n_x=8, l_t=2.0, l_x=1.0)
     rng = np.random.default_rng(3)
     u = Field(g, rng.standard_normal(g.shape))
-    assert time_window_lp_norm(u, half_width=g.l_t, p=2.0) == pytest.approx(
-        lp_norm(u, 2.0)
-    )
+    for p in (1.5, 2.0, np.inf):
+        assert time_window_lp_norm(u, half_width=g.l_t, p=p) == lp_norm(u, p)
 
 
 def test_time_window_norm_selects_the_window():
@@ -250,5 +254,7 @@ def test_time_window_norm_selects_the_window():
     u = Field(g, data)
     narrow = time_window_lp_norm(u, half_width=2.1 * g.dt, p=2.0)
     assert narrow == pytest.approx(lp_norm(u, 2.0), rel=1e-12)
-    with pytest.raises(ValueError, match="half_width"):
-        time_window_lp_norm(u, half_width=0.0, p=2.0)
+    for half_width in (0.0, np.nan):
+        for p in (2.0, np.inf):
+            with pytest.raises(ValueError, match="half_width must be positive"):
+                time_window_lp_norm(u, half_width=half_width, p=p)

@@ -51,7 +51,9 @@ from halfheat import (
     zeros,
 )
 from halfheat.experiments import _localized_bundle, harmonic_bundle
+from halfheat.grid import _magnitude
 from halfheat.operators import _data_parts, _rhs, _solution_parts
+from halfheat.oscillation import Cylinder, bundle_oscillation
 
 
 def _grid(d=1, n_t=32, n_x=32, l_t=2.0 * np.pi, l_x=2.0):
@@ -1008,6 +1010,15 @@ def test_identity_multiplier_bound_stays_below_sqrt_two(seed, lam):
     assert multiplier_bound(identity_coefficients(g), lam) <= np.sqrt(2.0) + 1e-12
 
 
+def test_multiplier_bound_refuses_a_lambda_that_is_not_finite_and_non_negative():
+    """apply_operator refuses lambda < 0; the bound used to read 0.0 at NaN,
+    nan at inf and 1.4132... at -1."""
+    g = _grid(n_t=16, n_x=16)
+    for lam in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            multiplier_bound(identity_coefficients(g), lam)
+
+
 def test_bound_actually_bounds_the_bundle_ratio():
     g = _grid(n_t=32, n_x=32)
     a = generate_coefficients(kind="constant", delta=0.5, seed=10, grid=g)
@@ -1377,6 +1388,34 @@ def test_solve_refuses_a_right_hand_side_that_is_not_finite():
         assert not np.isfinite(_rhs(huge)).all()
         with pytest.raises(ValueError, match="right-hand side is not finite"):
             solve(coeffs, huge, options)
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+@pytest.mark.parametrize("d", [1, 2])
+def test_bundle_magnitudes_are_exactly_equivariant_under_power_of_two_scaling(d, k):
+    """Slots scaled by 2^k have magnitudes, cylinder oscillations and sup
+    norms scaled by exactly 2^k.  At k = +-600 the squares over- or
+    underflow, and the magnitude divides out the slots' peak power of two;
+    dividing by the peak itself, as it once did, is not exact.  The L_2
+    norms end in _lp's peak division and ** 0.5, so they agree to rounding."""
+    factor = 2.0**k
+    g = _grid(d=d, n_t=16, n_x=16)
+    u, data = _rand(g, 40 + d), _band_limited_bundle(g, 30 + d, lam=2.0)
+    scaled_u, scaled_data = Field(g, factor * u.data), _scaled(data, factor)
+    cyl = Cylinder(center=(0.0,) * (d + 1), r=0.5)
+    for parts, scaled in (
+        (_solution_parts(g, u.data, data.lam), _solution_parts(g, scaled_u.data, data.lam)),
+        (_data_parts(data), _data_parts(scaled_data)),
+    ):
+        magnitude = _magnitude(parts)
+        assert _magnitude(scaled).tobytes() == (factor * magnitude).tobytes()
+        assert bundle_oscillation(scaled, g, cyl) == factor * bundle_oscillation(parts, g, cyl)
+        assert solver_module.bundle_lp_norm(scaled, g, np.inf) == factor * np.max(magnitude)
+    base = compute_bundles(u, data, (2.0, np.inf))
+    norms = compute_bundles(scaled_u, scaled_data, (2.0, np.inf))
+    for key in ("U", "F"):
+        assert norms[key][np.inf] == factor * base[key][np.inf]
+        assert norms[key][2.0] == pytest.approx(factor * base[key][2.0], rel=1e-15, abs=0.0)
 
 
 def test_solve_result_keeps_its_slots_out_of_repr_and_equality():
