@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -285,9 +285,23 @@ def inner(a: Field, b: Field) -> float:
 
 
 def _exponent(arrays: list[np.ndarray]) -> int:
-    """The frexp exponent e of the arrays' largest |entry|, so np.ldexp(a, -e)
-    is exact and below 1 in size; 0 when that peak is zero or not finite."""
-    return math.frexp(max(float(np.max(np.abs(a), initial=0.0)) for a in arrays))[1]
+    """The frexp exponent e of the arrays' largest |entry|, at most 1023 so
+    that 2.0**e is a float: np.ldexp(a, -e) is exact and below 2 in size.  0
+    when that peak is zero or not finite."""
+    return min(math.frexp(max(float(np.max(np.abs(a), initial=0.0)) for a in arrays))[1], 1023)
+
+
+def _rescaled(squares: Callable, arrays: list[np.ndarray]) -> tuple:
+    """The one rule for squared sums near the float limits: (squares(arrays),
+    0) while its peak is a normal float and its sum finite, else
+    (squares(arrays / 2^e), e) for the exponent e of _exponent; the caller
+    multiplies the root back by 2.0**e (inf above the largest float).  Both
+    steps are exact: arrays times 2^k give roots times exactly 2^k."""
+    with np.errstate(over="ignore"):
+        total = squares(arrays)
+    peak, size = (float(total.max()), total.size) if isinstance(total, np.ndarray) else (total, 1)
+    scale = 0 if np.finfo(np.float64).tiny <= peak and peak * size < np.inf else _exponent(arrays)
+    return (squares([np.ldexp(a, -scale) for a in arrays]), scale) if scale else (total, 0)
 
 
 def _square_sum(arrays: list[np.ndarray]) -> np.ndarray:
@@ -299,16 +313,19 @@ def _square_sum(arrays: list[np.ndarray]) -> np.ndarray:
     return total
 
 
+def _squares(parts: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """_rescaled's (|U|^2 / 2^2e, e) of a bundle U given by its slots."""
+    return _rescaled(_square_sum, parts)
+
+
+def _slot_squares(arrays: list[np.ndarray]) -> tuple[float, int]:
+    """_rescaled's (sum of all squares / 2^2e, e), summed slot by slot as (a**2).sum()."""
+    return _rescaled(lambda slots: sum(float((a**2).sum()) for a in slots), arrays)
+
+
 def _magnitude(parts: list[np.ndarray]) -> np.ndarray:
-    """Pointwise Euclidean magnitude sqrt(sum |slot|^2) of a bundle's slots.
-    When the largest square over- or underflows (slots beyond about 1e±154),
-    the slots' peak power of two is divided out first and multiplied back,
-    both exact: slots scaled by 2^k give a magnitude scaled by exactly 2^k."""
-    with np.errstate(over="ignore"):
-        squares = _square_sum(parts)
-    scale = 0 if np.finfo(np.float64).tiny <= np.max(squares) < np.inf else _exponent(parts)
-    if scale:
-        squares = _square_sum([np.ldexp(a, -scale) for a in parts])
+    """Pointwise Euclidean magnitude sqrt(sum |slot|^2) of a bundle's slots."""
+    squares, scale = _squares(parts)
     np.sqrt(squares, out=squares)
     return np.ldexp(squares, scale, out=squares) if scale else squares
 
@@ -316,17 +333,10 @@ def _magnitude(parts: list[np.ndarray]) -> np.ndarray:
 def _norm(x: np.ndarray) -> float:
     """Euclidean norm of a real array, summed by numpy on one thread: the
     threaded BLAS dot behind np.linalg.norm splits the sum by thread count.
-    Where the squares underflow (entries below about 1e-154), the peak's
-    power of two is divided out first and multiplied back, both exact.  An
-    overflowing sum still reads inf: two such norms make the NaN residual
-    that the verifiers refuse."""
-    flat = np.ravel(x)
-    total = float(np.einsum("i,i->", flat, flat))
-    scale = _exponent([flat]) if total < np.finfo(np.float64).tiny else 0
-    if scale:
-        flat = np.ldexp(flat, -scale)
-        total = float(np.einsum("i,i->", flat, flat))
-    return math.ldexp(math.sqrt(total), scale)
+    Near the float limits _rescaled's rule holds; only a norm above the
+    largest float reads inf."""
+    total, scale = _rescaled(lambda a: float(np.einsum("i,i->", a[0], a[0])), [np.ravel(x)])
+    return math.sqrt(total) * 2.0**scale
 
 
 def time_window_lp_norm(field: Field, half_width: float, p: float) -> float:

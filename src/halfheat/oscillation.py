@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import Coefficients
-from .grid import Field, Grid, _magnitude, _square_sum
+from .grid import Field, Grid, _magnitude, _slot_squares, _squares
 from .operators import DataBundle, _check_grid, _data_parts, _flux, _rhs
 from .solver import SolveResult, _check
 
@@ -107,10 +107,10 @@ def _cylinder_samples(
 
 def bundle_rms(arrays: list[np.ndarray], grid: Grid, cyl: Cylinder) -> float:
     """sqrt of the cylinder mean of the summed squares (the (|W|^2)^{1/2}_Q
-    quantity for a several-component bundle W)."""
+    quantity for a several-component bundle W), by grid's squared-sum rule."""
     samples = _cylinder_samples(arrays, grid, cyl)
-    total = sum(float((part**2).sum()) for part in samples)
-    return math.sqrt(total / samples[0].size)
+    total, scale = _slot_squares(samples)
+    return math.sqrt(total / samples[0].size) * 2.0**scale
 
 
 def bundle_oscillation(arrays: list[np.ndarray], grid: Grid, cyl: Cylinder) -> float:
@@ -136,23 +136,25 @@ def max_tail_terms(grid: Grid, r: float) -> int:
 
 
 def tail_sum(
-    squared: np.ndarray, grid: Grid, r: float, center: tuple[float, ...], terms: int
+    arrays: list[np.ndarray], grid: Grid, r: float, center: tuple[float, ...], terms: int
 ) -> float:
-    """sum_{j<terms} 2^{-j/4} sqrt(mean of the samples of squared over
-    Q_{2^{j/2} r, r}(center)), for a squared magnitude |F|^2 on grid; terms
-    is clamped so the longest cylinder still fits (callers report the clamp
-    via max_tail_terms)."""
+    """sum_{j<terms} 2^{-j/4} sqrt(mean of |F|^2 over Q_{2^{j/2} r, r}(center))
+    for a bundle F given by its slots on grid, |F|^2 by grid's power-of-two
+    rule for squared sums; terms is clamped so the longest cylinder still
+    fits (callers report the clamp via max_tail_terms)."""
     if terms < 1:
         raise ValueError("tail_sum needs at least one term")
     usable = min(terms, max_tail_terms(grid, r))
     if usable < 1:
         raise ValueError(f"no tail cylinder fits: r = {r} has r^2 above l_t/2")
+    squared, scale = _squares(arrays)
+    del arrays  # slots passed as a temporary (f/sqrt(lambda)) die before the loop
     total = 0.0
     for j in range(usable):
         cyl = Cylinder(center=center, r=2.0 ** (j / 2.0) * r, s=r)
         (samples,) = _cylinder_samples([squared], grid, cyl)
-        total += 2.0 ** (-j / 4.0) * math.sqrt(max(float(samples.mean()), 0.0))
-    return total
+        total += 2.0 ** (-j / 4.0) * math.sqrt(float(samples.mean()))
+    return total * 2.0**scale
 
 
 def _checked_parts(
@@ -170,7 +172,7 @@ def _checked_parts(
         rel, parts = _check(coeffs, data.lam, field.data, _rhs(data))[1:]
     else:
         rel = u.final_relative_residual
-    if not rel <= rtol:  # a NaN residual (an overflowing u or data) is refused too
+    if not rel <= rtol:  # NaN too
         raise ValueError(f"u does not solve the equation: relative residual {rel} > {rtol}")
     return field, rel, list(parts)
 
@@ -218,9 +220,9 @@ def verify_local_estimate(
 
     origin = (0.0,) * (grid.d + 1)
     # the root mean square of |U| over Q_radius is the j = 0 tail-sum term
-    lhs = tail_sum(_square_sum(parts), grid, radius, origin, 1)
+    lhs = tail_sum(parts, grid, radius, origin, 1)
     terms_used = min(_LOCAL_TERMS, max_tail_terms(grid, radius))
-    rhs = tail_sum(_square_sum(_data_parts(data)), grid, radius, origin, terms_used)
+    rhs = tail_sum(_data_parts(data), grid, radius, origin, terms_used)
     trivial = lhs == 0.0 and rhs == 0.0
     n_emp = lhs / rhs if rhs > 0 else None
     return LocalEstimateReport(
@@ -298,8 +300,7 @@ def verify_mean_oscillation(
         lhs_bundles.append([_flux(coeffs.data, np.stack(grad_arrays))[0]])
 
     rms = bundle_rms(rhs_arrays, grid, Cylinder(center, r=r))
-    f_sq = _square_sum(_data_parts(data))
-    f_tail = tail_sum(f_sq, grid, r, center, _OSCILLATION_TERMS)
+    f_tail = tail_sum(_data_parts(data), grid, r, center, _OSCILLATION_TERMS)
     rows = []
     for kappa in kappa_list:
         inner_r = r / kappa

@@ -168,3 +168,20 @@ def test_only_grid_rescales_near_the_float_limits():
         tree = ast.parse(path.read_text())
         found += [path.name for node in ast.walk(tree) if _reads_float_limits(node)]
     assert found and set(found) == {"grid.py"}
+
+
+def _names_square_sum(node: ast.AST) -> bool:
+    """A use of _square_sum: a call or a bare name, an attribute or an import."""
+    name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+    return name == "_square_sum" and not isinstance(node, ast.FunctionDef)
+
+
+def test_only_grid_squares_a_bundle():
+    """|U|^2 of a bundle's slots is made by grid._square_sum under grid's
+    power-of-two rule (_squares, _magnitude): a module squaring slots itself
+    would overflow above about 1e154, where the rule rescales exactly."""
+    uses = []
+    for path in sorted(Path(halfheat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        uses += [path.name for node in ast.walk(tree) if _names_square_sum(node)]
+    assert uses and set(uses) == {"grid.py"}

@@ -205,18 +205,18 @@ def test_norm_matches_numpy(make):
 
 
 def test_norm_of_zeros_and_of_overflowing_entries():
-    """Zeros give 0.0, and entries of 1e200 give inf as np.linalg.norm does,
-    so solve sees that the data leave its norm window.  Entries of 1e-170,
-    whose squares underflow, used to give 0.0: the peak's power of two is
-    now divided out first, so the norm is exact to scaling by 2^k."""
+    """Zeros give 0.0.  Entries of 1e-170, whose squares underflow, used to
+    give 0.0, and entries of 1e200, whose squares overflow, used to give inf:
+    the peak's power of two is now divided out first, so the norm is exact
+    to scaling by 2^k.  Only a norm above the largest float reads inf."""
     assert _norm(np.zeros((4, 8))) == 0.0
-    big = np.full((4, 8), 1e200)
-    with np.errstate(over="ignore"):
-        assert _norm(big) == np.linalg.norm(big) == np.inf
+    assert _norm(np.full((4, 8), 1e200)) == pytest.approx(np.sqrt(32.0) * 1e200, rel=1e-15)
     assert _norm(np.full((4, 8), 1e-170)) == pytest.approx(np.sqrt(32.0) * 1e-170, rel=1e-15)
     assert _norm(np.full(3, 5e-324)) > 0.0
+    assert _norm(np.full(4, 1.5e308)) == np.inf
     x = np.random.default_rng(2).standard_normal((64, 64))
-    assert _norm(np.ldexp(x, -600)) == np.ldexp(_norm(x), -600)
+    for k in (-600, 600):
+        assert _norm(np.ldexp(x, k)) == np.ldexp(_norm(x), k)
 
 @settings(max_examples=25)
 @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))

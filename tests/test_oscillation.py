@@ -7,6 +7,8 @@ r/2 + O(h), and a constant c makes tail_sum collapse to the geometric series
 """
 
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -152,7 +154,7 @@ def test_bundle_rms_adds_in_quadrature():
 def test_tail_sum_of_constant_is_geometric():
     g = _grid(n_t=64, n_x=32, l_t=8.0)
     c = 2.0
-    sq = np.full(g.shape, c**2)
+    sq = [np.full(g.shape, c)]
     r = 0.5
     terms = max_tail_terms(g, r)
     assert terms == 1 + int(math.floor(math.log2(g.l_t / (2.0 * r**2))))
@@ -165,7 +167,7 @@ def test_tail_sum_of_constant_is_geometric():
 
 def test_tail_sum_rejects_impossible_geometry():
     g = _grid()
-    sq = np.ones(g.shape)
+    sq = [np.ones(g.shape)]
     with pytest.raises(ValueError, match="at least one term"):
         tail_sum(sq, g, 0.8, (0.0, 0.0), 0)
     with pytest.raises(ValueError, match="no tail cylinder fits"):
@@ -176,7 +178,7 @@ def test_a_huge_radius_is_refused_without_squaring_it():
     g = _grid()
     assert max_tail_terms(g, 1e200) == 0
     with pytest.raises(ValueError, match="no tail cylinder fits: r = 1e"):
-        tail_sum(np.ones(g.shape), g, 1e200, (0.0, 0.0), 3)
+        tail_sum([np.ones(g.shape)], g, 1e200, (0.0, 0.0), 3)
     with pytest.raises(ValueError, match="does not fit the fundamental cell"):
         bundle_rms([np.ones(g.shape)], g, Cylinder((0.0, 0.0), r=1e200))
 
@@ -190,7 +192,7 @@ def test_a_cylinder_fitting_by_rounding_has_its_tail_term():
     t_mask, x_mask = _cylinder_masks(g, Cylinder((0.0, 0.0), r=r))
     assert (t_mask.sum(), x_mask.sum()) == (64, 45)
     assert max_tail_terms(g, r) == 1
-    assert tail_sum(np.ones(g.shape), g, r, (0.0, 0.0), 6) == 1.0
+    assert tail_sum([np.ones(g.shape)], g, r, (0.0, 0.0), 6) == 1.0
 
 
 @settings(max_examples=60)
@@ -217,7 +219,7 @@ def test_tail_radius_must_be_finite_and_positive(r):
     with pytest.raises(ValueError, match=f"got r={r}"):
         max_tail_terms(g, r)
     with pytest.raises(ValueError, match=f"got r={r}"):
-        tail_sum(np.ones(g.shape), g, r, (0.0, 0.0), 3)
+        tail_sum([np.ones(g.shape)], g, r, (0.0, 0.0), 3)
 
 
 @settings(max_examples=15)
@@ -228,7 +230,7 @@ def test_tail_sum_is_monotone(seed):
     small = np.abs(rng.standard_normal(g.shape))
     bigger = small + np.abs(rng.standard_normal(g.shape))
     args = (g, 0.5, (0.0, 0.0), 4)
-    assert tail_sum(small, *args) <= tail_sum(bigger, *args) + 1e-12
+    assert tail_sum([small], *args) <= tail_sum([bigger], *args) + 1e-12
 
 
 def test_theta_field_is_the_first_flux_component():
@@ -384,10 +386,10 @@ def test_verifiers_check_the_operator_residual():
 
 def test_verifiers_refuse_a_wrong_u_at_extreme_scales():
     """Half the manufactured solution, at size 1e300 and at 1e-170, is
-    refused by both verifiers.  At 1e300 both norms overflow and the
-    residual reads NaN, which `rel > rtol` let through; at 1e-170 the
-    squares underflowed and the residual read 0.0.  At 1e-170 the right u
-    still passes."""
+    refused by both verifiers, and the right u passes at both sizes.  At
+    1e300 both norms overflowed and the residual read NaN, which `rel >
+    rtol` let through (and a NaN refused the right u too); at 1e-170 the
+    squares underflowed and the residual read 0.0."""
 
     def mean_oscillation(a, data, u):
         return verify_mean_oscillation("calUprime_theta_x1", a, data, u, 0.5, (0.0, 0.0), (4.0,))
@@ -403,8 +405,104 @@ def test_verifiers_refuse_a_wrong_u_at_extreme_scales():
             data = manufacture_data(a, 1.0, exact)
             with pytest.raises(ValueError, match="u does not solve the equation"):
                 verify(a, data, Field(u.grid, 0.5 * exact.data))
-            if size < 1.0:
-                assert verify(a, data, exact).residual_rel <= 1e-10
+            assert verify(a, data, exact).residual_rel <= 1e-10
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_verifiers_are_exactly_equivariant_under_power_of_two_scaling(k):
+    """A solution and its data scaled by 2^k give the same verdicts: lhs and
+    rhs (and each oscillation row's terms) scaled by exactly 2^k, and the
+    same n_emp and residual.  At k = 600 the norms overflowed and u was
+    refused; at k = -600 the squared sums underflowed to 0.0."""
+    _, local_a, local_data, local_u = _local_instance()
+    base = verify_local_estimate(local_a, local_data, local_u, radius=1.0)
+    scaled_u = Field(local_u.grid, np.ldexp(local_u.data, k))
+    report = verify_local_estimate(
+        local_a, manufacture_data(local_a, 1.0, scaled_u), scaled_u, radius=1.0
+    )
+    assert (report.lhs, report.rhs) == (np.ldexp(base.lhs, k), np.ldexp(base.rhs, k))
+    assert (report.n_emp, report.residual_rel) == (base.n_emp, base.residual_rel)
+    assert report.terms_used == base.terms_used and not report.trivial
+
+    a, data, u = _rows_instance()
+    args = ("calUprime_theta_x1", a)
+    tail = (0.5, (0.0, 0.0), (4.0, 8.0))
+    base = verify_mean_oscillation(*args, data, u, *tail)
+    scaled_u = Field(u.grid, np.ldexp(u.data, k))
+    report = verify_mean_oscillation(*args, manufacture_data(a, 1.0, scaled_u), scaled_u, *tail)
+    assert report.residual_rel == base.residual_rel
+    # the slope fits log2 of the rows, shifted by k: equal to rounding
+    assert report.fitted_decay == pytest.approx(base.fitted_decay, rel=1e-12)
+    for row, base_row in zip(report.rows, base.rows):
+        for name in ("lhs", "term_homogeneous", "term_tail"):
+            assert getattr(row, name) == np.ldexp(getattr(base_row, name), k)
+        assert row.n_emp == base_row.n_emp
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+@pytest.mark.parametrize("d", [1, 2])
+def test_rms_and_tail_sum_are_exactly_equivariant_under_power_of_two_scaling(d, k):
+    """Slots scaled by 2^k have a cylinder root mean square and a tail sum
+    scaled by exactly 2^k.  At k = +-600 their squares over- or underflow,
+    and both divide out the slots' peak power of two by grid's rule; they
+    used to read inf or 0.0 there."""
+    g = _grid(d=d, n_t=64, n_x=16, l_t=8.0)
+    rng = np.random.default_rng(20 + d)
+    slots = [rng.standard_normal(g.shape) for _ in range(d + 1)]
+    scaled = [np.ldexp(slot, k) for slot in slots]
+    center = (0.0,) * (d + 1)
+    cyl = Cylinder(center, r=0.5)
+    assert bundle_rms(scaled, g, cyl) == np.ldexp(bundle_rms(slots, g, cyl), k)
+    terms = max_tail_terms(g, 0.5)
+    assert terms > 1
+    expected = np.ldexp(tail_sum(slots, g, 0.5, center, terms), k)
+    assert tail_sum(scaled, g, 0.5, center, terms) == expected
+
+
+def test_rms_and_tail_sum_of_huge_slots_are_finite():
+    """A constant 1e200 slot has root mean square and one-term tail sum
+    1e200: its squares overflow, and both used to read inf (with numpy's
+    overflow warning, an error in this suite).  Only a value above the
+    largest float reads inf."""
+    g = _grid(n_t=16, n_x=16)
+    cyl = Cylinder((0.0, 0.0), r=0.5)
+    huge = [np.full(g.shape, 1e200)]
+    assert bundle_rms(huge, g, cyl) == pytest.approx(1e200, rel=1e-15)
+    assert tail_sum(huge, g, 0.5, (0.0, 0.0), 1) == pytest.approx(1e200, rel=1e-15)
+    # squares in range whose cylinder sum overflows
+    near = [np.full(g.shape, 1.3e154)]
+    assert tail_sum(near, g, 0.5, (0.0, 0.0), 1) == pytest.approx(1.3e154, rel=1e-15)
+    assert bundle_rms(2 * [np.full(g.shape, 1.5e308)], g, cyl) == np.inf
+
+
+@pytest.mark.parametrize("verifier", ["local", "oscillation"])
+def test_tail_sum_releases_the_temporary_data_slots(monkeypatch, verifier):
+    """The data slots a verifier builds for its tail sum (f/sqrt(lambda) is a
+    new full-grid array) are dead while the tail sum's cylinder loop runs:
+    only their squared sum is alive then, so the two never add to the
+    verifier's memory peak."""
+    made, dead = [], []
+    real_parts, real_samples = oscillation._data_parts, oscillation._cylinder_samples
+
+    def parts(data):
+        slots = real_parts(data)
+        made.append(weakref.ref(slots[-1]))  # the f/sqrt(lambda) slot
+        return slots
+
+    def samples(arrays, grid, cyl):
+        if made and sys._getframe(1).f_code.co_name == "tail_sum":
+            dead.append(all(ref() is None for ref in made))
+        return real_samples(arrays, grid, cyl)
+
+    monkeypatch.setattr(oscillation, "_data_parts", parts)
+    monkeypatch.setattr(oscillation, "_cylinder_samples", samples)
+    if verifier == "local":
+        _, a, data, u = _local_instance()
+        verify_local_estimate(a, data, u, radius=1.0)
+    else:
+        a, data, u = _rows_instance()
+        verify_mean_oscillation("calUprime_theta_x1", a, data, u, 0.5, (0.0, 0.0), (4.0,))
+    assert len(made) == 1 and dead and all(dead)
 
 
 @pytest.mark.parametrize("case", ["calU_time_coeffs", "U_heat", "calUprime_theta_x1"])
