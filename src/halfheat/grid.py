@@ -339,6 +339,36 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(total) * 2.0**scale
 
 
+# Layout changes from _LAYOUT_BYTES up copy _BLOCK samples at a time: at power-of-two
+# grids a transposed array's strides are multiples of 4 KB, which alias in one cache set.
+_LAYOUT_BYTES, _BLOCK = 2**19, 8
+
+
+def _c_order(x: np.ndarray) -> np.ndarray:
+    """x in C order: x itself if it is, else an exact copy, made in blocks
+    of _BLOCK along the last axis from _LAYOUT_BYTES up."""
+    if x.flags.c_contiguous:
+        return x
+    if x.nbytes < _LAYOUT_BYTES:
+        return np.ascontiguousarray(x)
+    out = np.empty(x.shape, x.dtype)
+    for j in range(0, x.shape[-1], _BLOCK):
+        out[..., j : j + _BLOCK] = x[..., j : j + _BLOCK]
+    return out
+
+
+def _time_major(x: np.ndarray) -> np.ndarray:
+    """x with the same shape and indices, its axis 0 (time) contiguous, for
+    transforms along time; an exact copy made in blocks of _BLOCK along axis
+    0.  x itself below _LAYOUT_BYTES or when axis 0 is contiguous already."""
+    if x.nbytes < _LAYOUT_BYTES or x.strides[0] == x.itemsize:
+        return x
+    out = np.moveaxis(np.empty(x.shape[1:] + x.shape[:1], x.dtype), -1, 0)
+    for i in range(0, x.shape[0], _BLOCK):
+        out[i : i + _BLOCK] = x[i : i + _BLOCK]
+    return out
+
+
 def time_window_lp_norm(field: Field, half_width: float, p: float) -> float:
     """L_p norm restricted to wrapped times |t| < half_width (full window
     when half_width >= l_t/2)."""

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .coefficients import Coefficients, identity_coefficients
-from .grid import Field, Grid, VectorField
+from .grid import Field, Grid, VectorField, _c_order, _time_major
 from .timeops import _half_spectrum, _time_multiplier, time_symbol
 
 __all__ = [
@@ -119,17 +119,19 @@ def _operator_parts(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """(_operator, _solution_parts but sqrt(lambda) u) of u from one time
     spectrum, in the separate kernels' samples.  The gradient and the flux die
-    with the divergence before the spectrum is made; the caller makes
-    sqrt(lambda) u once A u is spent.  Each keeps the memory peak low."""
+    with the divergence before the spectrum is made, the spectrum before A u
+    is copied to C order, and the caller makes sqrt(lambda) u once A u is
+    spent.  Each keeps the memory peak low."""
     grid = coeffs.grid
     div = _divergence(grid, _flux(coeffs.data, _gradient(grid, u)))
     half_table = _half_spectrum(time_symbol(grid, "half_derivative"), u.ndim)
     time_table = _half_spectrum(time_symbol(grid, "time_derivative"), u.ndim)
-    spec = np.fft.rfft(u, axis=0)
-    half = np.fft.irfft(spec * half_table, n=grid.n_t, axis=0)
+    spec = np.fft.rfft(_time_major(u), axis=0)
+    half = _c_order(np.fft.irfft(spec * half_table, n=grid.n_t, axis=0))
     spec *= time_table
     applied = np.fft.irfft(spec, n=grid.n_t, axis=0)
     del spec
+    applied = _c_order(applied)
     applied -= div
     del div
     applied += lam * u

@@ -27,7 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .coefficients import Coefficients
-from .grid import Field, Grid, _exponent, _integer, _lp, _magnitude, _norm, inner, zeros
+from .grid import Field, Grid, _c_order, _exponent, _integer, _lp, _magnitude, _norm
+from .grid import _time_major, inner, zeros
 from .operators import (
     DataBundle,
     _data_parts,
@@ -304,8 +305,8 @@ def _cyclic_thomas(
 
 def _x1_spectrum(rhs: np.ndarray, spatial: tuple[int, ...]) -> np.ndarray:
     """rfft of rhs along t and fft along the spatial axes, laid out as
-    (n1, n_tau, n2, ..., nd)."""
-    spec = np.fft.rfft(rhs, axis=0)
+    (n1, n_tau, n2, ..., nd); from _LAYOUT_BYTES up, contiguous in tau."""
+    spec = np.fft.rfft(_time_major(rhs), axis=0)
     if spatial:
         spec = np.fft.fftn(spec, axes=spatial)
     return np.moveaxis(spec, 1, 0)
@@ -365,7 +366,9 @@ def _x1_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
     u_hat = np.moveaxis(_cyclic_thomas(lower, diag, upper, _x1_spectrum(rhs, spatial)), 0, 1)
     if spatial:
         u_hat = np.fft.ifftn(u_hat, axes=spatial)
-    return np.fft.irfft(u_hat, n=grid.n_t, axis=0)
+    u = np.fft.irfft(u_hat, n=grid.n_t, axis=0)
+    del u_hat  # in d = 1 a view that holds the whole sweep
+    return _c_order(u)
 
 
 def _q_table(grid: Grid, profile: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -428,7 +431,7 @@ def _t_frame(coeffs: Coefficients, lam: float):
         return np.multiply(scale, spec.T, order="C")
 
     def from_frame(y: np.ndarray) -> np.ndarray:
-        spec = (y / scale).T.reshape(half)
+        spec = _c_order((y / scale).T).reshape(half)
         return np.fft.irfftn(spec, s=grid.n_x, axes=spatial)
 
     def precondition(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -707,13 +710,13 @@ def solve(
     elif not b_norm < np.inf:  # an inf or NaN entry: _exponent reads 0
         raise ValueError("the right-hand side is not finite: the data are too large")
 
-    # the exact starts, in C order (sums over the slots follow memory order);
-    # the oracle's is final, an x1 start that misses rtol is corrected
+    # the exact starts: the oracle's is final, an x1 start that misses rtol
+    # is corrected
     x, r, rel, matvecs, norms = None, b, 1.0, 0, []
     start = {"oracle": _oracle, "x1_direct": _x1_direct}.get(method)
     if start:
         with np.errstate(all="ignore"):  # a zero pivot: the x1 start is dropped below
-            x = np.ascontiguousarray(start(coeffs, lam, b))
+            x = start(coeffs, lam, b)
             r, rel, parts = _check(coeffs, lam, x, b)
         matvecs = 1
         if not np.isfinite(rel) and method == "x1_direct":
@@ -732,7 +735,7 @@ def solve(
         touched = np.flatnonzero(w.any(axis=1))
         y = np.zeros_like(w)
         y[touched] = precondition(w[touched], touched)
-        correction = np.ascontiguousarray(from_frame(y))
+        correction = from_frame(y)
         # the frame arrays die before the physical check
         del to_frame, from_frame, apply, precondition, rhs, w, y
         # a start takes the correction; adding it to zeros would turn its

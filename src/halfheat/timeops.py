@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Field, Grid, _c_order, _time_major
 
 __all__ = [
     "TimeSymbol",
@@ -90,10 +90,13 @@ def _half_spectrum(symbol: TimeSymbol, ndim: int) -> np.ndarray:
 
 def _time_multiplier(data: np.ndarray, symbol: TimeSymbol) -> np.ndarray:
     """apply_time_symbol on raw samples: the samples are real and the symbol
-    Hermitian, so the half spectrum k = 0..n_t/2 of ``rfft`` carries every mode."""
-    spec = np.fft.rfft(data, axis=0)
+    Hermitian, so the half spectrum k = 0..n_t/2 of ``rfft`` carries every mode.
+    It transforms a time-contiguous copy and returns C order."""
+    spec = np.fft.rfft(_time_major(data), axis=0)
     spec *= _half_spectrum(symbol, data.ndim)
-    return np.fft.irfft(spec, n=data.shape[0], axis=0)
+    out = np.fft.irfft(spec, n=data.shape[0], axis=0)
+    del spec
+    return _c_order(out)
 
 
 def apply_time_symbol(field: Field, symbol: TimeSymbol) -> Field:

@@ -185,3 +185,44 @@ def test_only_grid_squares_a_bundle():
         tree = ast.parse(path.read_text())
         uses += [path.name for node in ast.walk(tree) if _names_square_sum(node)]
     assert uses and set(uses) == {"grid.py"}
+
+
+def _time_transforms(tree: ast.Module) -> list[ast.Call]:
+    """The np.fft.rfft calls along axis 0, but for those of
+    half_derivative_quadrature, the tests' independent reference."""
+    exempt = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name == "half_derivative_quadrature"
+        for node in ast.walk(func)
+    }
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and id(node) not in exempt
+        and ast.unparse(node.func) == "np.fft.rfft"
+        and any(k.arg == "axis" and ast.unparse(k.value) == "0" for k in node.keywords)
+    ]
+
+
+def test_time_transforms_run_on_a_time_contiguous_copy():
+    """In the modules that transform along time, every rfft along axis 0
+    takes _time_major(...), and no np.ascontiguousarray is left: each path
+    makes its arrays in C order, with grid's blocked copies where a layout
+    changes.  A one-pass copy or transform across a transposed power-of-two
+    grid misses the cache on almost every sample."""
+    found, transforms = [], 0
+    for name in ("operators.py", "solver.py", "timeops.py"):
+        tree = ast.parse((Path(halfheat.__file__).parent / name).read_text())
+        found += [
+            (name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.ascontiguousarray"
+        ]
+        for node in _time_transforms(tree):
+            transforms += 1
+            first = node.args[0] if node.args else None
+            if not (isinstance(first, ast.Call) and ast.unparse(first.func) == "_time_major"):
+                found.append((name, node.lineno))
+    assert transforms and found == []

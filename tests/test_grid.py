@@ -24,7 +24,7 @@ from halfheat import (
     zeros,
 )
 from halfheat.experiments import harmonic_field
-from halfheat.grid import _norm
+from halfheat.grid import _LAYOUT_BYTES, _c_order, _norm, _time_major
 
 
 def _cos_time_mode(grid, k):
@@ -258,3 +258,53 @@ def test_time_window_norm_selects_the_window():
         for p in (2.0, np.inf):
             with pytest.raises(ValueError, match="half_width must be positive"):
                 time_window_lp_norm(u, half_width=half_width, p=p)
+
+
+_LAYOUTS = ["f_order_float", "transposed_complex", "x1_sweep_output", "c_float", "c_complex"]
+
+
+def _layout(name):
+    """Arrays above the layout size rule in the layouts the solvers hand on:
+    F-order float samples, a transposed complex spectrum (its last axis no
+    multiple of the block), the d = 2 x1 sweep's output with strides
+    (8, 32768, 512), and C-order float and complex arrays."""
+    rng = np.random.default_rng(0)
+    c_float = rng.standard_normal((1024, 128))
+    c_complex = rng.standard_normal((257, 512)) + 1j * rng.standard_normal((257, 512))
+    x1_sweep_output = np.moveaxis(rng.standard_normal((64, 64, 64)), -1, 0)
+    assert x1_sweep_output.strides == (8, 32768, 512)
+    return {
+        "f_order_float": np.asfortranarray(c_float),
+        "transposed_complex": c_complex.T,
+        "x1_sweep_output": x1_sweep_output,
+        "c_float": c_float,
+        "c_complex": c_complex,
+    }[name]
+
+
+@pytest.mark.parametrize("name", _LAYOUTS)
+def test_layout_copies_are_exact(name):
+    """_c_order and _time_major change the layout, never a value or an index,
+    and return x itself when it already has the layout they make."""
+    x = _layout(name)
+    assert x.nbytes >= _LAYOUT_BYTES
+    c_order, time_major = _c_order(x), _time_major(x)
+    for y in (c_order, time_major):
+        assert y.shape == x.shape and y.dtype == x.dtype
+        assert y.tobytes() == x.tobytes()
+    assert c_order.flags.c_contiguous and time_major.strides[0] == x.itemsize
+    assert (c_order is x) == x.flags.c_contiguous
+    assert (time_major is x) == (x.strides[0] == x.itemsize)
+
+
+def test_layout_copies_below_the_size_rule_keep_the_strided_path():
+    """Below _LAYOUT_BYTES _time_major hands x on and _c_order is
+    np.ascontiguousarray: per-call copies of small arrays cost more than the
+    strided passes they would save."""
+    x = np.random.default_rng(1).standard_normal((64, 64))
+    assert x.nbytes < _LAYOUT_BYTES
+    for y in (x, x.T, x[:, ::2]):
+        assert _time_major(y) is y
+        copy = _c_order(y)
+        assert copy.flags.c_contiguous and copy.tobytes() == y.tobytes()
+    assert _c_order(x) is x

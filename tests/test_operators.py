@@ -325,12 +325,21 @@ def _transient(fn, *args):
     return (peak - held) / args[-1].nbytes, (peak - base) / args[-1].nbytes
 
 
-@pytest.mark.parametrize("d, n_x", [(1, 128), (2, 32)])
-def test_operator_parts_transient_stays_within_the_operators(d, n_x):
+@pytest.mark.parametrize(
+    "d, n_t, n_x",
+    [
+        pytest.param(1, 256, 128, id="1-128"),
+        pytest.param(2, 32, 32, id="2-32"),
+        pytest.param(1, 1024, 128, id="1-1024x128"),
+    ],
+)
+def test_operator_parts_transient_stays_within_the_operators(d, n_t, n_x):
     """_operator_parts' work arrays beyond its inputs and results stay at or
     below _operator's: the divergence is taken before the time spectrum, so
-    the gradient and the flux are not alive beside the spectrum's products."""
-    g = _grid(d=d, n_t=256 if d == 1 else 32, n_x=n_x)
+    the gradient and the flux are not alive beside the spectrum's products,
+    and at 1024 x 128 (1 MB arrays) the spectrum dies before A u is copied
+    to C order."""
+    g = _grid(d=d, n_t=n_t, n_x=n_x)
     a = generate_coefficients(kind="x1_piecewise", delta=0.25, seed=5, grid=g)
     u = _rand(g, 7).data
     _operator_parts(a, 1.0, u)  # the symbol tables are cached outside the count

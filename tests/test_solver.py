@@ -52,8 +52,17 @@ from halfheat import (
 )
 from halfheat.experiments import _localized_bundle, harmonic_bundle
 from halfheat.grid import _magnitude
-from halfheat.operators import _data_parts, _rhs, _solution_parts
+from halfheat.operators import (
+    _data_parts,
+    _divergence,
+    _flux,
+    _gradient,
+    _operator_parts,
+    _rhs,
+    _solution_parts,
+)
 from halfheat.oscillation import Cylinder, bundle_oscillation
+from halfheat.timeops import _half_spectrum, _time_multiplier
 
 
 def _grid(d=1, n_t=32, n_x=32, l_t=2.0 * np.pi, l_x=2.0):
@@ -1239,14 +1248,117 @@ def test_x1_direct_keeps_the_bytes_of_the_copying_sweep(d):
         )
 
 
-@pytest.mark.parametrize("kind, budget", [("constant", 6.0), ("x1_piecewise", 6.5)])
-def test_direct_solves_stay_within_their_memory_budget(kind, budget):
+def _time_multiplier_reference(data, symbol):
+    """_time_multiplier as it was before its transforms ran on a
+    time-contiguous copy: rfft and irfft along the strided time axis."""
+    spec = np.fft.rfft(data, axis=0)
+    spec *= _half_spectrum(symbol, data.ndim)
+    return np.fft.irfft(spec, n=data.shape[0], axis=0)
+
+
+def _operator_parts_reference(coeffs, lam, u):
+    """_operator_parts as it was before its transforms ran on a
+    time-contiguous copy."""
+    grid = coeffs.grid
+    div = _divergence(grid, _flux(coeffs.data, _gradient(grid, u)))
+    spec = np.fft.rfft(u, axis=0)
+    half_table = _half_spectrum(time_symbol(grid, "half_derivative"), u.ndim)
+    half = np.fft.irfft(spec * half_table, n=grid.n_t, axis=0)
+    spec *= _half_spectrum(time_symbol(grid, "time_derivative"), u.ndim)
+    applied = np.fft.irfft(spec, n=grid.n_t, axis=0)
+    applied -= div
+    applied += lam * u
+    return applied, [half, *_gradient(grid, u)]
+
+
+def _from_frame_reference(grid, y):
+    """_t_frame's from_frame as it was before it copied the frame to C
+    order: irfftn over the transposed frame."""
+    half = solver_module._half_shape(grid)
+    plane = np.full(half[-1], 2.0)
+    plane[[0, -1]] = 1.0
+    scale = np.broadcast_to(np.sqrt(plane / np.prod(grid.n_x)), half[1:]).reshape(-1, 1)
+    spec = (y / scale).T.reshape(half)
+    return np.fft.irfftn(spec, s=grid.n_x, axes=tuple(range(1, grid.d + 1)))
+
+
+_LAYOUT_GRIDS = {
+    "64x64": dict(d=1, n_t=64, n_x=64),
+    "1024x128": dict(d=1, n_t=1024, n_x=128),
+    "32x64x64": dict(d=2, n_t=32, n_x=64),
+}
+
+
+@pytest.mark.parametrize("shape", list(_LAYOUT_GRIDS))
+def test_layout_changes_keep_the_kernels_bytes(shape):
+    """Below and above the layout size rule (64 x 64 is 32 KB, the others
+    1 MB), the time transforms on a time-contiguous copy and the frame exits
+    in C order give C-contiguous outputs with the bytes of the strided
+    expressions they replace."""
+    g = _grid(**_LAYOUT_GRIDS[shape])
+    u = _rand(g, 3).data
+    rhs = apply_rhs(_white_bundle(g, 70, 1.0)).data
+    x1 = generate_coefficients(kind="x1_piecewise", delta=0.25, seed=1, grid=g)
+    t = generate_coefficients(kind="time_piecewise", delta=0.25, seed=1, grid=g)
+    to_frame, from_frame, _, _ = solver_module._t_frame(t, 1.0)
+    y = to_frame(rhs)
+    applied, parts = _operator_parts(x1, 2.0, u)
+    want_applied, want_parts = _operator_parts_reference(x1, 2.0, u)
+    pairs = [
+        (solver_module._x1_direct(x1, 1.0, rhs), _x1_direct_reference(x1, 1.0, rhs)),
+        (from_frame(y), _from_frame_reference(g, y)),
+        *zip([applied, *parts], [want_applied, *want_parts]),
+    ]
+    for kind in ("hilbert", "half_derivative", "time_derivative"):
+        symbol = time_symbol(g, kind)
+        pairs.append((_time_multiplier(u, symbol), _time_multiplier_reference(u, symbol)))
+    for got, want in pairs:
+        assert got.flags.c_contiguous and _same_bytes(got, want)
+
+
+def test_every_solve_path_returns_c_order(monkeypatch):
+    """At 512 x 256, above the layout size rule, each path's u is in C order
+    by construction (the oracle's irfftn, the x1 sweep's and the (t, xi)
+    frame's exits, the physical frame's reshape): the Field adopts it
+    without a copy, and every slot handed on is C-contiguous too."""
+    g = _grid(n_t=512, n_x=256)
+    data = _localized_bundle(g, np.random.default_rng(2), 1.0)
+    seen = []
+    finite = solver_module._finite
+    monkeypatch.setattr(
+        solver_module, "_finite", lambda x, *args: seen.append(x) or finite(x, *args)
+    )
+    x1 = generate_coefficients(kind="x1_piecewise", delta=0.25, seed=2, grid=g)
+    paths = {
+        "oracle": generate_coefficients(kind="constant", delta=0.25, seed=2, grid=g),
+        "x1_direct": x1,
+        "t_frame_gmres": generate_coefficients(kind="time_piecewise", delta=0.25, seed=2, grid=g),
+        "gmres": dataclasses.replace(x1, tag="general"),
+    }
+    for method, coeffs in paths.items():
+        result = solve(coeffs, data)
+        assert result.method == method and result.converged
+        assert result.u.data is seen[-1]
+        assert all(slot.flags.c_contiguous for slot in (seen[-1], *result.slots))
+
+
+@pytest.mark.parametrize(
+    "kind, budget, n_t",
+    [
+        pytest.param("constant", 6.0, 512, id="constant-6.0"),
+        pytest.param("x1_piecewise", 6.5, 512, id="x1_piecewise-6.5"),
+        pytest.param("constant", 6.0, 1024, id="constant-6.0-1024x128"),
+        pytest.param("x1_piecewise", 6.5, 1024, id="x1_piecewise-6.5-1024x128"),
+    ],
+)
+def test_direct_solves_stay_within_their_memory_budget(kind, budget, n_t):
     """The oracle and the x1 sweep free their spectral work arrays: the
-    second solve on a 512 x 128 grid, with the right-hand side already built,
-    allocates at most `budget` full-grid float64 arrays at its peak (8.1 and
-    8.3 while they kept them).  tracemalloc counts allocations, not resident
-    pages, so the count does not depend on the machine."""
-    g = make_grid(d=1, n_t=512, n_x=128, l_t=4.0, l_x=4.0)
+    second solve on an n_t x 128 grid, with the right-hand side already
+    built, allocates at most `budget` full-grid float64 arrays at its peak
+    (8.1 and 8.3 while they kept them), with the layout copies of 1 MB
+    arrays counted at 1024 x 128.  tracemalloc counts allocations, not
+    resident pages, so the count does not depend on the machine."""
+    g = make_grid(d=1, n_t=n_t, n_x=128, l_t=4.0, l_x=4.0)
     a = generate_coefficients(kind=kind, delta=0.25, seed=0, grid=g)
     data = _localized_bundle(g, np.random.default_rng(0), 1.0)
     apply_rhs(data)
