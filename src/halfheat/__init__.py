@@ -4,6 +4,16 @@ variational solver with a constant-coefficient oracle, cylinder oscillation
 functionals with the local-estimate verifiers, and a reproducible experiment
 harness."""
 
+import os as _os
+import sys as _sys
+
+# After each threaded product OpenBLAS's idle worker busy-waits 2^timeout
+# cycles (2^28 by default) before it sleeps; 4 is OpenBLAS's minimum.  The
+# library reads the variable once, when numpy loads it, and a value the user
+# has set wins.
+if "numpy" not in _sys.modules:
+    _os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .grid import (
     Field,
     Grid,

@@ -29,7 +29,7 @@ from .experiments import (
     write_outputs,
 )
 from .grid import VectorField, _scalar
-from .htpf import write_field
+from .htpf import _replace, write_field
 from .operators import DataBundle
 from .solver import compute_bundles, solve
 
@@ -173,8 +173,8 @@ def _run_solve(args: argparse.Namespace) -> int:
             },
             "outputs": {"solution": str(solution_path)},
         }
-        (out_dir / "result.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        _replace(
+            out_dir / "result.json", (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
         )
     except (OSError, ValueError) as exc:
         return _fail("solve", [str(exc)])

@@ -40,7 +40,7 @@ from .grid import (
     time_window_lp_norm,
     zeros,
 )
-from .htpf import read_coefficients
+from .htpf import _replace, read_coefficients
 from .operators import (
     DataBundle,
     _at_lambda,
@@ -1156,7 +1156,7 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> tuple[Path, 
     lines = [",".join(result.columns)]
     for row in result.rows:
         lines.append(",".join(_cell_text(row[col]) for col in result.columns))
-    csv_path.write_text("\n".join(lines) + "\n")
+    _replace(csv_path, ("\n".join(lines) + "\n").encode())
 
     summary_path = out / "summary.json"
     payload = {
@@ -1167,7 +1167,7 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> tuple[Path, 
         "failures": result.failures,
         "summary": _jsonable(result.summary),
     }
-    summary_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _replace(summary_path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
     return csv_path, summary_path
 
 

@@ -33,9 +33,19 @@ def write_field(path: str | Path, field: Field) -> None:
     header = _MAGIC + struct.pack("<HB", _VERSION, rank)
     header += struct.pack(f"<{rank}Q", *sizes)
     header += struct.pack(f"<{rank}d", *periods)
+    _replace(path, header, np.ascontiguousarray(field.data, dtype="<f8").tobytes())
+
+
+def _replace(path: str | Path, *chunks: bytes) -> None:
+    """Write chunks as a new file at path.  An existing file there is
+    unlinked, not truncated: rewriting a file in place can wait on the
+    writeback of its old blocks (ext4), and a reader of the old file keeps
+    its bytes."""
+    path = Path(path)
+    path.unlink(missing_ok=True)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(field.data, dtype="<f8").tobytes())
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _read(path: Path) -> bytes:
@@ -101,7 +111,7 @@ def write_coefficients(stem: str | Path, coeffs: Coefficients) -> Path:
         "files": files,
         "generator": coeffs.generator or {},
     }
-    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _replace(sidecar, (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
     return sidecar
 
 

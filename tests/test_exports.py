@@ -88,21 +88,64 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
-def test_import_leaves_scipy_unloaded():
+TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
+
+
+def _child(code: str, **env: str) -> str:
+    """The stdout of code run in a fresh interpreter that imports halfheat
+    from this checkout.  OPENBLAS_THREAD_TIMEOUT reaches it only from env, so
+    whatever it reads there came from the child's own imports."""
     src = str(Path(halfheat.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child_env = {key: value for key, value in os.environ.items() if key != TIMEOUT}
+    child_env.update(env, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, halfheat; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, halfheat; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    assert _child(code) == "[]"
+
+
+@pytest.mark.parametrize(
+    "code, env, expected",
+    [
+        ("import halfheat", {}, "4"),
+        ("import halfheat", {TIMEOUT: "10"}, "10"),
+        ("import numpy; import halfheat", {}, "None"),
+    ],
+    ids=["default", "user_value_kept", "numpy_loaded_first"],
+)
+def test_import_sets_the_blas_thread_timeout_only_when_unset(code, env, expected):
+    """Importing halfheat before numpy sets OpenBLAS's idle-worker timeout to
+    4 unless the user set it; once numpy has loaded OpenBLAS the variable is
+    read no more, and halfheat leaves it alone."""
+    assert _child(f"{code}; import os; print(os.environ.get({TIMEOUT!r}))", **env) == expected
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2 or os.environ.get("OPENBLAS_NUM_THREADS") == "1",
+    reason="one BLAS thread: no idle worker",
+)
+def test_blas_worker_sleeps_after_a_product():
+    """After a threaded 512x512 product the process burns almost no CPU over
+    the next 0.3 s: OpenBLAS's idle worker sleeps at once.  With OpenBLAS's
+    own timeout it spins about 0.08 s of them.  Skipped on one core or under
+    OPENBLAS_NUM_THREADS=1, where OpenBLAS starts no second thread."""
+    code = """
+import halfheat, resource, time
+import numpy as np
+a = np.random.default_rng(0).standard_normal((512, 512))
+a @ a
+before = resource.getrusage(resource.RUSAGE_SELF)
+time.sleep(0.3)
+after = resource.getrusage(resource.RUSAGE_SELF)
+print(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
+"""
+    assert float(_child(code)) < 0.02
 
 
 _BLAS_REDUCTIONS = {"norm", "dot", "vdot", "inner", "vecdot"}
@@ -122,8 +165,7 @@ def _blas_reduction(node: ast.AST) -> bool:
 def test_no_module_calls_a_threaded_blas_reduction():
     """Full-grid norms go through grid._norm, summed by numpy on one thread:
     OpenBLAS's threaded dot splits a sum by thread count, which moves the
-    last bits of the outputs, and its idle worker spins after each call.
-    Matrix products (@) stay allowed."""
+    last bits of the outputs.  Matrix products (@) stay allowed."""
     found = []
     for path in sorted(Path(halfheat.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())

@@ -115,19 +115,23 @@ def test_lp_sweep_d2_outputs_are_byte_identical(tmp_path):
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     """Default identities and lp_sweep at seed 0, each run by the CLI in a
-    child with one OpenBLAS thread and in a child with two, write the same
+    child with one OpenBLAS thread, in a child with two, and in a child with
+    two and OpenBLAS's own idle-worker timeout (OPENBLAS_THREAD_TIMEOUT=28,
+    which halfheat's import would otherwise lower to 4), write the same
     bytes."""
     src = str(Path(halfheat.__file__).parents[1])
+    arms = {
+        "1": {"OPENBLAS_NUM_THREADS": "1"},
+        "2": {"OPENBLAS_NUM_THREADS": "2"},
+        "2_timeout_28": {"OPENBLAS_NUM_THREADS": "2", "OPENBLAS_THREAD_TIMEOUT": "28"},
+    }
     outputs = {}
-    for threads in ("1", "2"):
-        env = dict(
-            os.environ,
-            OPENBLAS_NUM_THREADS=threads,
-            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-        )
-        written = outputs[threads] = {}
+    for arm, blas in arms.items():
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_THREAD_TIMEOUT"}
+        env.update(blas, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        written = outputs[arm] = {}
         for command in ("identities", "lp-sweep"):
-            out = tmp_path / threads / command
+            out = tmp_path / arm / command
             proc = subprocess.run(
                 [sys.executable, "-m", "halfheat", command, "--seed", "0", "--out", str(out)],
                 capture_output=True,
@@ -137,4 +141,4 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             assert proc.returncode == 0, proc.stdout + proc.stderr
             for name in ("trials.csv", "summary.json"):
                 written[command, name] = (out / name).read_bytes()
-    assert [key for key in outputs["1"] if outputs["1"][key] != outputs["2"][key]] == []
+    assert [arm for arm in arms if outputs[arm] != outputs["1"]] == []

@@ -22,6 +22,7 @@ from halfheat import (
     write_field,
 )
 from halfheat.cli import main
+from halfheat.experiments import ExperimentResult, write_outputs
 
 
 def _random_field(grid, seed=0):
@@ -238,3 +239,59 @@ def test_unreadable_sidecar_fails_cleanly(tmp_path, capsys):
     code, report = _solve_with_stack(tmp_path, capsys, sidecar)
     assert code == 1
     assert report["failures"][0].startswith(f"coefficient sidecar {sidecar}: not valid JSON")
+
+
+def _write_every_output(tmp_path, capsys, seed):
+    """Write each kind of output the package makes, with contents that
+    depend on seed: a coefficient stack (entry files and sidecar), a solve
+    on it (u.htpf, result.json) and an experiment's trials.csv/summary.json."""
+    g = make_grid(d=2, n_t=8, n_x=8, l_t=2.0, l_x=2.0)
+    coeffs = generate_coefficients(kind="constant", delta=0.5, seed=seed, grid=g)
+    sidecar = write_coefficients(tmp_path / "a", coeffs)
+    config = tmp_path / "solve.json"
+    config.write_text(
+        json.dumps(
+            {
+                "grid": {"d": 2, "n_t": 8, "n_x": 8, "l_t": 2.0, "l_x": 2.0},
+                "coefficients": {"file": str(sidecar)},
+                "data": {"h": f"cos({seed}*pi*t)", "g": ["0", "0"], "f": "0"},
+            }
+        )
+    )
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    result = ExperimentResult(
+        name="demo",
+        config_hash="0" * 12,
+        seed=seed,
+        passed=True,
+        failures=[],
+        columns=("seed",),
+        rows=[{"seed": seed}],
+        summary={},
+    )
+    write_outputs(result, tmp_path / "out")
+    paths = [sidecar, *tmp_path.glob("a_*.htpf"), *(tmp_path / "out").iterdir()]
+    return {path: path.read_bytes() for path in paths}
+
+
+def test_outputs_are_replaced_not_rewritten(tmp_path, capsys):
+    """Writing an output again makes a new file: a reader that opened the
+    old one still reads the old bytes, and the path reads the new ones.  A
+    truncate-and-rewrite in place would hand the reader the new bytes."""
+    old = _write_every_output(tmp_path, capsys, seed=4)
+    assert {path.name for path in old} == {
+        "a.json", "a_11.htpf", "a_12.htpf", "a_21.htpf", "a_22.htpf",
+        "u.htpf", "result.json", "trials.csv", "summary.json",
+    }
+    handles = {path: open(path, "rb") for path in old}
+    try:
+        new = _write_every_output(tmp_path, capsys, seed=5)
+        assert new.keys() == old.keys()
+        for path, handle in handles.items():
+            assert new[path] != old[path], path.name
+            assert handle.read() == old[path], path.name
+            assert path.read_bytes() == new[path], path.name
+    finally:
+        for handle in handles.values():
+            handle.close()
