@@ -234,11 +234,14 @@ def generate_coefficients(
     * ``constant``: one admissible matrix (roughness_scale unused)
     * ``time_piecewise``: number of jumps in time (default 4, at most n_t)
     * ``x1_piecewise``: number of jumps along x1 (default 4, at most n_x[0])
-    * ``checkerboard``: amplitude epsilon (default 0.5*(1-delta)); the pattern is
-      (1 + eps*sign) * identity with sign alternating on cells of physical
-      size ``cell_size`` (default: smallest period / 8) along every axis
-    * ``smooth``: modulation amplitude (default 0.5*(1-delta)) applied to a
-      band-limited smooth scalar times the identity
+    * ``checkerboard``: amplitude epsilon; the pattern is a sign alternating
+      on cells of physical size ``cell_size`` (default: smallest period / 8)
+      along every axis
+    * ``smooth``: amplitude; the pattern is a band-limited smooth scalar
+      with sup norm <= 1
+
+    ``checkerboard`` and ``smooth`` are (1 + amplitude * pattern) * identity,
+    with amplitude 0.5 * (1 - delta) by default.
     """
     ell = Ellipticity(delta)
     rng = np.random.default_rng(seed)
@@ -246,12 +249,9 @@ def generate_coefficients(
     meta: dict = {"kind": kind, "delta": delta, "seed": int(seed)}
 
     if kind == "constant":
-        data = _constant_data(grid, _admissible_matrix(rng, d, delta))
-        return Coefficients(
-            grid=grid, data=data, tag="constant", ellipticity=ell, generator=meta
-        )
+        data, tag = _constant_data(grid, _admissible_matrix(rng, d, delta)), "constant"
 
-    if kind in ("time_piecewise", "x1_piecewise"):
+    elif kind in ("time_piecewise", "x1_piecewise"):
         n_jumps = 4 if roughness_scale is None else _integer(roughness_scale, "roughness_scale")
         along_time = kind == "time_piecewise"
         period = grid.l_t if along_time else grid.l_x[0]
@@ -272,70 +272,51 @@ def generate_coefficients(
         shape[2 if along_time else 3] = n_axis
         data = profile.reshape(shape)
         tag = "time_measurable" if along_time else "x1_measurable"
-        return Coefficients(
-            grid=grid, data=data, tag=tag, ellipticity=ell, generator=meta
-        )
 
-    if kind == "checkerboard":
-        eps = float(roughness_scale) if roughness_scale is not None else 0.5 * (1.0 - delta)
-        eps_max = 1.0 - delta
-        if not 0.0 < eps <= eps_max:
-            raise ValueError(
-                f"checkerboard epsilon {eps} not admissible for delta={delta}; "
-                f"maximal admissible epsilon is {eps_max}"
-            )
-        cell = (
-            float(cell_size)
-            if cell_size is not None
-            else min(grid.l_t, *grid.l_x) / 8.0
-        )
-        if not cell > 0:
-            raise ValueError(f"cell_size must be positive, got {cell}")
-        if math.isinf(max(grid.l_t, *grid.l_x) / cell):
-            raise ValueError(f"cell_size {cell} is too small: a period over it overflows")
-        meta.update(epsilon=eps, cell_size=cell)
-        parity = np.zeros(grid.shape)
-        axes = [(_unwrapped_axis(grid.n_t, grid.l_t), 0)] + [
-            (_unwrapped_axis(grid.n_x[i], grid.l_x[i]), 1 + i) for i in range(d)
-        ]
-        for coord, pos in axes:
-            view = [1] * (d + 1)
-            view[pos] = coord.shape[0]
-            parity = parity + np.floor(coord / cell).reshape(view)
-        sign = np.where(np.mod(parity, 2) < 1, 1.0, -1.0)
+    elif kind in ("checkerboard", "smooth"):
+        amplitude = 0.5 * (1.0 - delta) if roughness_scale is None else float(roughness_scale)
+        if kind == "checkerboard":
+            eps_max = 1.0 - delta
+            if not 0.0 < amplitude <= eps_max:
+                raise ValueError(
+                    f"checkerboard epsilon {amplitude} not admissible for delta={delta}; "
+                    f"maximal admissible epsilon is {eps_max}"
+                )
+            cell = min(grid.l_t, *grid.l_x) / 8.0 if cell_size is None else float(cell_size)
+            if not cell > 0:
+                raise ValueError(f"cell_size must be positive, got {cell}")
+            if math.isinf(max(grid.l_t, *grid.l_x) / cell):
+                raise ValueError(f"cell_size {cell} is too small: a period over it overflows")
+            meta.update(epsilon=amplitude, cell_size=cell)
+            parity = np.zeros(grid.shape)
+            axes = [(_unwrapped_axis(grid.n_t, grid.l_t), 0)] + [
+                (_unwrapped_axis(grid.n_x[i], grid.l_x[i]), 1 + i) for i in range(d)
+            ]
+            for coord, pos in axes:
+                view = [1] * (d + 1)
+                view[pos] = coord.shape[0]
+                parity = parity + np.floor(coord / cell).reshape(view)
+            pattern = np.where(np.mod(parity, 2) < 1, 1.0, -1.0)
+        else:
+            if not 0 <= amplitude <= 1.0 - delta + 1e-12:  # NaN fails here, naming it
+                raise ValueError(
+                    f"smooth amplitude {amplitude} not admissible for delta={delta}; "
+                    f"maximal admissible amplitude is {1.0 - delta}"
+                )
+            meta["amplitude"] = amplitude
+            total, amps = _trig_polynomial(rng, grid)
+            pattern = total / np.sum(np.abs(amps))
         data = np.zeros((d, d, *grid.shape))
         for i in range(d):
-            data[i, i] = 1.0 + eps * sign
-        return Coefficients(
-            grid=grid, data=data, tag="general", ellipticity=ell, generator=meta
-        )
+            data[i, i] = 1.0 + amplitude * pattern
+        tag = "general"
 
-    if kind == "smooth":
-        alpha = (
-            float(roughness_scale)
-            if roughness_scale is not None
-            else 0.5 * (1.0 - delta)
+    else:
+        raise ValueError(
+            "unknown kind {!r}; expected constant, time_piecewise, x1_piecewise, "
+            "checkerboard or smooth".format(kind)
         )
-        if not 0 <= alpha <= 1.0 - delta + 1e-12:  # NaN fails here, naming the amplitude
-            raise ValueError(
-                f"smooth amplitude {alpha} not admissible for delta={delta}; "
-                f"maximal admissible amplitude is {1.0 - delta}"
-            )
-        meta["amplitude"] = alpha
-        # band-limited smooth scalar with sup norm <= 1
-        total, amps = _trig_polynomial(rng, grid)
-        modulation = total / np.sum(np.abs(amps))
-        data = np.zeros((d, d, *grid.shape))
-        for i in range(d):
-            data[i, i] = 1.0 + alpha * modulation
-        return Coefficients(
-            grid=grid, data=data, tag="general", ellipticity=ell, generator=meta
-        )
-
-    raise ValueError(
-        "unknown kind {!r}; expected constant, time_piecewise, x1_piecewise, "
-        "checkerboard or smooth".format(kind)
-    )
+    return Coefficients(grid=grid, data=data, tag=tag, ellipticity=ell, generator=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +371,7 @@ def _time_half_width(grid: Grid, radius: float) -> int:
 
 
 def _scan_radii(grid: Grid, r_zero: float) -> list[float]:
-    radii = []
-    r = float(r_zero)
-    while r >= 2.0 * max(grid.h) and r * r >= 2.0 * grid.dt:
-        radii.append(r)
-        r *= 0.5
-    if not radii:
-        raise ValueError(
-            f"R0 = {r_zero} is below the grid resolution (needs >= 2 cells per axis)"
-        )
-    return radii
-
-
-def _validate_r0(grid: Grid, r_zero: float) -> None:
+    """The dyadic radii R0, R0/2, ... down to the grid resolution."""
     # R0^2 <= l_t / 4 keeps a scan's time window to at most n_t / 4 samples each side
     if not r_zero > 0:
         raise ValueError("R0 must be positive")
@@ -414,6 +383,16 @@ def _validate_r0(grid: Grid, r_zero: float) -> None:
         raise ValueError(
             f"R0^2 = {r_zero**2} exceeds l_t / 4 = {grid.l_t / 4.0}; cylinders must fit"
         )
+    radii = []
+    r = float(r_zero)
+    while r >= 2.0 * max(grid.h) and r * r >= 2.0 * grid.dt:
+        radii.append(r)
+        r *= 0.5
+    if not radii:
+        raise ValueError(
+            f"R0 = {r_zero} is below the grid resolution (needs >= 2 cells per axis)"
+        )
+    return radii
 
 
 def _spatial_centers(grid: Grid, radius: float) -> np.ndarray:
@@ -434,13 +413,16 @@ def _scan(
     a strided space-time lattice with strides of about half the cylinder
     extent.  ``t_windows`` holds, per time center, the wrapped indices of
     the time samples with |s| < r^2 around it, shape (n_centers, 2m + 1).
-    ``deviation(coeffs, r, t_windows)`` returns the per-center function
+    ``deviation(grid, data, r, t_windows)`` returns the per-center function
     mapping a spatial center index to the (d*d, n_centers) cylinder means
-    of the checker's oscillation.
+    of the checker's oscillation, with ``data`` the (d*d, n_t, N) full-grid
+    samples over a flat spatial index.
     """
     grid = coeffs.grid
-    _validate_r0(grid, r_zero)
     radii = _scan_radii(grid, r_zero)
+    # a copy when the stored sample axes do not merge (x1_measurable at d >= 2)
+    full = np.broadcast_to(coeffs.data, (grid.d, grid.d, *grid.shape))
+    data = full.reshape(grid.d**2, grid.n_t, -1)
 
     gamma_per_radius = []
     centers_total = 0
@@ -449,7 +431,7 @@ def _scan(
         t_centers = np.arange(0, grid.n_t, stride_t)
         m = _time_half_width(grid, r)
         t_windows = (t_centers[:, None] + np.arange(-m, m + 1)) % grid.n_t
-        means_at = deviation(coeffs, r, t_windows)
+        means_at = deviation(grid, data, r, t_windows)
         level_max = -1.0
         for center in _spatial_centers(grid, r):
             level_max = max(level_max, float(means_at(center).max()))
@@ -468,12 +450,9 @@ def _scan(
     )
 
 
-def _time_deviation(coeffs: Coefficients, r: float, t_windows: np.ndarray):
+def _time_deviation(grid: Grid, data: np.ndarray, r: float, t_windows: np.ndarray):
     """Per spatial center: the mean over each time window of the ball mean
     of |a_ij(s, y) - mean_{B_r} a_ij(s, .)|."""
-    grid = coeffs.grid
-    full = np.broadcast_to(coeffs.data, (grid.d, grid.d, *grid.shape))
-    data = full.reshape(grid.d**2, grid.n_t, -1)  # flat spatial index
     offsets = _ball_offsets(grid, r)
 
     def means(center: np.ndarray) -> np.ndarray:
@@ -485,15 +464,12 @@ def _time_deviation(coeffs: Coefficients, r: float, t_windows: np.ndarray):
     return means
 
 
-def _x1_deviation(coeffs: Coefficients, r: float, t_windows: np.ndarray):
+def _x1_deviation(grid: Grid, flat: np.ndarray, r: float, t_windows: np.ndarray):
     """Per spatial center: the cylinder mean of |a_ij - reference|, where
     the reference at y1 averages a_ij over the center's time window and
     B'_r(x') at frozen y1."""
-    grid = coeffs.grid
     n1 = grid.n_x[0]
     prime_shape = grid.n_x[1:]
-    full = np.broadcast_to(coeffs.data, (grid.d, grid.d, *grid.shape))
-    flat = full.reshape(grid.d**2, grid.n_t, -1)
     # x' axes flattened to one trailing index (length 1 when d = 1)
     data = flat.reshape(grid.d**2, grid.n_t, n1, -1)
     offsets = _ball_offsets(grid, r)

@@ -63,12 +63,14 @@ def _integer(value, name: str) -> int:
 
 
 def _scalar(value, name: str) -> float:
-    """float(value); a value it rejects (null, a list, a non-numeric
-    string) is a ValueError naming the key."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"'{name}' must be a number, got {value!r}") from None
+    """float(value); a bool, null, a list, non-numeric text or an integer
+    past the float range is a ValueError naming the key."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"'{name}' must be a number, got {value!r}")
 
 
 def _band_limited_noise(

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .coefficients import Coefficients, Ellipticity
-from .grid import Field, make_grid
+from .grid import Field, _scalar, make_grid
 
 __all__ = ["write_field", "read_field", "write_coefficients", "read_coefficients"]
 
@@ -135,8 +135,10 @@ def read_coefficients(sidecar: str | Path) -> Coefficients:
         if key not in meta:
             raise bad(f"missing key {key!r}")
     delta = meta["delta"]
-    if isinstance(delta, bool) or not isinstance(delta, (int, float)):
-        raise bad(f"'delta' must be a number, got {delta!r}")
+    try:  # text is no number here, though float() would read it
+        delta = _scalar(None if isinstance(delta, str) else delta, "delta")
+    except ValueError:
+        raise bad(f"'delta' must be a number, got {delta!r}") from None
     files = meta["files"]
     if not isinstance(files, dict) or not files:
         raise bad("'files' must be a non-empty object of entry file names")
@@ -160,6 +162,6 @@ def read_coefficients(sidecar: str | Path) -> Coefficients:
         grid=grid,
         data=data,
         tag=meta["tag"],
-        ellipticity=Ellipticity(float(delta)),
+        ellipticity=Ellipticity(delta),
         generator=meta.get("generator") or None,
     )

@@ -331,26 +331,23 @@ def _x1_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
     d = grid.d
     h1 = grid.h[0]
     n_tau = grid.n_t // 2 + 1
-    # x1 profiles a_ij(m), shaped (n1, 1, ..., 1) against the mode layout
-    # (n1, n_tau, n2, ..., nd) used below
+    # x1 profiles a_ij(m), profile[i, j] shaped (n1, 1, ..., 1) against the
+    # mode layout (n1, n_tau, n2, ..., nd) used below
     view = (grid.n_x[0],) + (1,) * d
-    profile = [
-        [coeffs.data[(i, j, 0, slice(None)) + (0,) * (d - 1)].reshape(view) for j in range(d)]
-        for i in range(d)
-    ]
+    profile = coeffs.data.reshape((d, d) + view)
     itau = time_symbol(grid, "time_derivative").values[:n_tau].reshape((1, n_tau) + (1,) * (d - 1))
     sigmas = []
     for i in range(1, d):
         shape = [1] * (d + 1)
         shape[1 + i] = grid.n_x[i]
         sigmas.append(_difference_symbol(grid, i).reshape(shape))
-    a11 = profile[0][0]
+    a11 = profile[0, 0]
     zero = np.zeros(view)  # the mixed terms vanish in d = 1
-    b = sum((profile[0][j] * sigmas[j - 1] for j in range(1, d)), zero)
-    c = sum((np.conj(sigmas[i - 1]) * profile[i][0] for i in range(1, d)), zero)
+    b = sum((profile[0, j] * sigmas[j - 1] for j in range(1, d)), zero)
+    c = sum((np.conj(sigmas[i - 1]) * profile[i, 0] for i in range(1, d)), zero)
     e = sum(
         (
-            np.conj(sigmas[i - 1]) * profile[i][j] * sigmas[j - 1]
+            np.conj(sigmas[i - 1]) * profile[i, j] * sigmas[j - 1]
             for i in range(1, d)
             for j in range(1, d)
         ),

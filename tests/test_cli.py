@@ -504,6 +504,26 @@ def test_bad_solver_section_fails_cleanly(tmp_path, capsys, solver, message):
             {"coefficients": {"kind": "smooth", "delta": 0.5, "epsilon": float("nan")}},
             "smooth amplitude nan not admissible for delta=0.5",
         ),
+        # a bool used to read as 0 or 1, and an integer past the float range
+        # ended in an OverflowError traceback
+        ("solve", {"lambda": True}, "'lambda' must be a number, got True"),
+        (
+            "l2",
+            {"grid": {**SMALL_EXPERIMENT["grid"], "l_t": True}},
+            "'l_t' must be a number, got True",
+        ),
+        (
+            "solve",
+            {"coefficients": {"kind": "smooth", "delta": 0.5, "epsilon": False}},
+            "'epsilon' must be a number, got False",
+        ),
+        ("l2", {"lambdas": [10**400]}, "'lambdas[0]' must be a number, got 1000"),
+        ("solve", {"lambda": 10**400}, "'lambda' must be a number, got 1000"),
+        (
+            "assumptions",
+            {"grid": {**SMALL_EXPERIMENT["grid"], "l_t": -(10**400)}},
+            "'l_t' must be a number, got -1000",
+        ),
     ],
     ids=[
         "solve_coefficients_list", "solve_delta_null", "solve_seed_list",
@@ -516,7 +536,8 @@ def test_bad_solver_section_fails_cleanly(tmp_path, capsys, solver, message):
         "solve_n_jumps_fraction", "solve_file_number", "solve_lambda_nan",
         "tail_decay_p_list_empty", "l2_lambdas_list", "oscillation_lambdas_list",
         "tail_decay_k_max_huge", "l2_lambda_huge", "solve_smooth_epsilon_nan",
-        "l2_smooth_epsilon_nan",
+        "l2_smooth_epsilon_nan", "solve_lambda_bool", "l2_l_t_bool", "solve_epsilon_bool",
+        "l2_lambdas_huge_integer", "solve_lambda_huge_integer", "assumptions_l_t_huge_integer",
     ],
 )
 def test_malformed_config_values_fail_cleanly(tmp_path, capsys, command, edit, message):

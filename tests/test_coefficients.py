@@ -8,6 +8,9 @@ checkerboard (1 +- eps) deviates from any local average by an amount
 comparable to eps once a cylinder straddles both phases.
 """
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -417,3 +420,207 @@ def test_scanners_match_brute_force_definition(d, checker, kind):
         assert np.allclose(rep.gamma_per_radius, gammas, rtol=0.0, atol=1e-12)
         assert rep.gamma_estimate == max(rep.gamma_per_radius)
         assert rep.centers_scanned == count
+
+
+# Byte pins of the generators at d = 1, 2 and 3 and of both scans at d = 2,
+# recorded before their code was condensed: the golden outputs build every
+# field and run every scan at d = 1 only.  A generated field is pinned by the
+# sha256 of its stored data, its stored shape and tag, and the generator keys
+# beyond kind, delta and seed.
+_PIN_GRIDS = {1: (32, 32), 2: (16, 16), 3: (8, 8)}
+_PIN_OPTIONS = {
+    "constant": {"roughness_scale": 3},  # unused: the same field as the default
+    "time_piecewise": {"roughness_scale": 3},
+    "x1_piecewise": {"roughness_scale": 3},
+    "checkerboard": {"roughness_scale": 0.3, "cell_size": 0.5},
+    "smooth": {"roughness_scale": 0.2},
+}
+_GENERATOR_PINS = {
+    ("constant", 1, False): (
+        "c9fc2acf3dd93133e240ffe10e808e6d81877efa03b4d33a295c0d0ca76efa98",
+        (1, 1, 1, 1), "constant", {},
+    ),
+    ("constant", 1, True): (
+        "c9fc2acf3dd93133e240ffe10e808e6d81877efa03b4d33a295c0d0ca76efa98",
+        (1, 1, 1, 1), "constant", {},
+    ),
+    ("time_piecewise", 1, False): (
+        "b7ab03a14261986f5b96a75d3f992797c74039b32cc6527b71f5b5d869098ab0",
+        (1, 1, 32, 1), "time_measurable", {"n_jumps": 4},
+    ),
+    ("time_piecewise", 1, True): (
+        "d1f0873ae18a66206dbf15347a570025e04b80ddf939901d3575ae8ced6b507a",
+        (1, 1, 32, 1), "time_measurable", {"n_jumps": 3},
+    ),
+    ("x1_piecewise", 1, False): (
+        "b7ab03a14261986f5b96a75d3f992797c74039b32cc6527b71f5b5d869098ab0",
+        (1, 1, 1, 32), "x1_measurable", {"n_jumps": 4},
+    ),
+    ("x1_piecewise", 1, True): (
+        "d1f0873ae18a66206dbf15347a570025e04b80ddf939901d3575ae8ced6b507a",
+        (1, 1, 1, 32), "x1_measurable", {"n_jumps": 3},
+    ),
+    ("checkerboard", 1, False): (
+        "5ce5aa773a80b955d21e66b79361cf09cfdd510ccb086271cb0be70876b3ccf8",
+        (1, 1, 32, 32), "general", {"epsilon": 0.375, "cell_size": 0.25},
+    ),
+    ("checkerboard", 1, True): (
+        "ae1c6481ce7b6096362230e20515d443a8d255fc9689fab336d9e4b7b562db48",
+        (1, 1, 32, 32), "general", {"epsilon": 0.3, "cell_size": 0.5},
+    ),
+    ("smooth", 1, False): (
+        "022d61f6b4243e386d9e1dffc3547c09b59d51262d1e864a23a345325a0f85b7",
+        (1, 1, 32, 32), "general", {"amplitude": 0.375},
+    ),
+    ("smooth", 1, True): (
+        "ab9f0a74b96bc589ea5269bf9e0c53e4e9bce9cd0414e6eff17a6565a26f7f54",
+        (1, 1, 32, 32), "general", {"amplitude": 0.2},
+    ),
+    ("constant", 2, False): (
+        "b860b9b76d6a1fe4132717f3793e09940f0ff8e93e37829951743e05022a7370",
+        (2, 2, 1, 1, 1), "constant", {},
+    ),
+    ("constant", 2, True): (
+        "b860b9b76d6a1fe4132717f3793e09940f0ff8e93e37829951743e05022a7370",
+        (2, 2, 1, 1, 1), "constant", {},
+    ),
+    ("time_piecewise", 2, False): (
+        "1be13703e716d034b2c4e15ab72a7c0dfded75717c0140293ac447499a8e4119",
+        (2, 2, 16, 1, 1), "time_measurable", {"n_jumps": 4},
+    ),
+    ("time_piecewise", 2, True): (
+        "336e7f364cf65cb6412b47eb97b55fcd51cf3a5f6e2af9947a145b187e703500",
+        (2, 2, 16, 1, 1), "time_measurable", {"n_jumps": 3},
+    ),
+    ("x1_piecewise", 2, False): (
+        "1be13703e716d034b2c4e15ab72a7c0dfded75717c0140293ac447499a8e4119",
+        (2, 2, 1, 16, 1), "x1_measurable", {"n_jumps": 4},
+    ),
+    ("x1_piecewise", 2, True): (
+        "336e7f364cf65cb6412b47eb97b55fcd51cf3a5f6e2af9947a145b187e703500",
+        (2, 2, 1, 16, 1), "x1_measurable", {"n_jumps": 3},
+    ),
+    ("checkerboard", 2, False): (
+        "e31ec80409d14536b435a28fea06295699d45492b39ca93d04d70722560dba06",
+        (2, 2, 16, 16, 16), "general", {"epsilon": 0.375, "cell_size": 0.25},
+    ),
+    ("checkerboard", 2, True): (
+        "0c0ef7fe5cd8bf5c40b094a736237e9d5add31f378f6ae80154a2b625eb26e10",
+        (2, 2, 16, 16, 16), "general", {"epsilon": 0.3, "cell_size": 0.5},
+    ),
+    ("smooth", 2, False): (
+        "88c32e316c009e3df63c57343ee90770d062c529f61c7ffec2348d2ab38e7eb2",
+        (2, 2, 16, 16, 16), "general", {"amplitude": 0.375},
+    ),
+    ("smooth", 2, True): (
+        "83354469e788a3a1ee5ab312d80abc63681d7bfaf46955712c1e1c9d7bd072df",
+        (2, 2, 16, 16, 16), "general", {"amplitude": 0.2},
+    ),
+    ("constant", 3, False): (
+        "8b4547bddcbbabec425f85c9b89ec04a0ac868acce01fae246c2304ccb040fc9",
+        (3, 3, 1, 1, 1, 1), "constant", {},
+    ),
+    ("constant", 3, True): (
+        "8b4547bddcbbabec425f85c9b89ec04a0ac868acce01fae246c2304ccb040fc9",
+        (3, 3, 1, 1, 1, 1), "constant", {},
+    ),
+    ("time_piecewise", 3, False): (
+        "2a7a46fc264d6f420bd7b0689dd2cdd1bbb164bd6be5550ea57a7d3de68fe0d3",
+        (3, 3, 8, 1, 1, 1), "time_measurable", {"n_jumps": 4},
+    ),
+    ("time_piecewise", 3, True): (
+        "32ca6367963129bea9973e69bb3014ba146aa0be656418fe2d2a37993893be36",
+        (3, 3, 8, 1, 1, 1), "time_measurable", {"n_jumps": 3},
+    ),
+    ("x1_piecewise", 3, False): (
+        "2a7a46fc264d6f420bd7b0689dd2cdd1bbb164bd6be5550ea57a7d3de68fe0d3",
+        (3, 3, 1, 8, 1, 1), "x1_measurable", {"n_jumps": 4},
+    ),
+    ("x1_piecewise", 3, True): (
+        "32ca6367963129bea9973e69bb3014ba146aa0be656418fe2d2a37993893be36",
+        (3, 3, 1, 8, 1, 1), "x1_measurable", {"n_jumps": 3},
+    ),
+    ("checkerboard", 3, False): (
+        "84aad6a30f195b6cc4761c6311b22608ee5a6074bad7f25a9fd927e9091e3c22",
+        (3, 3, 8, 8, 8, 8), "general", {"epsilon": 0.375, "cell_size": 0.25},
+    ),
+    ("checkerboard", 3, True): (
+        "0add58b60152c6c73c8415ad3d82d23204d53d8c321d3baa8c2c57144b1215c5",
+        (3, 3, 8, 8, 8, 8), "general", {"epsilon": 0.3, "cell_size": 0.5},
+    ),
+    ("smooth", 3, False): (
+        "af6ea6b6b7aa5471cbe16ff65865171f11e7a926cd8b14fe02c4b0b56831475d",
+        (3, 3, 8, 8, 8, 8), "general", {"amplitude": 0.375},
+    ),
+    ("smooth", 3, True): (
+        "4cabce1b5f356327f139c7e0205a22dedb3008bd2a812f3aecd4101af40f3305",
+        (3, 3, 8, 8, 8, 8), "general", {"amplitude": 0.2},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, d, explicit", list(_GENERATOR_PINS))
+def test_generated_fields_keep_their_bytes(kind, d, explicit):
+    n_t, n_x = _PIN_GRIDS[d]
+    options = _PIN_OPTIONS[kind] if explicit else {}
+    coeffs = generate_coefficients(kind, 0.25, 5, _grid(d=d, n_t=n_t, n_x=n_x), **options)
+    digest, shape, tag, extra = _GENERATOR_PINS[kind, d, explicit]
+    assert hashlib.sha256(coeffs.data.tobytes()).hexdigest() == digest
+    assert (coeffs.data.shape, coeffs.tag) == (shape, tag)
+    assert coeffs.generator == {"kind": kind, "delta": 0.25, "seed": 5, **extra}
+
+
+# (generated kind, checker kind): the AssumptionReport fields after kind, on a
+# d = 2 grid of 64 x 16 x 16 samples at R0 = 0.5 (two radii); the x1 checker
+# averages over B'_r at d >= 2 only
+_SCAN_PINS = {
+    ("constant", "time"): (
+        0.5, 1.3322676295501878e-15, (0.5, 0.25),
+        (1.3322676295501878e-15, 1.0842021724855044e-19), 0.5, 17408,
+    ),
+    ("constant", "x1"): (
+        0.5, 0.0, (0.5, 0.25),
+        (0.0, 0.0), 0.5, 17408,
+    ),
+    ("time_piecewise", "time"): (
+        0.5, 2.220446049250313e-15, (0.5, 0.25),
+        (2.220446049250313e-15, 4.440892098500626e-16), 0.5, 17408,
+    ),
+    ("time_piecewise", "x1"): (
+        0.5, 1.028918854803979, (0.5, 0.25),
+        (1.028918854803979, 0.9527026433370162), 0.5, 17408,
+    ),
+    ("x1_piecewise", "time"): (
+        0.5, 1.0458557906855253, (0.5, 0.25),
+        (1.0458557906855253, 0.952702643337016), 0.5, 17408,
+    ),
+    ("x1_piecewise", "x1"): (
+        0.5, 7.00674086652321e-16, (0.5, 0.25),
+        (7.00674086652321e-16, 1.1102230246251565e-16), 0.5, 17408,
+    ),
+    ("checkerboard", "time"): (
+        0.5, 0.37481481481481477, (0.5, 0.25),
+        (0.37481481481481477, 0.37037037037037046), 0.5, 17408,
+    ),
+    ("checkerboard", "x1"): (
+        0.5, 0.3749629629629628, (0.5, 0.25),
+        (0.3749629629629628, 0.37037037037037035), 0.5, 17408,
+    ),
+    ("smooth", "time"): (
+        0.5, 0.14860238533793782, (0.5, 0.25),
+        (0.12399265086006528, 0.14860238533793782), 0.25, 17408,
+    ),
+    ("smooth", "x1"): (
+        0.5, 0.14379402825404297, (0.5, 0.25),
+        (0.11653406119900486, 0.14379402825404297), 0.25, 17408,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, checker_kind", list(_SCAN_PINS))
+def test_scan_reports_keep_their_values(kind, checker_kind):
+    coeffs = generate_coefficients(kind, 0.25, 5, _grid(d=2, n_t=64, n_x=16))
+    checker = check_assumption_time if checker_kind == "time" else check_assumption_x1
+    report = checker(coeffs, 0.5)
+    assert report.kind == checker_kind
+    assert dataclasses.astuple(report)[1:] == _SCAN_PINS[kind, checker_kind]

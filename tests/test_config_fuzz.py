@@ -26,7 +26,7 @@ _PRIMITIVES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-4096, 4096),
-    st.sampled_from([2**64, -(2**64), 10**30, 5e-324, 1e308]),
+    st.sampled_from([2**64, -(2**64), 10**30, 10**400, -(10**400), 5e-324, 1e308]),
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=12),
 )

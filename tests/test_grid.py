@@ -56,6 +56,15 @@ def test_make_grid_rejects_bad_axes():
 
 
 @pytest.mark.parametrize(
+    "l_t, l_x, key",
+    [(True, 2.0, "l_t"), (2.0, np.bool_(False), "l_x"), (2.0, [2.0, -(10**400)], "l_x[1]")],
+)
+def test_make_grid_rejects_bools_and_integers_past_the_float_range(l_t, l_x, key):
+    d = 2 if isinstance(l_x, list) else 1
+    with pytest.raises(ValueError, match=re.escape(f"'{key}' must be a number, got ")):
+        make_grid(d=d, n_t=16, n_x=8, l_t=l_t, l_x=l_x)
+
+@pytest.mark.parametrize(
     "l_t, l_x, key", [(1e308, 2.0, "l_t"), (2.0, 1e76, "l_x[0]"), (2.0, [2.0, 1e300], "l_x[1]")]
 )
 def test_make_grid_rejects_huge_periods(l_t, l_x, key):

@@ -178,8 +178,13 @@ NOT_AN_ENTRY_MAP = "'files' must be a non-empty object of entry file names"
         (lambda meta: meta.update(files=["a_11.htpf"]), NOT_AN_ENTRY_MAP),
         (lambda meta: meta.update(delta="half"), "'delta' must be a number, got 'half'"),
         (lambda meta: meta.update(delta=None), "'delta' must be a number, got None"),
+        # float() of it used to raise OverflowError
+        (lambda meta: meta.update(delta=10**400), f"'delta' must be a number, got {10**400}"),
     ],
-    ids=["files", "tag", "delta", "a12", "empty_files", "files_list", "delta_text", "delta_null"],
+    ids=[
+        "files", "tag", "delta", "a12", "empty_files", "files_list", "delta_text", "delta_null",
+        "delta_huge",
+    ],
 )
 def test_malformed_sidecar_fails_cleanly(tmp_path, capsys, edit, problem):
     sidecar = _stack(tmp_path)
