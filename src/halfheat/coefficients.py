@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .grid import Grid, _integer
+from .grid import Grid, _integer, _scalar
 
 __all__ = [
     "Ellipticity",
@@ -243,10 +243,11 @@ def generate_coefficients(
     ``checkerboard`` and ``smooth`` are (1 + amplitude * pattern) * identity,
     with amplitude 0.5 * (1 - delta) by default.
     """
+    delta, seed = _scalar(delta, "delta"), _integer(seed, "seed")
     ell = Ellipticity(delta)
     rng = np.random.default_rng(seed)
     d = grid.d
-    meta: dict = {"kind": kind, "delta": delta, "seed": int(seed)}
+    meta: dict = {"kind": kind, "delta": delta, "seed": seed}
 
     if kind == "constant":
         data, tag = _constant_data(grid, _admissible_matrix(rng, d, delta)), "constant"
@@ -274,7 +275,8 @@ def generate_coefficients(
         tag = "time_measurable" if along_time else "x1_measurable"
 
     elif kind in ("checkerboard", "smooth"):
-        amplitude = 0.5 * (1.0 - delta) if roughness_scale is None else float(roughness_scale)
+        amplitude = 0.5 * (1.0 - delta) if roughness_scale is None else roughness_scale
+        amplitude = _scalar(amplitude, "roughness_scale")
         if kind == "checkerboard":
             eps_max = 1.0 - delta
             if not 0.0 < amplitude <= eps_max:
@@ -282,7 +284,8 @@ def generate_coefficients(
                     f"checkerboard epsilon {amplitude} not admissible for delta={delta}; "
                     f"maximal admissible epsilon is {eps_max}"
                 )
-            cell = min(grid.l_t, *grid.l_x) / 8.0 if cell_size is None else float(cell_size)
+            cell = min(grid.l_t, *grid.l_x) / 8.0 if cell_size is None else cell_size
+            cell = _scalar(cell, "cell_size")
             if not cell > 0:
                 raise ValueError(f"cell_size must be positive, got {cell}")
             if math.isinf(max(grid.l_t, *grid.l_x) / cell):

@@ -7,7 +7,8 @@ The equation solved throughout is
 with forward-difference gradient D+ and backward-difference divergence D-.
 That pair is an exact summation-by-parts adjoint on the torus, which is what
 keeps the weak/strong equivalence and the coercivity algebra exact in floating
-point rather than up to discretization error.
+point rather than up to discretization error.  ``_operator`` is the one A u
+kernel; the residual check asks it for D_t^{1/2}u from A u's time spectrum.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .coefficients import Coefficients, identity_coefficients
-from .grid import Field, Grid, VectorField, _c_order, _time_major
-from .timeops import _half_spectrum, _time_multiplier, time_symbol
+from .grid import Field, Grid, VectorField
+from .timeops import TimeSymbol, _time_multiplier, _time_multipliers, time_symbol
 
 __all__ = [
     "gradient_plus",
@@ -85,13 +86,20 @@ def _flux(a: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return np.einsum("ij...,j...->i...", a, grad)
 
 
-def _operator(coeffs: Coefficients, lam: float, u: np.ndarray) -> np.ndarray:
+def _operator(
+    coeffs: Coefficients, lam: float, u: np.ndarray, *symbols: TimeSymbol
+) -> list[np.ndarray]:
+    """[A u, *(m(u) for each time symbol m)], A u in place in the bytes of
+    time_term - div + lam*u and the m(u) from its time spectrum.  The
+    divergence comes first, so the gradient and the flux die before the
+    spectrum is made, and the spectrum before A u is copied to C order."""
     grid = coeffs.grid
-    # assembled in place, in the bytes of time_term - div + lam*u
-    applied = _time_multiplier(u, time_symbol(grid, "time_derivative"))
-    applied -= _divergence(grid, _flux(coeffs.data, _gradient(grid, u)))
+    div = _divergence(grid, _flux(coeffs.data, _gradient(grid, u)))
+    *multiplied, applied = _time_multipliers(u, *symbols, time_symbol(grid, "time_derivative"))
+    applied -= div
+    del div
     applied += lam * u
-    return applied
+    return [applied, *multiplied]
 
 
 def _rhs(data: DataBundle) -> np.ndarray:
@@ -99,9 +107,11 @@ def _rhs(data: DataBundle) -> np.ndarray:
     return data._rhs_samples
 
 
-def _solution_parts(grid: Grid, u: np.ndarray, lam: float) -> list[np.ndarray]:
-    """The bundle slots (D_t^{1/2}u, D+u components, sqrt(lambda) u)."""
-    half = _time_multiplier(u, time_symbol(grid, "half_derivative"))
+def _solution_parts(grid: Grid, u: np.ndarray, lam: float, half=None) -> list[np.ndarray]:
+    """The bundle slots (D_t^{1/2}u, D+u components, sqrt(lambda) u); half is
+    D_t^{1/2}u when the caller has made it."""
+    if half is None:
+        half = _time_multiplier(u, time_symbol(grid, "half_derivative"))
     return [half, *_gradient(grid, u), np.sqrt(lam) * u]
 
 
@@ -112,30 +122,6 @@ def _data_parts(data: DataBundle) -> list[np.ndarray]:
     if data.lam > 0:
         parts.append(data.f.data / np.sqrt(data.lam))
     return parts
-
-
-def _operator_parts(
-    coeffs: Coefficients, lam: float, u: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(_operator, _solution_parts but sqrt(lambda) u) of u from one time
-    spectrum, in the separate kernels' samples.  The gradient and the flux die
-    with the divergence before the spectrum is made, the spectrum before A u
-    is copied to C order, and the caller makes sqrt(lambda) u once A u is
-    spent.  Each keeps the memory peak low."""
-    grid = coeffs.grid
-    div = _divergence(grid, _flux(coeffs.data, _gradient(grid, u)))
-    half_table = _half_spectrum(time_symbol(grid, "half_derivative"), u.ndim)
-    time_table = _half_spectrum(time_symbol(grid, "time_derivative"), u.ndim)
-    spec = np.fft.rfft(_time_major(u), axis=0)
-    half = _c_order(np.fft.irfft(spec * half_table, n=grid.n_t, axis=0))
-    spec *= time_table
-    applied = np.fft.irfft(spec, n=grid.n_t, axis=0)
-    del spec
-    applied = _c_order(applied)
-    applied -= div
-    del div
-    applied += lam * u
-    return applied, [half, *_gradient(grid, u)]
 
 
 def _check_grid(coeffs: Coefficients, u: Field) -> None:
@@ -166,7 +152,7 @@ def apply_operator(coeffs: Coefficients, lam: float, u: Field) -> Field:
     _check_grid(coeffs, u)
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    return Field(u.grid, _operator(coeffs, lam, u.data))
+    return Field(u.grid, _operator(coeffs, lam, u.data)[0])
 
 
 @dataclass(frozen=True)
@@ -222,7 +208,7 @@ def apply_rhs(data: DataBundle) -> Field:
 
 def residual(coeffs: Coefficients, data: DataBundle, u: Field) -> Field:
     _check_grid(coeffs, u)
-    return Field(u.grid, _operator(coeffs, data.lam, u.data) - _rhs(data))
+    return Field(u.grid, _operator(coeffs, data.lam, u.data)[0] - _rhs(data))
 
 
 def manufacture_data(coeffs: Coefficients, lam: float, u: Field) -> DataBundle:

@@ -1,15 +1,16 @@
 """Weak pairing, the twisted coercive form, and solve(), one pipeline whose
-path the coefficient tag picks: an exact start where the tag gives one (the
-Fourier oracle for constant coefficients, which is final, and the x1 sweep
-for x1-measurable ones), one correction by the batched restarted GMRES loop
-in the tag's frame otherwise, and on every path one residual check.
+path the coefficient tag picks from one table: an exact start where the tag
+gives one (the Fourier oracle for constant coefficients, which is final, and
+the x1 sweep for x1-measurable ones), one correction by the batched
+restarted GMRES loop in the tag's frame otherwise, and on every path one
+residual check.
 
 The oracle divides by the symbol of the exact DISCRETE operator (Nyquist-zeroed
 time symbols, forward-difference spatial symbols), so oracle and iterative
 paths agree to rounding, not to discretization order.  That symbol is
 Hermitian and the fields are real, so the oracle and the spectral
-preconditioner work on the half spectrum of ``rfftn`` (the last axis cut to
-n/2 + 1 modes) and return through ``irfftn``.  Testing against
+preconditioner divide by it in one kernel, ``_spectral_divide``, on the half
+spectrum of ``rfftn`` (the last axis cut to n/2 + 1 modes).  Testing against
 v - kappa*H(v) makes the skew time term coercive; with the operator norm of a
 kept below 1/delta by the generators, kappa = delta^2/2 yields the lower bound
 (delta^2/2)*||U||^2 exactly on the lattice.
@@ -27,19 +28,9 @@ from functools import lru_cache
 import numpy as np
 
 from .coefficients import Coefficients
-from .grid import Field, Grid, _c_order, _exponent, _integer, _lp, _magnitude, _norm
-from .grid import _time_major, inner, zeros
-from .operators import (
-    DataBundle,
-    _data_parts,
-    _flux,
-    _gradient,
-    _operator,
-    _operator_parts,
-    _rhs,
-    _solution_parts,
-)
-from .timeops import half_derivative, hilbert, time_symbol
+from .grid import Field, Grid, _c_order, _exponent, _integer, _lp, _magnitude, _norm, inner, zeros
+from .operators import DataBundle, _data_parts, _flux, _gradient, _operator, _rhs, _solution_parts
+from .timeops import _time_spectrum, half_derivative, hilbert, time_symbol
 
 __all__ = [
     "SolverOptions",
@@ -156,9 +147,27 @@ def _operator_symbol(grid: Grid, matrix: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _spectral_divide(x: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """irfftn(rfftn(x) / denom); denom is a zero-free half-spectrum symbol."""
+    """irfftn(rfftn(x) / denom) for a half-spectrum symbol denom.
+
+    Where denom vanishes (at lambda = 0 the zero and time-Nyquist modes at
+    zero spatial mode) x must carry no weight, and the result is zero there.
+    A caller that hands over its only reference to denom frees it before
+    irfftn."""
     x_hat = np.fft.rfftn(x)
+    if not denom.all():
+        singular = denom == 0.0
+        # max |x_hat| over the half spectrum is the full-spectrum max: the
+        # dropped modes are conjugates of kept ones
+        stray = float(np.max(np.abs(x_hat[singular])))
+        if stray > 1e-9 * float(np.max(np.abs(x_hat))):
+            raise ValueError(
+                "lambda = 0 leaves the zero/time-Nyquist modes non-invertible "
+                f"but the data put weight {stray} on them"
+            )
+        x_hat[singular] = 0.0
+        denom = np.where(singular, 1.0, denom)
     x_hat /= denom
+    del denom
     return np.fft.irfftn(x_hat, s=x.shape, axes=tuple(range(x.ndim)))
 
 
@@ -216,24 +225,7 @@ def _oracle(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
     frequency at zero spatial mode) carry no right-hand side for a valid
     DataBundle and are set to zero in u.
     """
-    grid = coeffs.grid
-    denom = _operator_symbol(grid, coeffs.constant_matrix(), lam)
-    # max |rhs_hat| over the half spectrum is the full-spectrum max: the
-    # dropped modes are conjugates of kept ones
-    rhs_hat = np.fft.rfftn(rhs)
-    singular = np.abs(denom) == 0.0
-    if singular.any():
-        stray = float(np.max(np.abs(rhs_hat[singular])))
-        if stray > 1e-9 * float(np.max(np.abs(rhs_hat))):
-            raise ValueError(
-                "lambda = 0 leaves the zero/time-Nyquist modes non-invertible "
-                f"but the data put weight {stray} on them"
-            )
-    u_hat = np.zeros_like(rhs_hat)
-    np.divide(rhs_hat, denom, out=u_hat, where=~singular)
-    # the spectral arrays die before the physical check, the oracle's peak
-    del denom, rhs_hat, singular
-    u = np.fft.irfftn(u_hat, s=grid.shape, axes=tuple(range(grid.d + 1)))
+    u = _spectral_divide(rhs, _operator_symbol(coeffs.grid, coeffs.constant_matrix(), lam))
     return _finite(u, "oracle", lam)  # refused before the check spends an apply on it
 
 
@@ -243,13 +235,12 @@ def _check(
     """The one residual check of u against the right-hand side b, for every
     solve path and for the verifiers' bare u: (r = b - A u, written over A u;
     ||r|| / ||b||, or ||r|| / max(||u||, 1) when b = 0; the bundle slots
-    (D_t^{1/2}u, *D+u, sqrt(lambda) u)).  A u and the slots come from one
+    (D_t^{1/2}u, *D+u, sqrt(lambda) u)).  A u and D_t^{1/2}u come from one
     time spectrum, and every norm is grid._norm."""
-    applied, parts = _operator_parts(coeffs, lam, u)
+    applied, half = _operator(coeffs, lam, u, time_symbol(coeffs.grid, "half_derivative"))
     r = np.subtract(b, applied, out=applied)
     rel = _norm(r) / (_norm(b) or max(_norm(u), 1.0))
-    parts.append(np.sqrt(lam) * u)
-    return r, rel, parts
+    return r, rel, _solution_parts(coeffs.grid, u, lam, half)
 
 
 def solve_oracle(coeffs: Coefficients, data: DataBundle) -> SolveResult:
@@ -306,7 +297,7 @@ def _cyclic_thomas(
 def _x1_spectrum(rhs: np.ndarray, spatial: tuple[int, ...]) -> np.ndarray:
     """rfft of rhs along t and fft along the spatial axes, laid out as
     (n1, n_tau, n2, ..., nd); from _LAYOUT_BYTES up, contiguous in tau."""
-    spec = np.fft.rfft(_time_major(rhs), axis=0)
+    spec = _time_spectrum(rhs)
     if spatial:
         spec = np.fft.fftn(spec, axes=spatial)
     return np.moveaxis(spec, 1, 0)
@@ -471,7 +462,7 @@ def _physical_frame(coeffs: Coefficients, lam: float):
     denom = _operator_symbol(grid, coeffs.mean_matrix(), lam)
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        return _operator(coeffs, lam, x.reshape(shape)).ravel()
+        return _operator(coeffs, lam, x.reshape(shape))[0].ravel()
 
     def psolve(x: np.ndarray) -> np.ndarray:
         return _spectral_divide(x.reshape(shape), denom).ravel()
@@ -694,8 +685,14 @@ def solve(
             "coefficients need lambda > 0 (only constant ones admit lambda = 0)"
         )
     grid = data.grid
-    paths = {"constant": "oracle", "time_measurable": "t_frame_gmres", "x1_measurable": "x1_direct"}
-    method = paths.get(coeffs.tag, "gmres")
+    # tag -> (exact start, GMRES frame, method); built here, so that a
+    # substituted _x1_direct or _t_frame is the one called
+    paths = {
+        "constant": (_oracle, None, "oracle"),
+        "x1_measurable": (_x1_direct, _physical_frame, "x1_direct"),
+        "time_measurable": (None, _t_frame, "t_frame_gmres"),
+    }
+    start, frame, method = paths.get(coeffs.tag, (None, _physical_frame, "gmres"))
     b = _rhs(data)
     b_norm = _norm(b)
     if b_norm == 0.0:
@@ -707,22 +704,20 @@ def solve(
     elif not b_norm < np.inf:  # an inf or NaN entry: _exponent reads 0
         raise ValueError("the right-hand side is not finite: the data are too large")
 
-    # the exact starts: the oracle's is final, an x1 start that misses rtol
-    # is corrected
+    # the exact starts: one without a frame (the oracle's) is final, one
+    # that misses rtol is corrected
     x, r, rel, matvecs, norms = None, b, 1.0, 0, []
-    start = {"oracle": _oracle, "x1_direct": _x1_direct}.get(method)
     if start:
         with np.errstate(all="ignore"):  # a zero pivot: the x1 start is dropped below
             x = start(coeffs, lam, b)
             r, rel, parts = _check(coeffs, lam, x, b)
         matvecs = 1
-        if not np.isfinite(rel) and method == "x1_direct":
+        if not np.isfinite(rel) and frame:
             x, r, rel = None, b, 1.0
-    if method != "oracle" and rel > options.rtol:
+    if frame and rel > options.rtol:
         parts = None  # a start's parts die before GMRES
-        if method == "x1_direct":
-            method = "gmres"
-        frame = _t_frame if method == "t_frame_gmres" else _physical_frame
+        if start:
+            method = "gmres"  # a corrected x1 start is a physical-frame solve
         to_frame, from_frame, apply, precondition = frame(coeffs, lam)
         rhs = to_frame(r)
         targets = _targets(rhs, _ETA * options.rtol * b_norm)

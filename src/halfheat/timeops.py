@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, Grid, _c_order, _time_major
+from .grid import Field, Grid, _c_order, _integer, _time_major
 
 __all__ = [
     "TimeSymbol",
@@ -88,15 +88,30 @@ def _half_spectrum(symbol: TimeSymbol, ndim: int) -> np.ndarray:
     return symbol.values[: n // 2 + 1].reshape([n // 2 + 1] + [1] * (ndim - 1))
 
 
-def _time_multiplier(data: np.ndarray, symbol: TimeSymbol) -> np.ndarray:
-    """apply_time_symbol on raw samples: the samples are real and the symbol
-    Hermitian, so the half spectrum k = 0..n_t/2 of ``rfft`` carries every mode.
-    It transforms a time-contiguous copy and returns C order."""
-    spec = np.fft.rfft(_time_major(data), axis=0)
-    spec *= _half_spectrum(symbol, data.ndim)
-    out = np.fft.irfft(spec, n=data.shape[0], axis=0)
+def _time_spectrum(data: np.ndarray) -> np.ndarray:
+    """rfft along time (axis 0) of real samples, taken on a time-contiguous
+    copy: the half spectrum k = 0..n_t/2, which carries every mode."""
+    return np.fft.rfft(_time_major(data), axis=0)
+
+
+def _time_multipliers(data: np.ndarray, *symbols: TimeSymbol) -> list[np.ndarray]:
+    """irfft(rfft(data) * m) for each symbol m, in order and in C order, from
+    one time spectrum.  The symbols are Hermitian and the samples real, so the
+    half spectrum serves.  The last product is taken in place, and the
+    spectrum dies before the last result is copied to C order."""
+    n = data.shape[0]
+    spec = _time_spectrum(data)
+    tables = [_half_spectrum(symbol, data.ndim) for symbol in symbols]
+    out = [_c_order(np.fft.irfft(spec * table, n=n, axis=0)) for table in tables[:-1]]
+    spec *= tables[-1]
+    last = np.fft.irfft(spec, n=n, axis=0)
     del spec
-    return _c_order(out)
+    return [*out, _c_order(last)]
+
+
+def _time_multiplier(data: np.ndarray, symbol: TimeSymbol) -> np.ndarray:
+    """apply_time_symbol on raw samples."""
+    return _time_multipliers(data, symbol)[0]
 
 
 def apply_time_symbol(field: Field, symbol: TimeSymbol) -> Field:
@@ -137,14 +152,13 @@ def half_derivative_quadrature(field: Field, truncation_periods: int) -> Field:
     The remaining error is O(dt^(3/2)) plus an oscillatory O(A^(-3/2)) tail.
     """
     grid = field.grid
-    if truncation_periods < 1 or truncation_periods != int(truncation_periods):
-        raise ValueError(
-            f"truncation_periods must be an integer >= 1, got {truncation_periods}"
-        )
+    periods = _integer(truncation_periods, "truncation_periods")
+    if periods < 1:
+        raise ValueError(f"truncation_periods must be an integer >= 1, got {truncation_periods}")
     n = grid.n_t
     dt = grid.dt
     prefactor = 1.0 / np.sqrt(8.0 * np.pi)
-    terms = int(truncation_periods) * n
+    terms = periods * n
     j = np.arange(1, terms + 1)
     weights = dt / (j * dt) ** 1.5
     kernel = np.zeros(n)
@@ -178,7 +192,7 @@ def cutoff_eta(grid: Grid, k: int) -> np.ndarray:
     between.  Requires the support 2^(k+1) to fit strictly inside half the
     time period.  The ramp derivative is bounded by 1.875 * 2^(-k),
     comfortably below the documented 4 * 2^(-k)."""
-    k = int(k)
+    k = _integer(k, "k")
     inner = 2.0**k
     outer = 2.0 ** (k + 1)
     if not outer < 0.5 * grid.l_t:

@@ -18,7 +18,7 @@ import pytest
 
 from halfheat import experiments
 from halfheat.cli import _build_problem, main
-from halfheat.experiments import _CONFIG_KEYS, _coefficients_for
+from halfheat.experiments import _COEFFICIENT_KEYS, _CONFIG_KEYS, _coefficients_for
 from halfheat.grid import make_grid
 from halfheat.coefficients import generate_coefficients
 from halfheat.htpf import read_field, write_coefficients, write_field
@@ -309,21 +309,42 @@ def test_oracle_is_no_subcommand(capsys):
     assert "invalid choice: 'oracle'" in capsys.readouterr().err
 
 
-def test_readme_key_table_matches_the_commands(capsys):
-    """README's top-level-keys table has one row per CLI subcommand, each
-    listing exactly the keys that command reads."""
+def _table_keys(cell: str) -> list[str]:
+    """The keys of a README table cell: the first backticked name of each
+    entry (entries split at commas and semicolons), once every parenthesis
+    is gone, so that lp-sweep's kind names are no keys."""
+    while True:
+        bare = re.sub(r"\([^()]*\)", "", cell)
+        if bare == cell:
+            break
+        cell = bare
+    entries = (re.search(r"`(\w+)`", entry) for entry in re.split(r"[,;]", cell))
+    return sorted(match.group(1) for match in entries if match)
+
+
+@pytest.mark.parametrize(
+    "header, keys_read",
+    [
+        pytest.param("top-level keys", _CONFIG_KEYS, id="top-level"),
+        pytest.param("`coefficients` keys", _COEFFICIENT_KEYS, id="coefficients"),
+    ],
+)
+def test_readme_key_table_matches_the_commands(capsys, header, keys_read):
+    """Each of README's key tables has one row per CLI subcommand that reads
+    such keys (every command reads top-level keys, all but identities read
+    `coefficients` keys), each listing exactly the keys that command reads."""
     with pytest.raises(SystemExit):
         main(["--help"])
     commands = re.search(r"\{([a-z0-9,-]+)\}", capsys.readouterr().out).group(1).split(",")
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    table = readme.split("| command | top-level keys |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    table = readme.split(f"| command | {header} |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
     rows = {}
     for line in table.splitlines():
         command, keys = line.strip("|").split("|")
-        rows[command.strip().strip("`")] = sorted(re.findall(r"`(\w+)`", keys))
-    assert sorted(rows) == sorted(commands)
+        rows[command.strip().strip("`")] = _table_keys(keys)
+    assert sorted(rows) == sorted(c for c in commands if c.replace("-", "_") in keys_read)
     for command, keys in rows.items():
-        assert keys == sorted(_CONFIG_KEYS[command.replace("-", "_")]), command
+        assert keys == sorted(keys_read[command.replace("-", "_")]), command
 
 
 def test_module_entry_point(tmp_path):

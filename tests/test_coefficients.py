@@ -203,6 +203,47 @@ def test_checkerboard_pattern_and_epsilon_gate():
 
 
 @pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        pytest.param("checkerboard", "roughness_scale", 10**400, id="checkerboard_epsilon_huge"),
+        pytest.param("checkerboard", "roughness_scale", True, id="checkerboard_epsilon_bool"),
+        pytest.param("smooth", "roughness_scale", 10**400, id="smooth_amplitude_huge"),
+        pytest.param("smooth", "roughness_scale", np.True_, id="smooth_amplitude_bool"),
+        pytest.param("checkerboard", "cell_size", 10**400, id="cell_size_huge"),
+        pytest.param("checkerboard", "cell_size", True, id="cell_size_bool"),
+        pytest.param("constant", "delta", True, id="delta_bool"),
+        pytest.param("smooth", "delta", "half", id="delta_text"),
+        pytest.param("constant", "seed", True, id="seed_bool"),
+        pytest.param("time_piecewise", "seed", 2.5, id="seed_fraction"),
+    ],
+)
+def test_generator_reads_numbers_as_config_keys_are_read(kind, key, value):
+    """generate_coefficients reads delta, roughness_scale (for checkerboard and
+    smooth) and cell_size as grid._scalar reads a config number, and the seed
+    as grid._integer does: a bool, text or an integer past the float range is
+    a ValueError naming the argument.  Before, a bare float() raised
+    OverflowError, True read as 1, and seed=True drew seed 1."""
+    arguments = {"kind": kind, "delta": 0.25, "seed": 0, "grid": _grid(d=1, n_t=16, n_x=16)}
+    arguments[key] = value
+    expected = "an integer" if key == "seed" else "a number"
+    with pytest.raises(ValueError, match=f"'{key}' must be {expected}"):
+        generate_coefficients(**arguments)
+
+
+def test_generator_reads_integral_numbers_unchanged():
+    """An integral float seed and an integer cell size or amplitude build the
+    field their int or float spelling builds, with the same generator keys."""
+    g = _grid(d=1, n_t=16, n_x=16)
+    want = generate_coefficients("checkerboard", 0.5, 3, g, roughness_scale=0.25, cell_size=1.0)
+    got = generate_coefficients("checkerboard", 0.5, 3.0, g, roughness_scale=0.25, cell_size=1)
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got.generator == want.generator == {
+        "kind": "checkerboard", "delta": 0.5, "seed": 3, "epsilon": 0.25, "cell_size": 1.0,
+    }
+    assert type(got.generator["seed"]) is int and type(got.generator["cell_size"]) is float
+
+
+@pytest.mark.parametrize(
     "cell, message",
     [(5e-324, "is too small"), (float("nan"), "must be positive"), (-1.0, "must be positive")],
 )

@@ -173,20 +173,29 @@ def test_no_module_calls_a_threaded_blas_reduction():
     assert found == []
 
 
+def _operator_calls(tree: ast.Module) -> list[tuple[str, int]]:
+    """(enclosing function, positional argument count) of each call of
+    operators._operator in tree."""
+    return [
+        (func.name, len(node.args))
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_operator"
+    ]
+
+
 def test_one_module_call_makes_the_operator_parts():
     """Every solve path and both verifiers judge u by one residual check,
-    solver._check, the only caller of operators._operator_parts: a second
-    residual pipeline (the oracle kept its own until it became a start of
-    solve) would measure u in other bits."""
+    solver._check, the only caller that asks the A u kernel, operators._operator,
+    for a time multiplier beside A u: a second residual pipeline (the oracle
+    kept its own until it became a start of solve) would measure u in other
+    bits."""
     calls = []
     for path in sorted(Path(halfheat.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        calls += [
-            path.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_operator_parts")
-        ]
-    assert calls == ["solver.py"]
+        calls += [(path.name, func) for func, args in _operator_calls(tree) if args > 3]
+    assert calls == [("solver.py", "_check")]
 
 
 def _reads_float_limits(node: ast.AST) -> bool:
@@ -249,22 +258,111 @@ def _time_transforms(tree: ast.Module) -> list[ast.Call]:
 
 
 def test_time_transforms_run_on_a_time_contiguous_copy():
-    """In the modules that transform along time, every rfft along axis 0
-    takes _time_major(...), and no np.ascontiguousarray is left: each path
-    makes its arrays in C order, with grid's blocked copies where a layout
-    changes.  A one-pass copy or transform across a transposed power-of-two
-    grid misses the cache on almost every sample."""
-    found, transforms = [], 0
-    for name in ("operators.py", "solver.py", "timeops.py"):
-        tree = ast.parse((Path(halfheat.__file__).parent / name).read_text())
+    """Every transform along time is timeops': outside
+    half_derivative_quadrature, the one rfft along axis 0 of any module is in
+    timeops.py and takes _time_major(...), only timeops imports _time_major,
+    and no np.ascontiguousarray is left in operators, solver or timeops: each
+    path makes its arrays in C order, with grid's blocked copies where a
+    layout changes.  A one-pass copy or transform across a transposed
+    power-of-two grid misses the cache on almost every sample."""
+    found, transforms = [], []
+    for path in sorted(Path(halfheat.__file__).parent.glob("*.py")):
+        name = path.name
+        tree = ast.parse(path.read_text())
+        if name in ("operators.py", "solver.py", "timeops.py"):
+            found += [
+                (name, node.lineno)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.ascontiguousarray"
+            ]
         found += [
             (name, node.lineno)
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.ascontiguousarray"
+            if isinstance(node, ast.ImportFrom)
+            and any(alias.name == "_time_major" for alias in node.names)
+            and name != "timeops.py"
         ]
         for node in _time_transforms(tree):
-            transforms += 1
+            transforms.append(name)
             first = node.args[0] if node.args else None
             if not (isinstance(first, ast.Call) and ast.unparse(first.func) == "_time_major"):
                 found.append((name, node.lineno))
-    assert transforms and found == []
+    assert transforms == ["timeops.py"] and found == []
+
+
+def _bound_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function or a class, or
+    the plain-name targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [
+        leaf.id
+        for target in targets
+        if target is not None
+        for leaf in ast.walk(target)
+        if isinstance(leaf, ast.Name)
+    ]
+
+
+def _named(tree: ast.Module) -> list[str]:
+    """Every name a module reads, imports or lists as a string (``__all__``):
+    names, attributes, imported names and string constants."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.alias):
+            found.append(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.append(node.value)
+    return found
+
+
+def test_no_module_keeps_dead_code():
+    """Dead-code guard, in place of a linter: every name a module but the
+    package's ``__init__`` imports is read in it (or re-exported through its
+    ``__all__``), and every private
+    module-level function, class or constant is named somewhere in the
+    package besides its definition.  A kernel merged away leaves neither a
+    stale import nor an orphaned helper behind."""
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(halfheat.__file__).parent.glob("*.py"))
+    }
+    unused, orphans = [], []
+    everywhere = [name for tree in trees.values() for name in _named(tree)]
+    for name, tree in trees.items():
+        reads = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        reads |= {
+            node.value.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        }
+        reads |= {
+            node.value
+            for stmt in tree.body
+            if "__all__" in _bound_names(stmt)
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Constant)
+        }
+        for node in tree.body:
+            # the package's own imports are its namespace, which
+            # test_package_namespace_resolves checks
+            imports = isinstance(node, (ast.Import, ast.ImportFrom)) and name != "__init__.py"
+            if imports and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in reads:
+                        unused.append((name, bound))
+            for defined in _bound_names(node):
+                private = defined.startswith("_") and not defined.startswith("__")
+                if private and everywhere.count(defined) == 0:
+                    orphans.append((name, defined))
+    assert unused == [] and orphans == []

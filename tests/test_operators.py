@@ -39,10 +39,10 @@ from halfheat.operators import (
     _flux,
     _gradient,
     _operator,
-    _operator_parts,
     _rhs,
     _solution_parts,
 )
+from halfheat.solver import _check
 from halfheat.timeops import _time_multiplier, time_symbol
 
 
@@ -261,15 +261,21 @@ def test_one_dimensional_flux_is_the_einsum_product():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_operator_parts_match_the_separate_kernels(d):
+    """A u with D_t^{1/2}u from its time spectrum gives the bytes of A u alone
+    and of the half derivative alone, and the slots built on that half
+    derivative are the slots built from u."""
     g = _grid(d=d, n_t=16, n_x=8)
     a = generate_coefficients(kind="smooth", delta=0.5, seed=2, grid=g)
     u = _rand(g, 4).data
-    applied, parts = _operator_parts(a, 2.0, u)
-    assert np.array_equal(applied, _operator(a, 2.0, u))
-    # every slot but the last, sqrt(lambda) u, which the caller makes
-    assert len(parts) == d + 1
-    for part, expected in zip(parts, _solution_parts(g, u, 2.0)[:-1]):
-        assert np.array_equal(part, expected)
+    half_symbol = time_symbol(g, "half_derivative")
+    applied, half = _operator(a, 2.0, u, half_symbol)
+    (alone,) = _operator(a, 2.0, u)
+    assert applied.tobytes() == alone.tobytes()
+    assert half.tobytes() == _time_multiplier(u, half_symbol).tobytes()
+    parts = _solution_parts(g, u, 2.0, half)
+    assert parts[0] is half and len(parts) == d + 2
+    for part, expected in zip(parts, _solution_parts(g, u, 2.0)):
+        assert part.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -286,9 +292,10 @@ def test_compact_coefficients_apply_bit_for_bit_as_the_full_grid(kind, d):
     )
     assert a.data.size < full.data.size
     u = _rand(g, 5).data
-    assert _operator(a, 2.0, u).tobytes() == _operator(full, 2.0, u).tobytes()
-    compact, _ = _operator_parts(a, 2.0, u)
-    reference, _ = _operator_parts(full, 2.0, u)
+    assert _operator(a, 2.0, u)[0].tobytes() == _operator(full, 2.0, u)[0].tobytes()
+    half = time_symbol(g, "half_derivative")
+    compact, _ = _operator(a, 2.0, u, half)
+    reference, _ = _operator(full, 2.0, u, half)
     assert compact.tobytes() == reference.tobytes()
     grad = _gradient(g, u)
     assert _flux(a.data, grad).tobytes() == _flux(full.data, grad).tobytes()
@@ -308,7 +315,7 @@ def test_operator_assembles_the_bytes_of_the_expression(kind, d):
     div = _divergence(g, _flux(a.data, _gradient(g, u)))
     for lam in (0.0, 2.0):
         expected = time_term - div + lam * u
-        assert _operator(a, lam, u).tobytes() == expected.tobytes()
+        assert _operator(a, lam, u)[0].tobytes() == expected.tobytes()
 
 
 def _transient(fn, *args):
@@ -326,29 +333,29 @@ def _transient(fn, *args):
 
 
 @pytest.mark.parametrize(
-    "d, n_t, n_x",
+    "d, n_t, n_x, operator_peak",
     [
-        pytest.param(1, 256, 128, id="1-128"),
-        pytest.param(2, 32, 32, id="2-32"),
-        pytest.param(1, 1024, 128, id="1-1024x128"),
+        pytest.param(1, 256, 128, 4.01, id="1-128"),
+        pytest.param(2, 32, 32, 5.26, id="2-32"),
+        pytest.param(1, 1024, 128, 4.00, id="1-1024x128"),
     ],
 )
-def test_operator_parts_transient_stays_within_the_operators(d, n_t, n_x):
-    """_operator_parts' work arrays beyond its inputs and results stay at or
-    below _operator's: the divergence is taken before the time spectrum, so
-    the gradient and the flux are not alive beside the spectrum's products,
-    and at 1024 x 128 (1 MB arrays) the spectrum dies before A u is copied
-    to C order."""
+def test_operator_parts_transient_stays_within_the_operators(d, n_t, n_x, operator_peak):
+    """A u alone peaks at or below the arrays it took when the time term came
+    before the divergence (operator_peak, measured so): the divergence is
+    taken first, so the gradient and the flux are not alive beside the
+    spectrum's products, and at 1024 x 128 (1 MB arrays) the spectrum dies
+    before A u is copied to C order.  solver._check, A u with its slots,
+    peaks at most d + 3.1 arrays."""
     g = _grid(d=d, n_t=n_t, n_x=n_x)
     a = generate_coefficients(kind="x1_piecewise", delta=0.25, seed=5, grid=g)
     u = _rand(g, 7).data
-    _operator_parts(a, 1.0, u)  # the symbol tables are cached outside the count
-    parts_transient, parts_peak = _transient(_operator_parts, a, 1.0, u)
-    operator_transient, operator_peak = _transient(_operator, a, 1.0, u)
-    assert parts_transient <= operator_transient
-    # the results are the operator and d + 1 slots; the peak holds about one
-    # array more (the spectrum) than they do
-    assert parts_peak <= d + 2 + 1.1
+    b = _rand(g, 8).data
+    _check(a, 1.0, u, b)  # the symbol tables are cached outside the count
+    assert _transient(_operator, a, 1.0, u)[1] <= operator_peak
+    # the results are r and the d + 2 slots, d + 3 arrays; the gradient and
+    # sqrt(lambda) u are made once A u's spectrum is gone
+    assert _transient(_check, a, 1.0, u, b)[1] <= d + 2 + 1.1
 
 
 def test_rhs_is_computed_once_per_bundle():

@@ -373,14 +373,14 @@ def test_verifiers_check_the_operator_residual():
     """Each verifier checks u against the bundle's right-hand side itself."""
     a, data, u = _rows_instance()
     rhs = _rhs(data)
-    expected = _norm(_operator(a, 1.0, u.data) - rhs) / _norm(rhs)
+    expected = _norm(_operator(a, 1.0, u.data)[0] - rhs) / _norm(rhs)
     report = verify_mean_oscillation(
         "calUprime_theta_x1", a, data, u, 0.5, (0.0, 0.0), (4.0,)
     )
     assert report.residual_rel == expected
     _, a, data, u = _local_instance()
     rhs = _rhs(data)
-    expected = _norm(_operator(a, 1.0, u.data) - rhs) / _norm(rhs)
+    expected = _norm(_operator(a, 1.0, u.data)[0] - rhs) / _norm(rhs)
     assert verify_local_estimate(a, data, u, radius=1.0).residual_rel == expected
 
 

@@ -57,7 +57,7 @@ from halfheat.operators import (
     _divergence,
     _flux,
     _gradient,
-    _operator_parts,
+    _operator,
     _rhs,
     _solution_parts,
 )
@@ -1257,8 +1257,8 @@ def _time_multiplier_reference(data, symbol):
 
 
 def _operator_parts_reference(coeffs, lam, u):
-    """_operator_parts as it was before its transforms ran on a
-    time-contiguous copy."""
+    """A u and the slots but sqrt(lambda) u, as they were before their
+    transforms ran on a time-contiguous copy."""
     grid = coeffs.grid
     div = _divergence(grid, _flux(coeffs.data, _gradient(grid, u)))
     spec = np.fft.rfft(u, axis=0)
@@ -1302,7 +1302,8 @@ def test_layout_changes_keep_the_kernels_bytes(shape):
     t = generate_coefficients(kind="time_piecewise", delta=0.25, seed=1, grid=g)
     to_frame, from_frame, _, _ = solver_module._t_frame(t, 1.0)
     y = to_frame(rhs)
-    applied, parts = _operator_parts(x1, 2.0, u)
+    applied, half = _operator(x1, 2.0, u, time_symbol(g, "half_derivative"))
+    parts = _solution_parts(g, u, 2.0, half)[:-1]
     want_applied, want_parts = _operator_parts_reference(x1, 2.0, u)
     pairs = [
         (solver_module._x1_direct(x1, 1.0, rhs), _x1_direct_reference(x1, 1.0, rhs)),

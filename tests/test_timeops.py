@@ -195,6 +195,38 @@ def test_quadrature_rejects_bad_truncation():
         half_derivative_quadrature(u, truncation_periods=0)
 
 
+@pytest.mark.parametrize(
+    "periods", [True, pytest.param(np.True_, id="np_True"), 1.5, "two"]
+)
+def test_quadrature_refuses_what_it_would_truncate(periods):
+    """truncation_periods is read as grid._integer reads a config integer:
+    a bool, a fraction or text is a ValueError, not one period."""
+    g = _grid(n_t=16)
+    with pytest.raises(ValueError, match="'truncation_periods' must be"):
+        half_derivative_quadrature(_rand(g, 0), truncation_periods=periods)
+
+
+@pytest.mark.parametrize("k", [2.5, True, pytest.param(np.True_, id="np_True"), None])
+def test_cutoffs_refuse_what_they_would_truncate(k):
+    """k is read as grid._integer reads a config integer: 2.5 was the k = 2
+    cutoff through int(k), and True the k = 1 cutoff."""
+    g = _grid(n_t=512, l_t=64.0)
+    with pytest.raises(ValueError, match="'k' must be"):
+        cutoff_eta(g, k)
+    with pytest.raises(ValueError, match="'k' must be"):
+        cutoff_commutator(_rand(g, 1), k)
+
+
+def test_integral_floats_read_as_their_integers():
+    """2.0 names the k = 2 cutoff and two truncation periods, as 2 does."""
+    g = _grid(n_t=512, l_t=64.0)
+    assert cutoff_eta(g, 2.0).tobytes() == cutoff_eta(g, 2).tobytes()
+    u = _rand(g, 2)
+    assert cutoff_commutator(u, 2.0).data.tobytes() == cutoff_commutator(u, 2).data.tobytes()
+    slow = half_derivative_quadrature(u, truncation_periods=2).data
+    assert half_derivative_quadrature(u, truncation_periods=2.0).data.tobytes() == slow.tobytes()
+
+
 def test_cutoff_eta_shape():
     g = _grid(n_t=512, l_t=64.0)
     values = cutoff_eta(g, k=3)
