@@ -1,4 +1,6 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing, the --grid, --seed and --out
+overrides, and the one-line JSON report.  experiments.py reads every config
+section.
 
 Experiment subcommands (identities, l2, lp-sweep, tail-decay, oscillation,
 assumptions) run one harness experiment and write trials.csv + summary.json;
@@ -16,21 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from .expressions import field_from_expression
-from .experiments import (
-    _COEFFICIENT_KEYS,
-    _CONFIG_KEYS,
-    EXPERIMENTS,
-    ExperimentConfig,
-    _coefficients_for,
-    _grid_from_spec,
-    _section,
-    _solver_options,
-    write_outputs,
-)
-from .grid import VectorField, _scalar
-from .htpf import _replace, write_field
-from .operators import DataBundle
+from .experiments import EXPERIMENTS, ExperimentConfig, _solve_problem, write_outputs
+from .htpf import _write_json, write_field
 from .solver import compute_bundles, solve
 
 _EXPERIMENT_COMMANDS = tuple(kind.replace("_", "-") for kind in EXPERIMENTS)
@@ -110,45 +99,18 @@ def _run_experiment(name: str, args: argparse.Namespace) -> int:
     return 0 if result.passed else 1
 
 
-def _build_problem(mapping: dict):
-    mapping = _section(mapping, "config", _CONFIG_KEYS["solve"])
-    if mapping.get("grid") is None:
-        raise ValueError("solve config needs a 'grid' section")
-    grid = _grid_from_spec(mapping["grid"], "solve")
-    spec = _section(mapping.get("coefficients"), "coefficients", _COEFFICIENT_KEYS["solve"])
-    coeffs = _coefficients_for(spec, grid, "constant", 0)
-    data_spec = _section(mapping.get("data"), "data", ("h", "g", "f"))
-    if not data_spec:
-        raise ValueError(
-            "solve config needs a 'data' section with h/g/f expressions"
-        )
-    lam = _scalar(mapping.get("lambda", 1.0), "lambda")
-    h = field_from_expression(grid, data_spec.get("h", "0"))
-    g_exprs = data_spec.get("g", ["0"] * grid.d)
-    if isinstance(g_exprs, str):
-        g_exprs = [g_exprs]
-    if not isinstance(g_exprs, list):
-        raise ValueError(f"data.g must be a list of expressions, got {g_exprs!r}")
-    if len(g_exprs) != grid.d:
-        raise ValueError(f"data.g needs {grid.d} expressions, got {len(g_exprs)}")
-    g = VectorField(tuple(field_from_expression(grid, e) for e in g_exprs))
-    f = field_from_expression(grid, data_spec.get("f", "0"))
-    data = DataBundle(h=h, g=g, f=f, lam=lam)
-    return coeffs, data, _solver_options(mapping.get("solver"))
-
-
 def _run_solve(args: argparse.Namespace) -> int:
     try:
-        mapping = _load_config(args.config)
-        if not mapping:
+        if args.config is None:
             raise ValueError("solve: need --config PATH")
+        mapping = _load_config(args.config)
         if args.seed is not None:
             raise ValueError(
                 "solve takes no --seed; the config's coefficients.seed sets the seed"
             )
         if args.grid:
             _apply_grid_overrides(mapping, args.grid)
-        coeffs, data, options = _build_problem(mapping)
+        coeffs, data, options = _solve_problem(mapping)
         out_dir = _out_dir(args, mapping, "solve")
         result = solve(coeffs, data, options)
         norms = compute_bundles(result, data, (2.0,))
@@ -173,9 +135,7 @@ def _run_solve(args: argparse.Namespace) -> int:
             },
             "outputs": {"solution": str(solution_path)},
         }
-        _replace(
-            out_dir / "result.json", (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
-        )
+        _write_json(out_dir / "result.json", payload)
     except (OSError, ValueError) as exc:
         return _fail("solve", [str(exc)])
     print(json.dumps(payload))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .grid import Grid, _integer, _scalar
+from .grid import Grid, _integer, _on_axis, _scalar
 
 __all__ = [
     "Ellipticity",
@@ -42,9 +42,11 @@ class Ellipticity:
     delta: float
 
     def __post_init__(self) -> None:
+        delta = _scalar(self.delta, "delta")
         # 1/delta bounds the entries, so it must be a finite float too
-        if not (0.0 < self.delta <= 1.0) or not math.isfinite(1.0 / self.delta):
+        if not (0.0 < delta <= 1.0) or not math.isfinite(1.0 / delta):
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
+        object.__setattr__(self, "delta", delta)
 
 
 def _min_symmetric_eig(data: np.ndarray) -> float:
@@ -296,9 +298,7 @@ def generate_coefficients(
                 (_unwrapped_axis(grid.n_x[i], grid.l_x[i]), 1 + i) for i in range(d)
             ]
             for coord, pos in axes:
-                view = [1] * (d + 1)
-                view[pos] = coord.shape[0]
-                parity = parity + np.floor(coord / cell).reshape(view)
+                parity = parity + _on_axis(np.floor(coord / cell), pos, d + 1)
             pattern = np.where(np.mod(parity, 2) < 1, 1.0, -1.0)
         else:
             if not 0 <= amplitude <= 1.0 - delta + 1e-12:  # NaN fails here, naming it

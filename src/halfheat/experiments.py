@@ -40,7 +40,8 @@ from .grid import (
     time_window_lp_norm,
     zeros,
 )
-from .htpf import _replace, read_coefficients
+from .expressions import field_from_expression
+from .htpf import _replace, _write_json, read_coefficients
 from .operators import (
     DataBundle,
     _at_lambda,
@@ -126,6 +127,8 @@ _COEFFICIENT_KEYS = {
     "assumptions": ("delta", "epsilon", "r_zero"),
     "solve": _SPEC_KEYS + ("file",),
 }
+# the 'data' keys of the solve command: the expressions of h, g and f
+_DATA_KEYS = ("h", "g", "f")
 
 
 def _numbers(value, name: str) -> tuple[float, ...]:
@@ -238,6 +241,34 @@ class ExperimentConfig:
             solver=_solver_options(mapping.get("solver")),
             seed=_integer(mapping.get("seed", 0), "seed"),
         )
+
+
+def _solve_problem(mapping: dict) -> tuple[Coefficients, DataBundle, SolverOptions]:
+    """The coefficients, data and solver options of a solve config: its grid
+    (required), coefficient spec (constant, seed 0 by default), data
+    expressions (h, g, f; "0" by default, g one per spatial axis) and lambda."""
+    mapping = _section(mapping, "config", _CONFIG_KEYS["solve"])
+    if mapping.get("grid") is None:
+        raise ValueError("solve config needs a 'grid' section")
+    grid = _grid_from_spec(mapping["grid"], "solve")
+    spec = _section(mapping.get("coefficients"), "coefficients", _COEFFICIENT_KEYS["solve"])
+    coeffs = _coefficients_for(spec, grid, "constant", 0)
+    data_spec = _section(mapping.get("data"), "data", _DATA_KEYS)
+    if not data_spec:
+        raise ValueError("solve config needs a 'data' section with h/g/f expressions")
+    lam = _scalar(mapping.get("lambda", 1.0), "lambda")
+    h = field_from_expression(grid, data_spec.get("h", "0"))
+    g_exprs = data_spec.get("g", ["0"] * grid.d)
+    if isinstance(g_exprs, str):
+        g_exprs = [g_exprs]
+    if not isinstance(g_exprs, list):
+        raise ValueError(f"data.g must be a list of expressions, got {g_exprs!r}")
+    if len(g_exprs) != grid.d:
+        raise ValueError(f"data.g needs {grid.d} expressions, got {len(g_exprs)}")
+    g = VectorField(tuple(field_from_expression(grid, e) for e in g_exprs))
+    f = field_from_expression(grid, data_spec.get("f", "0"))
+    data = DataBundle(h=h, g=g, f=f, lam=lam)
+    return coeffs, data, _solver_options(mapping.get("solver"))
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -1133,23 +1164,10 @@ def _cell_text(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
-
-
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write trials.csv and summary.json under out_dir; bytes depend only on
-    the result contents."""
+    """Write trials.csv (repr floats, empty cells for None) and summary.json
+    (in htpf._write_json's format) under out_dir; bytes depend only on the
+    result contents."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "trials.csv"
@@ -1165,9 +1183,9 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> tuple[Path, 
         "seed": result.seed,
         "passed": result.passed,
         "failures": result.failures,
-        "summary": _jsonable(result.summary),
+        "summary": result.summary,
     }
-    _replace(summary_path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
+    _write_json(summary_path, payload)
     return csv_path, summary_path
 
 

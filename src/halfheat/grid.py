@@ -73,6 +73,12 @@ def _scalar(value, name: str) -> float:
     raise ValueError(f"'{name}' must be a number, got {value!r}")
 
 
+def _on_axis(table: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """The 1-D table as an ndim-dimensional array along `axis`, length 1 on
+    every other axis, so that it broadcasts against a grid array."""
+    return table.reshape([-1 if k == axis else 1 for k in range(ndim)])
+
+
 def _band_limited_noise(
     shape: tuple[int, ...], rng: np.random.Generator, band: float, time_subspace: bool = False
 ) -> np.ndarray:
@@ -82,9 +88,7 @@ def _band_limited_noise(
     spec = np.fft.fftn(rng.standard_normal(shape))
     for axis, n in enumerate(shape):
         keep = np.abs(np.fft.fftfreq(n) * n) <= band * (n // 2)
-        view = [1] * len(shape)
-        view[axis] = n
-        spec = spec * keep.reshape(view)
+        spec = spec * _on_axis(keep, axis, len(shape))
     if time_subspace:
         spec[0] = 0.0
         spec[shape[0] // 2] = 0.0
@@ -160,12 +164,7 @@ class Grid:
         axes = [self.time_coordinates()] + [
             self.space_coordinates(i) for i in range(self.d)
         ]
-        mesh = []
-        for pos, arr in enumerate(axes):
-            view = [1] * (self.d + 1)
-            view[pos] = arr.shape[0]
-            mesh.append(arr.reshape(view))
-        return mesh
+        return [_on_axis(arr, pos, self.d + 1) for pos, arr in enumerate(axes)]
 
 
 def make_grid(

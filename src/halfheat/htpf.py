@@ -48,6 +48,14 @@ def _replace(path: str | Path, *chunks: bytes) -> None:
             fh.write(chunk)
 
 
+def _write_json(path: str | Path, payload) -> None:
+    """Write payload as the one JSON output format: sorted keys, two-space
+    indents, a final newline, a numpy scalar as its Python value; the file is
+    replaced."""
+    text = json.dumps(payload, sort_keys=True, indent=2, default=np.generic.item)
+    _replace(path, (text + "\n").encode())
+
+
 def _read(path: Path) -> bytes:
     """The bytes of path; a file that cannot be read (a missing file, a
     directory) is a ValueError naming it."""
@@ -111,7 +119,7 @@ def write_coefficients(stem: str | Path, coeffs: Coefficients) -> Path:
         "files": files,
         "generator": coeffs.generator or {},
     }
-    _replace(sidecar, (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+    _write_json(sidecar, meta)
     return sidecar
 
 

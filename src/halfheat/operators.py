@@ -231,8 +231,7 @@ def reduce_to_identity(
     """Move the coefficient roughness into the data: if u solves the equation
     with (a, g) it solves the identity-coefficient equation with
     g~_i = g_i + (a_ij - delta_ij)(D+ u)_j, exactly on the discrete lattice."""
-    d = u.grid.d
-    eye = np.eye(d).reshape(d, d, *([1] * (d + 1)))
-    extra = _flux(coeffs.data - eye, _gradient(u.grid, u.data))
+    identity = identity_coefficients(u.grid)
+    extra = _flux(coeffs.data - identity.data, _gradient(u.grid, u.data))
     g_new = VectorField(tuple(Field(u.grid, c.data + e) for c, e in zip(data.g.components, extra)))
-    return identity_coefficients(u.grid), replace(data, g=g_new)
+    return identity, replace(data, g=g_new)

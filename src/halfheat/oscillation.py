@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import Coefficients
-from .grid import Field, Grid, _magnitude, _slot_squares, _squares
+from .grid import Field, Grid, _magnitude, _on_axis, _slot_squares, _squares
 from .operators import DataBundle, _check_grid, _data_parts, _flux, _rhs
 from .solver import SolveResult, _check
 
@@ -61,9 +61,7 @@ def _spatial_dist_sq(grid: Grid, center: tuple[float, ...]) -> np.ndarray:
     dist_sq = np.zeros(grid.n_x)
     for i in range(grid.d):
         off = _wrapped_offset(grid.space_coordinates(i), center[i], grid.l_x[i])
-        shape = [1] * grid.d
-        shape[i] = grid.n_x[i]
-        dist_sq = dist_sq + off.reshape(shape) ** 2
+        dist_sq = dist_sq + _on_axis(off, i, grid.d) ** 2
     return dist_sq.ravel()
 
 

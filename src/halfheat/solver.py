@@ -28,7 +28,9 @@ from functools import lru_cache
 import numpy as np
 
 from .coefficients import Coefficients
-from .grid import Field, Grid, _c_order, _exponent, _integer, _lp, _magnitude, _norm, inner, zeros
+from .grid import (
+    Field, Grid, _c_order, _exponent, _integer, _lp, _magnitude, _norm, _on_axis, inner, zeros,
+)
 from .operators import DataBundle, _data_parts, _flux, _gradient, _operator, _rhs, _solution_parts
 from .timeops import _time_spectrum, half_derivative, hilbert, time_symbol
 
@@ -113,13 +115,12 @@ def _spectral_tables(grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Broadcast-ready time frequencies (Nyquist zeroed) and forward-difference
     spatial symbols on the ``rfftn`` half spectrum, cached per grid.  tau is
     the table of the time derivative that ``operators._operator`` applies."""
-    tau = time_symbol(grid, "time_derivative").values.imag.reshape([grid.n_t] + [1] * grid.d)
+    tau = _on_axis(time_symbol(grid, "time_derivative").values.imag, 0, grid.d + 1)
     half = _half_shape(grid)
-    sigmas = []
-    for i in range(grid.d):
-        shape = [1] * (grid.d + 1)
-        shape[1 + i] = half[1 + i]
-        sigmas.append(_difference_symbol(grid, i)[: half[1 + i]].reshape(shape))
+    sigmas = [
+        _on_axis(_difference_symbol(grid, i)[: half[1 + i]], 1 + i, grid.d + 1)
+        for i in range(grid.d)
+    ]
     tau.flags.writeable = False
     for s in sigmas:
         s.flags.writeable = False
@@ -326,12 +327,8 @@ def _x1_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
     # mode layout (n1, n_tau, n2, ..., nd) used below
     view = (grid.n_x[0],) + (1,) * d
     profile = coeffs.data.reshape((d, d) + view)
-    itau = time_symbol(grid, "time_derivative").values[:n_tau].reshape((1, n_tau) + (1,) * (d - 1))
-    sigmas = []
-    for i in range(1, d):
-        shape = [1] * (d + 1)
-        shape[1 + i] = grid.n_x[i]
-        sigmas.append(_difference_symbol(grid, i).reshape(shape))
+    itau = _on_axis(time_symbol(grid, "time_derivative").values[:n_tau], 1, d + 1)
+    sigmas = [_on_axis(_difference_symbol(grid, i), 1 + i, d + 1) for i in range(1, d)]
     a11 = profile[0, 0]
     zero = np.zeros(view)  # the mixed terms vanish in d = 1
     b = sum((profile[0, j] * sigmas[j - 1] for j in range(1, d)), zero)

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, Grid, _c_order, _integer, _time_major
+from .grid import Field, Grid, _c_order, _integer, _on_axis, _time_major
 
 __all__ = [
     "TimeSymbol",
@@ -85,7 +85,7 @@ def _half_spectrum(symbol: TimeSymbol, ndim: int) -> np.ndarray:
     """The symbol on k = 0..n_t/2, shaped to scale an ``rfft`` along axis 0 of
     an ndim-dimensional array."""
     n = symbol.grid.n_t
-    return symbol.values[: n // 2 + 1].reshape([n // 2 + 1] + [1] * (ndim - 1))
+    return _on_axis(symbol.values[: n // 2 + 1], 0, ndim)
 
 
 def _time_spectrum(data: np.ndarray) -> np.ndarray:
@@ -168,7 +168,7 @@ def half_derivative_quadrature(field: Field, truncation_periods: int) -> Field:
 
     u = field.data
     spec_u = np.fft.rfft(u, axis=0)
-    spec_k = np.conj(np.fft.rfft(kernel)).reshape([-1] + [1] * grid.d)
+    spec_k = _on_axis(np.conj(np.fft.rfft(kernel)), 0, grid.d + 1)
     shifted_sum = np.fft.irfft(spec_u * spec_k, n=n, axis=0)
     out = prefactor * (shifted_sum - total_weight * u)
 
@@ -208,7 +208,7 @@ def cutoff_eta(grid: Grid, k: int) -> np.ndarray:
 def cutoff_commutator(field: Field, k: int) -> Field:
     """u_k = D^(1/2)(u * eta_k) - eta_k * D^(1/2)u, both terms spectral."""
     grid = field.grid
-    eta = cutoff_eta(grid, k).reshape([grid.n_t] + [1] * grid.d)
+    eta = _on_axis(cutoff_eta(grid, k), 0, grid.d + 1)
     half = time_symbol(grid, "half_derivative")
     out = _time_multiplier(field.data * eta, half) - eta * _time_multiplier(field.data, half)
     return Field(grid, out)

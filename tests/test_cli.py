@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from halfheat import experiments
-from halfheat.cli import _build_problem, main
-from halfheat.experiments import _COEFFICIENT_KEYS, _CONFIG_KEYS, _coefficients_for
+from halfheat.cli import main
+from halfheat.experiments import _COEFFICIENT_KEYS, _CONFIG_KEYS, _coefficients_for, _solve_problem
 from halfheat.grid import make_grid
 from halfheat.coefficients import generate_coefficients
 from halfheat.htpf import read_field, write_coefficients, write_field
@@ -155,6 +155,36 @@ def test_solve_needs_a_config(capsys):
     assert "need --config" in report["failures"][0]
 
 
+def test_empty_solve_config_reaches_the_reader(tmp_path, capsys, monkeypatch):
+    """A config that holds {} was given: the reader, not the --config check,
+    names what it lacks, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    config = _write_config(tmp_path, "empty.json", {})
+    code, report = _run(capsys, ["solve", "--config", str(config)])
+    assert code == 1
+    assert report["failures"] == ["solve config needs a 'grid' section"]
+    assert not (tmp_path / "halfheat_solve").exists()
+
+
+def _canonical(path):
+    raw = path.read_text()
+    return raw == json.dumps(json.loads(raw), sort_keys=True, indent=2) + "\n"
+
+
+def test_json_outputs_share_one_format(tmp_path, capsys):
+    """summary.json, result.json and a coefficient sidecar are each written
+    with sorted keys, two-space indents and a final newline."""
+    config = _write_config(tmp_path, "id.json", SMALL_IDENTITIES)
+    _, report = _run(capsys, ["identities", "--config", str(config), "--out", str(tmp_path / "e")])
+    assert _canonical(Path(report["outputs"]["summary"]))
+    config = _write_config(tmp_path, "solve.json", SOLVE_CONFIG)
+    code, _ = _run(capsys, ["solve", "--config", str(config), "--out", str(tmp_path / "s")])
+    assert code == 0 and _canonical(tmp_path / "s" / "result.json")
+    grid = make_grid(d=2, n_t=8, n_x=[8, 8], l_t=2.0, l_x=[2.0, 2.0])
+    coeffs = generate_coefficients("checkerboard", 0.25, 1, grid)
+    assert _canonical(write_coefficients(tmp_path / "a", coeffs))
+
+
 def test_solve_and_oracle(tmp_path, capsys):
     """solve sends constant coefficients to the spectral oracle, and the
     same matrix tagged general to physical-frame GMRES."""
@@ -187,12 +217,12 @@ def test_solve_and_oracle(tmp_path, capsys):
         code, report = _run(capsys, ["solve", "--config", str(config), "--out", str(out)])
         assert code == 0
         assert report["method"] == "oracle" and report["iterations"] == 0
-        coeffs, data, _ = _build_problem(mapping)
+        coeffs, data, _ = _solve_problem(mapping)
         write_field(tmp_path / "oracle.htpf", solve_oracle(coeffs, data).u)
         assert (out / "u.htpf").read_bytes() == (tmp_path / "oracle.htpf").read_bytes()
 
     # the same matrix tagged general goes through physical-frame GMRES
-    coeffs, _, _ = _build_problem(SOLVE_CONFIG)
+    coeffs, _, _ = _solve_problem(SOLVE_CONFIG)
     sidecar = write_coefficients(tmp_path / "a", dataclasses.replace(coeffs, tag="general"))
     general = _write_config(
         tmp_path, "general.json", dict(SOLVE_CONFIG, coefficients={"file": str(sidecar)})
@@ -243,7 +273,7 @@ def test_solve_honours_n_jumps():
         SOLVE_CONFIG,
         coefficients={"kind": "time_piecewise", "n_jumps": 8, "delta": 0.5, "seed": 3},
     )
-    coeffs, _, _ = _build_problem(mapping)
+    coeffs, _, _ = _solve_problem(mapping)
     assert coeffs.generator["n_jumps"] == 8
 
 
@@ -266,7 +296,7 @@ def test_mixed_sweep_reads_each_kind_its_own_key(tmp_path, capsys):
     assert checkerboard.generator["epsilon"] == 0.375
     # solve reads a coefficient spec with the same reader
     solve_spec = {"kind": "checkerboard", "delta": 0.25, "epsilon": 0.375, "n_jumps": 8}
-    coeffs, _, _ = _build_problem(dict(SOLVE_CONFIG, coefficients=solve_spec))
+    coeffs, _, _ = _solve_problem(dict(SOLVE_CONFIG, coefficients=solve_spec))
     assert coeffs.generator == checkerboard.generator
     assert (coeffs.data == checkerboard.data).all()
 
@@ -279,7 +309,7 @@ def test_checkerboard_spec_without_delta_draws_at_a_quarter(tmp_path, capsys):
     config = _write_config(tmp_path, "l2.json", dict(SMALL_EXPERIMENT, coefficients=spec, trials=3))
     code, report = _run(capsys, ["l2", "--config", str(config), "--out", str(tmp_path / "l2")])
     assert code == 0, report
-    coeffs, _, _ = _build_problem(dict(SOLVE_CONFIG, coefficients=spec))
+    coeffs, _, _ = _solve_problem(dict(SOLVE_CONFIG, coefficients=spec))
     assert coeffs.generator["delta"] == 0.25
     config = _write_config(tmp_path, "solve.json", dict(SOLVE_CONFIG, coefficients=spec))
     code, report = _run(capsys, ["solve", "--config", str(config), "--out", str(tmp_path / "s")])

@@ -47,6 +47,25 @@ def test_ellipticity_range():
             Ellipticity(bad)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, None, "x"], ids=repr)
+def test_ellipticity_reads_delta_as_a_number(bad):
+    """delta is read as generate_coefficients reads it: a bool, null or text
+    is a ValueError naming 'delta', not a delta of 1 or a TypeError."""
+    with pytest.raises(ValueError, match="'delta'"):
+        Ellipticity(bad)
+
+
+def test_coefficients_from_matrix_refuses_a_bool_delta():
+    with pytest.raises(ValueError, match="'delta'"):
+        coefficients_from_matrix(_grid(n_t=8, n_x=8), np.eye(1), delta=True)
+
+
+def test_ellipticity_stores_a_float():
+    ell = Ellipticity(np.float32(0.5))
+    assert type(ell.delta) is float and ell == Ellipticity(0.5)
+    assert repr(Ellipticity(1)) == "Ellipticity(delta=1.0)"
+
+
 def test_identity_coefficients():
     g = _grid(d=2)
     coeffs = identity_coefficients(g)

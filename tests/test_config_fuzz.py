@@ -4,22 +4,23 @@ one-line JSON failure), never another exception; a key a command does not
 read is a ValueError naming it.
 
 Parse only: `ExperimentConfig.from_mapping` builds no arrays, and
-`cli._build_problem` builds the coefficients and data of a small solve
-config; no experiment and no solve runs.  Drawn integers stay within +-4096
-(plus a few huge values), so no drawn grid or jump count allocates much.
+`experiments._solve_problem` builds the coefficients and data of a small
+solve config; no experiment and no solve runs.  Drawn integers stay within
++-4096 (plus a few huge values), so no drawn grid or jump count allocates
+much.
 """
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from halfheat.cli import _build_problem
 from halfheat.experiments import (
     _COEFFICIENT_KEYS,
     _CONFIG_KEYS,
     _GRID_KEYS,
     _SOLVER_KEYS,
     ExperimentConfig,
+    _solve_problem,
 )
 
 _PRIMITIVES = st.one_of(
@@ -143,7 +144,7 @@ def test_solve_config_parses_or_raises_value_error(where, base_kind, value):
         mapping[section] = value
     else:
         mapping[section][key] = value
-    _parses_or_rejects(lambda: _build_problem(mapping))
+    _parses_or_rejects(lambda: _solve_problem(mapping))
 
 
 @pytest.mark.parametrize(

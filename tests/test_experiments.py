@@ -383,6 +383,26 @@ def test_csv_cells_use_full_precision_repr(tmp_path):
     assert csv_path.read_text().splitlines()[1] == "0.30000000000000004,,true,text"
 
 
+def test_summary_writes_numpy_scalars_and_tuples_as_json(tmp_path):
+    from halfheat.experiments import ExperimentResult
+
+    summary = {"count": np.int64(3), "flag": np.bool_(True), "pair": (0.5, np.float32(0.25))}
+    result = ExperimentResult(
+        name="demo",
+        config_hash="0" * 12,
+        seed=0,
+        passed=True,
+        failures=[],
+        columns=("a",),
+        rows=[],
+        summary=summary,
+    )
+    _, summary_path = write_outputs(result, tmp_path)
+    text = summary_path.read_text()
+    assert '"count": 3,' in text and '"flag": true,' in text
+    assert json.loads(text)["summary"] == {"count": 3, "flag": True, "pair": [0.5, 0.25]}
+
+
 def _full_grid_time_noise(grid, rng):
     """The full-grid loop that _time_noise's time column replaced."""
     t = grid.coordinate_mesh()[0]

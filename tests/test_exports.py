@@ -290,6 +290,45 @@ def test_time_transforms_run_on_a_time_contiguous_copy():
     assert transforms == ["timeops.py"] and found == []
 
 
+def test_cli_reads_configs_through_experiments():
+    """cli.py is the front end: every config section is read in
+    experiments.py, so the CLI takes from it only the experiments, their
+    config, the solve reader and the output writer, and builds no grid,
+    operator or expression itself."""
+    imported = {}
+    for node in ast.walk(ast.parse((Path(halfheat.__file__).parent / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+    assert imported["experiments"] == {
+        "EXPERIMENTS", "ExperimentConfig", "_solve_problem", "write_outputs"
+    }
+    assert not {"grid", "operators", "expressions"} & set(imported)
+
+
+def test_one_function_writes_json_output():
+    """Every JSON output file has one format, stated once: the only
+    json.dumps with an indent is htpf._write_json's."""
+    found, in_writer = [], []
+    for path in sorted(Path(halfheat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = {
+            id(node): (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "json.dumps"
+            and any(k.arg == "indent" for k in node.keywords)
+        }
+        found += calls.values()
+        in_writer += [
+            calls[id(node)]
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name == "_write_json"
+            for node in ast.walk(func)
+            if id(node) in calls
+        ]
+    assert len(found) == 1 and found == in_writer and found[0][0] == "htpf.py"
+
+
 def _bound_names(node: ast.stmt) -> list[str]:
     """The names a module-level statement defines: a function or a class, or
     the plain-name targets of an assignment."""
