@@ -11,6 +11,8 @@ dt * prod h_i.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -340,9 +342,9 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(total) * 2.0**scale
 
 
-# Layout changes from _LAYOUT_BYTES up copy _BLOCK samples at a time: at power-of-two
-# grids a transposed array's strides are multiples of 4 KB, which alias in one cache set.
-_LAYOUT_BYTES, _BLOCK = 2**19, 8
+# Layout changes from _LAYOUT_BYTES up copy _BLOCK samples at a time, and pad gathered
+# rows by _PAD: at power-of-two grids strides are multiples of 4 KB, which alias in one cache set.
+_LAYOUT_BYTES, _BLOCK, _PAD, _SHARE_BYTES = 2**19, 8, 8, 2**21
 
 
 def _c_order(x: np.ndarray) -> np.ndarray:
@@ -358,16 +360,39 @@ def _c_order(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _time_major(x: np.ndarray) -> np.ndarray:
-    """x with the same shape and indices, its axis 0 (time) contiguous, for
-    transforms along time; an exact copy made in blocks of _BLOCK along axis
-    0.  x itself below _LAYOUT_BYTES or when axis 0 is contiguous already."""
-    if x.nbytes < _LAYOUT_BYTES or x.strides[0] == x.itemsize:
-        return x
-    out = np.moveaxis(np.empty(x.shape[1:] + x.shape[:1], x.dtype), -1, 0)
-    for i in range(0, x.shape[0], _BLOCK):
-        out[i : i + _BLOCK] = x[i : i + _BLOCK]
-    return out
+def _in_blocks(count: int, line_bytes: int, work: Callable[[int, int], None]) -> None:
+    """work(lo, hi) over [0, count), lines of line_bytes each, in blocks of
+    at most _LAYOUT_BYTES (or one line), in one contiguous share per CPU of
+    the affinity mask while each holds _SHARE_BYTES.  The caller runs the
+    first share and a thread each other one, in the caller's numpy error
+    state; an error in any share re-raises here.  work writes only into
+    arrays the caller made, so no byte depends on the share."""
+    size = max(1, _LAYOUT_BYTES // line_bytes)
+    starts = range(0, count, size)
+    shares = max(1, min(len(starts), count * line_bytes // _SHARE_BYTES))
+    if shares > 1:  # outside Linux there is no affinity mask: every CPU counts
+        affinity = getattr(os, "sched_getaffinity", None)
+        shares = min(shares, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    errors, state = [], np.geterr()
+
+    def run(part) -> None:
+        try:
+            with np.errstate(**state):
+                for lo in part:
+                    work(lo, min(lo + size, count))
+        except BaseException as error:
+            errors.append(error)
+
+    cuts = [len(starts) * k // shares for k in range(shares + 1)]
+    first, *rest = (starts[a:b] for a, b in zip(cuts, cuts[1:]))
+    threads = [threading.Thread(target=run, args=(part,)) for part in rest]
+    for thread in threads:
+        thread.start()
+    run(first)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def time_window_lp_norm(field: Field, half_width: float, p: float) -> float:

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .coefficients import Coefficients, identity_coefficients
-from .grid import Field, Grid, VectorField
+from .grid import _LAYOUT_BYTES, Field, Grid, VectorField, _in_blocks
 from .timeops import TimeSymbol, _time_multiplier, _time_multipliers, time_symbol
 
 __all__ = [
@@ -65,11 +65,12 @@ def _gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 
 def _divergence(grid: Grid, v) -> np.ndarray:
-    """Backward-difference divergence of the d component arrays v[i]."""
-    total = np.zeros(grid.shape)
-    diff = np.empty(grid.shape)
+    """Backward-difference divergence of the d component arrays v[i] (or time slabs)."""
+    shape = v[0].shape
+    total = np.zeros(shape)
+    diff = np.empty(shape)
     for i in range(grid.d):
-        step = math.prod(grid.shape[2 + i :])
+        step = math.prod(shape[2 + i :])
         first, last = _planes(1 + i)
         flat = v[i].reshape(-1)
         np.subtract(flat[step:], flat[:-step], out=diff.reshape(-1)[step:])
@@ -90,15 +91,25 @@ def _operator(
     coeffs: Coefficients, lam: float, u: np.ndarray, *symbols: TimeSymbol
 ) -> list[np.ndarray]:
     """[A u, *(m(u) for each time symbol m)], A u in place in the bytes of
-    time_term - div + lam*u and the m(u) from its time spectrum.  The
-    divergence comes first, so the gradient and the flux die before the
-    spectrum is made, and the spectrum before A u is copied to C order."""
-    grid = coeffs.grid
-    div = _divergence(grid, _flux(coeffs.data, _gradient(grid, u)))
+    time_term - div + lam*u and the m(u) from its time spectrum.  Up to
+    _LAYOUT_BYTES the divergence comes first, so the gradient and the flux die
+    before the spectrum is made; above, time slabs (grid._in_blocks) make and
+    drop theirs and take - div + lam*u into the time term."""
+    grid, a = coeffs.grid, coeffs.data
+    div = _divergence(grid, _flux(a, _gradient(grid, u))) if u.nbytes <= _LAYOUT_BYTES else None
     *multiplied, applied = _time_multipliers(u, *symbols, time_symbol(grid, "time_derivative"))
-    applied -= div
-    del div
-    applied += lam * u
+    if div is not None:
+        applied -= div
+        del div
+        applied += lam * u
+        return [applied, *multiplied]
+
+    def work(lo: int, hi: int) -> None:
+        slab = slice(lo, hi) if a.shape[2] > 1 else slice(None)
+        applied[lo:hi] -= _divergence(grid, _flux(a[:, :, slab], _gradient(grid, u[lo:hi])))
+        applied[lo:hi] += lam * u[lo:hi]
+
+    _in_blocks(grid.n_t, u[0].nbytes, work)
     return [applied, *multiplied]
 
 

@@ -23,16 +23,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .coefficients import Coefficients
 from .grid import (
-    Field, Grid, _c_order, _exponent, _integer, _lp, _magnitude, _norm, _on_axis, inner, zeros,
+    _LAYOUT_BYTES, Field, Grid, _c_order, _exponent, _in_blocks, _integer, _lp, _magnitude, _norm,
+    _on_axis, inner, zeros,
 )
 from .operators import DataBundle, _data_parts, _flux, _gradient, _operator, _rhs, _solution_parts
-from .timeops import _time_spectrum, half_derivative, hilbert, time_symbol
+from .timeops import _time_samples, _time_spectrum, half_derivative, hilbert, time_symbol
 
 __all__ = [
     "SolverOptions",
@@ -297,7 +298,7 @@ def _cyclic_thomas(
 
 def _x1_spectrum(rhs: np.ndarray, spatial: tuple[int, ...]) -> np.ndarray:
     """rfft of rhs along t and fft along the spatial axes, laid out as
-    (n1, n_tau, n2, ..., nd); from _LAYOUT_BYTES up, contiguous in tau."""
+    (n1, n_tau, n2, ..., nd); above _LAYOUT_BYTES, contiguous in tau."""
     spec = _time_spectrum(rhs)
     if spatial:
         spec = np.fft.fftn(spec, axes=spatial)
@@ -351,9 +352,7 @@ def _x1_direct(coeffs: Coefficients, lam: float, rhs: np.ndarray) -> np.ndarray:
     u_hat = np.moveaxis(_cyclic_thomas(lower, diag, upper, _x1_spectrum(rhs, spatial)), 0, 1)
     if spatial:
         u_hat = np.fft.ifftn(u_hat, axes=spatial)
-    u = np.fft.irfft(u_hat, n=grid.n_t, axis=0)
-    del u_hat  # in d = 1 a view that holds the whole sweep
-    return _c_order(u)
+    return _time_samples(u_hat, grid.n_t)
 
 
 def _q_table(grid: Grid, profile: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -373,6 +372,20 @@ def _q_table(grid: Grid, profile: np.ndarray, rows=slice(None)) -> np.ndarray:
     for term in terms:
         q += term
     return q
+
+
+def _row_blocks(rows_of, block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rows_of(block, rows), a map of each frame row on its own, taken above
+    _LAYOUT_BYTES over blocks of rows (grid._in_blocks)."""
+    if block.nbytes <= _LAYOUT_BYTES:
+        return rows_of(block, rows)
+    out = np.empty_like(block)
+
+    def work(lo: int, hi: int) -> None:
+        out[lo:hi] = rows_of(block[lo:hi], rows[lo:hi])
+
+    _in_blocks(len(block), block[:1].nbytes, work)
+    return out
 
 
 def _t_frame(coeffs: Coefficients, lam: float):
@@ -419,20 +432,20 @@ def _t_frame(coeffs: Coefficients, lam: float):
         spec = _c_order((y / scale).T).reshape(half)
         return np.fft.irfftn(spec, s=grid.n_x, axes=spatial)
 
-    def precondition(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        v_hat = np.fft.fft(block, axis=1)
+    def inverse(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        v_hat = np.fft.fft(block)
         symbol = itau + quad[rows]
         symbol += lam
         v_hat /= symbol
-        return np.fft.ifft(v_hat, axis=1)
+        return np.fft.ifft(v_hat)
 
-    def apply(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        v = precondition(block, rows)
+    def corrected(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        v = inverse(block, rows)
         v *= _q_table(grid, varying, rows)
         v += block
         return v
 
-    return to_frame, from_frame, apply, precondition
+    return to_frame, from_frame, partial(_row_blocks, corrected), partial(_row_blocks, inverse)
 
 
 class LinearOperator:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, Grid, _c_order, _integer, _on_axis, _time_major
+from .grid import _LAYOUT_BYTES, _PAD, Field, Grid, _c_order, _in_blocks, _integer, _on_axis
 
 __all__ = [
     "TimeSymbol",
@@ -81,32 +81,66 @@ def time_symbol(grid: Grid, kind: str) -> TimeSymbol:
     return TimeSymbol(grid=grid, kind=kind, values=values)
 
 
-def _half_spectrum(symbol: TimeSymbol, ndim: int) -> np.ndarray:
-    """The symbol on k = 0..n_t/2, shaped to scale an ``rfft`` along axis 0 of
-    an ndim-dimensional array."""
-    n = symbol.grid.n_t
-    return _on_axis(symbol.values[: n // 2 + 1], 0, ndim)
+def _time_lines(data: np.ndarray, lines, outputs, time_major: bool = False) -> list[np.ndarray]:
+    """One array per (rows, dtype) of outputs: the lines along axis 0 (time)
+    that lines(spec) yields in turn from spec, half spectra along the last
+    axis (data's lines if complex, else their rfft, which lines may
+    overwrite).  Up to _LAYOUT_BYTES spec is all of data, strided, and the
+    outputs are in C order; above, it is a block of axis 1 (grid._in_blocks),
+    gathered time-contiguous in rows padded by _PAD, and the outputs are in C
+    order or, when time_major, contiguous in time.  A 1-D transform does the
+    same arithmetic in any layout."""
+
+    def spectra(block: np.ndarray) -> np.ndarray:
+        return block if np.iscomplexobj(block) else np.fft.rfft(block)
+
+    if data.nbytes <= _LAYOUT_BYTES:
+        return [_c_order(line.swapaxes(0, -1)) for line in lines(spectra(data.swapaxes(0, -1)))]
+    rest = data.shape[1:]
+    outs = [np.moveaxis(np.empty((*rest, rows), dtype), -1, 0) if time_major
+            else np.empty((rows, *rest), dtype) for rows, dtype in outputs]
+
+    def work(lo: int, hi: int) -> None:
+        block = data[:, lo:hi].swapaxes(0, -1)
+        if data.strides[0] != data.itemsize:  # np.positive copies in data's order, not block's
+            block = np.empty((*block.shape[:-1], block.shape[-1] + _PAD), data.dtype)[..., :-_PAD]
+            np.positive(data[:, lo:hi], out=block.swapaxes(0, -1))
+        spec = spectra(block)
+        del block  # a gathered block dies once transformed
+        for out, line in zip(outs, lines(spec)):
+            out[:, lo:hi] = line.swapaxes(0, -1)
+
+    _in_blocks(rest[0], data[:, :1].nbytes, work)
+    return outs
 
 
 def _time_spectrum(data: np.ndarray) -> np.ndarray:
-    """rfft along time (axis 0) of real samples, taken on a time-contiguous
-    copy: the half spectrum k = 0..n_t/2, which carries every mode."""
-    return np.fft.rfft(_time_major(data), axis=0)
+    """rfft along time (axis 0) of real samples: the half spectrum
+    k = 0..n_t/2, which carries every mode; contiguous in time above
+    _LAYOUT_BYTES."""
+    rows = data.shape[0] // 2 + 1
+    return _time_lines(data, lambda spec: [spec], [(rows, complex)], True)[0]
+
+
+def _time_samples(spec: np.ndarray, n: int) -> np.ndarray:
+    """irfft along time (axis 0) of a half spectrum, n samples, in C order."""
+    return _time_lines(spec, lambda half: [np.fft.irfft(half, n)], [(n, float)])[0]
 
 
 def _time_multipliers(data: np.ndarray, *symbols: TimeSymbol) -> list[np.ndarray]:
     """irfft(rfft(data) * m) for each symbol m, in order and in C order, from
-    one time spectrum.  The symbols are Hermitian and the samples real, so the
-    half spectrum serves.  The last product is taken in place, and the
-    spectrum dies before the last result is copied to C order."""
+    one time spectrum per block.  The symbols are Hermitian and the samples
+    real, so the half spectrum serves.  The last product is taken in place."""
     n = data.shape[0]
-    spec = _time_spectrum(data)
-    tables = [_half_spectrum(symbol, data.ndim) for symbol in symbols]
-    out = [_c_order(np.fft.irfft(spec * table, n=n, axis=0)) for table in tables[:-1]]
-    spec *= tables[-1]
-    last = np.fft.irfft(spec, n=n, axis=0)
-    del spec
-    return [*out, _c_order(last)]
+    tables = [symbol.values[: n // 2 + 1] for symbol in symbols]
+
+    def lines(spec: np.ndarray):
+        for table in tables[:-1]:
+            yield np.fft.irfft(spec * table, n)
+        spec *= tables[-1]
+        yield np.fft.irfft(spec, n)
+
+    return _time_lines(data, lines, [(n, float)] * len(tables))
 
 
 def _time_multiplier(data: np.ndarray, symbol: TimeSymbol) -> np.ndarray:

@@ -239,7 +239,7 @@ def test_only_grid_squares_a_bundle():
 
 
 def _time_transforms(tree: ast.Module) -> list[ast.Call]:
-    """The np.fft.rfft calls along axis 0, but for those of
+    """The np.fft.rfft and np.fft.irfft calls, but for those of
     half_derivative_quadrature, the tests' independent reference."""
     exempt = {
         id(node)
@@ -252,18 +252,46 @@ def _time_transforms(tree: ast.Module) -> list[ast.Call]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and id(node) not in exempt
-        and ast.unparse(node.func) == "np.fft.rfft"
-        and any(k.arg == "axis" and ast.unparse(k.value) == "0" for k in node.keywords)
+        and ast.unparse(node.func) in ("np.fft.rfft", "np.fft.irfft")
+    ]
+
+
+def _block_functions(tree: ast.Module) -> set[int]:
+    """The block kernel _time_lines and the functions handed to it: a lambda
+    in its arguments, or a def whose name is."""
+    passed = [
+        arg
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "_time_lines"
+        for arg in call.args
+    ]
+    names = {"_time_lines"} | {arg.id for arg in passed if isinstance(arg, ast.Name)}
+    return {id(arg) for arg in passed if isinstance(arg, ast.Lambda)} | {
+        id(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    }
+
+
+def _enclosing_functions(tree: ast.Module, target: ast.AST) -> list[ast.AST]:
+    """The defs and lambdas around target."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.Lambda))
+        and any(inner is target for inner in ast.walk(node))
     ]
 
 
 def test_time_transforms_run_on_a_time_contiguous_copy():
     """Every transform along time is timeops': outside
-    half_derivative_quadrature, the one rfft along axis 0 of any module is in
-    timeops.py and takes _time_major(...), only timeops imports _time_major,
-    and no np.ascontiguousarray is left in operators, solver or timeops: each
-    path makes its arrays in C order, with grid's blocked copies where a
-    layout changes.  A one-pass copy or transform across a transposed
+    half_derivative_quadrature, every rfft and irfft of any module is in
+    timeops.py, in the block kernel _time_lines or a function handed to it
+    (which gets its lines time-contiguous, block by block, above
+    _LAYOUT_BYTES), and takes no axis, so that it transforms the block's
+    last axis.  No np.ascontiguousarray is left in operators, solver or
+    timeops: each path makes its arrays in C order, with blocked copies where
+    a layout changes.  A one-pass copy or transform across a transposed
     power-of-two grid misses the cache on almost every sample."""
     found, transforms = [], []
     for path in sorted(Path(halfheat.__file__).parent.glob("*.py")):
@@ -275,19 +303,36 @@ def test_time_transforms_run_on_a_time_contiguous_copy():
                 for node in ast.walk(tree)
                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.ascontiguousarray"
             ]
-        found += [
-            (name, node.lineno)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            and any(alias.name == "_time_major" for alias in node.names)
-            and name != "timeops.py"
-        ]
+        blocks = _block_functions(tree)
         for node in _time_transforms(tree):
             transforms.append(name)
-            first = node.args[0] if node.args else None
-            if not (isinstance(first, ast.Call) and ast.unparse(first.func) == "_time_major"):
+            along_last = len(node.args) <= 2 and all(k.arg == "n" for k in node.keywords)
+            inside = {id(f) for f in _enclosing_functions(tree, node)} & blocks
+            if not (along_last and inside):
                 found.append((name, node.lineno))
-    assert transforms == ["timeops.py"] and found == []
+    assert set(transforms) == {"timeops.py"} and found == []
+
+
+def test_only_grid_starts_threads():
+    """grid._in_blocks is the one place that runs work on more than one
+    thread: only grid.py imports threading, and no module imports
+    concurrent.futures (its import alone adds 7-10 ms to every start) or
+    multiprocessing."""
+    threading, pools = [], []
+    for path in sorted(Path(halfheat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            threading += [path.name for m in modules if m == "threading"]
+            pools += [
+                (path.name, m) for m in modules
+                if m.split(".")[0] in ("concurrent", "multiprocessing")
+            ]
+    assert threading == ["grid.py"] and pools == []
 
 
 def test_cli_reads_configs_through_experiments():

@@ -17,6 +17,7 @@ acceptance criterion 8 (conftest.default_oscillation).
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -142,3 +143,45 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             for name in ("trials.csv", "summary.json"):
                 written[command, name] = (out / name).read_bytes()
     assert [arm for arm in arms if outputs[arm] != outputs["1"]] == []
+
+
+_CORE_COUNT_CHILD = """
+import json, os, sys
+from pathlib import Path
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # before halfheat loads
+from halfheat.experiments import EXPERIMENTS, ExperimentConfig, write_outputs
+runs = {
+    "oscillation": ("oscillation", {"seed": 0}),
+    "lp_sweep_d2": ("lp_sweep", {**json.loads(sys.argv[3]), "seed": 0}),
+}
+for name, (kind, mapping) in runs.items():
+    config = ExperimentConfig.from_mapping(mapping, kind=kind)
+    write_outputs(EXPERIMENTS[kind](config), Path(sys.argv[2]) / name)
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs an affinity mask of two or more CPUs to compare against one",
+)
+def test_outputs_do_not_depend_on_the_core_count(tmp_path):
+    """Default oscillation at seed 0, whose 16 MB arrays split their time
+    transforms, A u's spatial part and the frame applies over the CPUs, and
+    the lp_sweep_d2 pin config write the same bytes in a child restricted to
+    one CPU (before halfheat is imported) as in an unrestricted child."""
+    src = str(Path(halfheat.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    outputs = {}
+    for arm in ("one", "all"):
+        out = tmp_path / arm
+        proc = subprocess.run(
+            [sys.executable, "-c", _CORE_COUNT_CHILD, arm, str(out), json.dumps(LP_SWEEP_D2)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        files = [path for path in sorted(out.rglob("*")) if path.is_file()]
+        outputs[arm] = {path.relative_to(out): path.read_bytes() for path in files}
+    assert len(outputs["one"]) == 4 and outputs["one"] == outputs["all"]

@@ -5,8 +5,10 @@ squared L2 norm (l_t/2) * prod(l_x) under the rectangle rule (exact for trig
 polynomials below Nyquist).
 """
 
+import os
 import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from halfheat import (
     zeros,
 )
 from halfheat.experiments import harmonic_field
-from halfheat.grid import _LAYOUT_BYTES, _c_order, _norm, _time_major
+from halfheat.grid import _LAYOUT_BYTES, _c_order, _in_blocks, _norm
 
 
 def _cos_time_mode(grid, k):
@@ -293,27 +295,99 @@ def _layout(name):
 
 @pytest.mark.parametrize("name", _LAYOUTS)
 def test_layout_copies_are_exact(name):
-    """_c_order and _time_major change the layout, never a value or an index,
-    and return x itself when it already has the layout they make."""
+    """_c_order changes the layout, never a value or an index, and returns x
+    itself when it is in C order already."""
     x = _layout(name)
     assert x.nbytes >= _LAYOUT_BYTES
-    c_order, time_major = _c_order(x), _time_major(x)
-    for y in (c_order, time_major):
-        assert y.shape == x.shape and y.dtype == x.dtype
-        assert y.tobytes() == x.tobytes()
-    assert c_order.flags.c_contiguous and time_major.strides[0] == x.itemsize
+    c_order = _c_order(x)
+    assert c_order.shape == x.shape and c_order.dtype == x.dtype
+    assert c_order.tobytes() == x.tobytes()
+    assert c_order.flags.c_contiguous
     assert (c_order is x) == x.flags.c_contiguous
-    assert (time_major is x) == (x.strides[0] == x.itemsize)
 
 
 def test_layout_copies_below_the_size_rule_keep_the_strided_path():
-    """Below _LAYOUT_BYTES _time_major hands x on and _c_order is
-    np.ascontiguousarray: per-call copies of small arrays cost more than the
-    strided passes they would save."""
+    """Below _LAYOUT_BYTES _c_order is np.ascontiguousarray: per-call copies
+    of small arrays cost more than the strided passes they would save."""
     x = np.random.default_rng(1).standard_normal((64, 64))
     assert x.nbytes < _LAYOUT_BYTES
     for y in (x, x.T, x[:, ::2]):
-        assert _time_major(y) is y
         copy = _c_order(y)
         assert copy.flags.c_contiguous and copy.tobytes() == y.tobytes()
     assert _c_order(x) is x
+
+
+def _cpus(monkeypatch, count):
+    """An affinity mask of count CPUs, whatever the host has: _in_blocks then
+    starts up to count - 1 threads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_blocks_cover_the_lines_once_in_the_same_blocks_on_any_share(monkeypatch):
+    """64 lines of 2^17 bytes (8 MB) run in 16 blocks of four lines, the same
+    blocks whether one thread or four run them, each once; below
+    _LAYOUT_BYTES the lines are one block on the calling thread."""
+    seen = {}
+
+    def record(lo, hi):  # a thread's name, unlike its ident, is not reused
+        seen.setdefault(threading.current_thread().name, []).append((lo, hi))
+
+    blocks = {}
+    for count in (1, 4):
+        _cpus(monkeypatch, count)
+        seen.clear()
+        _in_blocks(64, 2**17, record)
+        assert len(seen) == count
+        blocks[count] = sorted(b for share in seen.values() for b in share)
+    assert blocks[1] == blocks[4] == [(lo, lo + 4) for lo in range(0, 64, 4)]
+    seen.clear()
+    _in_blocks(10, 2**10, record)
+    assert seen == {threading.current_thread().name: [(0, 10)]}
+
+
+def test_an_exception_in_a_workers_share_reraises_in_the_caller(monkeypatch):
+    """A worker's exception re-raises in the caller with its type and
+    message, under the caller's numpy error state, and every thread the call
+    started has ended when it returns."""
+    _cpus(monkeypatch, 4)
+    before = threading.active_count()
+    main = threading.get_ident()
+
+    def fail_in_a_worker(lo, hi):
+        if lo == 48 and threading.get_ident() != main:
+            raise KeyError(f"block {lo}:{hi}")
+
+    with pytest.raises(KeyError, match="block 48:52"):
+        _in_blocks(64, 2**17, fail_in_a_worker)
+    assert threading.active_count() == before
+
+    def divide(lo, hi):
+        np.ones(1) / np.zeros(1)
+
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError, match="divide by zero"):
+        _in_blocks(64, 2**17, divide)
+    with np.errstate(divide="ignore"):
+        _in_blocks(64, 2**17, divide)  # no RuntimeWarning from any share
+    assert threading.active_count() == before
+
+
+def test_blocks_on_more_threads_than_cores_touch_each_line_once(monkeypatch):
+    """Eight shares of a 32 MB pass (eight threads on any host), with the
+    interpreter switching threads every 10 us: every line is worked on
+    exactly once, each share writing only its own slice."""
+    _cpus(monkeypatch, 8)
+    hits = np.zeros(64, dtype=int)
+    names = set()
+
+    def touch(lo, hi):
+        names.add(threading.current_thread().name)
+        hits[lo:hi] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            _in_blocks(64, 2**19, touch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(names) == 1 + 7 * 20 and np.all(hits == 20)  # the caller and 7 threads a pass

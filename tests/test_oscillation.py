@@ -508,7 +508,8 @@ def test_tail_sum_releases_the_temporary_data_slots(monkeypatch, verifier):
 @pytest.mark.parametrize("case", ["calU_time_coeffs", "U_heat", "calUprime_theta_x1"])
 def test_mean_oscillation_takes_one_time_spectrum(monkeypatch, case):
     """Once the bundle holds its right-hand side (as after a solve), the
-    verifier transforms u along time once."""
+    verifier transforms u along time once: one rfft of u's lines along time,
+    time last."""
     a, data, u = _rows_instance()
     _rhs(data)
     calls = []
@@ -520,7 +521,7 @@ def test_mean_oscillation_takes_one_time_spectrum(monkeypatch, case):
 
     monkeypatch.setattr(np.fft, "rfft", counted)
     verify_mean_oscillation(case, a, data, u, 0.5, (0.0, 0.0), (4.0, 8.0))
-    assert calls == [u.grid.shape]
+    assert calls == [(*u.grid.n_x, u.grid.n_t)]
 
 
 _DEFAULT_KAPPAS = _oscillation_spec(

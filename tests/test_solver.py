@@ -62,7 +62,7 @@ from halfheat.operators import (
     _solution_parts,
 )
 from halfheat.oscillation import Cylinder, bundle_oscillation
-from halfheat.timeops import _half_spectrum, _time_multiplier
+from halfheat.timeops import _time_multiplier
 
 
 def _grid(d=1, n_t=32, n_x=32, l_t=2.0 * np.pi, l_x=2.0):
@@ -1248,11 +1248,16 @@ def test_x1_direct_keeps_the_bytes_of_the_copying_sweep(d):
         )
 
 
+def _half_table(symbol, ndim):
+    """The symbol on k = 0..n_t/2, shaped to scale an rfft along axis 0."""
+    return symbol.values[: symbol.grid.n_t // 2 + 1].reshape([-1] + [1] * (ndim - 1))
+
+
 def _time_multiplier_reference(data, symbol):
-    """_time_multiplier as it was before its transforms ran on a
-    time-contiguous copy: rfft and irfft along the strided time axis."""
+    """_time_multiplier as it was before its transforms ran on
+    time-contiguous blocks: rfft and irfft along the strided time axis."""
     spec = np.fft.rfft(data, axis=0)
-    spec *= _half_spectrum(symbol, data.ndim)
+    spec *= _half_table(symbol, data.ndim)
     return np.fft.irfft(spec, n=data.shape[0], axis=0)
 
 
@@ -1262,9 +1267,9 @@ def _operator_parts_reference(coeffs, lam, u):
     grid = coeffs.grid
     div = _divergence(grid, _flux(coeffs.data, _gradient(grid, u)))
     spec = np.fft.rfft(u, axis=0)
-    half_table = _half_spectrum(time_symbol(grid, "half_derivative"), u.ndim)
+    half_table = _half_table(time_symbol(grid, "half_derivative"), u.ndim)
     half = np.fft.irfft(spec * half_table, n=grid.n_t, axis=0)
-    spec *= _half_spectrum(time_symbol(grid, "time_derivative"), u.ndim)
+    spec *= _half_table(time_symbol(grid, "time_derivative"), u.ndim)
     applied = np.fft.irfft(spec, n=grid.n_t, axis=0)
     applied -= div
     applied += lam * u

@@ -12,6 +12,8 @@ The half derivative composes to hilbert . time_derivative, and together with
 the adjoint identity this pins the sign convention.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,13 @@ from halfheat import (
     time_derivative,
     time_symbol,
 )
-from halfheat.timeops import TimeSymbol, apply_time_symbol
+from halfheat.timeops import (
+    TimeSymbol,
+    _time_multipliers,
+    _time_samples,
+    _time_spectrum,
+    apply_time_symbol,
+)
 
 
 def _grid(n_t=64, l_t=2.0 * np.pi):
@@ -255,3 +263,51 @@ def test_cutoff_commutator_definition():
         half_derivative(u).data
     )
     assert np.allclose(cutoff_commutator(u, k=2).data, direct, atol=1e-12)
+
+
+# Three shapes each below _LAYOUT_BYTES (2^19), between it and 2^22, and above
+# 2^22, where the blocks split over the CPUs; above 2^19 each axis-1 length
+# leaves a last block narrower than the others.
+_KERNEL_SHAPES = [
+    (64, 48),
+    (16, 24, 40),
+    (8, 10, 12, 14),
+    (1024, 130),
+    (64, 42, 50),
+    (16, 20, 20, 22),
+    (2048, 300),
+    (64, 94, 100),
+    (16, 26, 34, 40),
+]
+_KINDS = ["half_derivative", "hilbert", "time_derivative"]
+
+
+@pytest.mark.parametrize("shape", _KERNEL_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_block_kernel_matches_the_plain_transforms_bit_for_bit(monkeypatch, shape):
+    """_time_spectrum, _time_multipliers and _time_samples give the bytes of
+    np.fft.rfft along axis 0, of irfft(rfft(x) * m) for one, two and three
+    symbols and of irfft along axis 0, the last two in C order.  _time_samples
+    takes a spectrum in C order, contiguous in time (as the d = 1 x1 sweep
+    hands it on) and with time between x1 and x2 (as its d >= 2 inverse FFT
+    leaves it).  Four CPUs in the affinity mask split the passes above 2^22
+    bytes over two threads on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    d = len(shape) - 1
+    g = make_grid(d=d, n_t=shape[0], n_x=list(shape[1:]), l_t=3.0, l_x=1.0)
+    x = np.random.default_rng(sum(shape)).standard_normal(shape)
+    n = shape[0]
+    spec = np.fft.rfft(x, axis=0)
+    assert _time_spectrum(x).tobytes() == spec.tobytes()
+    for count in (1, 2, 3):
+        symbols = [time_symbol(g, kind) for kind in _KINDS[:count]]
+        got = _time_multipliers(x, *symbols)
+        for out, symbol in zip(got, symbols):
+            table = symbol.values[: n // 2 + 1].reshape([-1] + [1] * d)
+            want = np.fft.irfft(spec * table, n, axis=0)
+            assert out.flags.c_contiguous and out.tobytes() == want.tobytes()
+    want = np.fft.irfft(spec, n, axis=0).tobytes()
+    time_contiguous = np.moveaxis(np.moveaxis(spec, 0, -1).copy(), -1, 0)
+    swept = np.moveaxis(np.moveaxis(spec, 1, 0).copy(), 0, 1)  # time between x1 and x2
+    for layout in (spec, time_contiguous, swept):
+        out = _time_samples(layout, n)
+        assert out.flags.c_contiguous and out.tobytes() == want
