@@ -371,8 +371,8 @@ def _in_blocks(count: int, line_bytes: int, work: Callable[[int, int], None]) ->
     starts = range(0, count, size)
     shares = max(1, min(len(starts), count * line_bytes // _SHARE_BYTES))
     if shares > 1:  # outside Linux there is no affinity mask: every CPU counts
-        affinity = getattr(os, "sched_getaffinity", None)
-        shares = min(shares, len(affinity(0)) if affinity else os.cpu_count() or 1)
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+        shares = min(shares, len(cpus))
     errors, state = [], np.geterr()
 
     def run(part) -> None:
@@ -386,11 +386,14 @@ def _in_blocks(count: int, line_bytes: int, work: Callable[[int, int], None]) ->
     cuts = [len(starts) * k // shares for k in range(shares + 1)]
     first, *rest = (starts[a:b] for a, b in zip(cuts, cuts[1:]))
     threads = [threading.Thread(target=run, args=(part,)) for part in rest]
-    for thread in threads:
-        thread.start()
-    run(first)
-    for thread in threads:
-        thread.join()
+    try:  # a failed start still joins the threads started before it
+        for thread in threads:
+            thread.start()
+        run(first)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
     if errors:
         raise errors[0]
 

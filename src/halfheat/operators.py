@@ -92,24 +92,23 @@ def _operator(
 ) -> list[np.ndarray]:
     """[A u, *(m(u) for each time symbol m)], A u in place in the bytes of
     time_term - div + lam*u and the m(u) from its time spectrum.  Up to
-    _LAYOUT_BYTES the divergence comes first, so the gradient and the flux die
-    before the spectrum is made; above, time slabs (grid._in_blocks) make and
-    drop theirs and take - div + lam*u into the time term."""
+    _LAYOUT_BYTES div comes first, so the gradient and flux die before the
+    spectrum is made; above, each time slab (grid._in_blocks) makes its own."""
     grid, a = coeffs.grid, coeffs.data
     div = _divergence(grid, _flux(a, _gradient(grid, u))) if u.nbytes <= _LAYOUT_BYTES else None
     *multiplied, applied = _time_multipliers(u, *symbols, time_symbol(grid, "time_derivative"))
-    if div is not None:
-        applied -= div
-        del div
-        applied += lam * u
-        return [applied, *multiplied]
 
     def work(lo: int, hi: int) -> None:
         slab = slice(lo, hi) if a.shape[2] > 1 else slice(None)
         applied[lo:hi] -= _divergence(grid, _flux(a[:, :, slab], _gradient(grid, u[lo:hi])))
         applied[lo:hi] += lam * u[lo:hi]
 
-    _in_blocks(grid.n_t, u[0].nbytes, work)
+    if div is None:
+        _in_blocks(grid.n_t, u[0].nbytes, work)
+    else:
+        applied -= div
+        del div
+        applied += lam * u
     return [applied, *multiplied]
 
 

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .coefficients import Coefficients
 from .grid import (
-    _LAYOUT_BYTES, Field, Grid, _c_order, _exponent, _in_blocks, _integer, _lp, _magnitude, _norm,
-    _on_axis, inner, zeros,
+    Field, Grid, _c_order, _exponent, _integer, _lp, _magnitude, _norm, _on_axis, inner, zeros,
 )
 from .operators import DataBundle, _data_parts, _flux, _gradient, _operator, _rhs, _solution_parts
 from .timeops import _time_samples, _time_spectrum, half_derivative, hilbert, time_symbol
@@ -374,20 +373,6 @@ def _q_table(grid: Grid, profile: np.ndarray, rows=slice(None)) -> np.ndarray:
     return q
 
 
-def _row_blocks(rows_of, block: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """rows_of(block, rows), a map of each frame row on its own, taken above
-    _LAYOUT_BYTES over blocks of rows (grid._in_blocks)."""
-    if block.nbytes <= _LAYOUT_BYTES:
-        return rows_of(block, rows)
-    out = np.empty_like(block)
-
-    def work(lo: int, hi: int) -> None:
-        out[lo:hi] = rows_of(block[lo:hi], rows[lo:hi])
-
-    _in_blocks(len(block), block[:1].nbytes, work)
-    return out
-
-
 def _t_frame(coeffs: Coefficients, lam: float):
     """GMRES's systems for time-measurable coefficients in the (t, xi) frame.
 
@@ -432,20 +417,20 @@ def _t_frame(coeffs: Coefficients, lam: float):
         spec = _c_order((y / scale).T).reshape(half)
         return np.fft.irfftn(spec, s=grid.n_x, axes=spatial)
 
-    def inverse(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        v_hat = np.fft.fft(block)
+    def precondition(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        v_hat = np.fft.fft(block, axis=1)
         symbol = itau + quad[rows]
         symbol += lam
         v_hat /= symbol
-        return np.fft.ifft(v_hat)
+        return np.fft.ifft(v_hat, axis=1)
 
-    def corrected(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        v = inverse(block, rows)
+    def apply(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        v = precondition(block, rows)
         v *= _q_table(grid, varying, rows)
         v += block
         return v
 
-    return to_frame, from_frame, partial(_row_blocks, corrected), partial(_row_blocks, inverse)
+    return to_frame, from_frame, apply, precondition
 
 
 class LinearOperator:

@@ -82,14 +82,12 @@ def time_symbol(grid: Grid, kind: str) -> TimeSymbol:
 
 
 def _time_lines(data: np.ndarray, lines, outputs, time_major: bool = False) -> list[np.ndarray]:
-    """One array per (rows, dtype) of outputs: the lines along axis 0 (time)
-    that lines(spec) yields in turn from spec, half spectra along the last
-    axis (data's lines if complex, else their rfft, which lines may
-    overwrite).  Up to _LAYOUT_BYTES spec is all of data, strided, and the
-    outputs are in C order; above, it is a block of axis 1 (grid._in_blocks),
-    gathered time-contiguous in rows padded by _PAD, and the outputs are in C
-    order or, when time_major, contiguous in time.  A 1-D transform does the
-    same arithmetic in any layout."""
+    """One array per (rows, dtype) of outputs, in C order or, when time_major,
+    contiguous in time: the time lines that lines(spec) yields in turn, spec
+    the half spectra along the last axis (data's lines if complex, else their
+    rfft, which lines may overwrite).  spec is all of data up to _LAYOUT_BYTES,
+    else a block of axis 1 (grid._in_blocks) gathered time-contiguous in rows
+    padded by _PAD; a 1-D transform does the same arithmetic in any layout."""
 
     def spectra(block: np.ndarray) -> np.ndarray:
         return block if np.iscomplexobj(block) else np.fft.rfft(block)
@@ -115,9 +113,8 @@ def _time_lines(data: np.ndarray, lines, outputs, time_major: bool = False) -> l
 
 
 def _time_spectrum(data: np.ndarray) -> np.ndarray:
-    """rfft along time (axis 0) of real samples: the half spectrum
-    k = 0..n_t/2, which carries every mode; contiguous in time above
-    _LAYOUT_BYTES."""
+    """rfft along time (axis 0) of real samples: the half spectrum k = 0..n_t/2,
+    which carries every mode; contiguous in time above _LAYOUT_BYTES."""
     rows = data.shape[0] // 2 + 1
     return _time_lines(data, lambda spec: [spec], [(rows, complex)], True)[0]
 

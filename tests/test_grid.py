@@ -9,6 +9,7 @@ import os
 import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -370,6 +371,30 @@ def test_an_exception_in_a_workers_share_reraises_in_the_caller(monkeypatch):
         _in_blocks(64, 2**17, divide)  # no RuntimeWarning from any share
     assert threading.active_count() == before
 
+
+def test_a_failed_thread_start_ends_the_threads_started_before_it(monkeypatch):
+    """When the third of four shares cannot start a thread, the start's error
+    propagates only after the one thread already started has ended; the
+    caller's own share does not run."""
+    _cpus(monkeypatch, 4)
+    before = threading.active_count()
+    starts, ended = [], []
+
+    class Flaky(threading.Thread):
+        def start(self):
+            starts.append(self)
+            if len(starts) == 2:
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    def slow(lo, hi):
+        time.sleep(0.01)
+        ended.append(lo)
+
+    monkeypatch.setattr(threading, "Thread", Flaky)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        _in_blocks(64, 2**17, slow)
+    assert threading.active_count() == before and sorted(ended) == [16, 20, 24, 28]
 
 def test_blocks_on_more_threads_than_cores_touch_each_line_once(monkeypatch):
     """Eight shares of a 32 MB pass (eight threads on any host), with the
