@@ -361,18 +361,16 @@ def _c_order(x: np.ndarray) -> np.ndarray:
 
 
 def _in_blocks(count: int, line_bytes: int, work: Callable[[int, int], None]) -> None:
-    """work(lo, hi) over [0, count), lines of line_bytes each, in blocks of
-    at most _LAYOUT_BYTES (or one line), in one contiguous share per CPU of
-    the affinity mask while each holds _SHARE_BYTES.  The caller runs the
-    first share and a thread each other one, in the caller's numpy error
-    state; an error in any share re-raises here.  work writes only into
-    arrays the caller made, so no byte depends on the share."""
+    """work(lo, hi) over [0, count), lines of line_bytes each, in blocks of at
+    most _LAYOUT_BYTES (or one line), one contiguous share per CPU of the
+    affinity mask while each holds _SHARE_BYTES.  The caller runs the first
+    share and a thread each other one, in the caller's numpy error state; an
+    error in any share re-raises here.  work writes only into arrays the
+    caller made, so no byte depends on the share."""
     size = max(1, _LAYOUT_BYTES // line_bytes)
     starts = range(0, count, size)
-    shares = max(1, min(len(starts), count * line_bytes // _SHARE_BYTES))
-    if shares > 1:  # outside Linux there is no affinity mask: every CPU counts
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-        shares = min(shares, len(cpus))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    shares = max(1, min(len(starts), count * line_bytes // _SHARE_BYTES, cpus or 1))
     errors, state = [], np.geterr()
 
     def run(part) -> None:

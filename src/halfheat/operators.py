@@ -66,11 +66,9 @@ def _gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 def _divergence(grid: Grid, v) -> np.ndarray:
     """Backward-difference divergence of the d component arrays v[i] (or time slabs)."""
-    shape = v[0].shape
-    total = np.zeros(shape)
-    diff = np.empty(shape)
+    total, diff = np.zeros(v[0].shape), np.empty(v[0].shape)
     for i in range(grid.d):
-        step = math.prod(shape[2 + i :])
+        step = math.prod(total.shape[2 + i :])
         first, last = _planes(1 + i)
         flat = v[i].reshape(-1)
         np.subtract(flat[step:], flat[:-step], out=diff.reshape(-1)[step:])
@@ -107,8 +105,7 @@ def _operator(
         _in_blocks(grid.n_t, u[0].nbytes, work)
     else:
         applied -= div
-        del div
-        applied += lam * u
+        applied += np.multiply(u, lam, out=div)
     return [applied, *multiplied]
 
 

@@ -83,11 +83,10 @@ def time_symbol(grid: Grid, kind: str) -> TimeSymbol:
 
 def _time_lines(data: np.ndarray, lines, outputs, time_major: bool = False) -> list[np.ndarray]:
     """One array per (rows, dtype) of outputs, in C order or, when time_major,
-    contiguous in time: the time lines that lines(spec) yields in turn, spec
-    the half spectra along the last axis (data's lines if complex, else their
-    rfft, which lines may overwrite).  spec is all of data up to _LAYOUT_BYTES,
-    else a block of axis 1 (grid._in_blocks) gathered time-contiguous in rows
-    padded by _PAD; a 1-D transform does the same arithmetic in any layout."""
+    contiguous in time: the time lines that lines(spec) yields in turn, spec the
+    half spectra along the last axis (data's lines if complex, else their rfft,
+    which lines may overwrite) of all of data up to _LAYOUT_BYTES, else of a
+    block of axis 1 (grid._in_blocks) gathered in rows padded by _PAD."""
 
     def spectra(block: np.ndarray) -> np.ndarray:
         return block if np.iscomplexobj(block) else np.fft.rfft(block)
@@ -103,9 +102,8 @@ def _time_lines(data: np.ndarray, lines, outputs, time_major: bool = False) -> l
         if data.strides[0] != data.itemsize:  # np.positive copies in data's order, not block's
             block = np.empty((*block.shape[:-1], block.shape[-1] + _PAD), data.dtype)[..., :-_PAD]
             np.positive(data[:, lo:hi], out=block.swapaxes(0, -1))
-        spec = spectra(block)
-        del block  # a gathered block dies once transformed
-        for out, line in zip(outs, lines(spec)):
+        block = spectra(block)  # a gathered block dies once transformed
+        for out, line in zip(outs, lines(block)):
             out[:, lo:hi] = line.swapaxes(0, -1)
 
     _in_blocks(rest[0], data[:, :1].nbytes, work)
@@ -115,8 +113,7 @@ def _time_lines(data: np.ndarray, lines, outputs, time_major: bool = False) -> l
 def _time_spectrum(data: np.ndarray) -> np.ndarray:
     """rfft along time (axis 0) of real samples: the half spectrum k = 0..n_t/2,
     which carries every mode; contiguous in time above _LAYOUT_BYTES."""
-    rows = data.shape[0] // 2 + 1
-    return _time_lines(data, lambda spec: [spec], [(rows, complex)], True)[0]
+    return _time_lines(data, lambda spec: [spec], [(data.shape[0] // 2 + 1, complex)], True)[0]
 
 
 def _time_samples(spec: np.ndarray, n: int) -> np.ndarray:

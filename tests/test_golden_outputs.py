@@ -167,9 +167,9 @@ for name, (kind, mapping) in runs.items():
 )
 def test_outputs_do_not_depend_on_the_core_count(tmp_path):
     """Default oscillation at seed 0, whose 16 MB arrays split their time
-    transforms, A u's spatial part and the frame applies over the CPUs, and
-    the lp_sweep_d2 pin config write the same bytes in a child restricted to
-    one CPU (before halfheat is imported) as in an unrestricted child."""
+    transforms and A u's spatial part over the CPUs, and the lp_sweep_d2 pin
+    config write the same bytes in a child restricted to one CPU (before
+    halfheat is imported) as in an unrestricted child."""
     src = str(Path(halfheat.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     outputs = {}
